@@ -33,8 +33,16 @@ import numpy as np
 
 from . import euclid, hyperbolic, sphere
 from .errors import ConvergenceError, DomainError, SingularPointError
-from .geometry import Space, radial_laplacian, sphere_surface_coeff
-from .jets import Jet, raise_jet, variable
+from .geometry import (
+    CONVENTIONS,
+    KINDS,
+    Space,
+    convention_factor,
+    radial_laplacian,
+    spectral_shift,
+    sphere_surface_coeff,
+)
+from .jets import Jet, gauss_jet, raise_jet, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -42,33 +50,102 @@ from .quadrature import (
     integrate_to_infinity,
 )
 
-HEAT_REPS = {
-    Space.EUCLIDEAN: ("closed", "raise", "descent", "gruet"),
-    Space.SPHERE: ("theta", "raise", "gruet"),
-    Space.HYPERBOLIC: ("raise", "descent", "gruet", "gruet-classic"),
-}
-POISSON_REPS = {
-    Space.EUCLIDEAN: ("closed", "integral", "raise", "descent", "subordinate"),
-    Space.SPHERE: ("closed", "raise", "doubling", "subordinate"),
-    Space.HYPERBOLIC: ("closed", "raise", "descent", "subordinate"),
-}
-
-
-def spectral_shift(space: Space, n: int) -> float:
-    """The shift lambda with d/dt u = (A_n + lambda) u for this package."""
-    if space is Space.EUCLIDEAN:
-        return 0.0
-    shift = 0.25 * (n - 1) ** 2
-    return -shift if space is Space.SPHERE else shift
-
-
-def representation_names(space: Space, kind: str) -> tuple[str, ...]:
-    table = HEAT_REPS if kind == "heat" else POISSON_REPS
-    return table[space]
-
 
 def _as_result(value: float) -> QuadResult:
     return QuadResult(value, 0.0, 0)
+
+
+def _any_n(n: int) -> bool:
+    return True
+
+
+def _sphere_heat(route):
+    """A sphere heat row: ``route`` gives the paper-convention kernel."""
+
+    def call(n, t, r, tol, convention, sigma):
+        factor = convention_factor(Space.SPHERE, convention, n, t)
+        return route(n, t, r, tol, sigma).scaled(factor)
+
+    return call
+
+
+# Which representation serves which (space, kind, n).  Rows are
+# (name, dimension rule, call); ``auto`` takes the first row whose rule
+# admits n, and ``compare`` the rows whose rule admits n.  A call maps
+# (n, param, r, tol, convention, sigma) to a QuadResult and looks its route up
+# as a module attribute when it runs, so rebinding that attribute (to trace
+# or to mock it) reaches every caller.
+_REPRESENTATIONS = {
+    (Space.EUCLIDEAN, "heat"): (
+        ("closed", _any_n, lambda n, t, r, tol, c, s: _as_result(euclid.heat_closed(n, t, r))),
+        ("raise", _any_n, lambda n, t, r, tol, c, s: euclid.heat_raise(n, t, r, tol=tol)),
+        ("descent", _any_n, lambda n, t, r, tol, c, s: euclid.heat_descent(n, t, r, tol)),
+        ("gruet", _any_n, lambda n, t, r, tol, c, s: euclid.heat_gruet(n, t, r, sigma=s, tol=tol)),
+    ),
+    (Space.SPHERE, "heat"): (
+        ("theta", lambda n: n <= 3,
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol))),
+        ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol))),
+        ("gruet", _any_n,
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol))),
+    ),
+    (Space.HYPERBOLIC, "heat"): (
+        ("raise", lambda n: n % 2 == 1,
+         lambda n, t, r, tol, c, s: hyperbolic.heat_raise(n, t, r, convention=c, tol=tol)),
+        ("descent", lambda n: n % 2 == 0,
+         lambda n, t, r, tol, c, s: hyperbolic.heat_descent(n, t, r, convention=c, tol=tol)),
+        ("gruet", _any_n, lambda n, t, r, tol, c, s: hyperbolic.heat_gruet(
+            n, t, r, sigma=s, convention=c, tol=tol)),
+        ("gruet-classic", _any_n,
+         lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol)),
+    ),
+    (Space.EUCLIDEAN, "poisson"): (
+        ("closed", _any_n, lambda n, y, r, tol, c, s: _as_result(euclid.poisson_closed(n, y, r))),
+        ("integral", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_integral(n, y, r, tol)),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol)),
+        ("descent", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol)),
+        ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
+            lambda t, x: euclid.heat_closed(n, t, x), y, r, tol, dim_hint=n)),
+    ),
+    (Space.SPHERE, "poisson"): (
+        ("closed", _any_n, lambda n, y, r, tol, c, s: _as_result(sphere.poisson_closed(n, y, r))),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r)),
+        ("doubling", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol)),
+        ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
+            _heat_fn(Space.SPHERE, n, tol), y, r, tol, dim_hint=n)),
+    ),
+    (Space.HYPERBOLIC, "poisson"): (
+        ("closed", _any_n,
+         lambda n, y, r, tol, c, s: _as_result(hyperbolic.poisson_closed(n, y, r))),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_raise(n, y, r)),
+        ("descent", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_descent(n, y, r, tol)),
+        ("subordinate", _any_n, lambda n, y, r, tol, c, s: poisson_images(n, y, r, tol)),
+    ),
+}
+
+
+def _rows(space: Space, kind: str) -> tuple:
+    rows = _REPRESENTATIONS.get((space, kind))
+    if rows is None:
+        if kind not in KINDS:
+            raise DomainError(f"kind must be 'heat' or 'poisson', got {kind!r}")
+        raise DomainError(f"unknown space {space!r}")
+    return rows
+
+
+def _route(space: Space, kind: str, n: int, rep: str):
+    """The call of the named row, or for "auto" of the first row admitting n."""
+    for name, admits, call in _rows(space, kind):
+        if name == rep or (rep == "auto" and admits(n)):
+            return call
+    raise DomainError(
+        f"representation {rep!r} is not available for the {space.value} {kind} kernel"
+    )
+
+
+def representation_names(space: Space, kind: str) -> tuple[str, ...]:
+    """The representations of (space, kind), in the order ``auto`` tries them."""
+    return tuple(name for name, _, _ in _rows(space, kind))
 
 
 def evaluate(
@@ -86,125 +163,36 @@ def evaluate(
     """Evaluate one kernel by the named representation.
 
     ``param`` is the time t (heat) or height y (poisson); ``rep`` of "auto"
-    picks the cheapest accurate route.  The convention applies to hyperbolic
-    and sphere heat kernels ("markovian" rescales to the unit-mass
-    normalization); it is ignored where the normalizations coincide.
+    picks the first representation of :func:`representation_names` that
+    reaches dimension n.  The convention applies to hyperbolic and sphere
+    heat kernels ("markovian" rescales to the unit-mass normalization); it is
+    validated everywhere and ignored where the normalizations coincide.
     """
-    if kind == "heat":
-        return _evaluate_heat(space, n, param, r, rep, tol, convention, sigma)
-    if kind == "poisson":
-        return _evaluate_poisson(space, n, param, r, rep, tol, sigma)
-    raise DomainError(f"kind must be 'heat' or 'poisson', got {kind!r}")
-
-
-def _sphere_convention_factor(convention: str, n: int, t: float) -> float:
-    # mirror image of the hyperbolic normalization factor
-    if convention == "paper":
-        return 1.0
-    if convention == "markovian":
-        return math.exp(0.25 * (n - 1) ** 2 * t)
-    raise DomainError(f"convention must be 'paper' or 'markovian', got {convention!r}")
-
-
-def _evaluate_heat(space, n, t, r, rep, tol, convention, sigma) -> QuadResult:
-    if space is Space.EUCLIDEAN:
-        if convention not in ("paper", "markovian"):
-            raise DomainError(f"unknown convention {convention!r}")
-        if rep in ("auto", "closed"):
-            return _as_result(euclid.heat_closed(n, t, r))
-        if rep == "raise":
-            return euclid.heat_raise(n, t, r, tol=tol)
-        if rep == "descent":
-            return euclid.heat_descent(n, t, r, tol)
-        if rep == "gruet":
-            return euclid.heat_gruet(n, t, r, sigma=sigma, tol=tol)
-    elif space is Space.SPHERE:
-        factor = _sphere_convention_factor(convention, n, t)
-        if rep == "auto":
-            rep = "theta" if n <= 3 else "raise"
-        if rep == "theta":
-            return sphere.heat_theta(n, t, r, tol).scaled(factor)
-        if rep == "raise":
-            return sphere.heat_raise(n, t, r, tol).scaled(factor)
-        if rep == "gruet":
-            return sphere.heat_gruet(n, t, r, sigma=sigma, tol=tol).scaled(factor)
-    else:
-        if rep == "auto":
-            rep = "raise" if n % 2 == 1 else "descent"
-        if rep == "raise":
-            return hyperbolic.heat_raise(n, t, r, convention=convention, tol=tol)
-        if rep == "descent":
-            return hyperbolic.heat_descent(n, t, r, convention=convention, tol=tol)
-        if rep == "gruet":
-            return hyperbolic.heat_gruet(
-                n, t, r, sigma=sigma, convention=convention, tol=tol
-            )
-        if rep == "gruet-classic":
-            return hyperbolic.heat_classic(n, t, r, convention=convention, tol=tol)
-    raise DomainError(
-        f"representation {rep!r} is not available for the {space.value} heat kernel"
-    )
-
-
-def _evaluate_poisson(space, n, y, r, rep, tol, sigma) -> QuadResult:
-    if space is Space.EUCLIDEAN:
-        if rep in ("auto", "closed"):
-            return _as_result(euclid.poisson_closed(n, y, r))
-        if rep == "integral":
-            return euclid.poisson_integral(n, y, r, tol)
-        if rep == "raise":
-            return euclid.poisson_raise(n, y, r, tol=tol)
-        if rep == "descent":
-            return euclid.poisson_descent(n, y, r, tol)
-        if rep == "subordinate":
-            return subordinate(lambda t, s: euclid.heat_closed(n, t, s), y, r, tol, dim_hint=n)
-    elif space is Space.SPHERE:
-        if rep in ("auto", "closed"):
-            return _as_result(sphere.poisson_closed(n, y, r))
-        if rep == "raise":
-            return sphere.poisson_raise(n, y, r)
-        if rep == "doubling":
-            return sphere.poisson_doubling(n, y, r, tol)
-        if rep == "subordinate":
-            return subordinate(_sphere_heat_fn(n, tol), y, r, tol, dim_hint=n)
-    else:
-        if rep in ("auto", "closed"):
-            return _as_result(hyperbolic.poisson_closed(n, y, r))
-        if rep == "raise":
-            return hyperbolic.poisson_raise(n, y, r)
-        if rep == "descent":
-            return hyperbolic.poisson_descent(n, y, r, tol)
-        if rep == "subordinate":
-            return poisson_images(n, y, r, tol)
-    raise DomainError(
-        f"representation {rep!r} is not available for the {space.value} poisson kernel"
-    )
+    call = _route(space, kind, n, rep)
+    if convention not in CONVENTIONS:
+        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    return call(n, param, r, tol, convention, sigma)
 
 
 # ---------------------------------------------------------------------------
 # subordination
 
 
-def _sphere_heat_fn(n: int, tol: float) -> Callable[[float, float], float]:
+def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float]:
+    """Paper-convention heat values for the subordination integrands."""
     inner = max(tol * 0.1, 1e-12)
-    if n <= 3:
-        return lambda t, r: sphere.heat_theta(n, t, r, inner).value
-    return lambda t, r: sphere.heat_raise(n, t, r, inner).value
+    if space is Space.HYPERBOLIC and n % 2 == 0:
 
+        def even(t: float, r: float) -> float:
+            # the oscillatory line integral cancels catastrophically for small t,
+            # while the descent integrand overflows for very large t
+            if t >= 1.0:
+                return hyperbolic.heat_classic(n, t, r, tol=inner).value
+            return hyperbolic.heat_descent(n, t, r, tol=inner).value
 
-def _hyperbolic_heat_fn(n: int, tol: float) -> Callable[[float, float], float]:
-    inner = max(tol * 0.1, 1e-12)
-    if n % 2 == 1:
-        return lambda t, r: hyperbolic.heat_raise(n, t, r, tol=inner).value
-
-    def even(t: float, r: float) -> float:
-        # the oscillatory line integral cancels catastrophically for small t,
-        # while the descent integrand overflows for very large t
-        if t >= 1.0:
-            return hyperbolic.heat_classic(n, t, r, tol=inner).value
-        return hyperbolic.heat_descent(n, t, r, tol=inner).value
-
-    return even
+        return even
+    call = _route(space, "heat", n, "auto")
+    return lambda t, r: call(n, t, r, inner, "paper", None).value
 
 
 def subordinate(
@@ -275,7 +263,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     """
     if not (math.isfinite(y) and 0.0 < y < math.pi):
         raise DomainError(f"strip height must lie in (0, pi), got {y}")
-    heat_fn = _hyperbolic_heat_fn(n, tol)
+    heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
 
     def f(v: float) -> float:
@@ -309,41 +297,24 @@ def heat_mass(
     and exp(+(n-1)^2 t/4) on hyperbolic space in the "paper" convention, both 1
     in the markovian convention.
     """
+    factor = convention_factor(space, convention, n, t)
     coeff = sphere_surface_coeff(n)
     inner = max(0.05 * tol, 1e-12)
-    if space is Space.EUCLIDEAN:
-        if convention not in ("paper", "markovian"):
-            raise DomainError(f"unknown convention {convention!r}")
+    if space is Space.HYPERBOLIC and n % 2 == 0:
+        point = lambda rho: hyperbolic.heat_classic(n, t, rho, tol=inner).value
+    else:
+        call = _route(space, "heat", n, "auto")
+        point = lambda x: call(n, t, x, inner, "paper", None).value
 
-        def f(r: float) -> float:
-            return euclid.heat_closed(n, t, r) * coeff * r ** (n - 1)
-
-        top = math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 1.0
-        return integrate_adaptive(f, 0.0, top, tol, abs_tol=0.0)
+    def f(x: float) -> float:
+        return point(x) * coeff * space.weight(x) ** (n - 1)
 
     if space is Space.SPHERE:
-        factor = _sphere_convention_factor(convention, n, t)
-        if n <= 3:
-            point = lambda phi: sphere.heat_theta(n, t, phi, inner).value
-        else:
-            point = lambda phi: sphere.heat_raise(n, t, phi, inner).value
-
-        def f(phi: float) -> float:
-            return point(phi) * coeff * math.sin(phi) ** (n - 1)
-
-        res = integrate_adaptive(f, 0.0, math.pi, tol, abs_tol=0.0)
-        return res.scaled(factor)
-
-    factor = hyperbolic.convention_factor(convention, n, t)
-    if n % 2 == 1:
-        point = lambda rho: hyperbolic.heat_raise(n, t, rho, tol=inner).value
+        top = math.pi
+    elif space is Space.EUCLIDEAN:
+        top = math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 1.0
     else:
-        point = lambda rho: hyperbolic.heat_classic(n, t, rho, tol=inner).value
-
-    def f(rho: float) -> float:
-        return point(rho) * coeff * math.sinh(rho) ** (n - 1)
-
-    top = 2.0 * t * (n - 1) + math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 3.0
+        top = 2.0 * t * (n - 1) + math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 3.0
     res = integrate_adaptive(f, 0.0, top, tol, abs_tol=0.0)
     return res.scaled(factor)
 
@@ -441,34 +412,15 @@ def _kernel_jet(
     inner = max(tol, 1e-12)
     if kind == "heat":
         if space is Space.EUCLIDEAN:
-            amp = (4.0 * math.pi * param) ** (-0.5 * n)
-
-            def gen(center: float, order: int) -> Jet:
-                x = variable(center, order)
-                return (x * x * (-0.25 / param)).exp() * amp
-
-            return gen
+            return gauss_jet(param, n)
+        factor = convention_factor(space, convention, n, param)
+        odd = n % 2 == 1
         if space is Space.SPHERE:
-            factor = _sphere_convention_factor(convention, n, param)
-            if n % 2 == 1:
-                base = sphere._theta1_jet(param, inner)
-                k = (n - 1) // 2
-            else:
-                base = sphere._theta2_jet(param, inner, [])
-                k = (n - 2) // 2
-            return lambda center, order: (
-                raise_jet(Space.SPHERE, base, k, center, order) * factor
-            )
-        factor = hyperbolic.convention_factor(convention, n, param)
-        if n % 2 == 1:
-            base = hyperbolic._gauss_jet(param)
-            k = (n - 1) // 2
+            base = sphere._theta1_jet(param, inner) if odd else sphere._theta2_jet(param, inner, [])
         else:
-            base = hyperbolic._descent_jet(param, inner, [])
-            k = (n - 2) // 2
-        return lambda center, order: (
-            raise_jet(Space.HYPERBOLIC, base, k, center, order) * factor
-        )
+            base = gauss_jet(param) if odd else hyperbolic._descent_jet(param, inner, [])
+        k = (n - 1) // 2
+        return lambda center, order: raise_jet(space, base, k, center, order) * factor
 
     if kind == "poisson":
         if space is Space.EUCLIDEAN:
@@ -598,9 +550,7 @@ def compare(
     are recorded as NaN and skipped in the pairwise comparison.
     """
     if reps is None:
-        reps = [r for r in representation_names(space, kind)]
-        if kind == "heat" and space is Space.HYPERBOLIC:
-            reps.remove("raise" if n % 2 == 0 else "descent")
+        reps = [name for name, admits, _ in _rows(space, kind) if admits(n)]
     values = {}
     errs = {}
     for rep in reps:
@@ -744,23 +694,15 @@ def subordination_sweep(
     """
     if space is Space.EUCLIDEAN:
         heat = {"paper": lambda t, r: euclid.heat_closed(n, t, r)}
-        closed = lambda y, r: euclid.poisson_closed(n, y, r)
-    elif space is Space.SPHERE:
-        base = _sphere_heat_fn(n, tol)
-        heat = {
-            "paper": base,
-            "markovian": lambda t, r: base(t, r)
-            * _sphere_convention_factor("markovian", n, t),
-        }
-        closed = lambda y, r: sphere.poisson_closed(n, y, r)
     else:
-        base = _hyperbolic_heat_fn(n, tol)
+        base = _heat_fn(space, n, tol)
         heat = {
             "paper": base,
             "markovian": lambda t, r: base(t, r)
-            * hyperbolic.convention_factor("markovian", n, t),
+            * convention_factor(space, "markovian", n, t),
         }
-        closed = lambda y, r: hyperbolic.poisson_closed(n, y, r)
+    closed_form = _route(space, "poisson", n, "closed")
+    closed = lambda y, r: closed_form(n, y, r, tol, "paper", None).value
 
     quarter = 0.25 * (n - 1) ** 2
     deltas = sorted({0.0, quarter, -quarter})

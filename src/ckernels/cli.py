@@ -8,7 +8,8 @@ Three commands:
 * ``validate``: the named self-check suites, as a JSON report.
 
 Exit codes: 0 success, 2 argument errors, 3 mathematical domain errors,
-4 quadrature convergence failures (partial results are still printed).
+4 quadrature convergence failures and numeric overflow (partial results are
+still printed).
 The default tolerance honors the CK_DEFAULT_TOL environment variable;
 explicit ``--tol`` flags win.
 """
@@ -24,21 +25,21 @@ from dataclasses import dataclass
 import click
 
 from . import __version__
-from .analysis import SUITES, evaluate, run_suite
+from .analysis import SUITES, evaluate, representation_names, run_suite
 from .errors import ConvergenceError, DomainError, SingularPointError
-from .geometry import Space, space_from_name
+from .geometry import KINDS, Space, space_from_name
 
-REP_CHOICES = (
-    "closed",
-    "raise",
-    "descent",
-    "theta",
-    "integral",
-    "gruet",
-    "gruet-classic",
-    "subordinate",
-    "auto",
-)
+# Every representation name of the library, except the doubled-boundary
+# construction: a library-level cross-check, not a user-facing representation.
+REP_CHOICES = tuple(
+    dict.fromkeys(
+        name
+        for space in Space
+        for kind in KINDS
+        for name in representation_names(space, kind)
+        if name != "doubling"
+    )
+) + ("auto",)
 
 CSV_HEADER = "space,dim,kind,param,r,rep,value,err,convention"
 
@@ -267,6 +268,9 @@ def eval_cmd(space, dim, kind, rep, convention, tol, sigma, t_value, y_value, r_
     except ConvergenceError as exc:
         click.echo(f"convergence failure: {exc}", err=True)
         sys.exit(4)
+    except OverflowError as exc:
+        click.echo(f"numeric overflow: {exc}", err=True)
+        sys.exit(4)
     if fmt == "text":
         click.echo(
             f"{record.space} n={record.dim} {record.kind} kernel, "
@@ -327,10 +331,11 @@ def table_cmd(space, dim, kind, rep, convention, tol, sigma, t_spec, y_spec, r_s
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(3)
-    except ConvergenceError as exc:
+    except (ConvergenceError, OverflowError) as exc:
         if records:
             _emit(records, fmt, _meta(tol, convention))
-        click.echo(f"convergence failure after {len(records)} rows: {exc}", err=True)
+        what = "convergence failure" if isinstance(exc, ConvergenceError) else "numeric overflow"
+        click.echo(f"{what} after {len(records)} rows: {exc}", err=True)
         sys.exit(4)
     _emit(records, fmt, _meta(tol, convention))
 

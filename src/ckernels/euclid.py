@@ -26,11 +26,12 @@ import cmath
 import math
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space
+from .geometry import Space, check_dim, check_distance, check_positive
 from .jets import (
     MAX_ORDER,
     Jet,
     RadialGenerator,
+    gauss_jet,
     raise_operator,
     raise_origin_jet,
     variable,
@@ -51,36 +52,21 @@ from .quadrature import (
 GUARD_RADIUS = 1e-3
 
 
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {x}")
-
-
-def _check_radius(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"distance must be nonnegative and finite, got {r}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
 
 def heat_closed(n: int, t: float, r: float) -> float:
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(r)
     return (4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-r * r / (4.0 * t))
 
 
 def poisson_closed(n: int, y: float, r: float) -> float:
-    _check_dim(n)
-    _check_positive("height", y)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("height", y)
+    check_distance(r)
     half = 0.5 * (n + 1)
     return math.gamma(half) / math.pi**half * y / (r * r + y * y) ** half
 
@@ -108,17 +94,6 @@ def _guarded_raised(gen: RadialGenerator, k: int):
         return raise_operator(Space.EUCLIDEAN, gen, k, s)
 
     return kernel
-
-
-def _gauss_jet(t: float) -> RadialGenerator:
-    """Jets of the 1-d heat kernel (4 pi t)^(-1/2) exp(-r^2/4t)."""
-    amp = (4.0 * math.pi * t) ** -0.5
-
-    def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (x * x * (-0.25 / t)).exp() * amp
-
-    return gen
 
 
 def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
@@ -161,16 +136,16 @@ def heat_raise(
     whether the raising operator acts outside it ("outside") or under the
     integral sign on the 3-d kernel ("inside").
     """
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(r)
     if 0.0 < r < GUARD_RADIUS:
         raise SingularPointError(
             f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
         )
     if n % 2 == 1:
         k = (n - 1) // 2
-        value = raise_operator(Space.EUCLIDEAN, _gauss_jet(t), k, r)
+        value = raise_operator(Space.EUCLIDEAN, gauss_jet(t), k, r)
         return QuadResult(value, 0.0, 0)
     if variant == "outside":
         evals: list = []
@@ -178,7 +153,7 @@ def heat_raise(
         value = raise_operator(Space.EUCLIDEAN, _plane_descent_jet(t, tol, evals), k, r)
         return QuadResult(value, tol * abs(value), sum(evals))
     if variant == "inside":
-        kernel = _guarded_raised(_gauss_jet(t), n // 2)
+        kernel = _guarded_raised(gauss_jet(t), n // 2)
 
         def f_regular(s: float) -> float:
             return kernel(s) * 2.0 * s / math.sqrt(s + r)
@@ -195,9 +170,9 @@ def heat_raise(
 
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Heat kernel as the descent integral of the closed (n+1)-kernel."""
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(r)
 
     def f_regular(s: float) -> float:
         return heat_closed(n + 1, t, s) * 2.0 * s / math.sqrt(s + r)
@@ -239,12 +214,12 @@ def heat_gruet(
     which the error estimate must cover (the basis of the deformation
     cross-check).
     """
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(r)
     if sigma is None:
         sigma = sigma_default(t, r)
-    _check_positive("sigma", sigma)
+    check_positive("sigma", sigma)
     pref = math.gamma(0.5 * (n + 1)) / (
         math.pi ** (0.5 * n + 1.0) * math.sqrt(4.0 * t)
     )
@@ -267,9 +242,9 @@ def heat_gruet(
 
 def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as a one-sided Gaussian average over the scale w."""
-    _check_dim(n)
-    _check_positive("height", y)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("height", y)
+    check_distance(r)
     c = r * r + y * y
     w_max = math.sqrt((math.log(1.0 / tol) + n + 4.0) / c)
 
@@ -330,9 +305,9 @@ def poisson_raise(
 
     Same parity split as :func:`heat_raise`, over the Poisson base kernels.
     """
-    _check_dim(n)
-    _check_positive("height", y)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("height", y)
+    check_distance(r)
     if 0.0 < r < GUARD_RADIUS:
         raise SingularPointError(
             f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
@@ -368,9 +343,9 @@ def poisson_raise(
 
 def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
-    _check_dim(n)
-    _check_positive("height", y)
-    _check_radius(r)
+    check_dim(n)
+    check_positive("height", y)
+    check_distance(r)
 
     def f_regular(s: float) -> float:
         return poisson_closed(n + 1, y, s) * 2.0 * s / math.sqrt(s + r)

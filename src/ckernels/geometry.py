@@ -76,6 +76,47 @@ class Space(enum.Enum):
                 raise SingularPointError("operation is singular at the antipode")
 
 
+def check_dim(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"dimension must be a positive integer, got {n}")
+
+
+def check_positive(name: str, x: float) -> None:
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+
+
+def check_distance(r: float) -> None:
+    """Distance check for the spaces without an upper bound on r."""
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"distance must be nonnegative and finite, got {r}")
+
+
+CONVENTIONS = ("paper", "markovian")
+
+
+def spectral_shift(space: Space, n: int) -> float:
+    """The shift lambda with d/dt u = (A_n + lambda) u for this package."""
+    if space is Space.EUCLIDEAN:
+        return 0.0
+    shift = 0.25 * (n - 1) ** 2
+    return -shift if space is Space.SPHERE else shift
+
+
+def convention_factor(space: Space, convention: str, n: int, t: float) -> float:
+    """Multiplier taking the "paper"-convention heat kernel to the requested one.
+
+    The "markovian" kernel drops the spectral shift, so the factor is
+    exp(-spectral_shift * t): 1 on Euclidean space, exp((n-1)^2 t/4) on the
+    sphere and exp(-(n-1)^2 t/4) on hyperbolic space.
+    """
+    if convention == "paper":
+        return 1.0
+    if convention == "markovian":
+        return math.exp(-spectral_shift(space, n) * t)
+    raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
 def space_from_name(name: str) -> Space:
     """Parse a space name; accepts the enum values and common aliases."""
     key = name.strip().lower()
@@ -104,8 +145,7 @@ def sphere_surface_coeff(n: int) -> float:
     dV = sphere_surface_coeff(n) * w(r)^(n-1) dr.  For n = 1 it equals 2,
     counting the two endpoints of an interval.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
+    check_dim(n)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
@@ -117,8 +157,7 @@ def radial_laplacian(space: Space, n: int, u):
     w vanishes, so the jet centre must avoid r = 0 (and the antipode on the
     sphere).
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
+    check_dim(n)
     if u.order < 2:
         raise DomainError("radial_laplacian needs a jet of order >= 2")
     space.validate_distance(u.center, strict=True)
@@ -133,7 +172,7 @@ def radial_laplacian(space: Space, n: int, u):
     return d2u + (n - 1) * (ratio * du)
 
 
-_VALID_KINDS = ("heat", "poisson")
+KINDS = ("heat", "poisson")
 
 
 @dataclass(frozen=True)
@@ -152,13 +191,11 @@ class KernelQuery:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.n}")
-        if self.kind not in _VALID_KINDS:
-            raise DomainError(f"kind must be one of {_VALID_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.param) and self.param > 0.0):
-            name = "time" if self.kind == "heat" else "height"
-            raise DomainError(f"{name} parameter must be positive and finite, got {self.param}")
+        check_dim(self.n)
+        if self.kind not in KINDS:
+            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        name = "time" if self.kind == "heat" else "height"
+        check_positive(f"{name} parameter", self.param)
         if self.kind == "poisson" and self.space is Space.HYPERBOLIC and self.param >= math.pi:
             raise DomainError(
                 f"hyperbolic Poisson height must lie in (0, pi), got {self.param}"

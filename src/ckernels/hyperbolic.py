@@ -36,63 +36,19 @@ import cmath
 import math
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space
-from .jets import Jet, RadialGenerator, raise_operator, variable
+from .geometry import Space, check_dim, check_distance, check_positive, convention_factor
+from .jets import Jet, RadialGenerator, gauss_jet, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
+    even_extrapolate,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
 )
 
 GUARD_RHO = 1e-2
-
-CONVENTIONS = ("paper", "markovian")
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {x}")
-
-
-def _check_rho(rho: float) -> None:
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"distance must be nonnegative and finite, got {rho}")
-
-
-def convention_factor(convention: str, n: int, t: float) -> float:
-    """Multiplier taking the "paper"-convention heat kernel to the requested one."""
-    if convention == "paper":
-        return 1.0
-    if convention == "markovian":
-        return math.exp(-0.25 * (n - 1) ** 2 * t)
-    raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-
-
-def _even_extrapolate(f, x: float, x1: float, x2: float) -> QuadResult:
-    r1 = f(x1)
-    r2 = f(x2)
-    slope = (r2.value - r1.value) / (x2 * x2 - x1 * x1)
-    value = r1.value + (x * x - x1 * x1) * slope
-    err = r1.err_estimate + r2.err_estimate + 0.05 * abs(r2.value - r1.value)
-    return QuadResult(value, err, r1.n_evals + r2.n_evals)
-
-
-def _gauss_jet(t: float) -> RadialGenerator:
-    amp = (4.0 * math.pi * t) ** -0.5
-
-    def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (x * x * (-0.25 / t)).exp() * amp
-
-    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +64,21 @@ def heat_raise(
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Odd-dimensional heat kernel by raising the flat 1-d Gaussian."""
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_rho(rho)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(rho)
     if n % 2 == 0:
         raise DomainError("raising reaches odd dimensions only; use heat_descent")
-    factor = convention_factor(convention, n, t)
+    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     k = (n - 1) // 2
 
     def at(r: float) -> QuadResult:
-        value = raise_operator(Space.HYPERBOLIC, _gauss_jet(t), k, r) * factor
+        value = raise_operator(Space.HYPERBOLIC, gauss_jet(t), k, r) * factor
         return QuadResult(value, 0.0, 0)
 
     if rho == 0.0 or k == 0 or rho >= GUARD_RHO:
         return at(rho)
-    return _even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+    return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
 
 
 def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
@@ -168,12 +124,12 @@ def heat_descent(
     variant: str = "outside",
 ) -> QuadResult:
     """Even-dimensional heat kernel through the descent integral."""
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_rho(rho)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(rho)
     if n % 2 == 1:
         raise DomainError("descent reaches even dimensions only; use heat_raise")
-    factor = convention_factor(convention, n, t)
+    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
 
     if variant == "outside":
         k = (n - 2) // 2
@@ -185,10 +141,10 @@ def heat_descent(
 
         if rho >= GUARD_RHO:
             return at(rho)
-        return _even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+        return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
 
     if variant == "inside":
-        gauss = _gauss_jet(t)
+        gauss = gauss_jet(t)
         k_inner = n // 2
 
         def f_regular(s: float) -> float:
@@ -217,10 +173,10 @@ def heat_classic(
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Heat kernel from the oscillatory real integral along the pi line."""
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_rho(rho)
-    factor = convention_factor(convention, n, t)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(rho)
+    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * n) * math.pi ** (0.5 * n + 1.0))
@@ -283,14 +239,14 @@ def heat_gruet(
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
     near xi = rho for small sigma, seeded as a breakpoint.
     """
-    _check_dim(n)
-    _check_positive("time", t)
-    _check_rho(rho)
+    check_dim(n)
+    check_positive("time", t)
+    check_distance(rho)
     if sigma is None:
         sigma = sigma_default(t, rho)
     if not 0.0 < sigma <= math.pi:
         raise DomainError(f"abscissa must lie in (0, pi], got {sigma}")
-    factor = convention_factor(convention, n, t)
+    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))
@@ -323,9 +279,9 @@ def _check_height(y: float) -> None:
 
 
 def poisson_closed(n: int, y: float, rho: float) -> float:
-    _check_dim(n)
+    check_dim(n)
     _check_height(y)
-    _check_rho(rho)
+    check_distance(rho)
     half = 0.5 * (n + 1)
     amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
     if rho < 350.0:
@@ -351,9 +307,9 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
 
 def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
     """Poisson kernel raised from the closed 1-d or 2-d strip kernel."""
-    _check_dim(n)
+    check_dim(n)
     _check_height(y)
-    _check_rho(rho)
+    check_distance(rho)
     base_dim = 1 if n % 2 == 1 else 2
     k = (n - base_dim) // 2
 
@@ -363,14 +319,14 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
 
     if rho == 0.0 or k == 0 or rho >= GUARD_RHO:
         return at(rho)
-    return _even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+    return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
 
 
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
-    _check_dim(n)
+    check_dim(n)
     _check_height(y)
-    _check_rho(rho)
+    check_distance(rho)
 
     def f_regular(s: float) -> float:
         d = s - rho

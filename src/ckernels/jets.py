@@ -281,6 +281,17 @@ def constant(value: float, order: int, center: float = 0.0) -> Jet:
     return Jet(center, coeffs)
 
 
+def gauss_jet(t: float, n: int = 1) -> RadialGenerator:
+    """Jets of the flat n-d heat kernel (4 pi t)^(-n/2) exp(-r^2/4t)."""
+    amp = (4.0 * math.pi * t) ** (-0.5 * n)
+
+    def gen(center: float, order: int) -> Jet:
+        x = variable(center, order)
+        return (x * x * (-0.25 / t)).exp() * amp
+
+    return gen
+
+
 def weight_jet(space: Space, center: float, order: int) -> Jet:
     """Jet of the metric weight w(r) about ``center``."""
     x = variable(center, order)
@@ -305,6 +316,33 @@ def _shifted_div(num: Jet, den: Jet) -> Jet:
     return Jet(num.center, num.coeffs[1:]) / Jet(den.center, den.coeffs[1:])
 
 
+def _check_raise_count(k) -> None:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise DomainError(f"raise count must be a nonnegative integer, got {k}")
+
+
+def _generate(generator: RadialGenerator, center: float, order: int) -> Jet:
+    """The generator's jet at ``center``, checked to carry ``order`` orders."""
+    _check_order(order)
+    jet = generator(center, int(order))
+    if jet.order < order:
+        raise DomainError(f"generator produced order {jet.order}, need at least {order}")
+    return jet
+
+
+def _raise_k(space: Space, jet: Jet, k: int, center: float, divide=Jet.__truediv__) -> Jet:
+    """Apply D = -(2 pi w)^(-1) d/dr k times to a jet about ``center``.
+
+    ``divide`` takes the quotient by the weight jet: plain division away from
+    the origin (one order per application), :func:`_shifted_div` at it (two).
+    """
+    for _ in range(k):
+        d = jet.deriv()
+        w = weight_jet(space, center, d.order)
+        jet = divide(d, w) * (-1.0 / (2.0 * math.pi))
+    return jet
+
+
 def raise_jet(
     space: Space, generator: RadialGenerator, k: int, r: float, order: int
 ) -> Jet:
@@ -313,22 +351,12 @@ def raise_jet(
     Needs the centre strictly away from zeros of the weight; use
     :func:`raise_operator` for plain values (which also handles r = 0).
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"raise count must be a nonnegative integer, got {k}")
+    _check_raise_count(k)
     _check_order(order)
     space.validate_distance(r, strict=True)
     if space is Space.SPHERE and math.pi - r < 1e-9:
         raise SingularPointError("raising is singular at the antipode")
-    total = k + order
-    _check_order(total)
-    jet = generator(r, int(total))
-    if jet.order < total:
-        raise DomainError(f"generator produced order {jet.order}, need at least {total}")
-    for _ in range(k):
-        d = jet.deriv()
-        w = weight_jet(space, r, d.order)
-        jet = d / w * (-1.0 / (2.0 * math.pi))
-    return jet
+    return _raise_k(space, _generate(generator, r, k + order), k, r)
 
 
 def raise_origin_jet(
@@ -345,24 +373,11 @@ def raise_origin_jet(
     the right substitute when an integrand needs the raised kernel at centres
     too close to 0 for direct raising.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"raise count must be a nonnegative integer, got {k}")
+    _check_raise_count(k)
     _check_order(order)
-    total = 2 * k + order
-    _check_order(total)
-    jet = generator(0.0, int(total))
-    if jet.order < total:
-        raise DomainError(
-            f"generator produced order {jet.order}, need at least {total}"
-        )
-    coeffs = jet.coeffs.copy()
+    coeffs = _generate(generator, 0.0, 2 * k + order).coeffs.copy()
     coeffs[1::2] = 0.0
-    jet = Jet(0.0, coeffs)
-    for _ in range(k):
-        d = jet.deriv()
-        w = weight_jet(space, 0.0, d.order)
-        jet = _shifted_div(d, w) * (-1.0 / (2.0 * math.pi))
-    return jet
+    return _raise_k(space, Jet(0.0, coeffs), k, 0.0, _shifted_div)
 
 
 def raise_operator(space: Space, generator: RadialGenerator, k: int, r: float) -> float:
@@ -378,8 +393,7 @@ def raise_operator(space: Space, generator: RadialGenerator, k: int, r: float) -
     symmetry of the base kernel.  On the sphere the antipode has no such
     symmetry rescue and is refused.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"raise count must be a nonnegative integer, got {k}")
+    _check_raise_count(k)
     space.validate_distance(r)
     if k == 0:
         return generator(r, 0).value
@@ -387,15 +401,4 @@ def raise_operator(space: Space, generator: RadialGenerator, k: int, r: float) -
         raise SingularPointError("raising is singular at the antipode")
     if r == 0.0:
         return raise_origin_jet(space, generator, k).value
-    order = k
-    _check_order(order)
-    jet = generator(r, int(order))
-    if jet.order < order:
-        raise DomainError(
-            f"generator produced order {jet.order}, need at least {order}"
-        )
-    for _ in range(k):
-        d = jet.deriv()
-        w = weight_jet(space, r, d.order)
-        jet = d / w * (-1.0 / (2.0 * math.pi))
-    return jet.value
+    return _raise_k(space, _generate(generator, r, k), k, r).value

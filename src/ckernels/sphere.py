@@ -33,12 +33,13 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space
+from .geometry import Space, check_dim, check_positive
 from .jets import Jet, RadialGenerator, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
+    even_extrapolate,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -50,16 +51,6 @@ from .quadrature import (
 GUARD_ANGLE = 1e-2
 
 
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-
-
-def _check_positive(name: str, x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {x}")
-
-
 def _check_angle(phi: float, *, strict_upper: bool = False) -> None:
     if not (math.isfinite(phi) and 0.0 <= phi <= math.pi):
         raise DomainError(f"angle must lie in [0, pi], got {phi}")
@@ -67,19 +58,18 @@ def _check_angle(phi: float, *, strict_upper: bool = False) -> None:
         raise SingularPointError("representation degenerates at the antipode")
 
 
-def _even_extrapolate(f, x: float, x1: float, x2: float) -> QuadResult:
-    """Evaluate an even function near its symmetry point by quadratic fit.
-
-    ``f`` maps a coordinate to a QuadResult; the fit is linear in x^2 through
-    x1 and x2, exact for even quadratics, with the spread between the two
-    samples folded into the error estimate.
-    """
-    r1 = f(x1)
-    r2 = f(x2)
-    slope = (r2.value - r1.value) / (x2 * x2 - x1 * x1)
-    value = r1.value + (x * x - x1 * x1) * slope
-    err = r1.err_estimate + r2.err_estimate + 0.05 * abs(r2.value - r1.value)
-    return QuadResult(value, err, r1.n_evals + r2.n_evals)
+def _pole_guarded(at, phi: float) -> QuadResult:
+    """at(phi), extrapolated evenly from outside GUARD_ANGLE near either pole."""
+    if phi < GUARD_ANGLE:
+        return even_extrapolate(at, phi, 2.0 * GUARD_ANGLE, 4.0 * GUARD_ANGLE)
+    if math.pi - phi < GUARD_ANGLE:
+        return even_extrapolate(
+            lambda u: at(math.pi - u),
+            math.pi - phi,
+            2.0 * GUARD_ANGLE,
+            4.0 * GUARD_ANGLE,
+        )
+    return at(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +85,7 @@ def _image_range(t: float, phi: float, tol: float) -> range:
 
 def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Circle heat kernel: the wrapped Gaussian sum over images."""
-    _check_positive("time", t)
+    check_positive("time", t)
     _check_angle(phi)
     ms = _image_range(t, phi, tol)
     args = phi + 2.0 * math.pi * np.arange(ms.start, ms.stop)
@@ -124,7 +114,7 @@ def _theta1_jet(t: float, tol: float) -> RadialGenerator:
 
 def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """3-sphere heat kernel: image sum with the phi/sin(phi) Jacobian."""
-    _check_positive("time", t)
+    check_positive("time", t)
     _check_angle(phi)
     if phi < 1e-6 or math.pi - phi < 1e-6:
         raise SingularPointError(
@@ -163,7 +153,7 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     substitution, using sin^2(psi/2) - sin^2(phi/2)
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
     """
-    _check_positive("time", t)
+    check_positive("time", t)
     _check_angle(phi, strict_upper=True)
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
@@ -289,8 +279,8 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
     extrapolation from just outside GUARD_ANGLE (phi = 0 itself is exact by
     parity for the circle-based branch).
     """
-    _check_dim(n)
-    _check_positive("time", t)
+    check_dim(n)
+    check_positive("time", t)
     _check_angle(phi)
     if n == 1:
         return heat_theta1(t, phi, tol)
@@ -309,16 +299,7 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 
     if phi == 0.0 and n % 2 == 1:
         return at(phi)
-    if phi < GUARD_ANGLE:
-        return _even_extrapolate(at, phi, 2.0 * GUARD_ANGLE, 4.0 * GUARD_ANGLE)
-    if math.pi - phi < GUARD_ANGLE:
-        return _even_extrapolate(
-            lambda u: at(math.pi - u),
-            math.pi - phi,
-            2.0 * GUARD_ANGLE,
-            4.0 * GUARD_ANGLE,
-        )
-    return at(phi)
+    return _pole_guarded(at, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +329,13 @@ def heat_gruet(
     Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); both
     families are seeded as breakpoints.
     """
-    _check_dim(n)
-    _check_positive("time", t)
+    check_dim(n)
+    check_positive("time", t)
     if not (math.isfinite(phi) and 0.0 < phi <= math.pi):
         raise DomainError(f"contour representation needs phi in (0, pi], got {phi}")
     if sigma is None:
         sigma = sigma_default(t, phi)
-    _check_positive("sigma", sigma)
+    check_positive("sigma", sigma)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))
@@ -394,8 +375,8 @@ def heat_gruet(
 
 
 def poisson_closed(n: int, y: float, phi: float) -> float:
-    _check_dim(n)
-    _check_positive("height", y)
+    check_dim(n)
+    check_positive("height", y)
     _check_angle(phi)
     half = 0.5 * (n + 1)
     base = 2.0 * math.cosh(y) - 2.0 * math.cos(phi)
@@ -416,8 +397,8 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
 
 def poisson_raise(n: int, y: float, phi: float) -> QuadResult:
     """Sphere Poisson kernel raised from the circle or 2-sphere closed form."""
-    _check_dim(n)
-    _check_positive("height", y)
+    check_dim(n)
+    check_positive("height", y)
     _check_angle(phi)
     base_dim = 1 if n % 2 == 1 else 2
     k = (n - base_dim) // 2
@@ -426,18 +407,9 @@ def poisson_raise(n: int, y: float, phi: float) -> QuadResult:
         value = raise_operator(Space.SPHERE, _poisson_jet(base_dim, y), k, angle)
         return QuadResult(value, 0.0, 0)
 
-    if phi == 0.0:
+    if phi == 0.0 or k == 0:
         return at(phi)
-    if phi < GUARD_ANGLE and k > 0:
-        return _even_extrapolate(at, phi, 2.0 * GUARD_ANGLE, 4.0 * GUARD_ANGLE)
-    if math.pi - phi < GUARD_ANGLE and k > 0:
-        return _even_extrapolate(
-            lambda u: at(math.pi - u),
-            math.pi - phi,
-            2.0 * GUARD_ANGLE,
-            4.0 * GUARD_ANGLE,
-        )
-    return at(phi)
+    return _pole_guarded(at, phi)
 
 
 def poisson_doubling(
@@ -455,8 +427,8 @@ def poisson_doubling(
     keeps the printed half-angle form over psi in [phi, 2 pi - phi] with its
     inverse-square-root endpoints.
     """
-    _check_dim(n)
-    _check_positive("height", y)
+    check_dim(n)
+    check_positive("height", y)
     _check_angle(phi)
     half_y = 0.5 * y
     c_n = math.pi ** (0.5 * (n + 1)) / (2.0 ** (n - 1) * math.gamma(0.5 * (n + 1)))

@@ -33,6 +33,8 @@ def test_representation_names():
     assert "subordinate" in analysis.representation_names(Space.SPHERE, "poisson")
     assert "doubling" in analysis.representation_names(Space.SPHERE, "poisson")
     assert "gruet-classic" in analysis.representation_names(Space.HYPERBOLIC, "heat")
+    with pytest.raises(DomainError):
+        analysis.representation_names(Space.SPHERE, "wave")
 
 
 def test_evaluate_dispatches_to_closed_forms():
@@ -46,11 +48,23 @@ def test_evaluate_dispatches_to_closed_forms():
     assert got == sphere.heat_theta2(0.7, 1.1).value
 
 
-def test_evaluate_auto_picks_parity_route_for_hyperbolic():
-    odd = analysis.evaluate(Space.HYPERBOLIC, 3, "heat", 0.8, 1.5)
-    assert odd.value == hyperbolic.heat_raise(3, 0.8, 1.5).value
-    even = analysis.evaluate(Space.HYPERBOLIC, 2, "heat", 0.8, 1.5)
-    assert even.value == pytest.approx(hyperbolic.heat_descent(2, 0.8, 1.5).value)
+def _auto_policy(space, kind, n):
+    """The route ``auto`` must take, written out independently of the table."""
+    if kind == "poisson" or space is Space.EUCLIDEAN:
+        return "closed"
+    if space is Space.SPHERE:
+        return "theta" if n <= 3 else "raise"
+    return "raise" if n % 2 == 1 else "descent"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["heat", "poisson"])
+@pytest.mark.parametrize("space", list(Space))
+def test_evaluate_auto_matches_named_route(space, kind, n):
+    param, r = 0.8, 1.5
+    auto = analysis.evaluate(space, n, kind, param, r)
+    named = analysis.evaluate(space, n, kind, param, r, rep=_auto_policy(space, kind, n))
+    assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate)
 
 
 def test_evaluate_conventions():
@@ -74,6 +88,10 @@ def test_evaluate_rejects_unavailable_representations():
         analysis.evaluate(Space.SPHERE, 2, "poisson", 0.5, 1.0, rep="integral")
     with pytest.raises(DomainError):
         analysis.evaluate(Space.EUCLIDEAN, 2, "chart", 0.5, 1.0)
+    with pytest.raises(DomainError):
+        analysis.evaluate(Space.EUCLIDEAN, 2, "poisson", 0.5, 1.0, convention="bogus")
+    with pytest.raises(DomainError):
+        analysis.evaluate(Space.SPHERE, 2, "poisson", 0.5, 1.0, convention="bogus")
 
 
 def test_spectral_shift_table():
@@ -278,6 +296,14 @@ def test_compare_records_refusals_as_nan():
     assert math.isnan(theta_row[1])  # antipode refused by the image sum
     assert not math.isnan(theta_row[0])
     assert report.worst < 1e-7  # comparison proceeds on the surviving points
+
+
+def test_compare_skips_representations_that_do_not_reach_n():
+    sphere4 = analysis.compare(Space.SPHERE, 4, "heat", (0.8,), (1.5,), tol=1e-9)
+    assert sphere4.reps == ("raise", "gruet")
+    hyp2 = analysis.compare(Space.HYPERBOLIC, 2, "heat", (0.8,), (1.5,), tol=1e-9)
+    assert hyp2.reps == ("descent", "gruet", "gruet-classic")
+    assert hyp2.worst < 1e-7
 
 
 # ---------------------------------------------------------------------------

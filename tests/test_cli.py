@@ -243,6 +243,33 @@ def test_eval_convergence_failure_exits_4(runner):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--r", "800"],
+        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "1",
+         "--rep", "gruet-classic"],
+    ],
+)
+def test_eval_overflow_exits_4(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 4
+    assert res.stderr.startswith("numeric overflow:")
+    assert res.stdout == ""
+
+
+def test_table_partial_rows_before_overflow(runner):
+    res = invoke(
+        runner,
+        ["table", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--r", "1:800:2"],
+    )
+    assert res.exit_code == 4
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2
+    assert "numeric overflow after 1 rows" in res.stderr
+
+
 # ----------------------------------------------------------------------------
 # eval: singular-point substitution
 
