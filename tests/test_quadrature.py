@@ -13,12 +13,16 @@ f(z) = exp(z^2 / G) it equals sqrt(pi G) / 2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ckernels.errors import ContourError, ConvergenceError, DomainError
 from ckernels.quadrature import (
+    _WG7,
+    _WK15,
+    _XK15,
     ContourSpec,
     QuadResult,
     contour_spec,
@@ -34,13 +38,37 @@ INT_OSC = 1.0 / 401.0
 
 
 # ---------------------------------------------------------------------------
+# the G7/K15 rule table
+
+
+def test_gauss_nodes_and_weights_are_the_7_point_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.all(np.diff(_XK15) > 0.0)
+    assert np.all(_WG7[0::2] == 0.0)
+    np.testing.assert_allclose(_XK15[1::2], nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_WG7[1::2], weights, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("weights, degree", [(_WK15, 22), (_WG7, 13)])
+def test_rule_integrates_monomials_exactly(weights, degree):
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(weights @ _XK15**k) == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
+def test_rule_weights_sum_to_interval_length():
+    assert math.fsum(_WK15) == pytest.approx(2.0, rel=0.0, abs=1e-15)
+    assert math.fsum(_WG7) == pytest.approx(2.0, rel=0.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # core adaptive rule
 
 
 def test_low_degree_polynomial_is_one_panel_exact():
     res = integrate_adaptive(lambda x: x**4, 0.0, 1.0, 1e-12)
     assert res.value == pytest.approx(0.2, abs=1e-15)
-    assert res.n_evals == 22  # a single embedded 15/7 panel suffices
+    assert res.n_evals == 15  # a single embedded 15/7 panel suffices
 
 
 def test_sine_integral():
@@ -58,7 +86,7 @@ def test_breakpoints_seed_partition_and_resolve_kink():
     f = lambda x: abs(x - 1.0 / 3.0)
     res = integrate_adaptive(f, 0.0, 1.0, 1e-13, breakpoints=[1.0 / 3.0])
     assert res.value == pytest.approx(5.0 / 18.0, rel=1e-13)
-    assert res.n_evals == 44  # two seeded panels, no refinement needed
+    assert res.n_evals == 30  # two seeded panels, no refinement needed
 
 
 def test_cancellation_reports_roundoff_floor():
@@ -111,6 +139,33 @@ def test_non_finite_integrand_reported_with_location():
 
     with pytest.raises(ConvergenceError, match="non-finite"):
         integrate_adaptive(f, 0.0, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("node", [4, 7])  # a Kronrod-only node, a Gauss node
+@pytest.mark.parametrize("as_array", [False, True])
+def test_non_finite_value_is_reported_at_its_node(node, as_array):
+    bad_x = float(0.5 + 0.5 * _XK15[node])  # a node of the panel on [0, 1]
+
+    def f(x):
+        y = math.nan if x == bad_x else x
+        return np.array([1.0, y]) if as_array else y
+
+    with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")):
+        integrate_adaptive(f, 0.0, 1.0, 1e-10)
+
+
+def test_n_evals_counts_every_integrand_call():
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.sin(50.0 * x)
+
+    res = integrate_adaptive(f, 0.0, 10.0, 1e-12)
+    assert res.n_evals == calls
+    assert res.n_evals > 15 * 10  # refined well past the first panel
+    assert res.value == pytest.approx((1.0 - math.cos(500.0)) / 50.0, rel=1e-11)
 
 
 def test_quadresult_scaled():
