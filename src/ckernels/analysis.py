@@ -37,6 +37,8 @@ from .geometry import (
     CONVENTIONS,
     KINDS,
     Space,
+    check_positive,
+    check_query,
     convention_factor,
     radial_laplacian,
     spectral_shift,
@@ -49,10 +51,6 @@ from .quadrature import (
     integrate_adaptive,
     integrate_to_infinity,
 )
-
-
-def _as_result(value: float) -> QuadResult:
-    return QuadResult(value, 0.0, 0)
 
 
 def _any_n(n: int) -> bool:
@@ -77,7 +75,8 @@ def _sphere_heat(route):
 # or to mock it) reaches every caller.
 _REPRESENTATIONS = {
     (Space.EUCLIDEAN, "heat"): (
-        ("closed", _any_n, lambda n, t, r, tol, c, s: _as_result(euclid.heat_closed(n, t, r))),
+        ("closed", _any_n,
+         lambda n, t, r, tol, c, s: QuadResult(euclid.heat_closed(n, t, r), 0.0, 0)),
         ("raise", _any_n, lambda n, t, r, tol, c, s: euclid.heat_raise(n, t, r, tol=tol)),
         ("descent", _any_n, lambda n, t, r, tol, c, s: euclid.heat_descent(n, t, r, tol)),
         ("gruet", _any_n, lambda n, t, r, tol, c, s: euclid.heat_gruet(n, t, r, sigma=s, tol=tol)),
@@ -100,7 +99,8 @@ _REPRESENTATIONS = {
          lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol)),
     ),
     (Space.EUCLIDEAN, "poisson"): (
-        ("closed", _any_n, lambda n, y, r, tol, c, s: _as_result(euclid.poisson_closed(n, y, r))),
+        ("closed", _any_n,
+         lambda n, y, r, tol, c, s: QuadResult(euclid.poisson_closed(n, y, r), 0.0, 0)),
         ("integral", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_integral(n, y, r, tol)),
         ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol)),
         ("descent", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol)),
@@ -108,7 +108,8 @@ _REPRESENTATIONS = {
             lambda t, x: euclid.heat_closed(n, t, x), y, r, tol, dim_hint=n)),
     ),
     (Space.SPHERE, "poisson"): (
-        ("closed", _any_n, lambda n, y, r, tol, c, s: _as_result(sphere.poisson_closed(n, y, r))),
+        ("closed", _any_n,
+         lambda n, y, r, tol, c, s: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0)),
         ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r)),
         ("doubling", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol)),
         ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
@@ -116,7 +117,7 @@ _REPRESENTATIONS = {
     ),
     (Space.HYPERBOLIC, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: _as_result(hyperbolic.poisson_closed(n, y, r))),
+         lambda n, y, r, tol, c, s: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0)),
         ("raise", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_raise(n, y, r)),
         ("descent", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_descent(n, y, r, tol)),
         ("subordinate", _any_n, lambda n, y, r, tol, c, s: poisson_images(n, y, r, tol)),
@@ -166,11 +167,14 @@ def evaluate(
     picks the first representation of :func:`representation_names` that
     reaches dimension n.  The convention applies to hyperbolic and sphere
     heat kernels ("markovian" rescales to the unit-mass normalization); it is
-    validated everywhere and ignored where the normalizations coincide.
+    validated everywhere and ignored where the normalizations coincide, and
+    so is ``tol``, which must lie in (0, 1).
     """
     call = _route(space, kind, n, rep)
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
     return call(n, param, r, tol, convention, sigma)
 
 
@@ -210,8 +214,7 @@ def subordinate(
     ``dim_hint`` only widens the truncation to absorb the (4 pi t)^(-n/2)
     short-time growth of the heat factor near the upper limit.
     """
-    if not (math.isfinite(y) and y > 0.0):
-        raise DomainError(f"height must be positive and finite, got {y}")
+    check_positive("height", y)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + dim_hint) / y * 1.2
 
     def f(v: float) -> float:
@@ -261,8 +264,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     integral of the heat kernel against a theta-type weight in the
     subordination variable, so no image truncation is needed.
     """
-    if not (math.isfinite(y) and 0.0 < y < math.pi):
-        raise DomainError(f"strip height must lie in (0, pi), got {y}")
+    check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
     heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
 
@@ -297,6 +299,7 @@ def heat_mass(
     and exp(+(n-1)^2 t/4) on hyperbolic space in the "paper" convention, both 1
     in the markovian convention.
     """
+    check_query(space, n, "heat", t, 0.0)
     factor = convention_factor(space, convention, n, t)
     coeff = sphere_surface_coeff(n)
     inner = max(0.05 * tol, 1e-12)
@@ -327,6 +330,7 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
     value for n = 2, and a divergent integral for n >= 3 (the closed kernel
     decays like exp(-(n+1) rho / 2) against volume growth exp((n-1) rho)).
     """
+    check_query(space, n, "poisson", y, 0.0)
     coeff = sphere_surface_coeff(n)
     if space is Space.EUCLIDEAN:
 
@@ -408,7 +412,10 @@ def fit_spectral_shift(
 def _kernel_jet(
     space: Space, n: int, kind: str, param: float, convention: str, tol: float
 ) -> Callable[[float, int], Jet]:
-    """Jets (in the radial variable) of the kernel at fixed t or y."""
+    """Jets (in the radial variable) of the kernel at fixed t or y.
+
+    The query has passed check_query, so a kind other than heat is poisson.
+    """
     inner = max(tol, 1e-12)
     if kind == "heat":
         if space is Space.EUCLIDEAN:
@@ -422,20 +429,18 @@ def _kernel_jet(
         k = (n - 1) // 2
         return lambda center, order: raise_jet(space, base, k, center, order) * factor
 
-    if kind == "poisson":
-        if space is Space.EUCLIDEAN:
-            half = 0.5 * (n + 1)
-            amp = math.gamma(half) / math.pi**half * param
+    if space is Space.EUCLIDEAN:
+        half = 0.5 * (n + 1)
+        amp = math.gamma(half) / math.pi**half * param
 
-            def gen(center: float, order: int) -> Jet:
-                x = variable(center, order)
-                return (x * x + param * param).power(-half) * amp
+        def gen(center: float, order: int) -> Jet:
+            x = variable(center, order)
+            return (x * x + param * param).power(-half) * amp
 
-            return gen
-        if space is Space.SPHERE:
-            return sphere._poisson_jet(n, param)
-        return hyperbolic._poisson_jet(n, param)
-    raise DomainError(f"kind must be 'heat' or 'poisson', got {kind!r}")
+        return gen
+    if space is Space.SPHERE:
+        return sphere._poisson_jet(n, param)
+    return hyperbolic._poisson_jet(n, param)
 
 
 def pde_residual(
@@ -463,9 +468,10 @@ def pde_residual(
     isolated zero crossings, where a purely pointwise normalization would
     turn rounding noise into an O(1) "residual".
     """
+    check_query(space, n, kind, param, r)
+    space.validate_distance(r, strict=True)
     if shift is None:
         shift = spectral_shift(space, n) if convention == "paper" else 0.0
-    space.validate_distance(r, strict=True)
 
     def spatial(p: float) -> tuple[float, float]:
         gen = _kernel_jet(space, n, kind, p, convention, tol)

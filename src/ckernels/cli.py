@@ -17,7 +17,6 @@ explicit ``--tol`` flags win.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,8 +93,8 @@ def _resolve_tol(tol: float | None) -> float:
             tol = float(env)
         except ValueError:
             raise click.UsageError(f"CK_DEFAULT_TOL is not a number: {env!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise click.UsageError(f"tolerance must be positive and finite, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise click.UsageError(f"tolerance must lie in (0, 1), got {tol}")
     return tol
 
 

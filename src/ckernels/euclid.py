@@ -26,7 +26,7 @@ import cmath
 import math
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space, check_dim, check_distance, check_positive
+from .geometry import Space, check_positive, check_query
 from .jets import (
     MAX_ORDER,
     Jet,
@@ -44,6 +44,7 @@ from .quadrature import (
     integrate_contour,
     integrate_sqrt_endpoint,
     integrate_to_infinity,
+    sigma_default,
 )
 
 # Raising at 0 < r < GUARD_RADIUS divides by a near-vanishing weight; callers
@@ -51,22 +52,21 @@ from .quadrature import (
 # parity).
 GUARD_RADIUS = 1e-3
 
+# bound once: an enum member lookup costs about as much as the entry check
+_EUCLIDEAN = Space.EUCLIDEAN
+
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
 def heat_closed(n: int, t: float, r: float) -> float:
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "heat", t, r)
     return (4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-r * r / (4.0 * t))
 
 
 def poisson_closed(n: int, y: float, r: float) -> float:
-    check_dim(n)
-    check_positive("height", y)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
     half = 0.5 * (n + 1)
     return math.gamma(half) / math.pi**half * y / (r * r + y * y) ** half
 
@@ -136,9 +136,7 @@ def heat_raise(
     whether the raising operator acts outside it ("outside") or under the
     integral sign on the 3-d kernel ("inside").
     """
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "heat", t, r)
     if 0.0 < r < GUARD_RADIUS:
         raise SingularPointError(
             f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
@@ -170,9 +168,7 @@ def heat_raise(
 
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Heat kernel as the descent integral of the closed (n+1)-kernel."""
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "heat", t, r)
 
     def f_regular(s: float) -> float:
         return heat_closed(n + 1, t, s) * 2.0 * s / math.sqrt(s + r)
@@ -183,18 +179,6 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
 
 # ---------------------------------------------------------------------------
 # contour
-
-
-def sigma_default(t: float, r: float) -> float:
-    """Default contour abscissa.
-
-    Half the larger of 1 and r (clear of the branch point), capped so the
-    oscillatory factor exp(sigma^2/4t) cannot push the relative cancellation
-    floor above about 1e-9 at small t.
-    """
-    cap_sq = 4.0 * t * math.log(1e9) - r * r
-    cap = math.sqrt(cap_sq) if cap_sq > 0.04 else 0.2
-    return min(0.5 * max(1.0, r), cap, 3.0)
 
 
 def heat_gruet(
@@ -214,11 +198,9 @@ def heat_gruet(
     which the error estimate must cover (the basis of the deformation
     cross-check).
     """
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "heat", t, r)
     if sigma is None:
-        sigma = sigma_default(t, r)
+        sigma = sigma_default(t, r, 3.0)
     check_positive("sigma", sigma)
     pref = math.gamma(0.5 * (n + 1)) / (
         math.pi ** (0.5 * n + 1.0) * math.sqrt(4.0 * t)
@@ -242,9 +224,7 @@ def heat_gruet(
 
 def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as a one-sided Gaussian average over the scale w."""
-    check_dim(n)
-    check_positive("height", y)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
     c = r * r + y * y
     w_max = math.sqrt((math.log(1.0 / tol) + n + 4.0) / c)
 
@@ -305,9 +285,7 @@ def poisson_raise(
 
     Same parity split as :func:`heat_raise`, over the Poisson base kernels.
     """
-    check_dim(n)
-    check_positive("height", y)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
     if 0.0 < r < GUARD_RADIUS:
         raise SingularPointError(
             f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
@@ -343,9 +321,7 @@ def poisson_raise(
 
 def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
-    check_dim(n)
-    check_positive("height", y)
-    check_distance(r)
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
 
     def f_regular(s: float) -> float:
         return poisson_closed(n + 1, y, s) * 2.0 * s / math.sqrt(s + r)

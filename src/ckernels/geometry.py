@@ -60,20 +60,52 @@ class Space(enum.Enum):
     def validate_distance(self, r: float, *, strict: bool = False) -> None:
         """Check that r is an admissible geodesic distance.
 
-        With ``strict`` the endpoints of the distance range are rejected as
-        well (needed wherever w(r) appears in a denominator).
+        The rule is the distance rule of :func:`check_query` (the other
+        arguments here are valid placeholders).  With ``strict`` the
+        endpoints of the distance range are rejected as well (needed wherever
+        w(r) appears in a denominator).
         """
-        if not math.isfinite(r):
-            raise DomainError(f"distance must be finite, got {r}")
-        if r < 0.0:
-            raise DomainError(f"distance must be nonnegative, got {r}")
-        if self is Space.SPHERE and r > math.pi:
-            raise DomainError(f"sphere distance must lie in [0, pi], got {r}")
+        check_query(self, 1, "heat", 1.0, r)
         if strict:
             if r == 0.0:
                 raise SingularPointError("operation is singular at distance 0")
             if self is Space.SPHERE and r == math.pi:
                 raise SingularPointError("operation is singular at the antipode")
+
+
+# check_query runs once per kernel value, inside integrands too, so its rules
+# are written inline against module constants: reading an enum member costs
+# about as much as the whole check, and a nested call more than a third.
+_SPHERE = Space.SPHERE
+_HYPERBOLIC = Space.HYPERBOLIC
+_PI = math.pi
+_INF = math.inf
+
+KINDS = ("heat", "poisson")
+
+
+def check_query(space: Space, n: int, kind: str, param: float, r: float) -> None:
+    """Raise DomainError unless the kernel query lies in its domain.
+
+    The domain: n a positive integer; kind "heat" or "poisson"; the time or
+    height ``param`` positive and finite, and a hyperbolic Poisson height
+    below pi (the strip kernel); the distance r finite and nonnegative, at
+    most pi on the sphere.  Every public route, :class:`KernelQuery` and the
+    analysis entry points check their input here.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"dimension must be a positive integer, got {n}")
+    if kind != "heat" and kind != "poisson":
+        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not 0.0 < param < _INF:
+        name = "time" if kind == "heat" else "height"
+        raise DomainError(f"{name} must be positive and finite, got {param}")
+    if param >= _PI and space is _HYPERBOLIC and kind == "poisson":
+        raise DomainError(f"hyperbolic Poisson height must lie in (0, pi), got {param}")
+    if not 0.0 <= r < _INF:
+        raise DomainError(f"distance must be nonnegative and finite, got {r}")
+    if r > _PI and space is _SPHERE:
+        raise DomainError(f"sphere distance must lie in [0, pi], got {r}")
 
 
 def check_dim(n: int) -> None:
@@ -84,12 +116,6 @@ def check_dim(n: int) -> None:
 def check_positive(name: str, x: float) -> None:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {x}")
-
-
-def check_distance(r: float) -> None:
-    """Distance check for the spaces without an upper bound on r."""
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"distance must be nonnegative and finite, got {r}")
 
 
 CONVENTIONS = ("paper", "markovian")
@@ -172,9 +198,6 @@ def radial_laplacian(space: Space, n: int, u):
     return d2u + (n - 1) * (ratio * du)
 
 
-KINDS = ("heat", "poisson")
-
-
 @dataclass(frozen=True)
 class KernelQuery:
     """A single kernel evaluation request.
@@ -191,13 +214,4 @@ class KernelQuery:
     r: float
 
     def __post_init__(self):
-        check_dim(self.n)
-        if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        name = "time" if self.kind == "heat" else "height"
-        check_positive(f"{name} parameter", self.param)
-        if self.kind == "poisson" and self.space is Space.HYPERBOLIC and self.param >= math.pi:
-            raise DomainError(
-                f"hyperbolic Poisson height must lie in (0, pi), got {self.param}"
-            )
-        self.space.validate_distance(self.r)
+        check_query(self.space, self.n, self.kind, self.param, self.r)

@@ -36,7 +36,7 @@ import cmath
 import math
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space, check_dim, check_distance, check_positive, convention_factor
+from .geometry import Space, check_query, convention_factor
 from .jets import Jet, RadialGenerator, gauss_jet, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
@@ -46,9 +46,13 @@ from .quadrature import (
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
+    sigma_default,
 )
 
 GUARD_RHO = 1e-2
+
+# bound once: an enum member lookup costs about as much as the entry check
+_HYPERBOLIC = Space.HYPERBOLIC
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +68,7 @@ def heat_raise(
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Odd-dimensional heat kernel by raising the flat 1-d Gaussian."""
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 0:
         raise DomainError("raising reaches odd dimensions only; use heat_descent")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
@@ -124,9 +126,7 @@ def heat_descent(
     variant: str = "outside",
 ) -> QuadResult:
     """Even-dimensional heat kernel through the descent integral."""
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 1:
         raise DomainError("descent reaches even dimensions only; use heat_raise")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
@@ -173,9 +173,7 @@ def heat_classic(
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Heat kernel from the oscillatory real integral along the pi line."""
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "heat", t, rho)
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
         math.gamma(0.5 * (n + 1))
@@ -216,13 +214,6 @@ def heat_classic(
     return res.scaled(pref * factor)
 
 
-def sigma_default(t: float, rho: float) -> float:
-    """Default contour abscissa in (0, pi], capped against cancellation."""
-    cap_sq = 4.0 * t * math.log(1e9) - rho * rho
-    cap = math.sqrt(cap_sq) if cap_sq > 0.04 else 0.2
-    return min(0.5 * max(1.0, rho), cap, math.pi)
-
-
 def heat_gruet(
     n: int,
     t: float,
@@ -239,11 +230,10 @@ def heat_gruet(
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
     near xi = rho for small sigma, seeded as a breakpoint.
     """
-    check_dim(n)
-    check_positive("time", t)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "heat", t, rho)
     if sigma is None:
-        sigma = sigma_default(t, rho)
+        # the abscissa must lie in (0, pi]
+        sigma = sigma_default(t, rho, math.pi)
     if not 0.0 < sigma <= math.pi:
         raise DomainError(f"abscissa must lie in (0, pi], got {sigma}")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
@@ -273,15 +263,8 @@ def heat_gruet(
 # poisson
 
 
-def _check_height(y: float) -> None:
-    if not (math.isfinite(y) and 0.0 < y < math.pi):
-        raise DomainError(f"strip height must lie in (0, pi), got {y}")
-
-
 def poisson_closed(n: int, y: float, rho: float) -> float:
-    check_dim(n)
-    _check_height(y)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "poisson", y, rho)
     half = 0.5 * (n + 1)
     amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
     if rho < 350.0:
@@ -307,9 +290,7 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
 
 def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
     """Poisson kernel raised from the closed 1-d or 2-d strip kernel."""
-    check_dim(n)
-    _check_height(y)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "poisson", y, rho)
     base_dim = 1 if n % 2 == 1 else 2
     k = (n - base_dim) // 2
 
@@ -324,9 +305,7 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
 
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
-    check_dim(n)
-    _check_height(y)
-    check_distance(rho)
+    check_query(_HYPERBOLIC, n, "poisson", y, rho)
 
     def f_regular(s: float) -> float:
         d = s - rho

@@ -147,6 +147,18 @@ def contour_spec(sigma: float, envelope_scale: float, tol: float) -> ContourSpec
     return ContourSpec(sigma=sigma, xi_max=xi_max, tol=tol, envelope_scale=G)
 
 
+def sigma_default(t: float, r: float, cap: float) -> float:
+    """Default abscissa of a heat-kernel contour with envelope exp(y^2/4t).
+
+    Half the larger of 1 and r (clear of the branch point), at most ``cap``,
+    and capped so the oscillatory factor exp(sigma^2/4t) cannot push the
+    relative cancellation floor above about 1e-9 at small t.
+    """
+    floor_sq = 4.0 * t * math.log(1e9) - r * r
+    floor_cap = math.sqrt(floor_sq) if floor_sq > 0.04 else 0.2
+    return min(0.5 * max(1.0, r), floor_cap, cap)
+
+
 def _norm(v: Value) -> float:
     if isinstance(v, np.ndarray):
         return float(np.max(np.abs(v)))

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space, check_dim, check_positive
+from .geometry import Space, check_positive, check_query
 from .jets import Jet, RadialGenerator, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
@@ -43,6 +43,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
+    sigma_default,
 )
 
 # Raising and image-sum paths degrade within this angle of the poles; they
@@ -50,12 +51,8 @@ from .quadrature import (
 # (documented accuracy loss around 1e-6 relative).
 GUARD_ANGLE = 1e-2
 
-
-def _check_angle(phi: float, *, strict_upper: bool = False) -> None:
-    if not (math.isfinite(phi) and 0.0 <= phi <= math.pi):
-        raise DomainError(f"angle must lie in [0, pi], got {phi}")
-    if strict_upper and phi == math.pi:
-        raise SingularPointError("representation degenerates at the antipode")
+# bound once: an enum member lookup costs about as much as the entry check
+_SPHERE = Space.SPHERE
 
 
 def _pole_guarded(at, phi: float) -> QuadResult:
@@ -85,8 +82,7 @@ def _image_range(t: float, phi: float, tol: float) -> range:
 
 def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Circle heat kernel: the wrapped Gaussian sum over images."""
-    check_positive("time", t)
-    _check_angle(phi)
+    check_query(_SPHERE, 1, "heat", t, phi)
     ms = _image_range(t, phi, tol)
     args = phi + 2.0 * math.pi * np.arange(ms.start, ms.stop)
     terms = np.exp(-(args * args) / (4.0 * t))
@@ -114,8 +110,7 @@ def _theta1_jet(t: float, tol: float) -> RadialGenerator:
 
 def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """3-sphere heat kernel: image sum with the phi/sin(phi) Jacobian."""
-    check_positive("time", t)
-    _check_angle(phi)
+    check_query(_SPHERE, 3, "heat", t, phi)
     if phi < 1e-6 or math.pi - phi < 1e-6:
         raise SingularPointError(
             "image sum needs 1/sin(phi); evaluate away from the poles"
@@ -153,8 +148,9 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     substitution, using sin^2(psi/2) - sin^2(phi/2)
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
     """
-    check_positive("time", t)
-    _check_angle(phi, strict_upper=True)
+    check_query(_SPHERE, 2, "heat", t, phi)
+    if phi == math.pi:
+        raise SingularPointError("representation degenerates at the antipode")
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
 
@@ -279,9 +275,7 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
     extrapolation from just outside GUARD_ANGLE (phi = 0 itself is exact by
     parity for the circle-based branch).
     """
-    check_dim(n)
-    check_positive("time", t)
-    _check_angle(phi)
+    check_query(_SPHERE, n, "heat", t, phi)
     if n == 1:
         return heat_theta1(t, phi, tol)
     if n == 2:
@@ -306,13 +300,6 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 # contour
 
 
-def sigma_default(t: float, phi: float) -> float:
-    """Default contour abscissa, capped against the cancellation floor."""
-    cap_sq = 4.0 * t * math.log(1e9) - phi * phi
-    cap = math.sqrt(cap_sq) if cap_sq > 0.04 else 0.2
-    return min(0.5 * max(1.0, phi), cap, 3.0)
-
-
 def heat_gruet(
     n: int,
     t: float,
@@ -329,12 +316,9 @@ def heat_gruet(
     Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); both
     families are seeded as breakpoints.
     """
-    check_dim(n)
-    check_positive("time", t)
-    if not (math.isfinite(phi) and 0.0 < phi <= math.pi):
-        raise DomainError(f"contour representation needs phi in (0, pi], got {phi}")
+    check_query(_SPHERE, n, "heat", t, phi)
     if sigma is None:
-        sigma = sigma_default(t, phi)
+        sigma = sigma_default(t, phi, 3.0)
     check_positive("sigma", sigma)
     pref = (
         math.gamma(0.5 * (n + 1))
@@ -375,9 +359,7 @@ def heat_gruet(
 
 
 def poisson_closed(n: int, y: float, phi: float) -> float:
-    check_dim(n)
-    check_positive("height", y)
-    _check_angle(phi)
+    check_query(_SPHERE, n, "poisson", y, phi)
     half = 0.5 * (n + 1)
     base = 2.0 * math.cosh(y) - 2.0 * math.cos(phi)
     return math.gamma(half) / math.pi**half * math.sinh(y) / base**half
@@ -397,9 +379,7 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
 
 def poisson_raise(n: int, y: float, phi: float) -> QuadResult:
     """Sphere Poisson kernel raised from the circle or 2-sphere closed form."""
-    check_dim(n)
-    check_positive("height", y)
-    _check_angle(phi)
+    check_query(_SPHERE, n, "poisson", y, phi)
     base_dim = 1 if n % 2 == 1 else 2
     k = (n - base_dim) // 2
 
@@ -427,9 +407,7 @@ def poisson_doubling(
     keeps the printed half-angle form over psi in [phi, 2 pi - phi] with its
     inverse-square-root endpoints.
     """
-    check_dim(n)
-    check_positive("height", y)
-    _check_angle(phi)
+    check_query(_SPHERE, n, "poisson", y, phi)
     half_y = 0.5 * y
     c_n = math.pi ** (0.5 * (n + 1)) / (2.0 ** (n - 1) * math.gamma(0.5 * (n + 1)))
     cosh_half = math.cosh(half_y)

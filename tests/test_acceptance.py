@@ -21,6 +21,7 @@ import pytest
 
 from ckernels import Space, analysis, euclid, hyperbolic, raise_operator, sphere
 from ckernels.jets import variable
+from ckernels.quadrature import sigma_default
 
 # full grids: four geometric times, four linear distances
 T_GRID = [0.1, 0.1 * 40.0 ** (1.0 / 3.0), 0.1 * 40.0 ** (2.0 / 3.0), 4.0]
@@ -126,13 +127,13 @@ def test_05_contour_deformation_invariance():
     """Moving the contour abscissa by +-50% changes each value by less than
     the combined error estimates (one configuration per space)."""
     cases = [
-        ("euclidean", euclid.heat_gruet, euclid.sigma_default, 2, 0.8, 1.5),
-        ("sphere", sphere.heat_gruet, sphere.sigma_default, 2, 0.7, 1.1),
-        ("hyperbolic", hyperbolic.heat_gruet, hyperbolic.sigma_default, 2, 0.8, 1.5),
+        ("euclidean", euclid.heat_gruet, 3.0, 2, 0.8, 1.5),
+        ("sphere", sphere.heat_gruet, 3.0, 2, 0.7, 1.1),
+        ("hyperbolic", hyperbolic.heat_gruet, math.pi, 2, 0.8, 1.5),
     ]
     details = []
-    for name, gruet, default, n, t, d in cases:
-        sigma = default(t, d)
+    for name, gruet, cap, n, t, d in cases:
+        sigma = sigma_default(t, d, cap)
         low = gruet(n, t, d, sigma=0.5 * sigma)
         high = gruet(n, t, d, sigma=1.5 * sigma)
         drift = abs(low.value - high.value)

@@ -92,6 +92,11 @@ def test_evaluate_rejects_unavailable_representations():
         analysis.evaluate(Space.EUCLIDEAN, 2, "poisson", 0.5, 1.0, convention="bogus")
     with pytest.raises(DomainError):
         analysis.evaluate(Space.SPHERE, 2, "poisson", 0.5, 1.0, convention="bogus")
+    # the tolerance is validated like the convention, also for closed forms
+    for tol in (0.0, -1e-8, 1.0, 1e300, math.nan):
+        for rep in ("closed", "descent"):
+            with pytest.raises(DomainError):
+                analysis.evaluate(Space.EUCLIDEAN, 2, "heat", 0.5, 1.0, rep=rep, tol=tol)
 
 
 def test_spectral_shift_table():

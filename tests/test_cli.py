@@ -337,12 +337,17 @@ def test_invalid_env_tol_exits_2(runner):
 
 
 def test_nonpositive_tol_exits_2(runner):
-    res = invoke(
-        runner,
-        ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
-         "--t", "0.5", "--r", "1.0", "--tol", "-1e-8"],
-    )
-    assert res.exit_code == 2
+    # a tolerance outside (0, 1), from the flag or the environment, is an
+    # argument error, also for representations that integrate
+    args = ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
+            "--t", "0.5", "--r", "1.0"]
+    for tol in ("-1e-8", "1", "1e300"):
+        for rep in ("auto", "descent"):
+            res = invoke(runner, args + ["--rep", rep, "--tol", tol])
+            assert res.exit_code == 2, (tol, rep, res.output)
+            assert "(0, 1)" in res.stderr
+            res = invoke(runner, args + ["--rep", rep], env={"CK_DEFAULT_TOL": tol})
+            assert res.exit_code == 2, (tol, rep, res.output)
 
 
 # ----------------------------------------------------------------------------

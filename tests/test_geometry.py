@@ -1,11 +1,15 @@
-"""Model-space geometry: weights, measures, the radial Laplacian."""
+"""Model-space geometry: weights, measures, the radial Laplacian, and the
+one domain check every kernel entry point shares."""
 
+import inspect
 import math
 
 import pytest
 
+from ckernels import analysis, euclid, hyperbolic, sphere
 from ckernels.errors import DomainError, SingularPointError
 from ckernels.geometry import (
+    KINDS,
     KernelQuery,
     Space,
     radial_laplacian,
@@ -143,3 +147,79 @@ def test_kernel_query_validation():
         KernelQuery(Space.HYPERBOLIC, 2, "poisson", 3.2, 1.0)
     # euclidean poisson has no height ceiling
     KernelQuery(Space.EUCLIDEAN, 2, "poisson", 3.2, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one input-validation path
+
+SPACE_MODULES = ((Space.EUCLIDEAN, euclid), (Space.SPHERE, sphere), (Space.HYPERBOLIC, hyperbolic))
+
+
+def _entry_points():
+    """(id, space, kind, call(n, param, r), takes n, takes r) per public entry point."""
+    points = []
+    for space, module in SPACE_MODULES:
+        for name, fn in vars(module).items():
+            if not (
+                name.startswith(("heat_", "poisson_"))
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+            ):
+                continue
+            kind = name.split("_")[0]
+            if "n" in inspect.signature(fn).parameters:
+                points.append((f"{module.__name__}.{name}", space, kind, fn, True, True))
+            else:  # heat_theta1/2/3 fix their own dimension
+                call = lambda n, p, r, fn=fn: fn(p, r)
+                points.append((f"{module.__name__}.{name}", space, kind, call, False, True))
+        for kind in KINDS:
+            tag = f"{space.value}-{kind}"
+            for rep in analysis.representation_names(space, kind) + ("auto",):
+                call = lambda n, p, r, s=space, k=kind, rep=rep: analysis.evaluate(
+                    s, n, k, p, r, rep=rep
+                )
+                points.append((f"evaluate-{tag}-{rep}", space, kind, call, True, True))
+            call = lambda n, p, r, s=space, k=kind: KernelQuery(s, n, k, p, r)
+            points.append((f"KernelQuery-{tag}", space, kind, call, True, True))
+            call = lambda n, p, r, s=space, k=kind: analysis.pde_residual(s, n, k, p, r)
+            points.append((f"pde_residual-{tag}", space, kind, call, True, True))
+        call = lambda n, p, r, s=space: analysis.heat_mass(s, n, p)
+        points.append((f"heat_mass-{space.value}", space, "heat", call, True, False))
+        call = lambda n, p, r, s=space: analysis.poisson_mass(s, n, p)
+        points.append((f"poisson_mass-{space.value}", space, "poisson", call, True, False))
+    points.append(
+        ("poisson_images", Space.HYPERBOLIC, "poisson", analysis.poisson_images, True, True)
+    )
+    return points
+
+
+def _invalid_inputs(space, kind, takes_n, takes_r):
+    """(label, n, param, r) outside the domain, each from a valid (2, 0.8, 0.6)."""
+    cases = [("param=-1", 2, -1.0, 0.6), ("param=nan", 2, math.nan, 0.6),
+             ("param=inf", 2, math.inf, 0.6)]
+    if takes_n:
+        cases.append(("n=0", 0, 0.8, 0.6))
+    if takes_r:
+        cases += [("r=-1", 2, 0.8, -1.0), ("r=nan", 2, 0.8, math.nan)]
+        if space is Space.SPHERE:
+            cases.append(("r=3.5", 2, 0.8, 3.5))
+    if space is Space.HYPERBOLIC and kind == "poisson":
+        cases += [("y=pi", 2, math.pi, 0.6), ("y=4", 2, 4.0, 0.6)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "space,kind,call,takes_n,takes_r",
+    [pytest.param(*point[1:], id=point[0]) for point in _entry_points()],
+)
+def test_every_entry_point_rejects_invalid_input(space, kind, call, takes_n, takes_r):
+    wrong = []
+    for label, n, param, r in _invalid_inputs(space, kind, takes_n, takes_r):
+        try:
+            call(n, param, r)
+        except Exception as exc:  # the class is what is checked
+            if type(exc) is not DomainError:
+                wrong.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            wrong.append(f"{label}: returned")
+    assert not wrong, wrong

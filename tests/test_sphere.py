@@ -183,10 +183,11 @@ def test_heat_contour_deformation_invariance():
     assert abs(a.value - b.value) <= 10.0 * (a.err_estimate + b.err_estimate)
 
 
-def test_heat_contour_needs_positive_angle():
-    with pytest.raises(DomainError):
-        sphere.heat_gruet(2, 0.5, 0.0)
-    # the antipode is regular for the contour representation
+def test_heat_contour_covers_both_poles():
+    # phi = 0 and the antipode are regular for the contour representation
+    assert sphere.heat_gruet(2, 0.5, 0.0).value == pytest.approx(
+        spectral_oracle(2, 0.5, 0.0), rel=1e-8
+    )
     assert sphere.heat_gruet(3, 0.5, math.pi).value == pytest.approx(
         spectral_oracle(3, 0.5, math.pi), rel=1e-8
     )
