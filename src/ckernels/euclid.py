@@ -25,6 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query
 from .jets import (
@@ -100,9 +102,8 @@ def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     """Jets of the 2-d kernel written as the descent integral of the 3-d one.
 
     With z = s^2 - r^2 the integral becomes
-    (4 pi t)^(-3/2) integral_0^inf z^(-1/2) exp(-(r^2+z)/4t) dz, and the jet
-    in r passes under the integral sign, evaluated by one array-valued
-    adaptive pass.
+    (4 pi t)^(-3/2) exp(-r^2/4t) integral_0^inf z^(-1/2) exp(-z/4t) dz: the
+    integrand separates, so the jet in r multiplies one scalar integral.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     z_max = 4.0 * t * (math.log(1.0 / tol) + 5.0)
@@ -110,13 +111,11 @@ def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     def gen(center: float, order: int) -> Jet:
         x = variable(center, order)
         radial = (x * x * (-0.25 / t)).exp()
-
-        def integrand(z: float):
-            return (radial * math.exp(-z / (4.0 * t))).coeffs
-
-        res = integrate_sqrt_endpoint(integrand, 0.0, z_max, tol * 0.1, abs_tol=0.0)
+        res = integrate_sqrt_endpoint(
+            lambda z: math.exp(-z / (4.0 * t)), 0.0, z_max, tol * 0.1, abs_tol=0.0
+        )
         evals.append(res.n_evals)
-        return Jet(center, res.value) * amp
+        return radial * (res.value * amp)
 
     return gen
 
@@ -251,6 +250,7 @@ def _space_descent_jet(y: float, tol: float, evals: list) -> RadialGenerator:
     P_3(y, s) = y / (pi^2 (s^2+y^2)^2); with z = s^2 - r^2 the descent
     integral is y/pi^2 integral_0^inf z^(-1/2) (z + r^2 + y^2)^(-2) dz.  The
     z-tail is algebraic, so it is split at a finite point and compactified.
+    Both integrands run once per quadrature panel, on a batch of jets.
     """
     amp = y / math.pi**2
 
@@ -259,14 +259,18 @@ def _space_descent_jet(y: float, tol: float, evals: list) -> RadialGenerator:
         shift = x * x + y * y
         z_split = 4.0 * (center * center + y * y) + 1.0
 
-        def body(z: float):
+        def body(z: np.ndarray):
             return (shift + z).power(-2.0).coeffs
 
-        def tail(z: float):
-            return (shift + z).power(-2.0).coeffs / math.sqrt(z)
+        def tail(z: np.ndarray):
+            return (shift + z).power(-2.0).coeffs / np.sqrt(z)[:, None]
 
-        res1 = integrate_sqrt_endpoint(body, 0.0, z_split, tol * 0.1, abs_tol=0.0)
-        res2 = integrate_to_infinity(tail, z_split, tol * 0.1, abs_tol=0.0, scale=z_split)
+        res1 = integrate_sqrt_endpoint(
+            body, 0.0, z_split, tol * 0.1, abs_tol=0.0, vectorized=True
+        )
+        res2 = integrate_to_infinity(
+            tail, z_split, tol * 0.1, abs_tol=0.0, scale=z_split, vectorized=True
+        )
         evals.append(res1.n_evals + res2.n_evals)
         return Jet(center, res1.value + res2.value) * amp
 

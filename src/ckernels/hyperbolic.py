@@ -35,6 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_query, convention_factor
 from .jets import Jet, RadialGenerator, gauss_jet, raise_operator, variable
@@ -93,6 +95,7 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
                    integral_0^inf z^(-1/2) (s/sinh s) exp(-s^2/4t) dz,
 
     with s = arccosh(cosh rho + z); the jets in rho flow through arccosh.
+    The integrand runs once per quadrature panel, on a batch of jets.
     """
     amp = math.sqrt(2.0) * (4.0 * math.pi * t) ** -1.5
 
@@ -104,12 +107,14 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
         s_top = math.sqrt(center * center + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
         z_top = math.cosh(s_top) - math.cosh(center)
 
-        def body(z: float):
+        def body(z: np.ndarray):
             s_jet = (ch + z).arccosh()
             val = (s_jet / s_jet.sinh()) * (s_jet * s_jet * (-0.25 / t)).exp()
             return val.coeffs
 
-        res = integrate_sqrt_endpoint(body, 0.0, z_top, tol * 0.1, abs_tol=0.0)
+        res = integrate_sqrt_endpoint(
+            body, 0.0, z_top, tol * 0.1, abs_tol=0.0, vectorized=True
+        )
         evals.append(res.n_evals)
         return Jet(center, res.value) * amp
 

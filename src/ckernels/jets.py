@@ -5,6 +5,9 @@ c_0 + c_1 h + ... + c_K h^K approximating f(center + h).  All arithmetic and
 elementary functions propagate these coefficients exactly (in floating point)
 through O(K^2) recurrences, so K nested derivatives of any composite
 expression cost one jet evaluation instead of K finite-difference stencils.
+A jet may also carry a batch of m coefficient rows about one centre, so a
+jet-valued integrand runs one jet program for all nodes of a quadrature
+panel.
 
 The raising operator
 
@@ -45,66 +48,143 @@ def _check_order(order: int) -> None:
         raise DomainError(f"jet order {order} exceeds the cap of {MAX_ORDER}")
 
 
-@dataclass(frozen=True)
+# -- batch helpers: coefficient arrays of shape (m, K+1), one jet per row
+
+_F64 = np.dtype(float)
+
+# 0, 1, ..., MAX_ORDER + 1 as floats, the index weights of the recurrences
+_IDX = np.arange(MAX_ORDER + 2, dtype=float)
+
+
+def _lead(c: np.ndarray):
+    """The leading coefficient: a float64, or the node array of a batch."""
+    return c[:, 0] if c.ndim == 2 else c[0]
+
+
+def _at(c0, single, batch):
+    """single(c0) (a math function) for a float, batch(c0) for a node array."""
+    return batch(c0) if isinstance(c0, np.ndarray) else single(c0)
+
+
+def _refuse(bad, message: str) -> None:
+    """Raise DomainError if ``bad`` holds, at any node of a batch."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise DomainError(message)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, k) arrays; a (1, k) one broadcasts."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated series products of coefficient rows; either may be a batch."""
+    n = a.shape[-1]
+    out = a * b[..., :1]
+    for j in range(1, n):
+        out[..., j:] += a[..., : n - j] * b[..., j : j + 1]
+    return out
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated series quotients a/b of coefficient rows, as a batch."""
+    a, b = np.atleast_2d(a, b)
+    b0 = b[:, 0]
+    _refuse(b0 == 0.0, "division by a jet with vanishing value")
+    out = np.empty((max(len(a), len(b)), a.shape[1]))
+    out[:, 0] = a[:, 0] / b0
+    for i in range(1, a.shape[1]):
+        out[:, i] = (a[:, i] - _rowdot(b[:, 1 : i + 1], out[:, i - 1 :: -1])) / b0
+    return out
+
+
+@dataclass(eq=False, slots=True)
 class Jet:
-    """Taylor coefficients of a function about a fixed centre."""
+    """Taylor coefficients of a function about a fixed centre.
+
+    ``coeffs`` holds (c_0, ..., c_K), or an (m, K+1) array of such rows: a
+    batch of m jets about one centre, for instance an integrand's jets at
+    the m nodes of a quadrature panel.  Every operation accepts either
+    shape, a single jet broadcasts against a batch, and a node array of m
+    values lifts to a batch of constant jets.  A single jet runs the scalar
+    recurrences with math.* leading values (so an overflow raises
+    OverflowError); a batch runs the same recurrences on all rows at once
+    with numpy's, where an overflow gives inf.  ``value``, ``derivative``
+    and evaluation are defined for a single jet only.
+    """
 
     center: float
     coeffs: np.ndarray
 
+    # numpy defers to the reflected operators below, so node array + jet is
+    # a batch of jets, not an object array
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("jet coefficients must form a nonempty 1-d array")
-        _check_order(arr.size - 1)
-        object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "center", float(self.center))
+        # the operations below build float64 arrays; other input is coerced
+        c = self.coeffs
+        if type(c) is not np.ndarray or c.dtype is not _F64 or c.ndim == 0:
+            c = self.coeffs = np.atleast_1d(np.asarray(c, dtype=float))
+            self.center = float(self.center)
+        if c.ndim > 2 or c.shape[-1] == 0:
+            raise DomainError("jet coefficients must form a nonempty (K+1,) or (m, K+1) array")
+        if c.shape[-1] > MAX_ORDER + 1:
+            raise DomainError(f"jet order {c.shape[-1] - 1} exceeds the cap of {MAX_ORDER}")
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
+
+    def _single(self) -> np.ndarray:
+        if self.coeffs.ndim != 1:
+            raise DomainError("a batch of jets has no single value")
+        return self.coeffs
 
     @property
     def value(self) -> float:
-        return float(self.coeffs[0])
+        return float(self._single()[0])
 
     def derivative(self, k: int) -> float:
         """The k-th derivative of the underlying function at the centre."""
         if k > self.order:
             raise DomainError(f"jet of order {self.order} has no derivative {k}")
-        return float(self.coeffs[k]) * math.factorial(k)
+        return float(self._single()[k]) * math.factorial(k)
 
     def truncate(self, order: int) -> "Jet":
         _check_order(order)
         if order >= self.order:
             return self
-        return Jet(self.center, self.coeffs[: order + 1])
+        return Jet(self.center, self.coeffs[..., : order + 1])
 
     def __call__(self, h: float) -> float:
         """Evaluate the truncated polynomial at centre + h."""
-        return float(np.polynomial.polynomial.polyval(h, self.coeffs))
+        return float(np.polynomial.polynomial.polyval(h, self._single()))
 
     # -- ring operations ---------------------------------------------------
+    # A scalar or node array shifts the leading coefficient or scales every
+    # coefficient, which gives what combining with a constant jet gives (the
+    # + 0.0 turns -0.0 into 0.0, as that sum and product do); combining two
+    # jets truncates to the shorter one (the honest order).
 
-    def _coerce(self, other) -> "Jet":
-        # Scalars lift to constant jets of matching order; combining two
-        # genuine jets truncates to the shorter one (the honest order).
-        if isinstance(other, Jet):
-            if other.center != self.center:
-                raise DomainError("jets must share a centre to combine")
-            return other
-        return constant(float(other), self.order, self.center)
-
-    @staticmethod
-    def _aligned(a: "Jet", b: "Jet") -> int:
-        return min(a.order, b.order)
+    def _paired(self, other: "Jet") -> tuple[np.ndarray, np.ndarray]:
+        if other.center != self.center:
+            raise DomainError("jets must share a centre to combine")
+        k = min(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        return self.coeffs[..., :k], other.coeffs[..., :k]
 
     def __add__(self, other) -> "Jet":
-        other = self._coerce(other)
-        k = self._aligned(self, other)
-        out = self.coeffs[: k + 1] + other.coeffs[: k + 1]
+        if isinstance(other, Jet):
+            a, b = self._paired(other)
+            return Jet(self.center, a + b)
+        c = self.coeffs
+        if isinstance(other, np.ndarray):
+            out = np.zeros(other.shape + c.shape[-1:])
+            out += c
+        else:
+            out = c + 0.0
+        out[..., 0] += other
         return Jet(self.center, out)
 
     __radd__ = __add__
@@ -113,33 +193,41 @@ class Jet:
         return Jet(self.center, -self.coeffs)
 
     def __sub__(self, other) -> "Jet":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Jet":
         return (-self) + other
 
     def __mul__(self, other) -> "Jet":
-        other = self._coerce(other)
-        k = self._aligned(self, other)
-        full = np.convolve(self.coeffs[: k + 1], other.coeffs[: k + 1])
-        return Jet(self.center, full[: k + 1])
+        if isinstance(other, Jet):
+            a, b = self._paired(other)
+            if a.ndim == b.ndim == 1:
+                return Jet(self.center, np.convolve(a, b)[: a.size])
+            return Jet(self.center, _cauchy(a, b))
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
+        return Jet(self.center, self.coeffs * other + 0.0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
-        other = self._coerce(other)
-        k = self._aligned(self, other)
-        a = self.coeffs[: k + 1]
-        b = other.coeffs[: k + 1]
+        if not isinstance(other, Jet):
+            _refuse(other == 0.0, "division by a jet with vanishing value")
+            if isinstance(other, np.ndarray):
+                other = other[..., None]
+            return Jet(self.center, self.coeffs / other)
+        a, b = self._paired(other)
+        if a.ndim == 2 or b.ndim == 2:
+            return Jet(self.center, _quotient(a, b))
         if b[0] == 0.0:
             raise DomainError("division by a jet with vanishing value")
-        out = np.empty(k + 1)
-        for i in range(k + 1):
+        out = np.empty(a.size)
+        for i in range(a.size):
             out[i] = (a[i] - np.dot(b[1 : i + 1], out[i - 1 :: -1][:i])) / b[0]
         return Jet(self.center, out)
 
     def __rtruediv__(self, other) -> "Jet":
-        return self._coerce(other) / self
+        return constant(other, self.order, self.center) / self
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)):
@@ -162,13 +250,18 @@ class Jet:
         """Jet of f', one order shorter."""
         if self.order == 0:
             raise DomainError("cannot differentiate an order-0 jet")
-        k = np.arange(1, self.order + 1, dtype=float)
-        return Jet(self.center, self.coeffs[1:] * k)
+        return Jet(self.center, self.coeffs[..., 1:] * _IDX[1 : self.order + 1])
 
-    def antideriv(self, value_at_center: float = 0.0) -> "Jet":
-        """Jet of the antiderivative taking the given value at the centre."""
-        k = np.arange(1, self.order + 2, dtype=float)
-        out = np.concatenate(([float(value_at_center)], self.coeffs / k))
+    def antideriv(self, value_at_center=0.0) -> "Jet":
+        """Jet of the antiderivative taking the given value at the centre.
+
+        The value is a float, or a node array for a batch.
+        """
+        c = self.coeffs
+        n = c.shape[-1]
+        out = np.empty((c.shape[:-1] or np.shape(value_at_center)) + (n + 1,))
+        out[..., 0] = value_at_center
+        out[..., 1:] = c / _IDX[1 : n + 1]
         return Jet(self.center, out)
 
     # -- elementary functions ---------------------------------------------
@@ -176,6 +269,12 @@ class Jet:
     def exp(self) -> "Jet":
         g = self.coeffs
         out = np.empty_like(g)
+        if g.ndim == 2:
+            out[:, 0] = np.exp(g[:, 0])
+            jg = g * _IDX[: g.shape[1]]
+            for k in range(1, g.shape[1]):
+                out[:, k] = _rowdot(jg[:, 1 : k + 1], out[:, k - 1 :: -1]) / k
+            return Jet(self.center, out)
         out[0] = math.exp(g[0])
         for k in range(1, g.size):
             j = np.arange(1, k + 1, dtype=float)
@@ -183,23 +282,35 @@ class Jet:
         return Jet(self.center, out)
 
     def log(self) -> "Jet":
-        if self.coeffs[0] <= 0.0:
-            raise DomainError("log requires a positive jet value")
+        c0 = _lead(self.coeffs)
+        _refuse(c0 <= 0.0, "log requires a positive jet value")
+        lead = _at(c0, math.log, np.log)
         if self.order == 0:
-            return Jet(self.center, [math.log(self.coeffs[0])])
+            return Jet(self.center, np.expand_dims(lead, -1))
         body = self.deriv() / self.truncate(self.order - 1)
-        return body.antideriv(math.log(self.coeffs[0]))
+        return body.antideriv(lead)
 
     def _circular(self, hyperbolic: bool) -> tuple["Jet", "Jet"]:
         g = self.coeffs
         s = np.empty_like(g)
         c = np.empty_like(g)
+        sign = 1.0 if hyperbolic else -1.0
+        if g.ndim == 2:
+            g0 = g[:, 0]
+            if hyperbolic:
+                s[:, 0], c[:, 0] = np.sinh(g0), np.cosh(g0)
+            else:
+                s[:, 0], c[:, 0] = np.sin(g0), np.cos(g0)
+            jg = g * _IDX[: g.shape[1]]
+            for k in range(1, g.shape[1]):
+                dg = jg[:, 1 : k + 1]
+                s[:, k] = _rowdot(dg, c[:, k - 1 :: -1]) / k
+                c[:, k] = sign * _rowdot(dg, s[:, k - 1 :: -1]) / k
+            return Jet(self.center, s), Jet(self.center, c)
         if hyperbolic:
             s[0], c[0] = math.sinh(g[0]), math.cosh(g[0])
-            sign = 1.0
         else:
             s[0], c[0] = math.sin(g[0]), math.cos(g[0])
-            sign = -1.0
         for k in range(1, g.size):
             j = np.arange(1, k + 1, dtype=float)
             dg = j * g[1 : k + 1]
@@ -220,10 +331,15 @@ class Jet:
         return self._circular(True)[1]
 
     def sqrt(self) -> "Jet":
-        if self.coeffs[0] <= 0.0:
-            raise DomainError("sqrt requires a positive jet value")
         g = self.coeffs
+        _refuse(_lead(g) <= 0.0, "sqrt requires a positive jet value")
         out = np.empty_like(g)
+        if g.ndim == 2:
+            out[:, 0] = np.sqrt(g[:, 0])
+            for k in range(1, g.shape[1]):
+                conv = _rowdot(out[:, 1:k], out[:, k - 1 : 0 : -1]) if k >= 2 else 0.0
+                out[:, k] = (g[:, k] - conv) / (2.0 * out[:, 0])
+            return Jet(self.center, out)
         out[0] = math.sqrt(g[0])
         for k in range(1, g.size):
             conv = np.dot(out[1:k], out[k - 1 : 0 : -1]) if k >= 2 else 0.0
@@ -232,10 +348,16 @@ class Jet:
 
     def power(self, alpha: float) -> "Jet":
         """Jet of f^alpha for real alpha; requires a positive jet value."""
-        if self.coeffs[0] <= 0.0:
-            raise DomainError("power requires a positive jet value")
         g = self.coeffs
+        _refuse(_lead(g) <= 0.0, "power requires a positive jet value")
         out = np.empty_like(g)
+        if g.ndim == 2:
+            g0 = g[:, 0]
+            out[:, 0] = g0**alpha
+            for k in range(1, g.shape[1]):
+                weights = (alpha + 1.0) * _IDX[1 : k + 1] - k
+                out[:, k] = _rowdot(weights * g[:, 1 : k + 1], out[:, k - 1 :: -1]) / (k * g0)
+            return Jet(self.center, out)
         out[0] = self.coeffs[0] ** alpha
         for k in range(1, g.size):
             j = np.arange(1, k + 1, dtype=float)
@@ -246,22 +368,24 @@ class Jet:
         return Jet(self.center, out)
 
     def arcsin(self) -> "Jet":
-        if not -1.0 < self.coeffs[0] < 1.0:
-            raise DomainError("arcsin requires a jet value in (-1, 1)")
+        c0 = _lead(self.coeffs)
+        _refuse(~(abs(c0) < 1.0), "arcsin requires a jet value in (-1, 1)")
+        lead = _at(c0, math.asin, np.arcsin)
         if self.order == 0:
-            return Jet(self.center, [math.asin(self.coeffs[0])])
+            return Jet(self.center, np.expand_dims(lead, -1))
         short = self.truncate(self.order - 1)
         body = self.deriv() / (1.0 - short * short).sqrt()
-        return body.antideriv(math.asin(self.coeffs[0]))
+        return body.antideriv(lead)
 
     def arccosh(self) -> "Jet":
-        if self.coeffs[0] <= 1.0:
-            raise DomainError("arccosh requires a jet value above 1")
+        c0 = _lead(self.coeffs)
+        _refuse(c0 <= 1.0, "arccosh requires a jet value above 1")
+        lead = _at(c0, math.acosh, np.arccosh)
         if self.order == 0:
-            return Jet(self.center, [math.acosh(self.coeffs[0])])
+            return Jet(self.center, np.expand_dims(lead, -1))
         short = self.truncate(self.order - 1)
         body = self.deriv() / (short * short - 1.0).sqrt()
-        return body.antideriv(math.acosh(self.coeffs[0]))
+        return body.antideriv(lead)
 
 
 def variable(center: float, order: int) -> Jet:
@@ -274,10 +398,11 @@ def variable(center: float, order: int) -> Jet:
     return Jet(center, coeffs)
 
 
-def constant(value: float, order: int, center: float = 0.0) -> Jet:
+def constant(value, order: int, center: float = 0.0) -> Jet:
+    """A constant jet; a node array of values gives a batch."""
     _check_order(order)
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = value
+    coeffs = np.zeros(np.shape(value) + (order + 1,))
+    coeffs[..., 0] = value
     return Jet(center, coeffs)
 
 

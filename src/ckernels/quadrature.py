@@ -13,7 +13,9 @@ that reflect it instead of the nominal tolerance.
 Integrands may return scalars or numpy arrays of a fixed shape; array mode is
 what lets Taylor-jet-valued integrands (derivatives under the integral sign)
 be integrated in a single adaptive pass, with the error measured in the
-max norm across components.
+max norm across components.  With ``vectorized=True`` the integrand is called
+once per panel on the array of its 15 nodes and returns the values stacked
+along the leading axis, which lets a batch of jets carry a whole panel.
 
 Three transforms cover the singular and unbounded shapes that arise in the
 kernel formulas: an inverse-square-root endpoint factor (substitute
@@ -165,24 +167,33 @@ def _norm(v: Value) -> float:
     return abs(v)
 
 
-def _panel(f, a: float, b: float):
+def _panel(f, a: float, b: float, vectorized: bool):
     """Embedded G7/K15 estimates on one panel: (value, err, resabs, where_bad).
 
-    One integrand call per Kronrod node, 15 per panel.  ``err`` is the raw
-    |K15 - G7| (max norm for array values); ``where_bad`` is the first node
-    at which f is not finite, in which case the other fields are None.
+    One integrand call per Kronrod node, 15 per panel, or one call on the
+    node array if ``vectorized``; such a call runs with numpy's floating-point
+    warnings off, since a node that overflows yields a non-finite value and is
+    reported like any other.  ``err`` is the raw |K15 - G7| (max norm for
+    array values); ``where_bad`` is the first node at which f is not finite,
+    in which case the other fields are None.
     """
     h = 0.5 * (b - a)
     xs = 0.5 * (a + b) + h * _XK15
-    vals = [f(x) for x in xs]
-    arrays = isinstance(vals[0], np.ndarray)
+    if vectorized:
+        with np.errstate(all="ignore"):
+            v = np.asarray(f(xs), float)
+    else:
+        vals = [f(x) for x in xs]
+        if isinstance(vals[0], np.ndarray):
+            v = np.stack([np.asarray(u, float) for u in vals])
+        else:
+            v = np.array(vals, float)
+    arrays = v.ndim > 1
     if arrays:
-        v = np.stack([np.asarray(u, float) for u in vals])
         shape = v.shape[1:]
         v = v.reshape(15, -1)
         finite = np.isfinite(v).all(axis=1)
     else:
-        v = np.array(vals, float)
         finite = np.isfinite(v)
     if not finite.all():
         return None, None, None, float(xs[np.argmin(finite)])
@@ -207,12 +218,15 @@ def integrate_adaptive(
     breakpoints: Iterable[float] = (),
     max_depth: int = 60,
     max_panels: int = 4096,
+    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f over [a, b] to max(abs_tol, tol * |integral|).
 
     ``abs_tol`` defaults to ``tol``; pass 0.0 for a purely relative target.
     Interior ``breakpoints`` seed the initial partition (place them at kinks,
-    spikes and branch switches).  Raises :class:`ConvergenceError`, carrying
+    spikes and branch switches).  With ``vectorized`` f takes the array of a
+    panel's nodes and returns their values stacked along the leading axis;
+    ``n_evals`` still counts nodes.  Raises :class:`ConvergenceError`, carrying
     the best estimate, if the panel or depth budget runs out, and reports a
     roundoff-floor error term proportional to the integral of |f| so that
     cancellation-limited results are not overclaimed.
@@ -241,7 +255,7 @@ def integrate_adaptive(
 
     def _push(lo: float, hi: float, depth: int):
         nonlocal seq, total_value, total_err, total_resabs, n_evals
-        value, err, resabs, bad_at = _panel(f, lo, hi)
+        value, err, resabs, bad_at = _panel(f, lo, hi, vectorized)
         n_evals += 15
         if bad_at is not None:
             best = None
@@ -300,12 +314,13 @@ def integrate_sqrt_endpoint(
     breakpoints: Iterable[float] = (),
     max_depth: int = 60,
     max_panels: int = 4096,
+    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f_regular(x) (x - a)^(-1/2) over [a, b].
 
     The substitution x = a + u^2 removes the endpoint singularity exactly;
     ``f_regular`` itself must be smooth on [a, b].  ``breakpoints`` are given
-    in x coordinates.
+    in x coordinates; ``vectorized`` is as for :func:`integrate_adaptive`.
     """
     if b <= a:
         raise DomainError(f"need b > a for a square-root endpoint, got [{a}, {b}]")
@@ -323,6 +338,7 @@ def integrate_sqrt_endpoint(
         breakpoints=bps,
         max_depth=max_depth,
         max_panels=max_panels,
+        vectorized=vectorized,
     )
     return res.scaled(2.0)
 
@@ -336,24 +352,38 @@ def integrate_to_infinity(
     scale: float = 1.0,
     max_depth: int = 60,
     max_panels: int = 4096,
+    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate a decaying f over [a, infinity).
 
     The map x = a + scale * u/(1-u) compactifies the half line; ``scale``
     should be of the order of the integrand's decay length so the transformed
     integrand is well resolved.  f must decay faster than x^(-2) for the
-    transformed integrand to stay bounded.
+    transformed integrand to stay bounded.  ``vectorized`` is as for
+    :func:`integrate_adaptive`.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be positive, got {scale}")
 
-    def g(u: float) -> Value:
+    def g(u: Value) -> Value:
         onemu = 1.0 - u
         x = a + scale * u / onemu
-        return f(x) * (scale / (onemu * onemu))
+        jac = scale / (onemu * onemu)
+        val = f(x)
+        if vectorized:
+            # one Jacobian factor per node, along the leading axis
+            jac = np.reshape(jac, jac.shape + (1,) * (np.ndim(val) - 1))
+        return val * jac
 
     return integrate_adaptive(
-        g, 0.0, 1.0, tol, abs_tol=abs_tol, max_depth=max_depth, max_panels=max_panels
+        g,
+        0.0,
+        1.0,
+        tol,
+        abs_tol=abs_tol,
+        max_depth=max_depth,
+        max_panels=max_panels,
+        vectorized=vectorized,
     )
 
 

@@ -203,6 +203,7 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     jets through psi(z) = 2 arcsin(sqrt(sin^2(phi/2) + z)).  Above z* the
     psi-range [psi_up(phi), pi] still moves with phi, so it is mapped to the
     fixed interval s in [0, 1] with the endpoint psi_up carried as a jet.
+    Both integrands run once per quadrature panel, on a batch of jets.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
@@ -231,20 +232,24 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
                 arg = psi_jet + off
                 return arg * (arg * arg * (-inv4t)).exp()
 
-            def low_body(z: float):
+            def low_body(z: np.ndarray):
                 q = q_base + z
                 psi_jet = q.sqrt().arcsin() * 2.0
                 dens = (q * (1.0 - q)).sqrt()
                 return (g_of(psi_jet) / dens).coeffs
 
-            def high_body(s: float):
+            def high_body(s: np.ndarray):
                 psi_jet = psi_up + span * s
                 half = (psi_jet * 0.5).sin()
                 base = half * half - q_base
                 return (g_of(psi_jet) * base.power(-0.5) * span).coeffs
 
-            res_low = integrate_sqrt_endpoint(low_body, 0.0, z_star, tol * 0.2, abs_tol=0.0)
-            res_high = integrate_adaptive(high_body, 0.0, 1.0, tol * 0.2, abs_tol=0.0)
+            res_low = integrate_sqrt_endpoint(
+                low_body, 0.0, z_star, tol * 0.2, abs_tol=0.0, vectorized=True
+            )
+            res_high = integrate_adaptive(
+                high_body, 0.0, 1.0, tol * 0.2, abs_tol=0.0, vectorized=True
+            )
             count += res_low.n_evals + res_high.n_evals
             add(sign * (Jet(center, res_low.value) + Jet(center, res_high.value)))
         evals.append(count)

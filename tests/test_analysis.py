@@ -9,18 +9,40 @@ here), and divergent for n >= 3.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ckernels import analysis, euclid, hyperbolic, sphere
-from ckernels.errors import DomainError, SingularPointError
+from ckernels.errors import ConvergenceError, DomainError, SingularPointError
 from ckernels.geometry import Space
 
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+@pytest.mark.parametrize(
+    "space, t, r, rep, outcome",
+    [
+        # nodes near s = 700 overflow the sinh jet of the descent integrand
+        (Space.HYPERBOLIC, 1e-3, 700.0, "auto", 0.0),
+        (Space.EUCLIDEAN, 1e-3, 800.0, "raise", 0.0),
+        (Space.HYPERBOLIC, 200.0, 1.0, "auto", ConvergenceError),
+    ],
+)
+def test_batched_jet_routes_warn_nothing(space, t, r, rep, outcome):
+    # the 4-d heat kernels integrate a batch of jets per quadrature panel;
+    # each point keeps its value or exception class and emits no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome is ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                analysis.evaluate(space, 4, "heat", t, r, rep=rep)
+        else:
+            assert analysis.evaluate(space, 4, "heat", t, r, rep=rep).value == outcome
 
 
 def test_representation_names():

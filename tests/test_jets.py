@@ -143,6 +143,125 @@ def test_zero_leading_division_rejected():
 def test_order_cap_enforced():
     with pytest.raises(DomainError):
         variable(0.0, MAX_ORDER + 1)
+    # float64 arrays skip coercion, not the shape and order checks
+    with pytest.raises(DomainError):
+        Jet(0.0, np.zeros(MAX_ORDER + 2))
+    with pytest.raises(DomainError):
+        Jet(0.0, np.zeros((2, 0)))
+
+
+# ---------------------------------------------------------------------------
+# batches: one coefficient row per node
+
+
+def _per_node_close(batch: Jet, singles: list) -> None:
+    """Each row of ``batch`` equals its per-node jet, 1e-14 relative in max norm."""
+    assert batch.coeffs.shape == (len(singles), singles[0].order + 1)
+    for row, single in zip(batch.coeffs, singles):
+        scale = np.max(np.abs(single.coeffs))
+        assert np.max(np.abs(row - single.coeffs)) <= 1e-14 * scale
+
+
+# (name, batch operation, per-node operation); ``w`` is the node array and
+# ``wi`` its value at one node, ``g`` a single jet about the same centre
+_UNARY = [
+    ("neg", lambda f: -f),
+    ("exp", lambda f: f.exp()),
+    ("log", lambda f: f.log()),
+    ("sin", lambda f: f.sin()),
+    ("cos", lambda f: f.cos()),
+    ("sinh", lambda f: f.sinh()),
+    ("cosh", lambda f: f.cosh()),
+    ("sqrt", lambda f: f.sqrt()),
+    ("power", lambda f: f.power(-1.7)),
+    ("int power", lambda f: f**3),
+    ("negative int power", lambda f: f**-2),
+    ("arcsin", lambda f: f.arcsin()),
+    ("arccosh", lambda f: (f + 1.5).arccosh()),
+    ("deriv", lambda f: f.deriv() if f.order else f),
+    ("antideriv", lambda f: f.antideriv(0.3)),
+    ("truncate", lambda f: f.truncate(f.order // 2)),
+]
+_BINARY = [
+    ("jet + scalar", lambda f, g, w: f + 0.7, lambda f, g, wi: f + 0.7),
+    ("scalar - jet", lambda f, g, w: 0.7 - f, lambda f, g, wi: 0.7 - f),
+    ("jet * scalar", lambda f, g, w: f * -1.3, lambda f, g, wi: f * -1.3),
+    ("scalar / jet", lambda f, g, w: 2.0 / f, lambda f, g, wi: 2.0 / f),
+    ("jet / scalar", lambda f, g, w: f / 3.0, lambda f, g, wi: f / 3.0),
+    ("jet + nodes", lambda f, g, w: f + w, lambda f, g, wi: f + wi),
+    ("nodes - jet", lambda f, g, w: w - f, lambda f, g, wi: wi - f),
+    ("nodes * jet", lambda f, g, w: w * f, lambda f, g, wi: wi * f),
+    ("jet / nodes", lambda f, g, w: f / w, lambda f, g, wi: f / wi),
+    ("nodes / jet", lambda f, g, w: w / f, lambda f, g, wi: wi / f),
+    ("batch + jet", lambda f, g, w: f + g, lambda f, g, wi: f + g),
+    ("jet - batch", lambda f, g, w: g - f, lambda f, g, wi: g - f),
+    ("batch * jet", lambda f, g, w: f * g, lambda f, g, wi: f * g),
+    ("jet * batch", lambda f, g, w: g * f, lambda f, g, wi: g * f),
+    ("batch / jet", lambda f, g, w: f / (g + 2.0), lambda f, g, wi: f / (g + 2.0)),
+    ("jet / batch", lambda f, g, w: g / f, lambda f, g, wi: g / f),
+    ("batch * batch", lambda f, g, w: f * (g + w), lambda f, g, wi: f * (g + wi)),
+    ("batch / batch", lambda f, g, w: (g + w) / f, lambda f, g, wi: (g + wi) / f),
+]
+
+tail = st.floats(min_value=-0.25, max_value=0.25, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda k: st.tuples(
+            st.lists(tail, min_size=k, max_size=k),
+            st.lists(tail, min_size=k, max_size=k),
+        )
+    ),
+    st.lists(st.floats(min_value=0.5, max_value=0.8), min_size=1, max_size=5),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_batched_operations_match_per_node(tails, leading, center):
+    """A batch runs each operation's recurrence on all rows at once.
+
+    Its row dot products sum in order, where a single jet's np.dot may not,
+    so the two agree to rounding amplified by the recurrence.  Leading values
+    in [0.5, 0.8] and tails within 0.25 keep every operation well conditioned
+    (|c_j / c_0| <= 1/2); near a leading value of 0.1 the two orders of
+    summation of 1/f^2 differ by up to 1e-13.
+    """
+    # rows f_i = base + w_i, with leading values w_i inside every domain
+    base = Jet(center, [0.0] + tails[0])
+    g = Jet(center, [0.5] + tails[1])
+    w = np.array(leading)
+    batch = base + w
+    singles = [base + wi for wi in leading]
+    for name, op in _UNARY:
+        _per_node_close(op(batch), [op(f) for f in singles])
+    for name, op, op1 in _BINARY:
+        _per_node_close(op(batch, g, w), [op1(f, g, wi) for f, wi in zip(singles, leading)])
+    # an antiderivative may take a different value at each node
+    _per_node_close(
+        base.antideriv(w), [base.antideriv(wi) for wi in leading]
+    )
+
+
+def test_batch_domain_checks_cover_every_node():
+    batch = variable(0.5, 3) + np.array([0.25, -0.75, 0.125])  # one node at -0.25
+    for op in (Jet.log, Jet.sqrt, lambda f: f.power(0.5), lambda f: (f + 1.0).arccosh()):
+        with pytest.raises(DomainError):
+            op(batch)
+    with pytest.raises(DomainError):
+        (batch * 3.0).arcsin()  # 2.25 is outside (-1, 1)
+    with pytest.raises(DomainError):
+        1.0 / (batch + 0.25)  # a vanishing leading value at one node
+
+
+def test_batch_has_no_single_value():
+    batch = variable(0.5, 3) + np.array([0.2, 0.4])
+    assert batch.order == 3
+    with pytest.raises(DomainError):
+        batch.value
+    with pytest.raises(DomainError):
+        batch.derivative(1)
+    with pytest.raises(DomainError):
+        batch(0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ckernels.errors import ContourError, ConvergenceError, DomainError
+from ckernels.jets import variable
 from ckernels.quadrature import (
     _WG7,
     _WK15,
@@ -152,6 +153,52 @@ def test_non_finite_value_is_reported_at_its_node(node, as_array):
 
     with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")):
         integrate_adaptive(f, 0.0, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("node", [4, 7])
+def test_non_finite_value_is_reported_at_its_node_vectorized(node):
+    bad_x = float(0.5 + 0.5 * _XK15[node])
+
+    def f(xs):  # all nodes at once, one row each
+        return np.stack([np.ones_like(xs), np.where(xs == bad_x, math.nan, xs)], axis=1)
+
+    with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")):
+        integrate_adaptive(f, 0.0, 1.0, 1e-10, vectorized=True)
+
+
+def _jet_integrand(x):
+    """Jets in c about 0.4 of sin(c + x) exp(-(c + x)^2); x a node or a node array."""
+    shifted = variable(0.4, 6) + x
+    return (shifted.sin() * (shifted * shifted * -1.0).exp()).coeffs
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda f, **kw: integrate_adaptive(f, 0.0, 3.0, 1e-12, **kw),
+        lambda f, **kw: integrate_sqrt_endpoint(f, 0.0, 2.0, 1e-12, **kw),
+        lambda f, **kw: integrate_to_infinity(f, 0.5, 1e-12, abs_tol=0.0, **kw),
+    ],
+    ids=["adaptive", "sqrt_endpoint", "to_infinity"],
+)
+def test_vectorized_panels_match_per_node_calls(integrate):
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return _jet_integrand(x)
+
+    per_node = integrate(counted)
+    node_calls = len(calls)
+    calls.clear()
+    batched = integrate(counted, vectorized=True)
+    # one call per panel on its 15 nodes; n_evals still counts nodes
+    assert calls == [15] * (node_calls // 15)
+    assert batched.n_evals == per_node.n_evals == node_calls
+    scale = np.max(np.abs(per_node.value))
+    assert np.max(np.abs(batched.value - per_node.value)) <= 1e-15 * scale
+    # the error estimate is a difference of the same sums, equal to rounding
+    assert abs(batched.err_estimate - per_node.err_estimate) <= 1e-15 * scale
 
 
 def test_n_evals_counts_every_integrand_call():
