@@ -87,6 +87,8 @@ _REPRESENTATIONS = {
         ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol))),
         ("gruet", _any_n,
          _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol))),
+        ("spectral", lambda n: n >= 2,
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_spectral(n, t, r, tol))),
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,
@@ -196,6 +198,19 @@ def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float
 
         return even
     call = _route(space, "heat", n, "auto")
+    if space is Space.SPHERE and n >= 2:
+
+        def spectral_above(t: float, r: float) -> float:
+            # the Gegenbauer series needs only a few terms once t is not
+            # small, while the image sums get dearer as t grows.  Its tail
+            # bound is nearly attained near r = 0, where every term is
+            # positive, so it is asked for a hundredth of the inner
+            # tolerance: a term or two more
+            if t >= sphere.SPECTRAL_MIN_T:
+                return sphere.heat_spectral(n, t, r, inner * 0.01).value
+            return call(n, t, r, inner, "paper", None).value
+
+        return spectral_above
     return lambda t, r: call(n, t, r, inner, "paper", None).value
 
 

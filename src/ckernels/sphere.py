@@ -1,6 +1,6 @@
 """Heat and Poisson kernels on the unit sphere.
 
-Heat kernels come in four representations:
+Heat kernels come in five representations:
 
 * theta series: the wrapped Gaussian on the circle (n = 1), the
   inverse-square-root wrapped integral on the 2-sphere (n = 2), and the
@@ -11,6 +11,8 @@ Heat kernels come in four representations:
 * contour: a vertical-line integral against exp(y^2/4t) sinh y
   (cosh y - cos phi)^(-(n+1)/2); for even n the half-integer power needs the
   analytic branch, tracked by an explicit sign on successive cut crossings.
+* spectral (n >= 2, t >= SPECTRAL_MIN_T): the Gegenbauer eigenfunction
+  series, summed by the three-term recurrence with a rigorous tail bound.
 * doubling (Poisson): the kernel at angle phi written as an average of the
   (2n+1)-sphere kernel at half the height.
 
@@ -51,8 +53,16 @@ from .quadrature import (
 # (documented accuracy loss around 1e-6 relative).
 GUARD_ANGLE = 1e-2
 
+# The spectral series refuses shorter times: its terms grow like t^(-n/2)
+# before they decay, so near the antipode, where the sum cancels to about
+# exp(-pi^2/4t), the roundoff floor swamps the value.  Sphere subordination
+# takes its inner heat kernel from the series from this time on; at 0.1 a
+# call costs about as much as heat_theta3 and a twentieth of heat_theta2.
+SPECTRAL_MIN_T = 0.1
+
 # bound once: an enum member lookup costs about as much as the entry check
 _SPHERE = Space.SPHERE
+_EPS = float(np.finfo(float).eps)
 
 
 def _pole_guarded(at, phi: float) -> QuadResult:
@@ -299,6 +309,72 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
     if phi == 0.0 and n % 2 == 1:
         return at(phi)
     return _pole_guarded(at, phi)
+
+
+# ---------------------------------------------------------------------------
+# spectral
+
+
+def heat_spectral(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Sphere heat kernel as its Gegenbauer eigenfunction series (n >= 2):
+
+    h_n(t, phi) = sum_l w_l C_l^a(cos phi) / vol(S^n),
+    w_l = exp(-(l+a)^2 t) (2l+n-1)/(n-1),  a = (n-1)/2,
+
+    summed by the recurrence (l+1) C_(l+1) = 2 (l+a) x C_l - (l+2a-1) C_(l-1).
+    Since |C_l^a(x)| <= C_l^a(1), term l is at most b_l = w_l C_l^a(1), and
+    the ratio b_(l+1)/b_l decreases in l; so the tail past term l is at most
+    b_(l+1) / (1 - q) with q = b_(l+2)/b_(l+1).  The sum stops once that bound
+    is at most tol |sum|, which holds too once the b_l underflow to 0.  The
+    error estimate is the tail bound plus a roundoff floor proportional to
+    the sum of the b_l, the larger term near the antipode, where the sum
+    cancels.  Times below SPECTRAL_MIN_T are refused.  ``n_evals`` counts
+    the terms summed.
+    """
+    check_query(_SPHERE, n, "heat", t, phi)
+    if n == 1:
+        raise DomainError("the spectral series is implemented for n >= 2")
+    if t < SPECTRAL_MIN_T:
+        raise DomainError(f"the spectral series needs t >= {SPECTRAL_MIN_T}, got {t}")
+    check_positive("tolerance", tol)
+    a = 0.5 * (n - 1)
+    two_a = 2.0 * a
+    x2 = 2.0 * math.cos(phi)
+    log_vol = math.log(2.0) + (a + 1.0) * math.log(math.pi) - math.lgamma(a + 1.0)
+    # w_l carries exp(-(l+a)^2 t) / exp(-a^2 t); that factor and 1/vol(S^n)
+    # are applied once, at the end
+    scale = math.exp(-a * a * t - log_vol)
+    exp = math.exp
+    c_prev, c = 0.0, 1.0  # C_(l-1), C_l at cos(phi)
+    w, w_next = 1.0, exp(-(1.0 + two_a) * t) * (1.0 + a) / a
+    c_one, c_one_next = 1.0, two_a  # C_l, C_(l+1) at 1
+    b_next = w_next * c_one_next
+    total = bound = 0.0
+    l = 0
+    while True:
+        total += w * c
+        bound += w * c_one
+        k = l + 2.0
+        c_one_2 = c_one_next * (k - 1.0 + two_a) / k
+        w_2 = exp(-k * (k + two_a) * t) * (k + a) / a
+        b_2 = w_2 * c_one_2
+        # tail <= b_next / (1 - b_2/b_next) <= tol |total|, multiplied out
+        if b_next * b_next <= tol * abs(total) * (b_next - b_2):
+            break
+        l += 1
+        c_prev, c = c, (x2 * (l - 1.0 + a) * c - (l - 2.0 + two_a) * c_prev) / l
+        w, w_next = w_next, w_2
+        c_one, c_one_next = c_one_next, c_one_2
+        b_next = b_2
+    tail = b_next * b_next / (b_next - b_2) if b_next > 0.0 else 0.0
+    # rounding: the recurrence and the sum lose about l + 1 units in the
+    # last place of the largest term, and each weight one per unit of its
+    # exponent l (l + 2a) t; the final scaling one per unit of its exponent,
+    # and it may land among the subnormals
+    floor = _EPS * bound * (2.0 * (l + 1) + l * (l + two_a) * t)
+    value = total * scale
+    err = (tail + floor) * scale + _EPS * (a * a * t + abs(log_vol) + 2.0) * abs(value)
+    return QuadResult(value, err + math.ulp(0.0) * (bound + 1.0), l + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ def test_representation_names():
         "descent",
         "gruet",
     )
+    assert analysis.representation_names(Space.SPHERE, "heat") == (
+        "theta",
+        "raise",
+        "gruet",
+        "spectral",
+    )
     assert "subordinate" in analysis.representation_names(Space.SPHERE, "poisson")
     assert "doubling" in analysis.representation_names(Space.SPHERE, "poisson")
     assert "gruet-classic" in analysis.representation_names(Space.HYPERBOLIC, "heat")
@@ -148,6 +154,37 @@ def test_subordination_closes_on_flat_space(n):
 def test_subordinate_validates_height():
     with pytest.raises(DomainError):
         analysis.subordinate(lambda t, s: 1.0, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("y", [0.8, 1.5])
+def test_sphere_subordinate_at_the_pole(y):
+    # the image-sum inner heat fails at r = 0 for large t, the spectral one not
+    res = analysis.evaluate(Space.SPHERE, 2, "poisson", y, 0.0, rep="subordinate")
+    want = sphere.poisson_closed(2, y, 0.0)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert abs(res.value - want) <= res.err_estimate
+
+
+def test_sphere_subordinate_takes_large_times_from_the_spectral_series(monkeypatch):
+    image_times = []
+    spectral_times = []
+    theta2 = sphere.heat_theta2
+    spectral = sphere.heat_spectral
+
+    def image_sum(t, phi, tol=1e-10):
+        image_times.append(t)
+        return theta2(t, phi, tol)
+
+    def series(n, t, phi, tol=1e-10):
+        spectral_times.append(t)
+        return spectral(n, t, phi, tol)
+
+    monkeypatch.setattr(sphere, "heat_theta2", image_sum)
+    monkeypatch.setattr(sphere, "heat_spectral", series)
+    res = analysis.evaluate(Space.SPHERE, 2, "poisson", 0.8, 1.5, rep="subordinate")
+    assert res.value == pytest.approx(sphere.poisson_closed(2, 0.8, 1.5), rel=1e-12)
+    assert image_times and max(image_times) < sphere.SPECTRAL_MIN_T
+    assert spectral_times and min(spectral_times) >= sphere.SPECTRAL_MIN_T
 
 
 def _brute_force_theta_weight(v: float, y: float) -> float:
@@ -327,7 +364,7 @@ def test_compare_records_refusals_as_nan():
 
 def test_compare_skips_representations_that_do_not_reach_n():
     sphere4 = analysis.compare(Space.SPHERE, 4, "heat", (0.8,), (1.5,), tol=1e-9)
-    assert sphere4.reps == ("raise", "gruet")
+    assert sphere4.reps == ("raise", "gruet", "spectral")
     hyp2 = analysis.compare(Space.HYPERBOLIC, 2, "heat", (0.8,), (1.5,), tol=1e-9)
     assert hyp2.reps == ("descent", "gruet", "gruet-classic")
     assert hyp2.worst < 1e-7

@@ -227,6 +227,21 @@ def test_eval_domain_errors_exit_3(runner, args):
     assert res.stdout == ""
 
 
+def test_eval_spectral_rep(runner):
+    args = ["eval", "--space", "sphere", "--dim", "6", "--kind", "heat",
+            "--r", "1", "--rep", "spectral"]
+    res = invoke(runner, args + ["--t", "50"])
+    assert res.exit_code == 0
+    value = float(res.stdout.split("value=")[1].split(" ")[0])
+    assert f"{value:.2e}" == "5.80e-138"
+    assert "rep=spectral" in res.stdout
+    # below SPECTRAL_MIN_T the series refuses; no substitution of auto
+    res = invoke(runner, args + ["--t", "0.01"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("domain error:")
+    assert res.stdout == ""
+
+
 # ----------------------------------------------------------------------------
 # eval: convergence failure (exit code 4)
 

@@ -10,10 +10,14 @@ expansion to any dimension through Gegenbauer polynomials:
                   C_l^((n-1)/2)(cos phi) / vol(S^n).
 
 Both use the normalization in which total mass decays as exp(-(n-1)^2 t/4).
+Where the sum cancels (near the antipode) or its value nears the underflow
+threshold, the same series is summed in 40-digit mpmath arithmetic with
+mpmath's own Gegenbauer polynomials instead.
 """
 
 import math
 
+import mpmath
 import pytest
 from scipy.special import eval_gegenbauer
 
@@ -48,6 +52,22 @@ def spectral_oracle(n: int, t: float, phi: float, terms: int = 80) -> float:
             * float(eval_gegenbauer(l, alpha, c))
         )
     return total / vol
+
+
+def mp_spectral_oracle(n: int, t: float, phi: float) -> float:
+    """The same series at 40 digits, summed until the terms fall below 1e-45."""
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(n - 1) / 2
+        vol = 2 * mpmath.pi ** (alpha + 1) / mpmath.gamma(alpha + 1)
+        c = mpmath.cos(mpmath.mpf(phi))
+        total = mpmath.mpf(0)
+        for l in range(400):
+            weight = mpmath.exp(-((l + alpha) ** 2) * t) * (2 * l + n - 1) / (n - 1)
+            total += weight * mpmath.gegenbauer(l, alpha, c)
+            # |C_l(c)| <= C_l(1) = binomial(l + 2 alpha - 1, l)
+            if weight * mpmath.binomial(l + 2 * alpha - 1, l) < 1e-45 * abs(total):
+                break
+        return float(total / vol)
 
 
 def circle_oracle(t: float, phi: float, terms: int = 80) -> float:
@@ -242,3 +262,69 @@ def test_poisson_doubling_edge_cases():
     # the smooth-angle variant is regular at phi = 0
     res = sphere.poisson_doubling(2, 0.5, 0.0, tol=1e-11, variant="angle")
     assert res.value == pytest.approx(sphere.poisson_closed(2, 0.5, 0.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# spectral
+
+SPECTRAL_TIMES = (sphere.SPECTRAL_MIN_T, 0.3, 1.0, 5.0, 20.0, 100.0)
+SPECTRAL_ANGLES = (0.0, 0.05, 1.0, 1.5, math.pi - 1e-3, math.pi)
+
+
+def _heat_oracle(n: int, t: float, phi: float) -> float:
+    value = spectral_oracle(n, t, phi)
+    if phi >= math.pi - 1e-3 or abs(value) < 1e-290:
+        return mp_spectral_oracle(n, t, phi)
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 13])
+def test_heat_spectral_matches_oracle(n):
+    wrong = []
+    for t in SPECTRAL_TIMES:
+        for phi in SPECTRAL_ANGLES:
+            res = sphere.heat_spectral(n, t, phi)
+            want = _heat_oracle(n, t, phi)
+            if not abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want)):
+                wrong.append((t, phi, res.value, want, res.err_estimate))
+    assert not wrong, wrong
+
+
+def test_heat_spectral_roundoff_floor_covers_the_antipode():
+    # at the shortest time the sum cancels to ~3e-10 of its largest terms, and
+    # the value is off by ~2e-7 relative: only the roundoff floor covers that
+    t, phi = sphere.SPECTRAL_MIN_T, math.pi
+    res = sphere.heat_spectral(2, t, phi)
+    want = mp_spectral_oracle(2, t, phi)
+    assert abs(res.value - want) > 1e-10 * want
+    assert abs(res.value - want) <= res.err_estimate
+
+
+@pytest.mark.parametrize(
+    "n,t,phi,published",
+    [(6, 50.0, 1.0, 5.80e-138), (13, 1.0, 0.05, 2.76e-17)],
+)
+def test_heat_spectral_fixes_large_time_points(n, t, phi, published):
+    res = sphere.heat_spectral(n, t, phi)
+    want = mp_spectral_oracle(n, t, phi)
+    assert res.value == pytest.approx(published, rel=5e-3)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * want)
+    assert res.err_estimate <= 1e-9 * want
+
+
+def test_heat_spectral_needs_few_terms_at_large_time():
+    assert sphere.heat_spectral(2, 50.0, 1.0).n_evals == 1
+    assert sphere.heat_spectral(2, 5.0, 1.0).n_evals <= 3
+    assert sphere.heat_spectral(2, 0.2, 1.0).n_evals <= 15
+
+
+def test_heat_spectral_domain():
+    with pytest.raises(DomainError):
+        sphere.heat_spectral(2, 0.5 * sphere.SPECTRAL_MIN_T, 1.0)
+    with pytest.raises(DomainError):
+        sphere.heat_spectral(1, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        sphere.heat_spectral(3, 1.0, 3.5)
+    with pytest.raises(DomainError):
+        sphere.heat_spectral(3, 1.0, 1.0, math.nan)
+    assert sphere.heat_spectral(2, sphere.SPECTRAL_MIN_T, 1.0).value > 0.0
