@@ -25,6 +25,8 @@ shift per space.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -57,6 +59,11 @@ def _any_n(n: int) -> bool:
     return True
 
 
+def _rank(cost: int):
+    """A row's ``auto`` rank that depends on neither n nor t."""
+    return lambda n, t: cost
+
+
 def _sphere_heat(route):
     """A sphere heat row: ``route`` gives the paper-convention kernel."""
 
@@ -68,63 +75,138 @@ def _sphere_heat(route):
 
 
 # Which representation serves which (space, kind, n).  Rows are
-# (name, dimension rule, call); ``auto`` takes the first row whose rule
-# admits n, and ``compare`` the rows whose rule admits n.  A call maps
+# (name, dimension rule, call, rank); ``compare`` takes the rows whose rule
+# admits n.  ``rank(n, t)`` orders the rows ``auto`` tries, cheapest first
+# (measured per point on the benchmark's auto sweep), or is None where
+# ``auto`` skips the row.  A table with one ranked row, its closed form,
+# gets that row's call as ``auto`` itself; the sphere and hyperbolic heat
+# kernels get the error-guarded walk of :func:`_walk`.  A call maps
 # (n, param, r, tol, convention, sigma) to a QuadResult and looks its route up
 # as a module attribute when it runs, so rebinding that attribute (to trace
 # or to mock it) reaches every caller.
 _REPRESENTATIONS = {
     (Space.EUCLIDEAN, "heat"): (
         ("closed", _any_n,
-         lambda n, t, r, tol, c, s: QuadResult(euclid.heat_closed(n, t, r), 0.0, 0)),
-        ("raise", _any_n, lambda n, t, r, tol, c, s: euclid.heat_raise(n, t, r, tol=tol)),
-        ("descent", _any_n, lambda n, t, r, tol, c, s: euclid.heat_descent(n, t, r, tol)),
-        ("gruet", _any_n, lambda n, t, r, tol, c, s: euclid.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         lambda n, t, r, tol, c, s: QuadResult(euclid.heat_closed(n, t, r), 0.0, 0), _rank(0)),
+        ("raise", _any_n, lambda n, t, r, tol, c, s: euclid.heat_raise(n, t, r, tol=tol), None),
+        ("descent", _any_n, lambda n, t, r, tol, c, s: euclid.heat_descent(n, t, r, tol), None),
+        ("gruet", _any_n,
+         lambda n, t, r, tol, c, s: euclid.heat_gruet(n, t, r, sigma=s, tol=tol), None),
     ),
     (Space.SPHERE, "heat"): (
         ("theta", lambda n: n <= 3,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol))),
-        ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol))),
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)), _rank(1)),
+        # pure jets for odd n (0.2-0.6 ms), a jet-valued integral for even n
+        # (5-150 ms); for n <= 2 it is the theta row itself
+        ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
+         lambda n, t: None if n <= 2 else 2 if n % 2 else 4),
         ("gruet", _any_n,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol))),
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         _rank(3)),
+        # 0.01-0.05 ms wherever it is defined
         ("spectral", lambda n: n >= 2,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_spectral(n, t, r, tol))),
+         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_spectral(n, t, r, tol)),
+         lambda n, t: 0 if t >= sphere.SPECTRAL_MIN_T else None),
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_raise(n, t, r, convention=c, tol=tol)),
+         lambda n, t, r, tol, c, s: hyperbolic.heat_raise(n, t, r, convention=c, tol=tol),
+         _rank(0)),
+        # a jet-valued integral (1-35 ms) claiming twice tol: tried last
         ("descent", lambda n: n % 2 == 0,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_descent(n, t, r, convention=c, tol=tol)),
+         lambda n, t, r, tol, c, s: hyperbolic.heat_descent(n, t, r, convention=c, tol=tol),
+         _rank(4)),
         ("gruet", _any_n, lambda n, t, r, tol, c, s: hyperbolic.heat_gruet(
-            n, t, r, sigma=s, convention=c, tol=tol)),
+            n, t, r, sigma=s, convention=c, tol=tol), _rank(2)),
+        # from t = 0.5 on it meets tol and costs less than gruet (0.3-0.5 ms
+        # against 0.6-1 ms); below it cancels, below ~0.004 it overflows
         ("gruet-classic", _any_n,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol)),
+         lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol),
+         lambda n, t: 1 if t >= 0.5 else 3),
     ),
     (Space.EUCLIDEAN, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(euclid.poisson_closed(n, y, r), 0.0, 0)),
-        ("integral", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_integral(n, y, r, tol)),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol)),
-        ("descent", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol)),
+         lambda n, y, r, tol, c, s: QuadResult(euclid.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
+        ("integral", _any_n,
+         lambda n, y, r, tol, c, s: euclid.poisson_integral(n, y, r, tol), None),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol), None),
+        ("descent", _any_n,
+         lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol), None),
         ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
-            lambda t, x: euclid.heat_closed(n, t, x), y, r, tol, dim_hint=n)),
+            lambda t, x: euclid.heat_closed(n, t, x), y, r, tol, dim_hint=n), None),
     ),
     (Space.SPHERE, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0)),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r)),
-        ("doubling", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol)),
+         lambda n, y, r, tol, c, s: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r), None),
+        ("doubling", _any_n,
+         lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol), None),
         ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
-            _heat_fn(Space.SPHERE, n, tol), y, r, tol, dim_hint=n)),
+            _heat_fn(Space.SPHERE, n, tol), y, r, tol, dim_hint=n), None),
     ),
     (Space.HYPERBOLIC, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0)),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_raise(n, y, r)),
-        ("descent", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_descent(n, y, r, tol)),
-        ("subordinate", _any_n, lambda n, y, r, tol, c, s: poisson_images(n, y, r, tol)),
+         lambda n, y, r, tol, c, s: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0),
+         _rank(0)),
+        ("raise", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_raise(n, y, r), None),
+        ("descent", _any_n,
+         lambda n, y, r, tol, c, s: hyperbolic.poisson_descent(n, y, r, tol), None),
+        ("subordinate", _any_n,
+         lambda n, y, r, tol, c, s: poisson_images(n, y, r, tol), None),
     ),
 }
+
+# the failures after which ``auto`` tries the next row; any other
+# DomainError is the caller's, and ends the walk
+_FALL_THROUGH = (ConvergenceError, SingularPointError, OverflowError)
+_TINY = sys.float_info.min
+
+
+def _walk(space: Space, kind: str, rows: tuple):
+    """``auto`` over several ranked rows: the first result that meets tol.
+
+    The rows that admit n and have a rank at t run cheapest first.  A result
+    is accepted when its error is at most max(tol |value|, the smallest
+    normal float), so a kernel that underflows is accepted as 0 with its
+    absolute bound.  A row that raises one of _FALL_THROUGH passes to the
+    next.  If no row meets tol, the finished result with the smallest error
+    is returned; if every row raised, the first row's exception is.
+    """
+
+    def walk(n, param, r, tol, convention, sigma):
+        check_query(space, n, kind, param, r)
+        order = []
+        for _, admits, call, rank in rows:
+            cost = rank(n, param) if admits(n) else None
+            if cost is not None:
+                order.append((cost, call))
+        order.sort(key=operator.itemgetter(0))
+        best = first = None
+        for _, call in order:
+            try:
+                res = call(n, param, r, tol, convention, sigma)
+            except _FALL_THROUGH as exc:
+                if first is None:
+                    first = exc
+                continue
+            if res.err_estimate <= max(tol * abs(res.value), _TINY):
+                return res
+            if best is None or res.err_estimate < best.err_estimate:
+                best = res
+        if best is None:
+            raise first
+        return best
+
+    return walk
+
+
+def _auto(space: Space, kind: str, rows: tuple):
+    """The call of a table's only ranked row, else the walk over its rows."""
+    ranked = [call for _, _, call, rank in rows if rank is not None]
+    return ranked[0] if len(ranked) == 1 else _walk(space, kind, rows)
+
+
+_AUTO = {key: _auto(*key, rows) for key, rows in _REPRESENTATIONS.items()}
 
 
 def _rows(space: Space, kind: str) -> tuple:
@@ -136,10 +218,14 @@ def _rows(space: Space, kind: str) -> tuple:
     return rows
 
 
-def _route(space: Space, kind: str, n: int, rep: str):
-    """The call of the named row, or for "auto" of the first row admitting n."""
-    for name, admits, call in _rows(space, kind):
-        if name == rep or (rep == "auto" and admits(n)):
+def _route(space: Space, kind: str, rep: str):
+    """The call of the named row, or for "auto" the ``_AUTO`` entry."""
+    if rep == "auto":
+        call = _AUTO.get((space, kind))
+        if call is not None:
+            return call
+    for name, _, call, _ in _rows(space, kind):
+        if name == rep:
             return call
     raise DomainError(
         f"representation {rep!r} is not available for the {space.value} {kind} kernel"
@@ -147,8 +233,13 @@ def _route(space: Space, kind: str, n: int, rep: str):
 
 
 def representation_names(space: Space, kind: str) -> tuple[str, ...]:
-    """The representations of (space, kind), in the order ``auto`` tries them."""
-    return tuple(name for name, _, _ in _rows(space, kind))
+    """The representations of (space, kind), in table order.
+
+    ``auto`` calls the closed form where there is one; on the sphere and
+    hyperbolic heat kernels it walks these rows by cost rank (see
+    :func:`evaluate`).
+    """
+    return tuple(row[0] for row in _rows(space, kind))
 
 
 def evaluate(
@@ -165,14 +256,20 @@ def evaluate(
 ) -> QuadResult:
     """Evaluate one kernel by the named representation.
 
-    ``param`` is the time t (heat) or height y (poisson); ``rep`` of "auto"
-    picks the first representation of :func:`representation_names` that
-    reaches dimension n.  The convention applies to hyperbolic and sphere
-    heat kernels ("markovian" rescales to the unit-mass normalization); it is
-    validated everywhere and ignored where the normalizations coincide, and
-    so is ``tol``, which must lie in (0, 1).
+    ``param`` is the time t (heat) or height y (poisson).  ``rep`` of "auto"
+    calls the closed form where one exists.  For the sphere and hyperbolic
+    heat kernels it tries the representations cheapest first (a cost rank
+    per row that may depend on n and t) and returns the first result whose
+    error is at most max(tol |value|, the smallest normal float).  A row that
+    raises ConvergenceError, SingularPointError or OverflowError passes to
+    the next one.  If no row meets tol, the result with the smallest error
+    is returned; if every row raised, the first row's exception is raised.
+    The convention applies to hyperbolic and sphere heat kernels
+    ("markovian" rescales to the unit-mass normalization); it is validated
+    everywhere and ignored where the normalizations coincide, and so is
+    ``tol``, which must lie in (0, 1).
     """
-    call = _route(space, kind, n, rep)
+    call = _route(space, kind, rep)
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if not 0.0 < tol < 1.0:
@@ -197,7 +294,7 @@ def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float
             return hyperbolic.heat_descent(n, t, r, tol=inner).value
 
         return even
-    call = _route(space, "heat", n, "auto")
+    call = _route(space, "heat", "auto")
     if space is Space.SPHERE and n >= 2:
 
         def spectral_above(t: float, r: float) -> float:
@@ -321,7 +418,16 @@ def heat_mass(
     if space is Space.HYPERBOLIC and n % 2 == 0:
         point = lambda rho: hyperbolic.heat_classic(n, t, rho, tol=inner).value
     else:
-        call = _route(space, "heat", n, "auto")
+        # the closed form, the image sums or raising, never ``auto``: the
+        # spectral series' mass is exactly its l = 0 term, so it would test
+        # nothing
+        if space is Space.EUCLIDEAN:
+            rep = "closed"
+        elif space is Space.SPHERE and n <= 3:
+            rep = "theta"
+        else:
+            rep = "raise"
+        call = _route(space, "heat", rep)
         point = lambda x: call(n, t, x, inner, "paper", None).value
 
     def f(x: float) -> float:
@@ -571,7 +677,7 @@ def compare(
     are recorded as NaN and skipped in the pairwise comparison.
     """
     if reps is None:
-        reps = [name for name, admits, _ in _rows(space, kind) if admits(n)]
+        reps = [name for name, admits, _, _ in _rows(space, kind) if admits(n)]
     values = {}
     errs = {}
     for rep in reps:
@@ -722,7 +828,7 @@ def subordination_sweep(
             "markovian": lambda t, r: base(t, r)
             * convention_factor(space, "markovian", n, t),
         }
-    closed_form = _route(space, "poisson", n, "closed")
+    closed_form = _route(space, "poisson", "closed")
     closed = lambda y, r: closed_form(n, y, r, tol, "paper", None).value
 
     quarter = 0.25 * (n - 1) ** 2

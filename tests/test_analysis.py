@@ -9,6 +9,7 @@ here), and divergent for n >= 3.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 
 from ckernels import analysis, euclid, hyperbolic, sphere
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
-from ckernels.geometry import Space
+from ckernels.geometry import CONVENTIONS, Space
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +29,9 @@ from ckernels.geometry import Space
     "space, t, r, rep, outcome",
     [
         # nodes near s = 700 overflow the sinh jet of the descent integrand
-        (Space.HYPERBOLIC, 1e-3, 700.0, "auto", 0.0),
+        (Space.HYPERBOLIC, 1e-3, 700.0, "descent", 0.0),
         (Space.EUCLIDEAN, 1e-3, 800.0, "raise", 0.0),
-        (Space.HYPERBOLIC, 200.0, 1.0, "auto", ConvergenceError),
+        (Space.HYPERBOLIC, 200.0, 1.0, "descent", ConvergenceError),
     ],
 )
 def test_batched_jet_routes_warn_nothing(space, t, r, rep, outcome):
@@ -76,23 +77,90 @@ def test_evaluate_dispatches_to_closed_forms():
     assert got == sphere.heat_theta2(0.7, 1.1).value
 
 
-def _auto_policy(space, kind, n):
-    """The route ``auto`` must take, written out independently of the table."""
+def _auto_order(space, kind, n, t):
+    """The rows ``auto`` tries at time or height t, cheapest first, written out
+    independently of the table."""
     if kind == "poisson" or space is Space.EUCLIDEAN:
-        return "closed"
+        return ["closed"]
     if space is Space.SPHERE:
-        return "theta" if n <= 3 else "raise"
-    return "raise" if n % 2 == 1 else "descent"
+        order = ["spectral"] if n >= 2 and t >= 0.1 else []
+        order += ["theta"] if n <= 3 else []
+        order += ["raise"] if n % 2 == 1 and n >= 3 else []
+        order += ["gruet"]
+        return order + (["raise"] if n % 2 == 0 and n >= 4 else [])
+    order = ["raise"] if n % 2 == 1 else []
+    order += ["gruet-classic", "gruet"] if t >= 0.5 else ["gruet", "gruet-classic"]
+    return order + ([] if n % 2 == 1 else ["descent"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["heat", "poisson"])
 @pytest.mark.parametrize("space", list(Space))
 def test_evaluate_auto_matches_named_route(space, kind, n):
-    param, r = 0.8, 1.5
-    auto = analysis.evaluate(space, n, kind, param, r)
-    named = analysis.evaluate(space, n, kind, param, r, rep=_auto_policy(space, kind, n))
-    assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate)
+    # at these points the cheapest row meets tol
+    r = 1.5
+    for param in (0.05, 0.8):
+        auto = analysis.evaluate(space, n, kind, param, r)
+        rep = _auto_order(space, kind, n, param)[0]
+        named = analysis.evaluate(space, n, kind, param, r, rep=rep)
+        assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate), rep
+
+
+def _meets(res, tol):
+    return res.err_estimate <= max(tol * abs(res.value), sys.float_info.min)
+
+
+@pytest.mark.parametrize("space", [Space.SPHERE, Space.HYPERBOLIC])
+def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypatch):
+    # auto tries the rows in _auto_order and returns one row's own result:
+    # the first that meets tol, else the smallest err of the rows that
+    # finished; if every row raised, the first row's exception
+    tol = 1e-10
+    log = []
+
+    def recorded(name, call):
+        def wrapped(*args):
+            try:
+                res = call(*args)
+            except Exception as exc:
+                log.append((name, exc))
+                raise
+            log.append((name, res))
+            return res
+
+        return wrapped
+
+    key = (space, "heat")
+    rows = tuple(
+        (name, admits, recorded(name, call), rank)
+        for name, admits, call, rank in analysis._REPRESENTATIONS[key]
+    )
+    monkeypatch.setitem(analysis._AUTO, key, analysis._walk(space, "heat", rows))
+    far = 3.1 if space is Space.SPHERE else 50.0
+    for n in range(1, 16):
+        for t in (1e-3, 0.05, 0.8, 10.0, 100.0):
+            for i, r in enumerate((0.0, 0.02, 1.0, far)):
+                convention = CONVENTIONS[(n + i) % 2]
+                log.clear()
+                try:
+                    res = analysis.evaluate(space, n, "heat", t, r, tol=tol, convention=convention)
+                except (ConvergenceError, SingularPointError, OverflowError) as exc:
+                    res = exc
+                names = [name for name, _ in log]
+                finished = [out for _, out in log if not isinstance(out, Exception)]
+                order = _auto_order(space, "heat", n, t)
+                where = (n, t, r, convention, names)
+                assert names == order[: len(names)], where
+                if isinstance(res, Exception):
+                    assert names == order and not finished and res is log[0][1], where
+                elif _meets(res, tol):
+                    assert res is log[-1][1], where
+                    assert not any(_meets(out, tol) for out in finished[:-1]), where
+                else:
+                    assert names == order, where
+                    assert not any(_meets(out, tol) for out in finished), where
+                    assert any(res is out for out in finished), where
+                    assert res.err_estimate == min(out.err_estimate for out in finished), where
 
 
 def test_evaluate_conventions():
@@ -253,6 +321,18 @@ def test_heat_mass_hyperbolic_growth_law():
     assert markov == pytest.approx(1.0, rel=1e-8)
     even = analysis.heat_mass(Space.HYPERBOLIC, 2, 0.5).value
     assert even == pytest.approx(math.exp(0.5 / 4.0), rel=1e-7)
+
+
+def test_heat_mass_sphere_never_uses_the_spectral_series(monkeypatch):
+    # the series' mass is exactly its l = 0 term, so the check would test
+    # nothing; the cheapest auto row at this t would be the series
+    def refuse(*args, **kwargs):
+        raise AssertionError("heat_mass called heat_spectral")
+
+    monkeypatch.setattr(sphere, "heat_spectral", refuse)
+    t = 0.2
+    got = analysis.heat_mass(Space.SPHERE, 4, t, tol=1e-6).value
+    assert got == pytest.approx(math.exp(-9.0 * t / 4.0), rel=1e-6)
 
 
 def test_fit_spectral_shift():

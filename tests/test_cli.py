@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from ckernels import Space, evaluate
 from ckernels.cli import CSV_HEADER, _parse_grid, main
 from ckernels.euclid import heat_closed
+from ckernels.sphere import heat_spectral
 
 
 @pytest.fixture
@@ -302,16 +303,20 @@ def test_eval_singular_rep_substitutes_auto(runner):
     assert float(fields[6]) == pytest.approx(heat_closed(3, 0.5, 1e-5), rel=1e-15)
 
 
-def test_eval_singular_after_substitution_exits_3(runner):
-    # Near the antipode the image sum refuses even under auto selection.
+def test_eval_singular_rep_at_antipode_substitutes_auto(runner):
+    # The image sum refuses the antipode; the substituted auto serves it
+    # from its cheapest row that meets tol, the spectral series at t = 0.5.
     res = invoke(
         runner,
         ["eval", "--space", "sphere", "--dim", "3", "--kind", "heat",
-         "--t", "0.5", "--r", str(math.pi), "--rep", "theta"],
+         "--t", "0.5", "--r", str(math.pi), "--rep", "theta", "--format", "csv"],
     )
-    assert res.exit_code == 3
+    assert res.exit_code == 0
     assert "substituting the auto representation" in res.stderr
-    assert "domain error:" in res.stderr
+    fields = res.stdout.strip().splitlines()[1].split(",")
+    assert fields[5] == "auto"
+    expected = heat_spectral(3, 0.5, math.pi)
+    assert abs(float(fields[6]) - expected.value) <= expected.err_estimate
 
 
 # ----------------------------------------------------------------------------

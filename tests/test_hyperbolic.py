@@ -10,10 +10,12 @@ exp((n-1)^2 t / 4); "markovian" rescales to unit mass.
 
 import math
 
+import mpmath
 import pytest
 
-from ckernels import hyperbolic
+from ckernels import analysis, hyperbolic
 from ckernels.errors import DomainError, SingularPointError
+from ckernels.geometry import Space
 
 HEAT_N3_T08_R15 = 0.010940710117840375
 HEAT_N3_T03_R22 = 0.0011945895476972103
@@ -237,3 +239,49 @@ def test_poisson_descent_matches_closed(n):
 def test_poisson_tends_to_zero_at_infinity():
     vals = [hyperbolic.poisson_closed(2, 1.0, rho) for rho in (5.0, 50.0, 500.0)]
     assert vals[0] > vals[1] > vals[2] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# auto
+
+
+def mp_heat4(t: float, rho: float) -> float:
+    """The 4-dimensional kernel at 30 digits: the descent integral
+
+    H_4(rho) = sqrt(2) integral_rho^inf H_5(s) sinh s (cosh s - cosh rho)^(-1/2) ds
+
+    with H_5 sinh s = -(1/2 pi) d/ds H_3 taken from the exact 3-dimensional
+    kernel, and s = rho + w^2 removing the endpoint singularity.
+    """
+    with mpmath.workdps(30):
+        t, rho = mpmath.mpf(t), mpmath.mpf(rho)
+        amp = (4 * mpmath.pi * t) ** -1.5
+
+        def d_heat3(s):
+            sh = mpmath.sinh(s)
+            return amp * mpmath.exp(-s * s / (4 * t)) * (
+                (sh - s * mpmath.cosh(s)) / sh**2 - s * s / (2 * t * sh)
+            )
+
+        def f(w):
+            s = rho + w * w
+            gap = 2 * mpmath.sinh((s + rho) / 2) * mpmath.sinh(w * w / 2)
+            return d_heat3(s) / mpmath.sqrt(gap) * 2 * w
+
+        # the Gaussian factor is below 1e-50 past the top
+        top = mpmath.sqrt(mpmath.sqrt(rho * rho + 4 * t * 120) - rho)
+        total = mpmath.quad(f, mpmath.linspace(0, top, 9))
+        return float(-mpmath.sqrt(2) / (2 * mpmath.pi) * total)
+
+
+def test_mp_heat4_matches_frozen_value():
+    assert mp_heat4(0.8, 1.5) == pytest.approx(HEAT_N4_T08_R15, rel=5e-10)
+
+
+def test_auto_heat_at_large_time():
+    # descent, the only even-n row auto took before, runs out of bisection
+    # depth here (ConvergenceError); the walk returns the contour value
+    res = analysis.evaluate(Space.HYPERBOLIC, 4, "heat", 200.0, 1.0)
+    want = mp_heat4(200.0, 1.0)
+    assert f"{res.value:.2e}" == "1.19e-06"
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))

@@ -21,8 +21,9 @@ import mpmath
 import pytest
 from scipy.special import eval_gegenbauer
 
-from ckernels import sphere
+from ckernels import analysis, sphere
 from ckernels.errors import DomainError, SingularPointError
+from ckernels.geometry import Space
 
 THETA1_T07_P11 = 0.21888416330250216
 THETA1_T025_P29 = 0.00013163819524974176
@@ -310,6 +311,43 @@ def test_heat_spectral_fixes_large_time_points(n, t, phi, published):
     assert res.value == pytest.approx(published, rel=5e-3)
     assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * want)
     assert res.err_estimate <= 1e-9 * want
+
+
+@pytest.mark.parametrize(
+    "n,t,phi",
+    [
+        (2, 0.05, 0.0),
+        # heat_theta2 runs out of bisection depth at the pole (ConvergenceError)
+        (2, 0.8, 0.0),
+        # heat_theta3 refuses phi < 1e-6 (SingularPointError)
+        (3, 0.05, 1e-7),
+    ],
+)
+def test_auto_heat_at_the_pole(n, t, phi):
+    res = analysis.evaluate(Space.SPHERE, n, "heat", t, phi)
+    want = mp_spectral_oracle(n, t, phi)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
+
+
+@pytest.mark.parametrize(
+    "n,t,phi,published",
+    # raising returned 2.8e-21, 2.2e-6 and 7.8e-20 here, claiming 1e-10
+    [(6, 50.0, 1.0, 5.80e-138), (13, 1.0, 0.05, 2.76e-17), (4, 20.0, 1.0, 1.09e-21)],
+)
+def test_auto_heat_fixes_raising_misses(n, t, phi, published):
+    res = analysis.evaluate(Space.SPHERE, n, "heat", t, phi)
+    want = mp_spectral_oracle(n, t, phi)
+    assert res.value == pytest.approx(published, rel=5e-3)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
+
+
+def test_auto_heat_accepts_an_underflowed_kernel():
+    # the kernel is about exp(-4766): auto returns 0 with an absolute bound,
+    # where raising returned -5.9e-20 and claimed 5.9e-30
+    res = analysis.evaluate(Space.SPHERE, 15, "heat", 97.26, 0.9898)
+    assert res.value == 0.0
+    assert res.err_estimate <= 1e-300
+    assert mp_spectral_oracle(15, 97.26, 0.9898) == 0.0
 
 
 def test_heat_spectral_needs_few_terms_at_large_time():
