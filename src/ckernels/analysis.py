@@ -105,7 +105,7 @@ _REPRESENTATIONS = {
          _rank(3)),
         # 0.01-0.05 ms wherever it is defined
         ("spectral", lambda n: n >= 2,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_spectral(n, t, r, tol)),
+         lambda n, t, r, tol, c, s: sphere.heat_spectral(n, t, r, tol, convention=c),
          lambda n, t: 0 if t >= sphere.SPECTRAL_MIN_T else None),
     ),
     (Space.HYPERBOLIC, "heat"): (

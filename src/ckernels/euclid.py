@@ -10,7 +10,8 @@ and the alternative representations cross-validate them:
 * raising: apply D = -(2 pi w)^(-1) d/dr, which sends dimension n to n+2,
   (n-1)/2 times to the 1-d kernel for odd n; for even n either apply it to
   the descent integral of the 3-d kernel ("outside") or move it under the
-  integral sign ("inside").
+  integral sign ("inside").  Outside, the descent integral separates: the
+  jet in r of a closed-form factor multiplies one scalar integral.
 * descent: the inverse-square-root integral
   integral_r^inf (s^2-r^2)^(-1/2) K_(n+1)(s) 2s ds, which lowers n+1 to n
   with multiplicative constant exactly 1.
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query
@@ -247,32 +246,20 @@ def _halfplane_jet(y: float) -> RadialGenerator:
 def _space_descent_jet(y: float, tol: float, evals: list) -> RadialGenerator:
     """Jets of the 2-d Poisson kernel as the descent integral of the 3-d one.
 
-    P_3(y, s) = y / (pi^2 (s^2+y^2)^2); with z = s^2 - r^2 the descent
-    integral is y/pi^2 integral_0^inf z^(-1/2) (z + r^2 + y^2)^(-2) dz.  The
-    z-tail is algebraic, so it is split at a finite point and compactified.
-    Both integrands run once per quadrature panel, on a batch of jets.
+    P_3(y, s) = y / (pi^2 (s^2+y^2)^2); with s^2 - r^2 = (r^2+y^2) v^2 the
+    integral becomes y/pi^2 (r^2+y^2)^(-3/2) integral_0^inf 2 (1+v^2)^(-2) dv:
+    the integrand separates, so the jet in r multiplies one scalar integral.
     """
     amp = y / math.pi**2
 
     def gen(center: float, order: int) -> Jet:
         x = variable(center, order)
-        shift = x * x + y * y
-        z_split = 4.0 * (center * center + y * y) + 1.0
-
-        def body(z: np.ndarray):
-            return (shift + z).power(-2.0).coeffs
-
-        def tail(z: np.ndarray):
-            return (shift + z).power(-2.0).coeffs / np.sqrt(z)[:, None]
-
-        res1 = integrate_sqrt_endpoint(
-            body, 0.0, z_split, tol * 0.1, abs_tol=0.0, vectorized=True
+        radial = (x * x + y * y).power(-1.5)
+        res = integrate_to_infinity(
+            lambda v: 2.0 / (1.0 + v * v) ** 2, 0.0, tol * 0.1, abs_tol=0.0
         )
-        res2 = integrate_to_infinity(
-            tail, z_split, tol * 0.1, abs_tol=0.0, scale=z_split, vectorized=True
-        )
-        evals.append(res1.n_evals + res2.n_evals)
-        return Jet(center, res1.value + res2.value) * amp
+        evals.append(res.n_evals)
+        return radial * (res.value * amp)
 
     return gen
 

@@ -129,18 +129,23 @@ def spectral_shift(space: Space, n: int) -> float:
     return -shift if space is Space.SPHERE else shift
 
 
-def convention_factor(space: Space, convention: str, n: int, t: float) -> float:
-    """Multiplier taking the "paper"-convention heat kernel to the requested one.
-
-    The "markovian" kernel drops the spectral shift, so the factor is
-    exp(-spectral_shift * t): 1 on Euclidean space, exp((n-1)^2 t/4) on the
-    sphere and exp(-(n-1)^2 t/4) on hyperbolic space.
+def convention_exponent(space: Space, convention: str, n: int, t: float) -> float:
+    """Log of the multiplier taking the "paper"-convention heat kernel to the
+    requested one.  The "markovian" kernel drops the spectral shift, so it is
+    -spectral_shift * t: 0 on Euclidean space, (n-1)^2 t/4 on the sphere and
+    -(n-1)^2 t/4 on hyperbolic space.  On the sphere the factor overflows
+    past 709 while the kernel underflows, so a route adds this to its exponent.
     """
     if convention == "paper":
-        return 1.0
+        return 0.0
     if convention == "markovian":
-        return math.exp(-spectral_shift(space, n) * t)
+        return -spectral_shift(space, n) * t
     raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
+def convention_factor(space: Space, convention: str, n: int, t: float) -> float:
+    """The multiplier exp(:func:`convention_exponent`)."""
+    return math.exp(convention_exponent(space, convention, n, t))
 
 
 def space_from_name(name: str) -> Space:

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .geometry import Space, check_positive, check_query
+from .geometry import Space, check_positive, check_query, convention_exponent
 from .jets import Jet, RadialGenerator, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
@@ -315,7 +315,9 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 # spectral
 
 
-def heat_spectral(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
+def heat_spectral(
+    n: int, t: float, phi: float, tol: float = DEFAULT_TOL, *, convention: str = "paper"
+) -> QuadResult:
     """Sphere heat kernel as its Gegenbauer eigenfunction series (n >= 2):
 
     h_n(t, phi) = sum_l w_l C_l^a(cos phi) / vol(S^n),
@@ -329,7 +331,8 @@ def heat_spectral(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> Qua
     error estimate is the tail bound plus a roundoff floor proportional to
     the sum of the b_l, the larger term near the antipode, where the sum
     cancels.  Times below SPECTRAL_MIN_T are refused.  ``n_evals`` counts
-    the terms summed.
+    the terms summed.  The "markovian" convention's factor exp(a^2 t) is
+    folded into the final scaling, which it cancels, so it never overflows.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if n == 1:
@@ -341,9 +344,10 @@ def heat_spectral(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> Qua
     two_a = 2.0 * a
     x2 = 2.0 * math.cos(phi)
     log_vol = math.log(2.0) + (a + 1.0) * math.log(math.pi) - math.lgamma(a + 1.0)
-    # w_l carries exp(-(l+a)^2 t) / exp(-a^2 t); that factor and 1/vol(S^n)
-    # are applied once, at the end
-    scale = math.exp(-a * a * t - log_vol)
+    # w_l carries exp(-(l+a)^2 t) / exp(-a^2 t); that factor, times the
+    # convention's, and 1/vol(S^n) are applied once, at the end
+    carried = a * a * t - convention_exponent(_SPHERE, convention, n, t)
+    scale = math.exp(-carried - log_vol)
     exp = math.exp
     c_prev, c = 0.0, 1.0  # C_(l-1), C_l at cos(phi)
     w, w_next = 1.0, exp(-(1.0 + two_a) * t) * (1.0 + a) / a
@@ -373,7 +377,7 @@ def heat_spectral(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> Qua
     # and it may land among the subnormals
     floor = _EPS * bound * (2.0 * (l + 1) + l * (l + two_a) * t)
     value = total * scale
-    err = (tail + floor) * scale + _EPS * (a * a * t + abs(log_vol) + 2.0) * abs(value)
+    err = (tail + floor) * scale + _EPS * (carried + abs(log_vol) + 2.0) * abs(value)
     return QuadResult(value, err + math.ulp(0.0) * (bound + 1.0), l + 1)
 
 

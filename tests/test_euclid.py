@@ -181,6 +181,36 @@ def test_poisson_raise_even_variants(variant, n, y, r):
     assert res.value == pytest.approx(euclid.poisson_closed(n, y, r), rel=5e-10)
 
 
+EVEN_RAISE_POINTS = POISSON_POINTS + [(0.1, 2.9), (0.9, 0.0)]
+
+
+def _assert_honest_poisson_raise(n, y, r):
+    res = euclid.poisson_raise(n, y, r)
+    want = euclid.poisson_closed(n, y, r)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
+
+
+@pytest.mark.parametrize("n", range(2, 16, 2))
+@pytest.mark.parametrize("y,r", EVEN_RAISE_POINTS)
+def test_poisson_raise_even_outside_is_honest(n, y, r):
+    _assert_honest_poisson_raise(n, y, r)
+
+
+@pytest.mark.xfail(strict=False, reason="ROADMAP item 1: raising is condition-limited here")
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("y,r", [(8.6, 1.07), (9.2, 1.07)])
+def test_poisson_raise_even_outside_condition_limited(n, y, r):
+    _assert_honest_poisson_raise(n, y, r)
+
+
+@pytest.mark.parametrize("n", [2, 8, 14])
+def test_poisson_raise_even_cost_is_independent_of_the_point(n):
+    # the descent integral separates: the one scalar integral it leaves
+    # depends on neither y nor r
+    counts = {euclid.poisson_raise(n, y, r).n_evals for y, r in EVEN_RAISE_POINTS}
+    assert len(counts) == 1 and counts.pop() > 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("y,r", POISSON_POINTS)
 def test_poisson_descent(n, y, r):

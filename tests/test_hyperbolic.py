@@ -21,7 +21,7 @@ HEAT_N3_T08_R15 = 0.010940710117840375
 HEAT_N3_T03_R22 = 0.0011945895476972103
 HEAT_N2_T08_R15 = 0.039152068486058744
 HEAT_N2_T03_R22 = 0.003239342573697513
-HEAT_N4_T08_R15 = 0.0033630603561589919
+HEAT_N4_T08_R15 = 0.00336306035647014
 HEAT_N5_T08_R15 = 0.0011249493073970195
 POISSON_N1_Y09_R14 = 0.081521799162612736
 POISSON_N2_Y09_R14 = 0.023306875239189156
@@ -275,7 +275,7 @@ def mp_heat4(t: float, rho: float) -> float:
 
 
 def test_mp_heat4_matches_frozen_value():
-    assert mp_heat4(0.8, 1.5) == pytest.approx(HEAT_N4_T08_R15, rel=5e-10)
+    assert mp_heat4(0.8, 1.5) == pytest.approx(HEAT_N4_T08_R15, rel=1e-13)
 
 
 def test_auto_heat_at_large_time():

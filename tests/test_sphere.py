@@ -350,6 +350,35 @@ def test_auto_heat_accepts_an_underflowed_kernel():
     assert mp_spectral_oracle(15, 97.26, 0.9898) == 0.0
 
 
+@pytest.mark.parametrize(
+    "n,t,phi,want",
+    # markovian references: the series at 40 digits with exp(a^2 t) folded
+    # into its weights.  Formed on its own that factor is e^861 and e^1932,
+    # and every row raised OverflowError here
+    [(7, 95.67, 0.005656, 0.0307979467640530), (10, 95.4, 0.00778, 0.0482505725419601)],
+)
+def test_markovian_heat_at_large_time_does_not_overflow(n, t, phi, want):
+    for res in (
+        sphere.heat_spectral(n, t, phi, convention="markovian"),
+        analysis.evaluate(Space.SPHERE, n, "heat", t, phi, convention="markovian"),
+        analysis.evaluate(
+            Space.SPHERE, n, "heat", t, phi, rep="spectral", convention="markovian"
+        ),
+    ):
+        assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
+
+
+def test_heat_spectral_convention_is_the_factor():
+    for n, t, phi in [(2, 0.3, 1.0), (5, 2.0, 0.4), (9, 1.0, 3.0)]:
+        paper = sphere.heat_spectral(n, t, phi)
+        markov = sphere.heat_spectral(n, t, phi, convention="markovian")
+        factor = math.exp(0.25 * (n - 1) ** 2 * t)
+        assert markov.value == pytest.approx(paper.value * factor, rel=1e-13)
+        assert markov.n_evals == paper.n_evals
+    with pytest.raises(DomainError):
+        sphere.heat_spectral(3, 1.0, 1.0, convention="physics")
+
+
 def test_heat_spectral_needs_few_terms_at_large_time():
     assert sphere.heat_spectral(2, 50.0, 1.0).n_evals == 1
     assert sphere.heat_spectral(2, 5.0, 1.0).n_evals <= 3
