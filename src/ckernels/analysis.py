@@ -46,7 +46,7 @@ from .geometry import (
     spectral_shift,
     sphere_surface_coeff,
 )
-from .jets import Jet, gauss_jet, raise_jet, variable
+from .jets import Jet, gauss_jet, raise_jet, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -375,20 +375,41 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     Exchanging the image sum with the subordination integral leaves a single
     integral of the heat kernel against a theta-type weight in the
     subordination variable, so no image truncation is needed.
+
+    The integrand runs once per quadrature panel.  For odd n where
+    ``hyperbolic.raises_directly`` (rho = 0 or rho >= GUARD_RHO, any rho for
+    n = 1) the inner heat kernel at the panel's 15 times is one batched raise
+    of the Gaussian: the row the ``auto`` walk accepts first there, with err
+    0.  The other nodes take the inner heat kernel one by one, as the walk
+    gives it: nodes where the batch overflows or is not finite, guard-band
+    rho, where raising extrapolates and the walk moves on to the Gruet rows,
+    and even n.
     """
     check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
     heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
+    k = (n - 1) // 2
+    batched = n % 2 == 1 and hyperbolic.raises_directly(k, rho)
 
-    def f(v: float) -> float:
-        w = _theta_weight(v, y)
-        if w == 0.0:
-            return 0.0
-        return w * heat_fn(0.25 / (v * v), rho)
+    def f(vs: np.ndarray) -> np.ndarray:
+        w = np.array([_theta_weight(v, y) for v in vs])
+        ts = 0.25 / (vs * vs)
+        heat = np.full(len(vs), math.nan)  # a node left non-finite takes the walk
+        if batched:
+            try:
+                heat = raise_operator(Space.HYPERBOLIC, gauss_jet(ts), k, rho)
+            except OverflowError:  # sinh rho, above rho ~ 710
+                pass
+        heat[w == 0.0] = 0.0  # an underflowed weight needs no heat
+        for i in np.flatnonzero(~np.isfinite(heat)):
+            heat[i] = heat_fn(ts[i], rho)
+        return w * heat
 
     # breakpoints: the series switch inside the weight, and the inner
     # representation switch for even dimensions at t = 1
-    res = integrate_adaptive(f, 0.054, v_max, tol, abs_tol=0.0, breakpoints=[0.3, 0.5])
+    res = integrate_adaptive(
+        f, 0.054, v_max, tol, abs_tol=0.0, breakpoints=[0.3, 0.5], vectorized=True
+    )
     inner_err = 3.0 * max(tol * 0.1, 1e-12) * abs(res.value)
     return QuadResult(res.value, res.err_estimate + inner_err + 1e-30, res.n_evals)
 

@@ -57,6 +57,15 @@ GUARD_RHO = 1e-2
 _HYPERBOLIC = Space.HYPERBOLIC
 
 
+def raises_directly(k: int, rho: float) -> bool:
+    """Whether the raising routes raise k times at rho itself, with err 0.
+
+    Elsewhere, in the guard band 0 < rho < GUARD_RHO, they extrapolate evenly
+    from 2 and 4 GUARD_RHO, where the weight sinh rho is not small.
+    """
+    return rho == 0.0 or k == 0 or rho >= GUARD_RHO
+
+
 # ---------------------------------------------------------------------------
 # heat kernels
 
@@ -80,7 +89,7 @@ def heat_raise(
         value = raise_operator(Space.HYPERBOLIC, gauss_jet(t), k, r) * factor
         return QuadResult(value, 0.0, 0)
 
-    if rho == 0.0 or k == 0 or rho >= GUARD_RHO:
+    if raises_directly(k, rho):
         return at(rho)
     return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
 
@@ -303,7 +312,7 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
         value = raise_operator(Space.HYPERBOLIC, _poisson_jet(base_dim, y), k, r)
         return QuadResult(value, 0.0, 0)
 
-    if rho == 0.0 or k == 0 or rho >= GUARD_RHO:
+    if raises_directly(k, rho):
         return at(rho)
     return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
 

@@ -434,11 +434,13 @@ def _shifted_div(num: Jet, den: Jet) -> Jet:
     to be exactly zero, which holds for even kernels expanded about r = 0
     because the jet recurrences preserve exact parity.
     """
-    if num.coeffs[0] != 0.0 or den.coeffs[0] != 0.0:
-        raise DomainError("shifted division needs both jets to vanish at the centre")
+    _refuse(
+        (_lead(num.coeffs) != 0.0) | (_lead(den.coeffs) != 0.0),
+        "shifted division needs both jets to vanish at the centre",
+    )
     if num.order < 1 or den.order < 1:
         raise DomainError("shifted division needs jets of order >= 1")
-    return Jet(num.center, num.coeffs[1:]) / Jet(den.center, den.coeffs[1:])
+    return Jet(num.center, num.coeffs[..., 1:]) / Jet(den.center, den.coeffs[..., 1:])
 
 
 def _check_raise_count(k) -> None:
@@ -501,18 +503,28 @@ def raise_origin_jet(
     _check_raise_count(k)
     _check_order(order)
     coeffs = _generate(generator, 0.0, 2 * k + order).coeffs.copy()
-    coeffs[1::2] = 0.0
+    coeffs[..., 1::2] = 0.0
     return _raise_k(space, Jet(0.0, coeffs), k, 0.0, _shifted_div)
 
 
-def raise_operator(space: Space, generator: RadialGenerator, k: int, r: float) -> float:
+def _values(jet: Jet):
+    """The value of a single jet as a float, or a batch's node array."""
+    c = jet.coeffs
+    return c[:, 0] if c.ndim == 2 else float(c[0])
+
+
+def raise_operator(
+    space: Space, generator: RadialGenerator, k: int, r: float
+) -> float | np.ndarray:
     """Apply the dimension-raising operator k times and evaluate at r.
 
     ``generator(center, order)`` must return a jet of the base kernel with at
     least the requested order.  Each application of D consumes one derivative
     order (two at r = 0, where the division by w is resolved by parity), so
     the call requests an order-k (or order-2k) jet; that many orders may not
-    exceed :data:`MAX_ORDER`.
+    exceed :data:`MAX_ORDER`.  The result is a float; a generator that
+    returns a batch of m jets (``gauss_jet`` of a node array of times, say)
+    gets the array of the m raised values.
 
     At r = 0 the quotient -f'/(2 pi w) is evaluated exactly through the even
     symmetry of the base kernel.  On the sphere the antipode has no such
@@ -521,9 +533,9 @@ def raise_operator(space: Space, generator: RadialGenerator, k: int, r: float) -
     _check_raise_count(k)
     space.validate_distance(r)
     if k == 0:
-        return generator(r, 0).value
+        return _values(generator(r, 0))
     if space is Space.SPHERE and math.pi - r < 1e-9:
         raise SingularPointError("raising is singular at the antipode")
     if r == 0.0:
-        return raise_origin_jet(space, generator, k).value
-    return _raise_k(space, _generate(generator, r, k), k, r).value
+        return _values(raise_origin_jet(space, generator, k))
+    return _values(_raise_k(space, _generate(generator, r, k), k, r))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckernels import analysis, euclid, hyperbolic, sphere
+from ckernels import analysis, euclid, hyperbolic, jets, sphere
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
 from ckernels.geometry import CONVENTIONS, Space
 
@@ -289,6 +289,43 @@ def test_poisson_images_matches_closed_strip_kernel(n, y, rho):
     want = hyperbolic.poisson_closed(n, y, rho)
     assert res.value == pytest.approx(want, rel=1e-8)
     assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-11 * want)
+
+
+@pytest.mark.parametrize(
+    "n,rho",
+    [(n, rho) for n in (5, 7, 11, 15) for rho in (0.0, 0.5, 3.0)]
+    # the guard band, where the inner heat leaves the batched raise for the
+    # per-node walk (about 0.4 s)
+    + [(7, 0.005)],
+)
+def test_poisson_images_odd_n_matches_closed_form(n, rho):
+    res = analysis.poisson_images(n, 0.9, rho)
+    want = hyperbolic.poisson_closed(n, 0.9, rho)
+    assert abs(res.value - want) <= min(5e-14 * want, res.err_estimate)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_poisson_images_raises_once_per_panel(monkeypatch, n):
+    # odd n at interior rho: one batched raise per 15-node panel, and no
+    # per-node walk
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return jets.raise_operator(*args)
+
+    monkeypatch.setattr(analysis, "raise_operator", counting, raising=False)
+    monkeypatch.setattr(hyperbolic, "raise_operator", counting)
+    res = analysis.poisson_images(n, 0.8, 1.5)
+    assert len(calls) == res.n_evals // 15
+    assert res.n_evals % 15 == 0
+
+
+def test_poisson_subordinate_still_overflows_at_large_distance():
+    # sinh(800) overflows in the raising weight, for the batch and for every
+    # row of the per-node walk
+    with pytest.raises(OverflowError):
+        analysis.evaluate(Space.HYPERBOLIC, 3, "poisson", 0.8, 800.0, rep="subordinate")
 
 
 def test_poisson_images_validates_height():

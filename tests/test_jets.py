@@ -21,6 +21,7 @@ from ckernels.geometry import Space
 from ckernels.jets import (
     MAX_ORDER,
     Jet,
+    gauss_jet,
     raise_jet,
     raise_operator,
     raise_origin_jet,
@@ -382,6 +383,57 @@ def test_raise_origin_jet_extends_to_nearby_points(space):
     for s in (0.02, 0.05):
         direct = raise_operator(space, gauss_gen, 2, s)
         assert jet(s) == pytest.approx(direct, rel=1e-10)
+
+
+# three heat kernels about one centre, as the quadrature nodes of a panel
+# batch them; the single jets are their rows, so both sides raise the same
+# coefficients
+NODE_TIMES = np.array([0.05, 0.7, 9.0])
+
+
+def _batch_gen(center: float, order: int) -> Jet:
+    return gauss_jet(NODE_TIMES)(center, order)
+
+
+def _row_gen(i: int):
+    return lambda center, order: Jet(center, _batch_gen(center, order).coeffs[i])
+
+
+@pytest.mark.parametrize("space", list(Space))
+def test_batched_origin_jet_matches_its_rows(space):
+    # parity projection clears the odd coefficients of every row
+    batch = raise_origin_jet(space, _batch_gen, 1, order=2)
+    assert batch.coeffs.shape == (len(NODE_TIMES), 3)
+    for i in range(len(NODE_TIMES)):
+        single = raise_origin_jet(space, _row_gen(i), 1, order=2)
+        np.testing.assert_array_equal(batch.coeffs[i], single.coeffs)
+    assert not batch.coeffs[:, 1].any()
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_batched_raise_operator_matches_its_rows(space, r, k):
+    # up to two raises every recurrence sums at most one nonzero product per
+    # coefficient, so the batch and its rows round alike; further raises
+    # differ in the order of summation (see the batch tests above)
+    got = raise_operator(space, _batch_gen, k, r)
+    assert isinstance(got, np.ndarray) and got.shape == NODE_TIMES.shape
+    want = [raise_operator(space, _row_gen(i), k, r) for i in range(len(NODE_TIMES))]
+    assert all(isinstance(v, float) for v in want)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [0.0, 2.0, 3.0])
+@pytest.mark.parametrize("k", [3, 7])
+def test_batched_raise_of_gauss_jet_matches_single_times(k, r):
+    # gauss_jet of a node array: numpy's exp and power may differ from
+    # math's in the last bit, and raising amplifies that by its condition
+    # number; near rho = 0.5 at t = 9 seven raises reach 2e-9 (ROADMAP item 1)
+    got = raise_operator(Space.HYPERBOLIC, gauss_jet(NODE_TIMES), k, r)
+    for t, v in zip(NODE_TIMES, got):
+        want = raise_operator(Space.HYPERBOLIC, gauss_jet(t), k, r)
+        assert v == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_raise_origin_jet_order_budget():
