@@ -376,14 +376,14 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     integral of the heat kernel against a theta-type weight in the
     subordination variable, so no image truncation is needed.
 
-    The integrand runs once per quadrature panel.  For odd n where
-    ``hyperbolic.raises_directly`` (rho = 0 or rho >= GUARD_RHO, any rho for
-    n = 1) the inner heat kernel at the panel's 15 times is one batched raise
-    of the Gaussian: the row the ``auto`` walk accepts first there, with err
-    0.  The other nodes take the inner heat kernel one by one, as the walk
-    gives it: nodes where the batch overflows or is not finite, guard-band
-    rho, where raising extrapolates and the walk moves on to the Gruet rows,
-    and even n.
+    The integrand runs once per quadrature sweep, on the 15 nodes of each of
+    the sweep's panels.  For odd n where ``hyperbolic.raises_directly``
+    (rho = 0 or rho >= GUARD_RHO, any rho for n = 1) the inner heat kernel at
+    all those times is one batched raise of the Gaussian: the row the
+    ``auto`` walk accepts first there, with err 0.  The other nodes take the
+    inner heat kernel one by one, as the walk gives it: nodes where the
+    batch overflows or is not finite, guard-band rho, where raising
+    extrapolates and the walk moves on to the Gruet rows, and even n.
     """
     check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
     heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)

@@ -104,16 +104,26 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
                    integral_0^inf z^(-1/2) (s/sinh s) exp(-s^2/4t) dz,
 
     with s = arccosh(cosh rho + z); the jets in rho flow through arccosh.
-    The integrand runs once per quadrature panel, on a batch of jets.
+    Where cosh(s) would overflow at the top, the integral stops where the
+    Gaussian has underflowed to 0, if that comes first, and is 0 if that is
+    below rho.  The integrand runs once per quadrature sweep, on a batch of
+    jets.
     """
     amp = math.sqrt(2.0) * (4.0 * math.pi * t) ** -1.5
+    # exp(-s^2/4t) is exactly 0 beyond this s
+    s_zero = math.sqrt(4.0 * t * 746.0)
 
     def gen(center: float, order: int) -> Jet:
         if center <= 0.0:
             raise SingularPointError("descent jets need a positive distance")
+        s_top = math.sqrt(center * center + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
+        if s_top > 710.0:
+            s_top = min(s_top, s_zero)
+        if s_top <= center:
+            evals.append(0)
+            return Jet(center, np.zeros(order + 1))
         x = variable(center, order)
         ch = x.cosh()
-        s_top = math.sqrt(center * center + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
         z_top = math.cosh(s_top) - math.cosh(center)
 
         def body(z: np.ndarray):

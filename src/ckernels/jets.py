@@ -7,7 +7,7 @@ through O(K^2) recurrences, so K nested derivatives of any composite
 expression cost one jet evaluation instead of K finite-difference stencils.
 A jet may also carry a batch of m coefficient rows about one centre, so a
 jet-valued integrand runs one jet program for all nodes of a quadrature
-panel.
+sweep.
 
 The raising operator
 
@@ -104,7 +104,7 @@ class Jet:
 
     ``coeffs`` holds (c_0, ..., c_K), or an (m, K+1) array of such rows: a
     batch of m jets about one centre, for instance an integrand's jets at
-    the m nodes of a quadrature panel.  Every operation accepts either
+    the m nodes of a quadrature sweep.  Every operation accepts either
     shape, a single jet broadcasts against a batch, and a node array of m
     values lifts to a batch of constant jets.  A single jet runs the scalar
     recurrences with math.* leading values (so an overflow raises

@@ -1,21 +1,26 @@
 """Adaptive quadrature with honest error estimates.
 
 The core rule is the embedded Gauss-Kronrod G7/K15 pair of QUADPACK
-(Piessens et al., 1983) applied on a worst-panel-first bisection heap.  The
-15 Kronrod nodes contain the 7 Gauss nodes, so a panel costs 15 integrand
-evaluations.  A panel's error is the raw difference |K15 - G7|, without
-QUADPACK's (200 |K15 - G7| / resasc)^1.5 rescaling, which can report less
-than the difference itself.  The reported error is the accumulated panel
-differences plus a roundoff floor proportional to the integral of |f|, so
-results near the double-precision cancellation limit carry error estimates
-that reflect it instead of the nominal tolerance.
+(Piessens et al., 1983) applied on a worst-panel-first bisection heap,
+refined in sweeps (Shampine, "Vectorized adaptive quadrature in MATLAB",
+J. Comput. Appl. Math. 211, 2008): each sweep bisects the worst panels until
+their errors sum to the excess of the total error over the target, and
+evaluates all the children together.  The 15 Kronrod nodes contain the 7
+Gauss nodes, so a panel costs 15 integrand evaluations.  A panel's error is
+the raw difference |K15 - G7|, without QUADPACK's (200 |K15 - G7| /
+resasc)^1.5 rescaling, which can report less than the difference itself.
+The reported error is the accumulated panel differences plus a roundoff
+floor proportional to the integral of |f|, so results near the
+double-precision cancellation limit carry error estimates that reflect it
+instead of the nominal tolerance.
 
 Integrands may return scalars or numpy arrays of a fixed shape; array mode is
 what lets Taylor-jet-valued integrands (derivatives under the integral sign)
 be integrated in a single adaptive pass, with the error measured in the
 max norm across components.  With ``vectorized=True`` the integrand is called
-once per panel on the array of its 15 nodes and returns the values stacked
-along the leading axis, which lets a batch of jets carry a whole panel.
+once per sweep on the array of the 15 nodes of each of its panels and
+returns the values stacked along the leading axis, which lets a batch of
+jets carry a whole sweep.
 
 Three transforms cover the singular and unbounded shapes that arise in the
 kernel formulas: an inverse-square-root endpoint factor (substitute
@@ -167,45 +172,56 @@ def _norm(v: Value) -> float:
     return abs(v)
 
 
-def _panel(f, a: float, b: float, vectorized: bool):
-    """Embedded G7/K15 estimates on one panel: (value, err, resabs, where_bad).
+def _sweep(f, los: list, his: list, vectorized: bool):
+    """Embedded G7/K15 estimates on the panels [los[i], his[i]] of one sweep.
 
     One integrand call per Kronrod node, 15 per panel, or one call on the
-    node array if ``vectorized``; such a call runs with numpy's floating-point
-    warnings off, since a node that overflows yields a non-finite value and is
-    reported like any other.  ``err`` is the raw |K15 - G7| (max norm for
-    array values); ``where_bad`` is the first node at which f is not finite,
-    in which case the other fields are None.
+    array of all the sweep's nodes if ``vectorized``; such a call runs with
+    numpy's floating-point warnings off, since a node that overflows yields a
+    non-finite value and is reported like any other.  Returns (values, errs,
+    resabs, where_bad) with one entry per panel: the K15 value (a float, or an
+    array of the integrand's shape), the raw |K15 - G7| (max norm for array
+    values) and the K15 integral of |f|.  ``where_bad`` is the first node at
+    which f is not finite, in which case the other fields are None.
     """
-    h = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + h * _XK15
+    h = [0.5 * (b - a) for a, b in zip(los, his)]
+    if len(h) == 1:  # the first sweep of an integral without breakpoints
+        nodes = 0.5 * (los[0] + his[0]) + h[0] * _XK15
+    else:
+        nodes = np.multiply.outer(h, _XK15)
+        nodes += np.array([0.5 * (a + b) for a, b in zip(los, his)])[:, None]
+        nodes = nodes.ravel()
     if vectorized:
         with np.errstate(all="ignore"):
-            v = np.asarray(f(xs), float)
+            v = np.asarray(f(nodes), float)
     else:
-        vals = [f(x) for x in xs]
+        vals = [f(x) for x in nodes]
         if isinstance(vals[0], np.ndarray):
             v = np.stack([np.asarray(u, float) for u in vals])
         else:
             v = np.array(vals, float)
-    arrays = v.ndim > 1
-    if arrays:
-        shape = v.shape[1:]
-        v = v.reshape(15, -1)
-        finite = np.isfinite(v).all(axis=1)
+    shape = v.shape[1:]
+    # the rule's weights times each panel's (15, components) block: the
+    # products a panel alone would get, whatever the sweep.  Array values
+    # take the max norm over their components
+    v = v.reshape(len(h), 15, -1)
+    absum = _WK15 @ np.abs(v)
+    absum = (absum.max(axis=1) if shape else absum[:, 0]).tolist()
+    # a non-finite node makes its panel's integral of |f| non-finite
+    if not math.isfinite(sum(absum)):
+        finite = np.isfinite(v).all(axis=2)
+        if not finite.all():
+            return None, None, None, float(nodes[np.argmin(finite)])
+    diffs = np.abs(_WDIFF @ v)
+    diffs = (diffs.max(axis=1) if shape else diffs[:, 0]).tolist()
+    sums = _WK15 @ v
+    resabs = [hp * r for hp, r in zip(h, absum)]
+    errs = [hp * d for hp, d in zip(h, diffs)]
+    if shape:
+        values = [hp * k.reshape(shape) for hp, k in zip(h, sums)]
     else:
-        finite = np.isfinite(v)
-    if not finite.all():
-        return None, None, None, float(xs[np.argmin(finite)])
-    if arrays:
-        value = h * (_WK15 @ v).reshape(shape)
-        err = h * float(np.max(np.abs(_WDIFF @ v)))
-        resabs = h * float(np.max(_WK15 @ np.abs(v)))
-    else:
-        value = h * float(_WK15 @ v)
-        err = h * abs(float(_WDIFF @ v))
-        resabs = h * float(_WK15 @ np.abs(v))
-    return value, err, resabs, None
+        values = [hp * k for hp, k in zip(h, sums[:, 0].tolist())]
+    return values, errs, resabs, None
 
 
 def integrate_adaptive(
@@ -224,12 +240,15 @@ def integrate_adaptive(
 
     ``abs_tol`` defaults to ``tol``; pass 0.0 for a purely relative target.
     Interior ``breakpoints`` seed the initial partition (place them at kinks,
-    spikes and branch switches).  With ``vectorized`` f takes the array of a
-    panel's nodes and returns their values stacked along the leading axis;
-    ``n_evals`` still counts nodes.  Raises :class:`ConvergenceError`, carrying
-    the best estimate, if the panel or depth budget runs out, and reports a
-    roundoff-floor error term proportional to the integral of |f| so that
-    cancellation-limited results are not overclaimed.
+    spikes and branch switches).  Refinement goes in sweeps: each bisects the
+    worst panels until their errors sum to the excess of the total error over
+    the target, and evaluates all the children together.  With ``vectorized``
+    f takes the array of a sweep's nodes, a multiple of 15, and returns their
+    values stacked along the leading axis; ``n_evals`` still counts nodes.
+    Raises :class:`ConvergenceError`, carrying the best estimate, if the panel
+    or depth budget runs out, and reports a roundoff-floor error term
+    proportional to the integral of |f| so that cancellation-limited results
+    are not overclaimed.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
@@ -240,68 +259,74 @@ def integrate_adaptive(
     if b == a:
         return QuadResult(0.0, 0.0, 0)
 
-    pts = [a]
+    los = [a]
     for p in sorted(set(float(p) for p in breakpoints)):
         if a < p < b:
-            pts.append(p)
-    pts.append(b)
+            los.append(p)
+    his = los[1:] + [b]
+    depths = [0] * len(los)
 
-    heap = []  # entries: (-err, seq, a, b, value, err, resabs, depth)
+    heap = []  # entries: (-err, seq, lo, hi, value, err, resabs, depth)
+    split = []  # the heap entries that the panels of the sweep replace
     seq = 0
-    total_value = None
+    total_value = 0.0
     total_err = 0.0
     total_resabs = 0.0
     n_evals = 0
 
-    def _push(lo: float, hi: float, depth: int):
-        nonlocal seq, total_value, total_err, total_resabs, n_evals
-        value, err, resabs, bad_at = _panel(f, lo, hi, vectorized)
-        n_evals += 15
+    while True:
+        values, errs, resabs, bad_at = _sweep(f, los, his, vectorized)
+        n_evals += 15 * len(los)
         if bad_at is not None:
-            best = None
-            if total_value is not None:
-                best = QuadResult(total_value, math.inf, n_evals)
+            best = QuadResult(total_value, math.inf, n_evals) if split else None
             raise ConvergenceError(
                 f"integrand returned a non-finite value near x = {bad_at}", best
             )
-        total_value = value if total_value is None else total_value + value
-        total_err += err
-        total_resabs += resabs
-        heapq.heappush(heap, (-err, seq, lo, hi, value, err, resabs, depth))
-        seq += 1
+        for _, _, _, _, value, err, ra, _ in split:
+            total_value = total_value - value
+            total_err -= err
+            total_resabs -= ra
+        for lo, hi, value, err, ra, depth in zip(los, his, values, errs, resabs, depths):
+            total_value = total_value + value
+            total_err += err
+            total_resabs += ra
+            heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, depth))
+            seq += 1
 
-    for lo, hi in zip(pts, pts[1:]):
-        _push(lo, hi, 0)
-
-    while True:
         target = max(abs_tol, tol * _norm(total_value))
-        floor = 100.0 * _EPS * total_resabs
-        if total_err <= max(target, floor):
+        excess = total_err - max(target, 100.0 * _EPS * total_resabs)
+        if excess <= 0.0:
             break
-        if len(heap) >= max_panels:
+        room = max_panels - len(heap)
+        if room <= 0:
             best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
             raise ConvergenceError(
                 f"panel budget {max_panels} exhausted (error {total_err:.3e}, "
                 f"target {target:.3e})",
                 best,
             )
-        neg_err, _, lo, hi, value, err, resabs, depth = heapq.heappop(heap)
-        if depth >= max_depth:
-            best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
-            raise ConvergenceError(
-                f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", best
-            )
-        total_value = total_value - value
-        total_err -= err
-        total_resabs -= resabs
-        mid = 0.5 * (lo + hi)
-        _push(lo, mid, depth + 1)
-        _push(mid, hi, depth + 1)
+        # the worst panels whose errors cover the excess, as far as the panel
+        # budget allows: splitting fewer cannot reach the target
+        split = []
+        removed = 0.0
+        while heap and removed < excess and len(split) < room:
+            entry = heapq.heappop(heap)
+            if entry[7] >= max_depth:
+                best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
+                raise ConvergenceError(
+                    f"bisection depth {max_depth} exhausted near [{entry[2]}, {entry[3]}]",
+                    best,
+                )
+            split.append(entry)
+            removed += entry[5]
+        los, his, depths = [], [], []
+        for _, _, lo, hi, _, _, _, depth in split:
+            mid = 0.5 * (lo + hi)
+            los += (lo, mid)
+            his += (mid, hi)
+            depths += (depth + 1, depth + 1)
 
-    value = total_value
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        value = float(value)
-    return QuadResult(value, total_err + 30.0 * _EPS * total_resabs, n_evals)
+    return QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
 
 
 def integrate_sqrt_endpoint(

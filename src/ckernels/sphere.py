@@ -98,9 +98,9 @@ def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     terms = np.exp(-(args * args) / (4.0 * t))
     value = float(terms.sum()) * (4.0 * math.pi * t) ** -0.5
     # truncation bound: the first omitted pair of images
-    edge = abs(args[0]) + 2.0 * math.pi
+    edge = abs(float(args[0])) + 2.0 * math.pi
     tail = 2.0 * math.exp(-edge * edge / (4.0 * t)) * (4.0 * math.pi * t) ** -0.5
-    return QuadResult(value, tail + 4.0 * np.finfo(float).eps * value, 0)
+    return QuadResult(value, tail + 4.0 * _EPS * value, 0)
 
 
 def _theta1_jet(t: float, tol: float) -> RadialGenerator:
@@ -129,7 +129,7 @@ def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     args = phi + 2.0 * math.pi * np.arange(ms.start, ms.stop)
     terms = args * np.exp(-(args * args) / (4.0 * t))
     value = float(terms.sum()) / math.sin(phi) * (4.0 * math.pi * t) ** -1.5
-    edge = abs(args[0]) + 2.0 * math.pi
+    edge = abs(float(args[0])) + 2.0 * math.pi
     tail = (
         2.0
         * edge
@@ -137,7 +137,7 @@ def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
         / abs(math.sin(phi))
         * (4.0 * math.pi * t) ** -1.5
     )
-    floor = 8.0 * np.finfo(float).eps * float(np.abs(terms).max() / abs(math.sin(phi))) * (
+    floor = 8.0 * _EPS * float(np.abs(terms).max() / abs(math.sin(phi))) * (
         4.0 * math.pi * t
     ) ** -1.5
     return QuadResult(value, tail + floor, 0)
@@ -157,6 +157,7 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     endpoint singularity at psi = phi is removed by the x = phi + u^2
     substitution, using sin^2(psi/2) - sin^2(phi/2)
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
+    The integrand takes a sweep's nodes at once.
     """
     check_query(_SPHERE, 2, "heat", t, phi)
     if phi == math.pi:
@@ -167,18 +168,15 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     def piece(m: int, abs_tol: float) -> QuadResult:
         off = 2.0 * math.pi * m
 
-        def f_regular(psi: float) -> float:
+        def f_regular(psi: np.ndarray) -> np.ndarray:
             d = psi - phi
-            ratio = 2.0 if d == 0.0 else d / math.sin(0.5 * d)
+            # psi rounds to phi at the nodes nearest the endpoint
+            ratio = np.where(d == 0.0, 2.0, d / np.sin(0.5 * d))
             arg = psi + off
-            return (
-                arg
-                * math.exp(-arg * arg * inv4t)
-                * math.sqrt(ratio / math.sin(0.5 * (psi + phi)))
-            )
+            return arg * np.exp(-arg * arg * inv4t) * np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
 
         return integrate_sqrt_endpoint(
-            f_regular, phi, math.pi, tol * 0.3, abs_tol=abs_tol
+            f_regular, phi, math.pi, tol * 0.3, abs_tol=abs_tol, vectorized=True
         )
 
     head = piece(0, 0.0)
@@ -213,7 +211,9 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     jets through psi(z) = 2 arcsin(sqrt(sin^2(phi/2) + z)).  Above z* the
     psi-range [psi_up(phi), pi] still moves with phi, so it is mapped to the
     fixed interval s in [0, 1] with the endpoint psi_up carried as a jet.
-    Both integrands run once per quadrature panel, on a batch of jets.
+    Both integrands run once per quadrature sweep, on a batch of jets.
+    Images whose Gaussian factor underflows to 0 on all of [0, pi] add
+    exact zeros and are skipped.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
@@ -236,6 +236,11 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
 
         for m in _image_range(t, center, tol):
             off = 2.0 * math.pi * m
+            # exp underflows to exactly 0 below -745.14, so such an image
+            # adds zeros
+            low = min(abs(off), abs(off + math.pi))
+            if low * low * inv4t > 746.0:
+                continue
             sign = -1.0 if m % 2 else 1.0
 
             def g_of(psi_jet):

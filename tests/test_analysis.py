@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckernels import analysis, euclid, hyperbolic, jets, sphere
+from ckernels import analysis, euclid, hyperbolic, jets, quadrature, sphere
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
-from ckernels.geometry import CONVENTIONS, Space
+from ckernels.geometry import CONVENTIONS, KINDS, Space
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ from ckernels.geometry import CONVENTIONS, Space
     ],
 )
 def test_batched_jet_routes_warn_nothing(space, t, r, rep, outcome):
-    # the 4-d heat kernels integrate a batch of jets per quadrature panel;
+    # the 4-d heat kernels integrate a batch of jets per quadrature sweep;
     # each point keeps its value or exception class and emits no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -104,6 +104,30 @@ def test_evaluate_auto_matches_named_route(space, kind, n):
         rep = _auto_order(space, kind, n, param)[0]
         named = analysis.evaluate(space, n, kind, param, r, rep=rep)
         assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate), rep
+
+
+@pytest.mark.parametrize(
+    "space, kind, rep",
+    [
+        (space, kind, rep)
+        for space in Space
+        for kind in KINDS
+        for rep in analysis.representation_names(space, kind) + ("auto",)
+    ],
+)
+def test_every_row_returns_plain_floats(space, kind, rep):
+    # n = 1 reaches the circle rows, n = 2 the wrapped theta2 integral and the
+    # jet-valued descent; a row refuses the dimensions it does not reach
+    param = 0.7 if kind == "heat" else 0.8
+    reached = 0
+    for n in (1, 2, 3):
+        try:
+            res = analysis.evaluate(space, n, kind, param, 0.9, rep=rep)
+        except DomainError:
+            continue
+        assert (type(res.value), type(res.err_estimate), type(res.n_evals)) == (float, float, int)
+        reached += 1
+    assert reached
 
 
 def _meets(res, tol):
@@ -306,19 +330,30 @@ def test_poisson_images_odd_n_matches_closed_form(n, rho):
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_poisson_images_raises_once_per_panel(monkeypatch, n):
-    # odd n at interior rho: one batched raise per 15-node panel, and no
+    # odd n at interior rho: one batched raise per integrand call, which
+    # carries the 15 nodes of every panel of a quadrature sweep, and no
     # per-node walk
     calls = []
+    sizes = []
 
     def counting(*args):
         calls.append(args)
         return jets.raise_operator(*args)
 
+    def counted_quadrature(f, *args, **kwargs):
+        def g(vs):
+            sizes.append(len(vs))
+            return f(vs)
+
+        return quadrature.integrate_adaptive(g, *args, **kwargs)
+
     monkeypatch.setattr(analysis, "raise_operator", counting, raising=False)
     monkeypatch.setattr(hyperbolic, "raise_operator", counting)
+    monkeypatch.setattr(analysis, "integrate_adaptive", counted_quadrature)
     res = analysis.poisson_images(n, 0.8, 1.5)
-    assert len(calls) == res.n_evals // 15
-    assert res.n_evals % 15 == 0
+    assert len(calls) == len(sizes)
+    assert sum(sizes) == res.n_evals
+    assert all(size % 15 == 0 for size in sizes)
 
 
 def test_poisson_subordinate_still_overflows_at_large_distance():

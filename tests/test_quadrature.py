@@ -192,13 +192,72 @@ def test_vectorized_panels_match_per_node_calls(integrate):
     node_calls = len(calls)
     calls.clear()
     batched = integrate(counted, vectorized=True)
-    # one call per panel on its 15 nodes; n_evals still counts nodes
-    assert calls == [15] * (node_calls // 15)
+    # one call per sweep on the 15 nodes of each of its panels, so fewer
+    # calls than panels; n_evals still counts nodes, and both runs split the
+    # same panels
+    assert all(size > 0 and size % 15 == 0 for size in calls)
+    assert sum(calls) == batched.n_evals
+    assert len(calls) < batched.n_evals // 15
     assert batched.n_evals == per_node.n_evals == node_calls
     scale = np.max(np.abs(per_node.value))
     assert np.max(np.abs(batched.value - per_node.value)) <= 1e-15 * scale
     # the error estimate is a difference of the same sums, equal to rounding
     assert abs(batched.err_estimate - per_node.err_estimate) <= 1e-15 * scale
+
+
+def _singular(x):
+    """|x - 1/3|^(-1/2): integrable, but bisection gains only a factor of
+    about sqrt 2 a level, so tol 1e-15 exhausts any budget.  Its arithmetic
+    rounds the same on a node array as on single nodes."""
+    return 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [{"max_panels": 1}, {"max_panels": 8}, {"max_panels": 9}, {"max_panels": 64},
+     {"max_depth": 5}],
+    ids=["panels1", "panels8", "panels9", "panels64", "depth5"],
+)
+def test_budget_exhaustion_is_the_same_per_node_and_vectorized(budget):
+    found = []
+    for vectorized in (False, True):
+        with pytest.raises(ConvergenceError, match="exhausted") as exc_info:
+            integrate_adaptive(
+                _singular, 0.0, 1.0, 1e-15, abs_tol=0.0, vectorized=vectorized, **budget
+            )
+        found.append(exc_info.value.result)
+    per_node, batched = found
+    assert batched.n_evals == per_node.n_evals
+    assert batched.value == per_node.value
+    assert batched.err_estimate == per_node.err_estimate
+    # one panel to start, and each split adds one panel and evaluates two:
+    # the partition fills the panel budget but never exceeds it
+    panels = (batched.n_evals // 15 + 1) // 2
+    assert panels == budget.get("max_panels", panels)
+    assert abs(batched.value - 2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))) < 1.0
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_non_finite_value_in_a_multi_panel_sweep_is_reported_at_its_node(vectorized):
+    # the four seeded panels are far from tol 1e-12, so the first refinement
+    # sweep splits them all; the bad node belongs to the child [2.5, 3]
+    bad_x = float(2.75 + 0.25 * _XK15[4])
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return np.where(x == bad_x, math.nan, np.sin(20.0 * x))
+
+    with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")) as exc_info:
+        integrate_adaptive(
+            f, 0.0, 4.0, 1e-12, breakpoints=[1.0, 2.0, 3.0], vectorized=vectorized
+        )
+    best = exc_info.value.result
+    assert best.n_evals == sum(sizes) == 15 * (4 + 8)
+    if vectorized:
+        assert sizes == [15 * 4, 15 * 8]
+    assert best.err_estimate == math.inf
+    assert best.value == pytest.approx((1.0 - math.cos(80.0)) / 20.0, abs=0.1)
 
 
 def test_n_evals_counts_every_integrand_call():
