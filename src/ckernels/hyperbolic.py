@@ -288,17 +288,21 @@ def heat_gruet(
 
 
 def poisson_closed(n: int, y: float, rho: float) -> float:
+    """Gamma(h)/(2 pi)^h sin(y) / (cosh rho - cos y)^h, h = (n+1)/2.
+
+    With v = e^(-rho/2) the base is d/(2v^2), d = (1 - v^2)^2 +
+    (2v sin(y/2))^2: a sum of squares, 1 - v^2 taken by expm1, so nothing
+    cancels as rho and y go to 0.  The kernel is then Gamma(h)/pi^h sin(y)
+    v^(n+1) d^-h.  No factor overflows where the kernel is a float: v^(n+1)
+    underflows only with the kernel, and d <= 4, its power taken as a square
+    (sqrt(d)^-h)^2 so that a tiny d overflows only with the kernel too.
+    """
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
     half = 0.5 * (n + 1)
-    amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
-    if rho < 350.0:
-        return amp / (math.cosh(rho) - math.cos(y)) ** half
-    # log form past the cosh overflow threshold
-    log_base = rho - math.log(2.0) + math.log1p(
-        (math.exp(-rho) - 2.0 * math.cos(y)) * math.exp(-rho)
-    )
-    expo = math.log(amp) - half * log_base
-    return math.exp(expo) if expo > -745.0 else 0.0
+    v = math.exp(-0.5 * rho)
+    q = math.hypot(math.expm1(-rho), 2.0 * v * math.sin(0.5 * y)) ** -half
+    amp = math.gamma(half) / math.pi**half * math.sin(y)
+    return amp * v ** (n + 1) * q * q
 
 
 def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:

@@ -86,16 +86,46 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated series quotients a/b of coefficient rows, as a batch."""
-    a, b = np.atleast_2d(a, b)
-    b0 = b[:, 0]
-    _refuse(b0 == 0.0, "division by a jet with vanishing value")
-    out = np.empty((max(len(a), len(b)), a.shape[1]))
-    out[:, 0] = a[:, 0] / b0
-    for i in range(1, a.shape[1]):
-        out[:, i] = (a[:, i] - _rowdot(b[:, 1 : i + 1], out[:, i - 1 :: -1])) / b0
+def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated series quotient a/b of coefficient rows of one length.
+
+    Either side may be a batch; a single quotient runs the scalar loop.
+    """
+    if a.ndim == 2 or b.ndim == 2:
+        a, b = np.atleast_2d(a, b)
+        b0 = b[:, 0]
+        _refuse(b0 == 0.0, "division by a jet with vanishing value")
+        out = np.empty((max(len(a), len(b)), a.shape[1]))
+        out[:, 0] = a[:, 0] / b0
+        for i in range(1, a.shape[1]):
+            out[:, i] = (a[:, i] - _rowdot(b[:, 1 : i + 1], out[:, i - 1 :: -1])) / b0
+        return out
+    n, b0 = a.size, b[0]
+    if b0 == 0.0:
+        raise DomainError("division by a jet with vanishing value")
+    # out reversed, so that each dot product reads a contiguous slice
+    out, rev = np.empty(n), np.empty(n)
+    for i in range(n):
+        out[i] = rev[n - 1 - i] = (a[i] - np.dot(b[1 : i + 1], rev[n - i :])) / b0
     return out
+
+
+def _identity_circular(s0: float, c0: float, size: int, hyperbolic: bool) -> tuple:
+    """sin and cos (or sinh and cosh) coefficients of the identity jet x0 + h.
+
+    ``s0`` and ``c0`` are the leading values.  For the identity the
+    recurrence of :meth:`Jet._circular` reduces to s_k = c_(k-1)/k and
+    c_k = +-s_(k-1)/k, run here on floats with the same roundings.  From
+    k = 2 on, the recurrence's dot products turn a zero into +0.0 before
+    the sign applies, which the ``+ 0.0`` repeats, so the coefficients are
+    the recurrence's bit for bit.
+    """
+    sign = 1.0 if hyperbolic else -1.0
+    s, c = [s0, c0], [c0, sign * s0]
+    for k in range(2, size):
+        s.append((c[k - 1] + 0.0) / k)
+        c.append(sign * (s[k - 1] + 0.0) / k)
+    return np.array(s[:size]), np.array(c[:size])
 
 
 @dataclass(eq=False, slots=True)
@@ -216,15 +246,7 @@ class Jet:
             if isinstance(other, np.ndarray):
                 other = other[..., None]
             return Jet(self.center, self.coeffs / other)
-        a, b = self._paired(other)
-        if a.ndim == 2 or b.ndim == 2:
-            return Jet(self.center, _quotient(a, b))
-        if b[0] == 0.0:
-            raise DomainError("division by a jet with vanishing value")
-        out = np.empty(a.size)
-        for i in range(a.size):
-            out[i] = (a[i] - np.dot(b[1 : i + 1], out[i - 1 :: -1][:i])) / b[0]
-        return Jet(self.center, out)
+        return Jet(self.center, _divide(*self._paired(other)))
 
     def __rtruediv__(self, other) -> "Jet":
         return constant(other, self.order, self.center) / self
@@ -276,9 +298,9 @@ class Jet:
                 out[:, k] = _rowdot(jg[:, 1 : k + 1], out[:, k - 1 :: -1]) / k
             return Jet(self.center, out)
         out[0] = math.exp(g[0])
+        jg = g * _IDX[: g.size]
         for k in range(1, g.size):
-            j = np.arange(1, k + 1, dtype=float)
-            out[k] = np.dot(j * g[1 : k + 1], out[k - 1 :: -1][:k]) / k
+            out[k] = np.dot(jg[1 : k + 1], out[k - 1 :: -1]) / k
         return Jet(self.center, out)
 
     def log(self) -> "Jet":
@@ -308,14 +330,18 @@ class Jet:
                 c[:, k] = sign * _rowdot(dg, s[:, k - 1 :: -1]) / k
             return Jet(self.center, s), Jet(self.center, c)
         if hyperbolic:
-            s[0], c[0] = math.sinh(g[0]), math.cosh(g[0])
+            s0, c0 = math.sinh(g[0]), math.cosh(g[0])
         else:
-            s[0], c[0] = math.sin(g[0]), math.cos(g[0])
+            s0, c0 = math.sin(g[0]), math.cos(g[0])
+        if g.size > 1 and g[1] == 1.0 and not g[2:].any():
+            s, c = _identity_circular(s0, c0, g.size, hyperbolic)
+            return Jet(self.center, s), Jet(self.center, c)
+        s[0], c[0] = s0, c0
+        jg = g * _IDX[: g.size]
         for k in range(1, g.size):
-            j = np.arange(1, k + 1, dtype=float)
-            dg = j * g[1 : k + 1]
-            s[k] = np.dot(dg, c[k - 1 :: -1][:k]) / k
-            c[k] = sign * np.dot(dg, s[k - 1 :: -1][:k]) / k
+            dg = jg[1 : k + 1]
+            s[k] = np.dot(dg, c[k - 1 :: -1]) / k
+            c[k] = sign * np.dot(dg, s[k - 1 :: -1]) / k
         return Jet(self.center, s), Jet(self.center, c)
 
     def sin(self) -> "Jet":
@@ -360,11 +386,8 @@ class Jet:
             return Jet(self.center, out)
         out[0] = self.coeffs[0] ** alpha
         for k in range(1, g.size):
-            j = np.arange(1, k + 1, dtype=float)
-            weights = (alpha + 1.0) * j - k
-            out[k] = np.dot(weights * g[1 : k + 1], out[k - 1 :: -1][:k]) / (
-                k * g[0]
-            )
+            weights = (alpha + 1.0) * _IDX[1 : k + 1] - k
+            out[k] = np.dot(weights * g[1 : k + 1], out[k - 1 :: -1]) / (k * g[0])
         return Jet(self.center, out)
 
     def arcsin(self) -> "Jet":
@@ -427,22 +450,6 @@ def weight_jet(space: Space, center: float, order: int) -> Jet:
     return x.sinh()
 
 
-def _shifted_div(num: Jet, den: Jet) -> Jet:
-    """num/den when both vanish at the centre and the quotient is regular.
-
-    Cancels one power of h from each side; requires the leading coefficients
-    to be exactly zero, which holds for even kernels expanded about r = 0
-    because the jet recurrences preserve exact parity.
-    """
-    _refuse(
-        (_lead(num.coeffs) != 0.0) | (_lead(den.coeffs) != 0.0),
-        "shifted division needs both jets to vanish at the centre",
-    )
-    if num.order < 1 or den.order < 1:
-        raise DomainError("shifted division needs jets of order >= 1")
-    return Jet(num.center, num.coeffs[..., 1:]) / Jet(den.center, den.coeffs[..., 1:])
-
-
 def _check_raise_count(k) -> None:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"raise count must be a nonnegative integer, got {k}")
@@ -457,17 +464,31 @@ def _generate(generator: RadialGenerator, center: float, order: int) -> Jet:
     return jet
 
 
-def _raise_k(space: Space, jet: Jet, k: int, center: float, divide=Jet.__truediv__) -> Jet:
-    """Apply D = -(2 pi w)^(-1) d/dr k times to a jet about ``center``.
+_RAISE_SCALE = -1.0 / (2.0 * math.pi)
 
-    ``divide`` takes the quotient by the weight jet: plain division away from
-    the origin (one order per application), :func:`_shifted_div` at it (two).
+
+def _raise_k(space: Space, c: np.ndarray, k: int, center: float) -> np.ndarray:
+    """Apply D = -(2 pi w)^(-1) d/dr k times to a jet's coefficients.
+
+    The k steps run on coefficient arrays (one row or a batch) against one
+    weight jet, built once at the order of the first derivative and sliced
+    by each step.  Away from the origin a step consumes one order.  At
+    ``center`` = 0 the weight vanishes, and so must the derivative of an even
+    kernel: one power of h cancels from both before the division, so a step
+    consumes two orders, and a derivative whose leading coefficient is not
+    exactly 0 is refused.
     """
+    if k == 0:
+        return c
+    w = weight_jet(space, center, c.shape[-1] - 2).coeffs
+    lo = 1 if center == 0.0 else 0
     for _ in range(k):
-        d = jet.deriv()
-        w = weight_jet(space, center, d.order)
-        jet = divide(d, w) * (-1.0 / (2.0 * math.pi))
-    return jet
+        n = c.shape[-1] - 1
+        d = c[..., 1:] * _IDX[1 : n + 1]
+        if lo:
+            _refuse(_lead(d) != 0.0, "raising at r = 0 needs a derivative that vanishes there")
+        c = _divide(d[..., lo:], w[lo:n]) * _RAISE_SCALE + 0.0
+    return c
 
 
 def raise_jet(
@@ -483,7 +504,8 @@ def raise_jet(
     space.validate_distance(r, strict=True)
     if space is Space.SPHERE and math.pi - r < 1e-9:
         raise SingularPointError("raising is singular at the antipode")
-    return _raise_k(space, _generate(generator, r, k + order), k, r)
+    jet = _generate(generator, r, k + order)
+    return Jet(jet.center, _raise_k(space, jet.coeffs, k, r))
 
 
 def raise_origin_jet(
@@ -504,12 +526,11 @@ def raise_origin_jet(
     _check_order(order)
     coeffs = _generate(generator, 0.0, 2 * k + order).coeffs.copy()
     coeffs[..., 1::2] = 0.0
-    return _raise_k(space, Jet(0.0, coeffs), k, 0.0, _shifted_div)
+    return Jet(0.0, _raise_k(space, coeffs, k, 0.0))
 
 
-def _values(jet: Jet):
+def _values(c: np.ndarray):
     """The value of a single jet as a float, or a batch's node array."""
-    c = jet.coeffs
     return c[:, 0] if c.ndim == 2 else float(c[0])
 
 
@@ -529,13 +550,16 @@ def raise_operator(
     At r = 0 the quotient -f'/(2 pi w) is evaluated exactly through the even
     symmetry of the base kernel.  On the sphere the antipode has no such
     symmetry rescue and is refused.
+
+    The k applications run on the coefficient arrays of the generator's jet
+    against one weight jet (see ``_raise_k``); no jet is built per step.
     """
     _check_raise_count(k)
     space.validate_distance(r)
     if k == 0:
-        return _values(generator(r, 0))
+        return _values(generator(r, 0).coeffs)
     if space is Space.SPHERE and math.pi - r < 1e-9:
         raise SingularPointError("raising is singular at the antipode")
     if r == 0.0:
-        return _values(raise_origin_jet(space, generator, k))
-    return _values(_raise_k(space, _generate(generator, r, k), k, r))
+        return _values(raise_origin_jet(space, generator, k).coeffs)
+    return _values(_raise_k(space, _generate(generator, r, k).coeffs, k, r))

@@ -449,10 +449,23 @@ def heat_gruet(
 
 
 def poisson_closed(n: int, y: float, phi: float) -> float:
+    """Gamma(h)/pi^h sinh(y) / (2 cosh y - 2 cos phi)^h, h = (n+1)/2.
+
+    With v = e^(-y/2) the base is d/v^2, d = (1 - v^2)^2 + (2v sin(phi/2))^2:
+    a sum of squares, 1 - v^2 taken by expm1, so nothing cancels as y and
+    phi go to 0.  Since sinh(y) v^2 = (1 - v^2)(1 + v^2)/2, the kernel is
+    Gamma(h)/pi^h (1 - v^2)(1 + v^2)/2 v^(n-1) d^-h.  No factor overflows
+    where the kernel is a float: v^(n-1) underflows only with the kernel,
+    and d <= 4, its power taken as a square (sqrt(d)^-h)^2 so that a tiny d
+    overflows only with the kernel too.
+    """
     check_query(_SPHERE, n, "poisson", y, phi)
     half = 0.5 * (n + 1)
-    base = 2.0 * math.cosh(y) - 2.0 * math.cos(phi)
-    return math.gamma(half) / math.pi**half * math.sinh(y) / base**half
+    v = math.exp(-0.5 * y)
+    e = math.expm1(-y)
+    q = math.hypot(e, 2.0 * v * math.sin(0.5 * phi)) ** -half
+    amp = math.gamma(half) / math.pi**half * (-0.5 * e) * (2.0 + e)
+    return amp * v ** (n - 1) * q * q
 
 
 def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:

@@ -277,6 +277,14 @@ def test_eval_overflow_exits_4(runner, args):
     assert res.stdout == ""
 
 
+def test_eval_poisson_closed_underflows_instead_of_overflowing(runner):
+    # (cosh rho - cos y)^5 overflows at rho = 278.7; the kernel underflows
+    res = invoke(runner, ["eval", "--space", "hyperbolic", "--dim", "9", "--kind", "poisson",
+                          "--y", "0.103", "--r", "278.7"])
+    assert res.exit_code == 0
+    assert "value=0 " in res.stdout
+
+
 def test_eval_descent_stops_where_the_gaussian_underflows(runner):
     # cosh(s) at the top of the descent integral would overflow past
     # rho ~ 708; the Gaussian is 0 there, and so is the kernel

@@ -9,6 +9,7 @@ exp((n-1)^2 t / 4); "markovian" rescales to unit mass.
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -200,13 +201,40 @@ def test_poisson_closed_frozen_values():
 
 
 def test_poisson_closed_log_form_seam():
-    # p ~ exp(-(n+1) rho / 2) for large rho; the ratio across the branch
-    # switch at rho = 350 must follow that decay to machine accuracy
+    # p ~ exp(-(n+1) rho / 2) for large rho; the ratio over one unit of rho
+    # at rho = 350 must follow that decay to machine accuracy
     for n in (1, 2, 3):
         lo = hyperbolic.poisson_closed(n, 1.0, 349.5)
         hi = hyperbolic.poisson_closed(n, 1.0, 350.5)
         assert lo > 0.0 and hi > 0.0
         assert hi / lo == pytest.approx(math.exp(-0.5 * (n + 1)), rel=1e-12)
+
+
+def poisson_oracle(n: int, y: float, rho: float):
+    """The closed strip form in 40-digit arithmetic, as printed."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n + 1) / 2
+        y, rho = mpmath.mpf(y), mpmath.mpf(rho)
+        return mpmath.gamma(h) / (2 * mpmath.pi) ** h * mpmath.sin(y) / (
+            mpmath.cosh(rho) - mpmath.cos(y)
+        ) ** h
+
+
+# small heights, where cosh rho - cos y cancels, and points where the power
+# of the base overflowed although the kernel underflows
+POISSON_ORACLE_POINTS = [
+    (y, rho) for y in (1e-3, 0.001154, 0.05) for rho in (0.0, 2e-3, 1.0)
+] + [(0.103, 278.7), (0.001082, 274.9), (0.001137, 261.4), (0.001006, 229.1), (2.0, 800.0)]
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_poisson_closed_matches_oracle(n):
+    for y, rho in POISSON_ORACLE_POINTS:
+        got, want = hyperbolic.poisson_closed(n, y, rho), poisson_oracle(n, y, rho)
+        if abs(want) >= sys.float_info.min:
+            assert abs((got - want) / want) <= 1e-14
+        else:
+            assert abs(got) < sys.float_info.min
 
 
 def test_poisson_height_validation():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckernels import euclid, hyperbolic, sphere
 from ckernels.errors import DomainError, SingularPointError
 from ckernels.geometry import Space
 from ckernels.jets import (
@@ -439,3 +440,183 @@ def test_batched_raise_of_gauss_jet_matches_single_times(k, r):
 def test_raise_origin_jet_order_budget():
     with pytest.raises(DomainError):
         raise_origin_jet(Space.EUCLIDEAN, gauss_gen, 5, order=8)
+
+
+# ---------------------------------------------------------------------------
+# the raise against the Jet-level loop it replaced
+#
+# The raise runs on coefficient arrays against one weight jet sliced per
+# step, and takes the identity jet's sin/cos/sinh/cosh from a reduced
+# recurrence.  The reference below is the loop before that: per application
+# a fresh weight jet from the general recurrence, a Jet quotient by the
+# scalar division loop and a Jet scaling.  Both must agree bit for bit.
+
+
+def _recurrence_circular(x0: float, order: int, hyp: bool) -> tuple:
+    """sin and cos (sinh and cosh if hyp) of the identity jet, general recurrence."""
+    g = variable(x0, order).coeffs
+    s, c = np.empty_like(g), np.empty_like(g)
+    sign = 1.0 if hyp else -1.0
+    if hyp:
+        s[0], c[0] = math.sinh(x0), math.cosh(x0)
+    else:
+        s[0], c[0] = math.sin(x0), math.cos(x0)
+    for k in range(1, g.size):
+        dg = np.arange(1, k + 1, dtype=float) * g[1 : k + 1]
+        s[k] = np.dot(dg, c[k - 1 :: -1][:k]) / k
+        c[k] = sign * np.dot(dg, s[k - 1 :: -1][:k]) / k
+    return s, c
+
+
+def _reference_weight(space: Space, center: float, order: int) -> Jet:
+    if space is Space.EUCLIDEAN:
+        return variable(center, order)
+    return Jet(center, _recurrence_circular(center, order, space is Space.HYPERBOLIC)[0])
+
+
+def _reference_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim == 2 or b.ndim == 2:
+        a, b = np.atleast_2d(a, b)
+        out = np.empty((max(len(a), len(b)), a.shape[1]))
+        out[:, 0] = a[:, 0] / b[:, 0]
+        for i in range(1, a.shape[1]):
+            dots = np.matmul(b[:, None, 1 : i + 1], out[:, i - 1 :: -1, None])[:, 0, 0]
+            out[:, i] = (a[:, i] - dots) / b[:, 0]
+        return out
+    out = np.empty(a.size)
+    for i in range(a.size):
+        out[i] = (a[i] - np.dot(b[1 : i + 1], out[i - 1 :: -1][:i])) / b[0]
+    return out
+
+
+def _reference_raise(space: Space, jet: Jet, k: int, center: float) -> Jet:
+    for _ in range(k):
+        d = jet.deriv()
+        w = _reference_weight(space, center, d.order)
+        if center == 0.0:  # cancel one power of h from both sides
+            d, w = Jet(center, d.coeffs[..., 1:]), Jet(center, w.coeffs[..., 1:])
+        jet = Jet(center, _reference_quotient(d.coeffs, w.coeffs)) * (-1.0 / (2.0 * math.pi))
+    return jet
+
+
+def _reference_origin_jet(space: Space, gen, k: int, order: int) -> Jet:
+    coeffs = gen(0.0, 2 * k + order).coeffs.copy()
+    coeffs[..., 1::2] = 0.0
+    return _reference_raise(space, Jet(0.0, coeffs), k, 0.0)
+
+
+def _reference_operator(space: Space, gen, k: int, r: float):
+    if k == 0:
+        return gen(r, 0).coeffs[..., 0]
+    if r == 0.0:
+        return _reference_origin_jet(space, gen, k, 0).coeffs[..., 0]
+    return _reference_raise(space, gen(r, k), k, r).coeffs[..., 0]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type of what it raises."""
+    try:
+        return np.asarray(fn(*args))
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _assert_same(got, want) -> None:
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+POISSON_GENS = {
+    Space.EUCLIDEAN: euclid._halfplane_jet(0.8),
+    Space.SPHERE: sphere._poisson_jet(1, 0.8),
+    Space.HYPERBOLIC: hyperbolic._poisson_jet(1, 0.8),
+}
+GENERATORS = ("gauss", "poisson", "gauss-batch")
+
+
+def _generator(space: Space, name: str):
+    return {"gauss": gauss_gen, "poisson": POISSON_GENS[space], "gauss-batch": _batch_gen}[name]
+
+
+def _centres(space: Space) -> list:
+    far = math.pi - 0.01 if space is Space.SPHERE else 50.0
+    return [0.0, 3e-3, 0.5, 1.0, far]
+
+
+RAISE_CASES = [
+    (space, gen, r) for space in Space for gen in GENERATORS for r in _centres(space)
+]
+
+
+@pytest.mark.parametrize("space, gen, r", RAISE_CASES)
+def test_raise_operator_matches_jet_level_loop(space, gen, r):
+    g = _generator(space, gen)
+    cap = MAX_ORDER // 2 if r == 0.0 else MAX_ORDER
+    for k in range(cap + 1):
+        _assert_same(
+            _outcome(raise_operator, space, g, k, r), _outcome(_reference_operator, space, g, k, r)
+        )
+
+
+@pytest.mark.parametrize("space, gen, r", [c for c in RAISE_CASES if c[2] > 0.0])
+def test_raise_jet_matches_jet_level_loop(space, gen, r):
+    g, order = _generator(space, gen), 2
+
+    def reference(k):
+        return _reference_raise(space, g(r, k + order), k, r).coeffs
+
+    for k in range(MAX_ORDER - order + 1):
+        got = _outcome(lambda: raise_jet(space, g, k, r, order).coeffs)
+        _assert_same(got, _outcome(reference, k))
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_raise_origin_jet_matches_jet_level_loop(space, gen):
+    g, order = _generator(space, gen), 2
+    for k in range((MAX_ORDER - order) // 2 + 1):
+        got = _outcome(lambda: raise_origin_jet(space, g, k, order).coeffs)
+        want = _outcome(lambda: _reference_origin_jet(space, g, k, order).coeffs)
+        _assert_same(got, want)
+
+
+IDENTITY_CENTRES = [
+    0.0, -0.0, 5e-324, 1e-310, 1e-300, 3e-3, 0.5, 1.0, -1.2,
+    math.pi - 0.01, math.pi, 3.0, 50.0, 300.0, 700.0, 709.7,
+]
+
+
+@pytest.mark.parametrize("hyp", [False, True])
+def test_identity_circular_matches_recurrence_bit_for_bit(hyp):
+    # the identity jet's sin/cos (sinh/cosh) take a reduced recurrence; the
+    # bytes, signed zeros included, are those of the general one
+    for x0 in IDENTITY_CENTRES:
+        for order in range(MAX_ORDER + 1):
+            x = variable(x0, order)
+            got = (x.sinh(), x.cosh()) if hyp else (x.sin(), x.cos())
+            want = _recurrence_circular(x0, order, hyp)
+            for jet, coeffs in zip(got, want):
+                assert jet.coeffs.tobytes() == coeffs.tobytes(), (x0, order)
+
+
+def test_identity_sinh_cosh_still_overflow():
+    for order in (0, 1, 8):
+        with pytest.raises(OverflowError):
+            variable(711.0, order).sinh()
+        with pytest.raises(OverflowError):
+            variable(711.0, order).cosh()
+
+
+def test_origin_raise_refuses_a_derivative_that_does_not_vanish():
+    # parity keeps the derivative's leading coefficient exactly 0 at r = 0,
+    # unless an infinite coefficient turns it into nan on the way
+    def gen(center, order):
+        coeffs = np.zeros(order + 1)
+        coeffs[0], coeffs[2] = 1.0, math.inf
+        return Jet(center, coeffs)
+
+    for space in Space:
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            raise_origin_jet(space, gen, 2)

@@ -16,6 +16,7 @@ mpmath's own Gegenbauer polynomials instead.
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -222,6 +223,33 @@ def test_poisson_closed_frozen_values():
     assert sphere.poisson_closed(1, 0.7, 1.2) == pytest.approx(POISSON_N1_Y07_P12, rel=1e-13)
     assert sphere.poisson_closed(2, 0.7, 1.2) == pytest.approx(POISSON_N2_Y07_P12, rel=1e-13)
     assert sphere.poisson_closed(3, 1.1, 2.5) == pytest.approx(POISSON_N3_Y11_P25, rel=1e-13)
+
+
+def poisson_oracle(n: int, y: float, phi: float):
+    """The closed sphere form in 40-digit arithmetic, as printed."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n + 1) / 2
+        y, phi = mpmath.mpf(y), mpmath.mpf(phi)
+        return mpmath.gamma(h) / mpmath.pi**h * mpmath.sinh(y) / (
+            2 * mpmath.cosh(y) - 2 * mpmath.cos(phi)
+        ) ** h
+
+
+# small heights, where 2 cosh y - 2 cos phi cancels, and large ones, where
+# the power of the base overflowed although the kernel is a float
+POISSON_ORACLE_POINTS = [
+    (y, phi) for y in (1e-3, 0.001154, 0.05) for phi in (0.0, 2e-3, 1.0)
+] + [(95.31, 1.164), (96.38, 1.195), (800.0, 3.0)]
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_poisson_closed_matches_oracle(n):
+    for y, phi in POISSON_ORACLE_POINTS:
+        got, want = sphere.poisson_closed(n, y, phi), poisson_oracle(n, y, phi)
+        if abs(want) >= sys.float_info.min:
+            assert abs((got - want) / want) <= 1e-14
+        else:
+            assert abs(got) < sys.float_info.min
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
