@@ -23,8 +23,9 @@ and the alternative representations cross-validate them:
 
 from __future__ import annotations
 
-import cmath
 import math
+
+import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query
@@ -61,15 +62,28 @@ _EUCLIDEAN = Space.EUCLIDEAN
 # closed forms
 
 
+# One body per closed form serves the public function, at a float r, and the
+# descent integrands, at the array of a sweep's nodes; _heat takes the math
+# module or numpy as ``xp`` accordingly.
+
+
+def _heat(xp, n: int, t: float, r):
+    return (4.0 * math.pi * t) ** (-0.5 * n) * xp.exp(-r * r / (4.0 * t))
+
+
+def _poisson(n: int, y: float, r):
+    half = 0.5 * (n + 1)
+    return math.gamma(half) / math.pi**half * y / (r * r + y * y) ** half
+
+
 def heat_closed(n: int, t: float, r: float) -> float:
     check_query(_EUCLIDEAN, n, "heat", t, r)
-    return (4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-r * r / (4.0 * t))
+    return _heat(math, n, t, r)
 
 
 def poisson_closed(n: int, y: float, r: float) -> float:
     check_query(_EUCLIDEAN, n, "poisson", y, r)
-    half = 0.5 * (n + 1)
-    return math.gamma(half) / math.pi**half * y / (r * r + y * y) ** half
+    return _poisson(n, y, r)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +125,12 @@ def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
         x = variable(center, order)
         radial = (x * x * (-0.25 / t)).exp()
         res = integrate_sqrt_endpoint(
-            lambda z: math.exp(-z / (4.0 * t)), 0.0, z_max, tol * 0.1, abs_tol=0.0
+            lambda z: np.exp(-z / (4.0 * t)),
+            0.0,
+            z_max,
+            tol * 0.1,
+            abs_tol=0.0,
+            vectorized=True,
         )
         evals.append(res.n_evals)
         return radial * (res.value * amp)
@@ -165,14 +184,17 @@ def heat_raise(
 
 
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Heat kernel as the descent integral of the closed (n+1)-kernel."""
+    """Heat kernel as the descent integral of the closed (n+1)-kernel.
+
+    The integrand takes a sweep's nodes at once.
+    """
     check_query(_EUCLIDEAN, n, "heat", t, r)
 
-    def f_regular(s: float) -> float:
-        return heat_closed(n + 1, t, s) * 2.0 * s / math.sqrt(s + r)
+    def f_regular(s: np.ndarray) -> np.ndarray:
+        return _heat(np, n + 1, t, s) * 2.0 * s / np.sqrt(s + r)
 
     s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0)
+    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +216,7 @@ def heat_gruet(
     algebraic spikes where y^2 approaches -r^2 (near xi = r for small sigma);
     the spike is seeded as a breakpoint.  The value is independent of sigma,
     which the error estimate must cover (the basis of the deformation
-    cross-check).
+    cross-check).  The integrand takes a sweep's nodes at once.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
     if sigma is None:
@@ -206,9 +228,9 @@ def heat_gruet(
     half = 0.5 * (n + 1)
     inv4t = 0.25 / t
 
-    def f(y: complex) -> complex:
+    def f(y: np.ndarray) -> np.ndarray:
         yy = y * y
-        return 2.0 * y * cmath.exp(yy * inv4t) / (r * r + yy) ** half
+        return 2.0 * y * np.exp(yy * inv4t) / (r * r + yy) ** half
 
     spec = contour_spec(sigma, 4.0 * t, tol)
     bps = [r] if 0.0 < r < spec.xi_max else []
@@ -221,15 +243,18 @@ def heat_gruet(
 
 
 def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Poisson kernel as a one-sided Gaussian average over the scale w."""
+    """Poisson kernel as a one-sided Gaussian average over the scale w.
+
+    The integrand takes a sweep's nodes at once.
+    """
     check_query(_EUCLIDEAN, n, "poisson", y, r)
     c = r * r + y * y
     w_max = math.sqrt((math.log(1.0 / tol) + n + 4.0) / c)
 
-    def f(w: float) -> float:
-        return w**n * math.exp(-c * w * w)
+    def f(w: np.ndarray) -> np.ndarray:
+        return w**n * np.exp(-c * w * w)
 
-    res = integrate_adaptive(f, 0.0, w_max, tol, abs_tol=0.0)
+    res = integrate_adaptive(f, 0.0, w_max, tol, abs_tol=0.0, vectorized=True)
     return res.scaled(2.0 * y / math.pi ** (0.5 * (n + 1)))
 
 
@@ -256,7 +281,7 @@ def _space_descent_jet(y: float, tol: float, evals: list) -> RadialGenerator:
         x = variable(center, order)
         radial = (x * x + y * y).power(-1.5)
         res = integrate_to_infinity(
-            lambda v: 2.0 / (1.0 + v * v) ** 2, 0.0, tol * 0.1, abs_tol=0.0
+            lambda v: 2.0 / (1.0 + v * v) ** 2, 0.0, tol * 0.1, abs_tol=0.0, vectorized=True
         )
         evals.append(res.n_evals)
         return radial * (res.value * amp)
@@ -311,18 +336,23 @@ def poisson_raise(
 
 
 def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
+    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
+
+    Both integrands take a sweep's nodes at once.
+    """
     check_query(_EUCLIDEAN, n, "poisson", y, r)
 
-    def f_regular(s: float) -> float:
-        return poisson_closed(n + 1, y, s) * 2.0 * s / math.sqrt(s + r)
+    def f_regular(s: np.ndarray) -> np.ndarray:
+        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s + r)
 
-    def f_tail(s: float) -> float:
-        return poisson_closed(n + 1, y, s) * 2.0 * s / math.sqrt(s * s - r * r)
+    def f_tail(s: np.ndarray) -> np.ndarray:
+        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
 
     split = r + 4.0 * max(y, r, 1.0)
-    res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0)
-    res2 = integrate_to_infinity(f_tail, split, tol, abs_tol=0.0, scale=split)
+    res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0, vectorized=True)
+    res2 = integrate_to_infinity(
+        f_tail, split, tol, abs_tol=0.0, scale=split, vectorized=True
+    )
     return QuadResult(
         res1.value + res2.value,
         res1.err_estimate + res2.err_estimate,

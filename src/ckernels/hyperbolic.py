@@ -32,7 +32,6 @@ is (pi - y)/pi, and its mass integral diverges for n >= 3.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -196,7 +195,12 @@ def heat_classic(
     convention: str = "paper",
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
-    """Heat kernel from the oscillatory real integral along the pi line."""
+    """Heat kernel from the oscillatory real integral along the pi line.
+
+    The integrand takes a sweep's nodes at once and switches each node past
+    xi = 350 to a log form.  As math does at a float, it raises
+    OverflowError where its Gaussian or its power overflows.
+    """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
@@ -209,32 +213,42 @@ def heat_classic(
     cosh_rho = math.cosh(rho)
     pi_sq = math.pi * math.pi
 
-    def f(xi: float) -> float:
-        osc = math.sin(math.pi * xi / (2.0 * t))
-        if xi < 350.0:
-            return (
-                math.exp((pi_sq - xi * xi) * inv4t)
-                * math.sinh(xi)
-                * osc
-                / (cosh_rho + math.cosh(xi)) ** half
-            )
-        # log form: cosh overflows past ~710, and large xi arises whenever
-        # t is large because the integrand support scales with t
-        log_sinh = xi - math.log(2.0) + math.log1p(-math.exp(-2.0 * xi))
-        log_den = xi - math.log(2.0) + math.log1p(
-            (2.0 * cosh_rho + math.exp(-2.0 * xi)) * math.exp(-xi)
+    def direct(xi: np.ndarray, osc: np.ndarray) -> np.ndarray:
+        gauss = np.exp((pi_sq - xi * xi) * inv4t)
+        den = (cosh_rho + np.cosh(xi)) ** half
+        if np.isinf(gauss).any() or np.isinf(den).any():
+            raise OverflowError(f"exp(pi^2/4t) or (cosh rho + cosh xi)^{half} overflows")
+        return gauss * np.sinh(xi) * osc / den
+
+    def log_form(xi: np.ndarray, osc: np.ndarray) -> np.ndarray:
+        # cosh overflows past ~710, and large xi arises whenever t is large
+        # because the integrand support scales with t
+        log_sinh = xi - math.log(2.0) + np.log1p(-np.exp(-2.0 * xi))
+        log_den = xi - math.log(2.0) + np.log1p(
+            (2.0 * cosh_rho + np.exp(-2.0 * xi)) * np.exp(-xi)
         )
         expo = (pi_sq - xi * xi) * inv4t + log_sinh - half * log_den
-        if expo < -745.0:
-            return 0.0
-        return math.exp(expo) * osc
+        return np.exp(np.where(expo < -745.0, -np.inf, expo)) * osc
+
+    def f(xi: np.ndarray) -> np.ndarray:
+        osc = np.sin(math.pi * xi / (2.0 * t))
+        far = xi >= 350.0
+        if not far.any():
+            return direct(xi, osc)
+        out = np.empty_like(xi)
+        near = ~far
+        out[near] = direct(xi[near], osc[near])
+        out[far] = log_form(xi[far], osc[far])
+        return out
 
     xi_max = 2.0 * math.sqrt(t * (math.log(1.0 / tol) + 5.0)) + 2.0 * t + 2.0
     # seed the sign-change lattice of the oscillation
     step = 2.0 * t
     count = min(int(xi_max / step), 400)
     bps = [step * k for k in range(1, count + 1)]
-    res = integrate_adaptive(f, 0.0, xi_max, tol, abs_tol=0.0, breakpoints=bps)
+    res = integrate_adaptive(
+        f, 0.0, xi_max, tol, abs_tol=0.0, breakpoints=bps, vectorized=True
+    )
     return res.scaled(pref * factor)
 
 
@@ -252,7 +266,8 @@ def heat_gruet(
     The integrand sin(y) (cosh rho - cos y)^(-(n+1)/2) exp(y^2/4t) with
     y = sigma - i xi is analytic for 0 < sigma < 2 pi, so no branch tracking
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
-    near xi = rho for small sigma, seeded as a breakpoint.
+    near xi = rho for small sigma, seeded as a breakpoint.  The integrand
+    takes a sweep's nodes at once.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if sigma is None:
@@ -270,12 +285,8 @@ def heat_gruet(
     inv4t = 0.25 / t
     cosh_rho = math.cosh(rho)
 
-    def f(y: complex) -> complex:
-        return (
-            cmath.exp(y * y * inv4t)
-            * cmath.sin(y)
-            * (cosh_rho - cmath.cos(y)) ** (-half)
-        )
+    def f(y: np.ndarray) -> np.ndarray:
+        return np.exp(y * y * inv4t) * np.sin(y) * (cosh_rho - np.cos(y)) ** (-half)
 
     spec = contour_spec(sigma, 4.0 * t, tol)
     bps = [rho] if 0.0 < rho < spec.xi_max else []
@@ -298,9 +309,15 @@ def poisson_closed(n: int, y: float, rho: float) -> float:
     (sqrt(d)^-h)^2 so that a tiny d overflows only with the kernel too.
     """
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
+    return _poisson(math, n, y, rho)
+
+
+def _poisson(xp, n: int, y: float, rho):
+    """The arithmetic of :func:`poisson_closed`: at a float rho with the math
+    module as ``xp``, or at an array of distances with numpy."""
     half = 0.5 * (n + 1)
-    v = math.exp(-0.5 * rho)
-    q = math.hypot(math.expm1(-rho), 2.0 * v * math.sin(0.5 * y)) ** -half
+    v = xp.exp(-0.5 * rho)
+    q = xp.hypot(xp.expm1(-rho), 2.0 * v * math.sin(0.5 * y)) ** -half
     amp = math.gamma(half) / math.pi**half * math.sin(y)
     return amp * v ** (n + 1) * q * q
 
@@ -332,17 +349,21 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
 
 
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Poisson kernel as the descent integral of the closed (n+1)-kernel."""
+    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
+
+    The integrand takes a sweep's nodes at once.  As math does at a float, it
+    raises OverflowError where sinh s overflows, past s ~ 710.
+    """
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
 
-    def f_regular(s: float) -> float:
+    def f_regular(s: np.ndarray) -> np.ndarray:
         d = s - rho
-        ratio = 2.0 if d == 0.0 else d / math.sinh(0.5 * d)
-        return (
-            poisson_closed(n + 1, y, s)
-            * math.sinh(s)
-            * math.sqrt(ratio / math.sinh(0.5 * (s + rho)))
-        )
+        # s rounds to rho at the nodes nearest the endpoint
+        ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
+        sinh_s = np.sinh(s)
+        if np.isinf(sinh_s).any():
+            raise OverflowError("sinh s overflows in the descent weight")
+        return _poisson(np, n + 1, y, s) * sinh_s * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
 
     s_top = rho + 2.0 * (math.log(1.0 / tol) + 5.0) / (n + 1) + 5.0
-    return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0)
+    return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0, vectorized=True)

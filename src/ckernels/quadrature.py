@@ -27,7 +27,8 @@ kernel formulas: an inverse-square-root endpoint factor (substitute
 x = a + u^2), a half-line tail (substitute x = a + s u/(1-u)), and vertical
 complex contours with Gaussian envelopes, where truncation at xi_max is
 chosen from the envelope and the discarded tail is added to the error
-estimate.
+estimate.  A contour integrand always takes the complex array of a sweep's
+nodes.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def integrate_to_infinity(
 
 
 def integrate_contour(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     spec: ContourSpec,
     breakpoints: Iterable[float] | None = None,
     *,
@@ -422,20 +423,18 @@ def integrate_contour(
 ) -> QuadResult:
     """Integrate Re f(sigma - i xi) for xi in [0, xi_max].
 
-    The discarded tail beyond xi_max is bounded by the Gaussian envelope and
-    added to the error estimate.  Any convergence failure (including a
-    non-finite integrand on the line) is reported as :class:`ContourError`;
-    the usual cure is a different abscissa sigma.
+    ``f`` takes the complex array of a sweep's nodes sigma - i xi and returns
+    its values there; it runs once per sweep, like a ``vectorized`` integrand
+    of :func:`integrate_adaptive`.  The discarded tail beyond xi_max is
+    bounded by the Gaussian envelope and added to the error estimate.  Any
+    convergence failure, including a non-finite integrand on the line or at
+    xi_max, is reported as :class:`ContourError`; the usual cure is a
+    different abscissa sigma.
     """
     sigma = spec.sigma
 
-    def g(xi: float) -> float:
-        # cmath signals overflow by raising instead of returning inf; report
-        # such samples as non-finite so the usual diagnostics apply.
-        try:
-            return f(complex(sigma, -xi)).real
-        except OverflowError:
-            return math.inf
+    def g(xi: np.ndarray) -> np.ndarray:
+        return f(sigma - 1j * xi).real
 
     try:
         res = integrate_adaptive(
@@ -447,6 +446,7 @@ def integrate_contour(
             breakpoints=breakpoints or (),
             max_depth=max_depth,
             max_panels=max_panels,
+            vectorized=True,
         )
     except ConvergenceError as exc:
         raise ContourError(
@@ -457,6 +457,13 @@ def integrate_contour(
 
     # Tail of a Gaussian envelope: integral_X^inf exp(-x^2/G) dx is below
     # (G / 2X) exp(-X^2/G), and |f(sigma - i X)| already carries the envelope.
-    end_mag = abs(f(complex(sigma, -spec.xi_max)))
+    with np.errstate(all="ignore"):
+        end_mag = float(np.abs(f(np.array([complex(sigma, -spec.xi_max)]))[0]))
+    if not math.isfinite(end_mag):
+        raise ContourError(
+            f"contour integrand at sigma = {sigma} is not finite at the truncation "
+            f"point xi = {spec.xi_max}; a different abscissa may avoid the problem",
+            QuadResult(res.value, math.inf, res.n_evals + 1),
+        )
     tail = end_mag * spec.envelope_scale / (2.0 * spec.xi_max)
     return QuadResult(res.value, res.err_estimate + 2.0 * tail, res.n_evals + 1)

@@ -29,7 +29,6 @@ multiplicative total mass exp(-y (n-1)/2).
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -404,7 +403,8 @@ def heat_gruet(
     y = sigma - i xi crosses the cut of the principal half-integer power at
     xi = pi, 3 pi, ...; for even n the analytic branch flips sign there.
     Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); both
-    families are seeded as breakpoints.
+    families are seeded as breakpoints.  The integrand takes a sweep's nodes
+    at once.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if sigma is None:
@@ -420,12 +420,16 @@ def heat_gruet(
     even = n % 2 == 0
     cos_phi = math.cos(phi)
 
-    def f(y: complex) -> complex:
-        base = cmath.cosh(y) - cos_phi
-        val = cmath.exp(y * y * inv4t) * cmath.sinh(y) * base ** (-half)
+    def f(y: np.ndarray) -> np.ndarray:
+        base = np.cosh(y) - cos_phi
+        val = np.exp(y * y * inv4t) * np.sinh(y) * base ** (-half)
         if even:
-            xi = -y.imag
-            val *= -1.0 if int((xi / math.pi + 1.0) // 2.0) % 2 else 1.0
+            # The base crosses the cut where Im(base) = -sinh(sigma) sin(xi)
+            # changes sign at an odd multiple of pi, and cos(xi/2) changes
+            # sign there and only there.  Both signs follow the float xi
+            # itself, so the branch is taken from the side of the cut the
+            # computed base lies on, also where xi / pi rounds onto 1 or 3.
+            val *= np.copysign(1.0, np.cos(0.5 * y.imag))
         return val
 
     spec = contour_spec(sigma, 4.0 * t, tol)
@@ -508,49 +512,64 @@ def poisson_doubling(
     Variant "angle" integrates over the substituted angle theta with
     cos psi = sin(theta) cos(phi/2) (a smooth integrand); variant "half"
     keeps the printed half-angle form over psi in [phi, 2 pi - phi] with its
-    inverse-square-root endpoints.
+    inverse-square-root endpoints.  Both integrands take a sweep's nodes at
+    once.
+
+    The (2n+1)-kernel at height y/2 takes the base of :func:`poisson_closed`:
+    with v = e^(-y/4), 2 cosh(y/2) - 2 cos psi = d/v^2,
+    d = (1 - v^2)^2 + 2 v^2 (1 - cos psi).  Both integrands weight it by
+    cosh(y/2), and cosh(y/2) sinh(y/2) v^(2n+2) = (1 - v^8)/4 v^(2n-2), so
+    the weighted kernel is Gamma(n+1)/pi^(n+1) (1 - v^8)/4 v^(2n-2)
+    d^-(n+1), the power taken as a square as there.  No factor overflows
+    where the kernel is a float, and v^(2n-2) underflows only with it.
     """
     check_query(_SPHERE, n, "poisson", y, phi)
-    half_y = 0.5 * y
     c_n = math.pi ** (0.5 * (n + 1)) / (2.0 ** (n - 1) * math.gamma(0.5 * (n + 1)))
-    cosh_half = math.cosh(half_y)
     cos_half_phi = math.cos(0.5 * phi)
-    m = 2 * n + 1
-    half_m = 0.5 * (m + 1)
-    amp_m = math.gamma(half_m) / math.pi**half_m * math.sinh(half_y)
+    half_m = n + 1.0  # (m + 1)/2 for m = 2n + 1
+    v_sq = math.exp(-0.5 * y)
+    e = math.expm1(-0.5 * y)  # v^2 - 1
+    two_v_sq = 2.0 * v_sq
+    amp = math.gamma(half_m) / math.pi**half_m * (-0.25 * math.expm1(-2.0 * y)) * v_sq ** (n - 1)
 
-    def kernel_at_cos(c: float) -> float:
-        # closed (2n+1)-kernel as a function of cos(psi)
-        return amp_m / (2.0 * math.cosh(half_y) - 2.0 * c) ** half_m
+    def weighted_kernel(c: np.ndarray) -> np.ndarray:
+        # cosh(y/2) times the closed (2n+1)-kernel at height y/2, cos(psi) = c
+        q = np.sqrt(e * e + two_v_sq * (1.0 - c)) ** -half_m
+        return amp * q * q
 
     if variant == "angle":
 
-        def f(theta: float) -> float:
-            return (
-                cosh_half
-                * kernel_at_cos(math.sin(theta) * cos_half_phi)
-                * math.cos(theta) ** n
-            )
+        def f(theta: np.ndarray) -> np.ndarray:
+            return weighted_kernel(np.sin(theta) * cos_half_phi) * np.cos(theta) ** n
 
-        res = integrate_adaptive(f, -0.5 * math.pi, 0.5 * math.pi, tol, abs_tol=0.0)
+        res = integrate_adaptive(
+            f, -0.5 * math.pi, 0.5 * math.pi, tol, abs_tol=0.0, vectorized=True
+        )
         return res.scaled(c_n)
 
     if variant == "half":
         if phi == 0.0:
             raise SingularPointError("half-angle doubling degenerates at phi = 0")
 
-        def g(psi: float) -> float:
-            ratio = math.cos(0.5 * psi) / cos_half_phi
-            body = max(0.0, 1.0 - ratio * ratio)
+        def g(psi: np.ndarray) -> np.ndarray:
+            c = np.cos(0.5 * psi)
+            ratio = c / cos_half_phi
+            body = np.maximum(0.0, 1.0 - ratio * ratio)
             return (
-                (cosh_half / cos_half_phi)
-                * body ** (0.5 * (n - 1))
-                * kernel_at_cos(math.cos(0.5 * psi))
-                * math.sin(0.5 * psi)
+                body ** (0.5 * (n - 1))
+                * weighted_kernel(c)
+                * np.sin(0.5 * psi)
+                / cos_half_phi
             )
 
         res = integrate_adaptive(
-            g, phi, 2.0 * math.pi - phi, tol, abs_tol=0.0, breakpoints=[math.pi]
+            g,
+            phi,
+            2.0 * math.pi - phi,
+            tol,
+            abs_tol=0.0,
+            breakpoints=[math.pi],
+            vectorized=True,
         )
         return res.scaled(0.5 * c_n)
 

@@ -352,4 +352,4 @@ def test_contour_value_is_abscissa_independent():
 def test_contour_failure_is_contour_error():
     spec = contour_spec(sigma=1.0, envelope_scale=2.0, tol=1e-10)
     with pytest.raises(ContourError):
-        integrate_contour(lambda z: complex(math.nan, 0.0), spec)
+        integrate_contour(lambda z: np.full(z.shape, complex(math.nan, 0.0)), spec)

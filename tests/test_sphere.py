@@ -283,6 +283,18 @@ def test_poisson_doubling_variants_agree():
     assert a.value == pytest.approx(b.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("variant", ["angle", "half"])
+@pytest.mark.parametrize("n", [2, 8, 14, 15])
+@pytest.mark.parametrize("y", [30.0, 60.0, 96.38])
+@pytest.mark.parametrize("phi", [1.0, 1.195])
+def test_poisson_doubling_does_not_overflow_at_large_height(variant, n, y, phi):
+    # the (2n+1)-kernel's base 2 cosh(y/2) - 2 cos psi, raised to n + 1,
+    # overflowed at S^14 (96.38, 1.195) and S^15 (96.38, 1.0)
+    res = sphere.poisson_doubling(n, y, phi, variant=variant)
+    ref = sphere.poisson_closed(n, y, phi)
+    assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * abs(ref))
+
+
 def test_poisson_doubling_edge_cases():
     with pytest.raises(SingularPointError):
         sphere.poisson_doubling(1, 0.5, 0.0, variant="half")
