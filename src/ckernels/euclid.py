@@ -42,6 +42,7 @@ from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
+    gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -116,10 +117,13 @@ def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
 
     With z = s^2 - r^2 the integral becomes
     (4 pi t)^(-3/2) exp(-r^2/4t) integral_0^inf z^(-1/2) exp(-z/4t) dz: the
-    integrand separates, so the jet in r multiplies one scalar integral.
+    integrand separates, so the jet in r multiplies one scalar integral.  It
+    is the Gaussian exp(-u^2/4t) in u = sqrt(z), seeded at its fall-off
+    points (:func:`gaussian_breakpoints`), z = 4t j^2.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     z_max = 4.0 * t * (math.log(1.0 / tol) + 5.0)
+    seeds = [u * u for u in gaussian_breakpoints(0.0, t, 0.0, math.sqrt(z_max))]
 
     def gen(center: float, order: int) -> Jet:
         x = variable(center, order)
@@ -130,6 +134,7 @@ def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
             z_max,
             tol * 0.1,
             abs_tol=0.0,
+            breakpoints=seeds,
             vectorized=True,
         )
         evals.append(res.n_evals)

@@ -44,6 +44,7 @@ from .quadrature import (
     QuadResult,
     contour_spec,
     even_extrapolate,
+    gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -105,8 +106,9 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     with s = arccosh(cosh rho + z); the jets in rho flow through arccosh.
     Where cosh(s) would overflow at the top, the integral stops where the
     Gaussian has underflowed to 0, if that comes first, and is 0 if that is
-    below rho.  The integrand runs once per quadrature sweep, on a batch of
-    jets.
+    below rho.  The Gaussian's fall-off points on [rho, s_top]
+    (:func:`gaussian_breakpoints`), mapped to z, seed the partition.  The
+    integrand runs once per quadrature sweep, on a batch of jets.
     """
     amp = math.sqrt(2.0) * (4.0 * math.pi * t) ** -1.5
     # exp(-s^2/4t) is exactly 0 beyond this s
@@ -123,7 +125,9 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
             return Jet(center, np.zeros(order + 1))
         x = variable(center, order)
         ch = x.cosh()
-        z_top = math.cosh(s_top) - math.cosh(center)
+        cosh_c = math.cosh(center)
+        z_top = math.cosh(s_top) - cosh_c
+        seeds = [math.cosh(s) - cosh_c for s in gaussian_breakpoints(0.0, t, center, s_top)]
 
         def body(z: np.ndarray):
             s_jet = (ch + z).arccosh()
@@ -131,7 +135,7 @@ def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
             return val.coeffs
 
         res = integrate_sqrt_endpoint(
-            body, 0.0, z_top, tol * 0.1, abs_tol=0.0, vectorized=True
+            body, 0.0, z_top, tol * 0.1, abs_tol=0.0, breakpoints=seeds, vectorized=True
         )
         evals.append(res.n_evals)
         return Jet(center, res.value) * amp
@@ -309,15 +313,9 @@ def poisson_closed(n: int, y: float, rho: float) -> float:
     (sqrt(d)^-h)^2 so that a tiny d overflows only with the kernel too.
     """
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
-    return _poisson(math, n, y, rho)
-
-
-def _poisson(xp, n: int, y: float, rho):
-    """The arithmetic of :func:`poisson_closed`: at a float rho with the math
-    module as ``xp``, or at an array of distances with numpy."""
     half = 0.5 * (n + 1)
-    v = xp.exp(-0.5 * rho)
-    q = xp.hypot(xp.expm1(-rho), 2.0 * v * math.sin(0.5 * y)) ** -half
+    v = math.exp(-0.5 * rho)
+    q = math.hypot(math.expm1(-rho), 2.0 * v * math.sin(0.5 * y)) ** -half
     amp = math.gamma(half) / math.pi**half * math.sin(y)
     return amp * v ** (n + 1) * q * q
 
@@ -351,19 +349,29 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel as the descent integral of the closed (n+1)-kernel.
 
-    The integrand takes a sweep's nodes at once.  As math does at a float, it
-    raises OverflowError where sinh s overflows, past s ~ 710.
+    The integrand is P_(n+1)(y, s) sinh s (ratio / sinh((s + rho)/2))^(1/2),
+    ratio = (s - rho)/sinh((s - rho)/2).  On the base of
+    :func:`poisson_closed`, with v = e^(-s/2), P_(n+1) = A v^(n+2) q^2,
+    sinh s = (1 - e^(-2s))/(2 v^2) and sinh((s + rho)/2)^(-1/2)
+    = (2/(1 - e^(-(s+rho))))^(1/2) e^(-(s+rho)/4); the powers of e^(-s/2)
+    and e^(-rho/4) fold into the one exponential e^(-(2n+1)s/4 - rho/4),
+    which underflows only with the kernel, so no factor overflows at large
+    rho.  The integrand takes a sweep's nodes at once.
     """
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
+    half = 0.5 * (n + 2)
+    amp = math.gamma(half) / math.pi**half * math.sin(y) * math.sqrt(0.5)
+    two_sin = 2.0 * math.sin(0.5 * y)
 
     def f_regular(s: np.ndarray) -> np.ndarray:
         d = s - rho
         # s rounds to rho at the nodes nearest the endpoint
         ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
-        sinh_s = np.sinh(s)
-        if np.isinf(sinh_s).any():
-            raise OverflowError("sinh s overflows in the descent weight")
-        return _poisson(np, n + 1, y, s) * sinh_s * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
+        q = np.hypot(np.expm1(-s), two_sin * np.exp(-0.5 * s)) ** -half
+        power = np.exp(-0.25 * ((2 * n + 1) * s + rho))
+        return (
+            amp * q * q * power * -np.expm1(-2.0 * s) * np.sqrt(ratio / -np.expm1(-(s + rho)))
+        )
 
     s_top = rho + 2.0 * (math.log(1.0 / tol) + 5.0) / (n + 1) + 5.0
     return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0, vectorized=True)

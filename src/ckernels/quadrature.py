@@ -167,6 +167,30 @@ def sigma_default(t: float, r: float, cap: float) -> float:
     return min(0.5 * max(1.0, r), floor_cap, cap)
 
 
+def gaussian_breakpoints(c: float, t: float, a: float, b: float) -> list:
+    """Where the envelope exp(-(x - c)^2/4t) falls off on [a, b].
+
+    The points of (a, b), in increasing order, at which the envelope has
+    fallen by e^-1, e^-4, e^-9, e^-16 and e^-25 from its maximum on [a, b]:
+    with x0 the point of [a, b] nearest c, those with
+    (x - c)^2 = (x0 - c)^2 + 4t j^2, j = 1..5.  Passed as ``breakpoints``,
+    mapped to the integration variable, they let the first sweep resolve a
+    narrow Gaussian instead of bisecting toward it one level per sweep.
+    There are none where the envelope's maximum on [a, b] is below the
+    normal range (e^-708): there the integrand is 0 or subnormal rounding
+    noise, which one panel takes in one sweep and more panels only refine.
+    """
+    near = min(max(c, a), b)
+    base = (near - c) ** 2
+    if base > 4.0 * t * 708.0:
+        return []
+    out = []
+    for j in (1.0, 2.0, 3.0, 4.0, 5.0):
+        w = math.sqrt(base + 4.0 * t * j * j)
+        out += [x for x in (c - w, c + w) if a < x < b]
+    return sorted(out)
+
+
 def _norm(v: Value) -> float:
     if isinstance(v, np.ndarray):
         return float(np.max(np.abs(v)))

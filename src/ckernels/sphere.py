@@ -41,6 +41,7 @@ from .quadrature import (
     QuadResult,
     contour_spec,
     even_extrapolate,
+    gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -156,7 +157,9 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     endpoint singularity at psi = phi is removed by the x = phi + u^2
     substitution, using sin^2(psi/2) - sin^2(phi/2)
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
-    The integrand takes a sweep's nodes at once.
+    Each image integral is seeded with the fall-off points of its Gaussian
+    on [phi, pi] (:func:`gaussian_breakpoints`).  The integrand takes a
+    sweep's nodes at once.
     """
     check_query(_SPHERE, 2, "heat", t, phi)
     if phi == math.pi:
@@ -175,7 +178,13 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
             return arg * np.exp(-arg * arg * inv4t) * np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
 
         return integrate_sqrt_endpoint(
-            f_regular, phi, math.pi, tol * 0.3, abs_tol=abs_tol, vectorized=True
+            f_regular,
+            phi,
+            math.pi,
+            tol * 0.3,
+            abs_tol=abs_tol,
+            breakpoints=gaussian_breakpoints(-off, t, phi, math.pi),
+            vectorized=True,
         )
 
     head = piece(0, 0.0)
@@ -210,9 +219,11 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     jets through psi(z) = 2 arcsin(sqrt(sin^2(phi/2) + z)).  Above z* the
     psi-range [psi_up(phi), pi] still moves with phi, so it is mapped to the
     fixed interval s in [0, 1] with the endpoint psi_up carried as a jet.
-    Both integrands run once per quadrature sweep, on a batch of jets.
-    Images whose Gaussian factor underflows to 0 on all of [0, pi] add
-    exact zeros and are skipped.
+    Each of the two integrals is seeded with the fall-off points of the
+    image's Gaussian on its own psi-range (:func:`gaussian_breakpoints`),
+    mapped to z and to s.  Both integrands run once per quadrature sweep, on
+    a batch of jets.  Images whose Gaussian factor underflows to 0 on all of
+    [0, pi] add exact zeros and are skipped.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
@@ -226,6 +237,7 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
         z_star = 0.5 * (1.0 - _half_sine_sq(center))  # half of cos^2(phi/2)
         psi_up = (q_base + z_star).sqrt().arcsin() * 2.0
         span = math.pi - psi_up
+        up = float(psi_up.coeffs[0])  # psi_up at the centre, for the seeds
         count = 0
         total = None
 
@@ -258,11 +270,30 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
                 base = half * half - q_base
                 return (g_of(psi_jet) * base.power(-0.5) * span).coeffs
 
+            low_seeds = [
+                math.sin(0.5 * (psi + center)) * math.sin(0.5 * (psi - center))
+                for psi in gaussian_breakpoints(-off, t, center, up)
+            ]
+            high_seeds = [
+                (psi - up) / (math.pi - up) for psi in gaussian_breakpoints(-off, t, up, math.pi)
+            ]
             res_low = integrate_sqrt_endpoint(
-                low_body, 0.0, z_star, tol * 0.2, abs_tol=0.0, vectorized=True
+                low_body,
+                0.0,
+                z_star,
+                tol * 0.2,
+                abs_tol=0.0,
+                breakpoints=low_seeds,
+                vectorized=True,
             )
             res_high = integrate_adaptive(
-                high_body, 0.0, 1.0, tol * 0.2, abs_tol=0.0, vectorized=True
+                high_body,
+                0.0,
+                1.0,
+                tol * 0.2,
+                abs_tol=0.0,
+                breakpoints=high_seeds,
+                vectorized=True,
             )
             count += res_low.n_evals + res_high.n_evals
             add(sign * (Jet(center, res_low.value) + Jet(center, res_high.value)))
@@ -513,7 +544,11 @@ def poisson_doubling(
     cos psi = sin(theta) cos(phi/2) (a smooth integrand); variant "half"
     keeps the printed half-angle form over psi in [phi, 2 pi - phi] with its
     inverse-square-root endpoints.  Both integrands take a sweep's nodes at
-    once.
+    once.  Near the antipode the half-angle interval is narrow, and the
+    rounding of its nodes and of its endpoint 2 pi - phi, about eps pi,
+    shifts them by eps pi/(pi - phi) of its half-width; that, times the
+    integrand's variation over its mean (about sqrt(n + 1)), is added to
+    the error relatively.
 
     The (2n+1)-kernel at height y/2 takes the base of :func:`poisson_closed`:
     with v = e^(-y/4), 2 cosh(y/2) - 2 cos psi = d/v^2,
@@ -571,6 +606,8 @@ def poisson_doubling(
             breakpoints=[math.pi],
             vectorized=True,
         )
-        return res.scaled(0.5 * c_n)
+        shift = math.pi * _EPS / (math.pi - phi)
+        err = res.err_estimate + math.sqrt(n + 1.0) * shift * abs(res.value)
+        return QuadResult(res.value, err, res.n_evals).scaled(0.5 * c_n)
 
     raise DomainError(f"unknown doubling variant {variant!r}")

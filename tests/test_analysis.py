@@ -31,19 +31,17 @@ from ckernels.geometry import CONVENTIONS, KINDS, Space
         # nodes near s = 700 overflow the sinh jet of the descent integrand
         (Space.HYPERBOLIC, 1e-3, 700.0, "descent", 0.0),
         (Space.EUCLIDEAN, 1e-3, 800.0, "raise", 0.0),
-        (Space.HYPERBOLIC, 200.0, 1.0, "descent", ConvergenceError),
+        # a 30-digit descent integral (perfbench/make_references.py)
+        (Space.HYPERBOLIC, 200.0, 1.0, "descent", 1.1928701104605602e-06),
     ],
 )
 def test_batched_jet_routes_warn_nothing(space, t, r, rep, outcome):
     # the 4-d heat kernels integrate a batch of jets per quadrature sweep;
-    # each point keeps its value or exception class and emits no warning
+    # each point keeps its value within its error and emits no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if outcome is ConvergenceError:
-            with pytest.raises(ConvergenceError):
-                analysis.evaluate(space, 4, "heat", t, r, rep=rep)
-        else:
-            assert analysis.evaluate(space, 4, "heat", t, r, rep=rep).value == outcome
+        res = analysis.evaluate(space, 4, "heat", t, r, rep=rep)
+    assert abs(res.value - outcome) <= res.err_estimate
 
 
 def test_representation_names():

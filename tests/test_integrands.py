@@ -322,18 +322,22 @@ def test_hyperbolic_poisson_descent_matches_per_node_form(capture, n, y, rho):
     _assert_matches(f, ref_hyperbolic_poisson_descent(n, y, rho), _nodes(a, b))
 
 
-def test_hyperbolic_poisson_descent_overflows_where_the_per_node_form_does(capture):
-    # sinh s overflows past s ~ 710.5
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rho", [705.0, 800.0])
+def test_hyperbolic_poisson_descent_matches_closed_past_the_sinh_overflow(capture, n, rho):
+    # the per-node form overflows in sinh s past s ~ 710.5 (and underflows
+    # in P_(n+1) before that); the vectorized one folds sinh s into its
+    # exponential, which underflows only with the kernel
+    res = hyperbolic.poisson_descent(n, 1.0, rho)
+    ref = hyperbolic.poisson_closed(n, 1.0, rho)
+    assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * abs(ref))
     calls = capture(hyperbolic)
-    hyperbolic.poisson_descent(3, 1.0, 705.0)
+    hyperbolic.poisson_descent(n, 1.0, rho)
     _, f, (a, b, *_), _ = _single(calls, "integrate_sqrt_endpoint")
-    ref = ref_hyperbolic_poisson_descent(3, 1.0, 705.0)
-    xi = _nodes(711.0, b)
+    per_node = ref_hyperbolic_poisson_descent(n, 1.0, rho)
     with pytest.raises(OverflowError):
-        [ref(u) for u in xi]
-    with pytest.raises(OverflowError):
-        _vectorized(f, xi)
-    _assert_matches(f, ref, _nodes(a, 710.0))
+        per_node(b)
+    assert np.isfinite(_vectorized(f, _nodes(a, b))).all()
 
 
 @pytest.mark.parametrize(
@@ -402,6 +406,59 @@ def test_one_integrand_call_per_sweep(monkeypatch, route):
     monkeypatch.setattr(quadrature, "_sweep", counting_sweep)
     ROUTES[route]()
     assert counts and set(counts) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Gaussian envelopes seeded at their length scale
+
+
+@pytest.fixture
+def sweeps_per_integral(monkeypatch):
+    """Record the sweeps of every integral, keyed by its integrand.
+
+    Each integral hands the quadrature its own integrand object, so the
+    returned dict maps one integral to the panel counts of its sweeps.
+    """
+    counts: dict = {}
+    sweep = quadrature._sweep
+
+    def counting_sweep(f, los, his, vectorized):
+        counts.setdefault(f, []).append(len(los))
+        return sweep(f, los, his, vectorized)
+
+    monkeypatch.setattr(quadrature, "_sweep", counting_sweep)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: hyperbolic.heat_descent(6, 1.029e-3, 0.8735),
+        lambda: hyperbolic.heat_descent(10, 0.1044, 1.17),
+        lambda: sphere.heat_raise(8, 1.073e-3, 1.137),
+    ],
+    ids=["H6-descent", "H10-descent", "S8-raise"],
+)
+def test_seeded_jet_integrals_take_at_most_three_sweeps(sweeps_per_integral, route):
+    # unseeded, the first sweeps bisect toward the narrow Gaussian one level
+    # at a time: 6 to 7 sweeps, each one batched jet program
+    route()
+    assert sweeps_per_integral
+    assert max(len(s) for s in sweeps_per_integral.values()) <= 3
+
+
+def test_seeded_plane_descent_takes_one_sweep(sweeps_per_integral):
+    euclid.heat_raise(4, 0.8, 1.5)
+    assert list(map(len, sweeps_per_integral.values())) == [1]
+
+
+def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
+    # every Gaussian underflows to 0 on [2, pi] at t = 0.001: each image
+    # integral is one panel, 15 evaluations, as without seeds
+    res = sphere.heat_theta2(0.001, 2.0)
+    assert res.value == 0.0
+    assert all(s == [1] for s in sweeps_per_integral.values())
+    assert res.n_evals == 15 * len(sweeps_per_integral) == 75
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,16 @@ def test_poisson_doubling_does_not_overflow_at_large_height(variant, n, y, phi):
     assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * abs(ref))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 15])
+@pytest.mark.parametrize("y", [0.01, 1.0, 96.38])
+def test_half_angle_doubling_covers_its_rounding_near_the_antipode(n, y):
+    # [phi, 2 pi - phi] is 5e-6 wide at phi = 3.14159, so rounding its nodes
+    # and endpoint moves the value by up to 2e-10 relative
+    res = sphere.poisson_doubling(n, y, 3.14159, variant="half")
+    ref = sphere.poisson_closed(n, y, 3.14159)
+    assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * abs(ref))
+
+
 def test_poisson_doubling_edge_cases():
     with pytest.raises(SingularPointError):
         sphere.poisson_doubling(1, 0.5, 0.0, variant="half")
