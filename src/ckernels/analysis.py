@@ -46,7 +46,7 @@ from .geometry import (
     spectral_shift,
     sphere_surface_coeff,
 )
-from .jets import Jet, gauss_jet, raise_jet, raise_operator, variable
+from .jets import Jet, gauss_jet, raise_jet, raise_kernel, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -377,28 +377,29 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     subordination variable, so no image truncation is needed.
 
     The integrand runs once per quadrature sweep, on the 15 nodes of each of
-    the sweep's panels.  For odd n where ``hyperbolic.raises_directly``
-    (rho = 0 or rho >= GUARD_RHO, any rho for n = 1) the inner heat kernel at
-    all those times is one batched raise of the Gaussian: the row the
-    ``auto`` walk accepts first there, with err 0.  The other nodes take the
-    inner heat kernel one by one, as the walk gives it: nodes where the
-    batch overflows or is not finite, guard-band rho, where raising
-    extrapolates and the walk moves on to the Gruet rows, and even n.
+    the sweep's panels.  For odd n the inner heat kernel at all those times
+    is one batched :func:`raise_kernel` of the Gaussian, at every rho: the
+    row the ``auto`` walk tries first, kept where the walk would accept it.
+    The other nodes take the inner heat kernel one by one, as the walk
+    gives it: nodes where the batch's error exceeds the inner tolerance,
+    where it overflows or is not finite, and even n.
     """
     check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
     heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
+    inner = max(tol * 0.1, 1e-12)  # the tolerance _heat_fn asks of the walk
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
     k = (n - 1) // 2
-    batched = n % 2 == 1 and hyperbolic.raises_directly(k, rho)
 
     def f(vs: np.ndarray) -> np.ndarray:
         w = np.array([_theta_weight(v, y) for v in vs])
         ts = 0.25 / (vs * vs)
         heat = np.full(len(vs), math.nan)  # a node left non-finite takes the walk
-        if batched:
+        if n % 2 == 1:
             try:
-                heat = raise_operator(Space.HYPERBOLIC, gauss_jet(ts), k, rho)
-            except OverflowError:  # sinh rho, above rho ~ 710
+                res = raise_kernel(Space.HYPERBOLIC, gauss_jet(ts), k, rho, inner)
+                met = res.err_estimate <= inner * np.abs(res.value)
+                heat = np.where(met, res.value, math.nan)
+            except (OverflowError, SingularPointError):  # sinh rho > ~710; k >= 15
                 pass
         heat[w == 0.0] = 0.0  # an underflowed weight needs no heat
         for i in np.flatnonzero(~np.isfinite(heat)):
@@ -410,7 +411,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     res = integrate_adaptive(
         f, 0.054, v_max, tol, abs_tol=0.0, breakpoints=[0.3, 0.5], vectorized=True
     )
-    inner_err = 3.0 * max(tol * 0.1, 1e-12) * abs(res.value)
+    inner_err = 3.0 * inner * abs(res.value)
     return QuadResult(res.value, res.err_estimate + inner_err + 1e-30, res.n_evals)
 
 
@@ -694,7 +695,7 @@ def compare(
 ) -> ValidationReport:
     """Evaluate the chosen representations on a grid and cross-compare.
 
-    Points a representation refuses (singular guard bands, domain limits)
+    Points a representation refuses (singular points, domain limits)
     are recorded as NaN and skipped in the pairwise comparison.
     """
     if reps is None:

@@ -27,15 +27,16 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .geometry import Space, check_positive, check_query
 from .jets import (
-    MAX_ORDER,
+    POLE_REACH,
     Jet,
     RadialGenerator,
     gauss_jet,
+    pole_series,
+    raise_kernel,
     raise_operator,
-    raise_origin_jet,
     variable,
 )
 from .quadrature import (
@@ -49,11 +50,6 @@ from .quadrature import (
     integrate_to_infinity,
     sigma_default,
 )
-
-# Raising at 0 < r < GUARD_RADIUS divides by a near-vanishing weight; callers
-# should use the closed form there (r = 0 itself is evaluated exactly by
-# parity).
-GUARD_RADIUS = 1e-3
 
 # bound once: an enum member lookup costs about as much as the entry check
 _EUCLIDEAN = Space.EUCLIDEAN
@@ -91,23 +87,19 @@ def poisson_closed(n: int, y: float, r: float) -> float:
 # raising
 
 
-def _guarded_raised(gen: RadialGenerator, k: int):
-    """Pointwise k-raised kernel, safe arbitrarily close to the origin.
+def _raised_at_nodes(gen: RadialGenerator, k: int, r: float, tol: float):
+    """The k-raised kernel at the nodes s >= r of a sweep: one raise a node,
+    but within POLE_REACH one :func:`pole_series` (its err is not added)."""
+    b = pole_series(_EUCLIDEAN, gen, k, 0.0, POLE_REACH, tol)[0] if r < POLE_REACH else None
 
-    Inside the guard band direct raising divides by a near-vanishing weight,
-    so integrands that sweep s toward 0 (the under-the-integral raising
-    variants at r = 0) substitute an origin-centred jet of the raised kernel;
-    its truncation error at s < GUARD_RADIUS is far below roundoff.
-    """
-    cache: list = []
-
-    def kernel(s: float) -> float:
-        if s < GUARD_RADIUS:
-            if not cache:
-                spare = MAX_ORDER - 2 * k
-                cache.append(raise_origin_jet(Space.EUCLIDEAN, gen, k, min(8, spare)))
-            return cache[0](s)
-        return raise_operator(Space.EUCLIDEAN, gen, k, s)
+    def kernel(s: np.ndarray) -> np.ndarray:
+        near = s < POLE_REACH
+        out = np.empty_like(s)
+        if b is not None:
+            out[near] = np.power.outer(s[near] ** 2, np.arange(b.size)) @ b
+        for i in np.flatnonzero(~near):
+            out[i] = raise_operator(_EUCLIDEAN, gen, k, float(s[i]))
+        return out
 
     return kernel
 
@@ -153,39 +145,35 @@ def heat_raise(
 ) -> QuadResult:
     """Heat kernel through the dimension-raising recursion.
 
-    Odd n reduces to jets of the 1-d Gaussian (no quadrature, error 0).
-    Even n needs one inverse-square-root integral; ``variant`` selects
-    whether the raising operator acts outside it ("outside") or under the
-    integral sign on the 3-d kernel ("inside").
+    Odd n reduces to jets of the 1-d Gaussian (no quadrature).  Even n needs
+    one inverse-square-root integral; ``variant`` selects whether the
+    raising operator acts outside it ("outside") or under the integral sign
+    on the 3-d kernel ("inside").  Each raise is :func:`raise_kernel`'s.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
-    if 0.0 < r < GUARD_RADIUS:
-        raise SingularPointError(
-            f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
-        )
     if n % 2 == 1:
-        k = (n - 1) // 2
-        value = raise_operator(Space.EUCLIDEAN, gauss_jet(t), k, r)
-        return QuadResult(value, 0.0, 0)
+        return raise_kernel(_EUCLIDEAN, gauss_jet(t), (n - 1) // 2, r, tol)
     if variant == "outside":
         evals: list = []
-        k = (n - 2) // 2
-        value = raise_operator(Space.EUCLIDEAN, _plane_descent_jet(t, tol, evals), k, r)
-        return QuadResult(value, tol * abs(value), sum(evals))
+        res = raise_kernel(_EUCLIDEAN, _plane_descent_jet(t, tol, evals), (n - 2) // 2, r, tol)
+        return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
     if variant == "inside":
-        kernel = _guarded_raised(gauss_jet(t), n // 2)
-
-        def f_regular(s: float) -> float:
-            return kernel(s) * 2.0 * s / math.sqrt(s + r)
-
-        s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-        res = integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0)
-        return res
+        return _heat_descent(_raised_at_nodes(gauss_jet(t), n // 2, r, tol), t, r, tol)
     raise DomainError(f"unknown raising variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
 # descent
+
+
+def _heat_descent(kernel, t: float, r: float, tol: float) -> QuadResult:
+    """The descent integral of an (n+1)-kernel given at a sweep's nodes."""
+
+    def f_regular(s: np.ndarray) -> np.ndarray:
+        return kernel(s) * 2.0 * s / np.sqrt(s + r)
+
+    s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
+    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
 
 
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -194,12 +182,7 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
     The integrand takes a sweep's nodes at once.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
-
-    def f_regular(s: np.ndarray) -> np.ndarray:
-        return _heat(np, n + 1, t, s) * 2.0 * s / np.sqrt(s + r)
-
-    s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
+    return _heat_descent(lambda s: _heat(np, n + 1, t, s), t, r, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -304,54 +287,29 @@ def poisson_raise(
 ) -> QuadResult:
     """Poisson kernel through the dimension-raising recursion.
 
-    Same parity split as :func:`heat_raise`, over the Poisson base kernels.
+    Same parity split and raises as :func:`heat_raise`, over the Poisson
+    base kernels.
     """
     check_query(_EUCLIDEAN, n, "poisson", y, r)
-    if 0.0 < r < GUARD_RADIUS:
-        raise SingularPointError(
-            f"raising is ill-conditioned for 0 < r < {GUARD_RADIUS}; use the closed form"
-        )
     if n % 2 == 1:
-        k = (n - 1) // 2
-        value = raise_operator(Space.EUCLIDEAN, _halfplane_jet(y), k, r)
-        return QuadResult(value, 0.0, 0)
+        return raise_kernel(_EUCLIDEAN, _halfplane_jet(y), (n - 1) // 2, r, tol)
     if variant == "outside":
         evals: list = []
-        k = (n - 2) // 2
-        value = raise_operator(Space.EUCLIDEAN, _space_descent_jet(y, tol, evals), k, r)
-        return QuadResult(value, tol * abs(value), sum(evals))
+        res = raise_kernel(_EUCLIDEAN, _space_descent_jet(y, tol, evals), (n - 2) // 2, r, tol)
+        return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
     if variant == "inside":
-        kernel = _guarded_raised(_halfplane_jet(y), n // 2)
-
-        def f_regular(s: float) -> float:
-            return kernel(s) * 2.0 * s / math.sqrt(s + r)
-
-        def f_tail(s: float) -> float:
-            return kernel(s) * 2.0 * s / math.sqrt(s * s - r * r)
-
-        split = r + 4.0 * max(y, r, 1.0)
-        res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0)
-        res2 = integrate_to_infinity(f_tail, split, tol, abs_tol=0.0, scale=split)
-        return QuadResult(
-            res1.value + res2.value,
-            res1.err_estimate + res2.err_estimate,
-            res1.n_evals + res2.n_evals,
-        )
+        return _poisson_descent(_raised_at_nodes(_halfplane_jet(y), n // 2, r, tol), y, r, tol)
     raise DomainError(f"unknown raising variant {variant!r}")
 
 
-def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
-
-    Both integrands take a sweep's nodes at once.
-    """
-    check_query(_EUCLIDEAN, n, "poisson", y, r)
+def _poisson_descent(kernel, y: float, r: float, tol: float) -> QuadResult:
+    """The descent integral of an (n+1)-kernel given at a sweep's nodes."""
 
     def f_regular(s: np.ndarray) -> np.ndarray:
-        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s + r)
+        return kernel(s) * 2.0 * s / np.sqrt(s + r)
 
     def f_tail(s: np.ndarray) -> np.ndarray:
-        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
+        return kernel(s) * 2.0 * s / np.sqrt(s * s - r * r)
 
     split = r + 4.0 * max(y, r, 1.0)
     res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0, vectorized=True)
@@ -363,3 +321,12 @@ def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qua
         res1.err_estimate + res2.err_estimate,
         res1.n_evals + res2.n_evals,
     )
+
+
+def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
+
+    Both integrands take a sweep's nodes at once.
+    """
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
+    return _poisson_descent(lambda s: _poisson(n + 1, y, s), y, r, tol)

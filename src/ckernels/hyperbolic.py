@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_query, convention_factor
-from .jets import Jet, RadialGenerator, gauss_jet, raise_operator, variable
+from .jets import POLE_REACH, Jet, RadialGenerator, gauss_jet, raise_kernel, raise_operator
+from .jets import variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -51,19 +52,8 @@ from .quadrature import (
     sigma_default,
 )
 
-GUARD_RHO = 1e-2
-
 # bound once: an enum member lookup costs about as much as the entry check
 _HYPERBOLIC = Space.HYPERBOLIC
-
-
-def raises_directly(k: int, rho: float) -> bool:
-    """Whether the raising routes raise k times at rho itself, with err 0.
-
-    Elsewhere, in the guard band 0 < rho < GUARD_RHO, they extrapolate evenly
-    from 2 and 4 GUARD_RHO, where the weight sinh rho is not small.
-    """
-    return rho == 0.0 or k == 0 or rho >= GUARD_RHO
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +68,13 @@ def heat_raise(
     convention: str = "paper",
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
-    """Odd-dimensional heat kernel by raising the flat 1-d Gaussian."""
+    """Odd-dimensional heat kernel by raising the flat 1-d Gaussian, with
+    :func:`raise_kernel`'s pole series and error within POLE_REACH of 0."""
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 0:
         raise DomainError("raising reaches odd dimensions only; use heat_descent")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
-    k = (n - 1) // 2
-
-    def at(r: float) -> QuadResult:
-        value = raise_operator(Space.HYPERBOLIC, gauss_jet(t), k, r) * factor
-        return QuadResult(value, 0.0, 0)
-
-    if raises_directly(k, rho):
-        return at(rho)
-    return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+    return raise_kernel(_HYPERBOLIC, gauss_jet(t), (n - 1) // 2, rho, tol).scaled(factor)
 
 
 def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
@@ -166,9 +149,8 @@ def heat_descent(
             value = raise_operator(Space.HYPERBOLIC, _descent_jet(t, tol, evals), k, r)
             return QuadResult(value * factor, 2.0 * tol * abs(value) * factor, sum(evals))
 
-        if rho >= GUARD_RHO:
-            return at(rho)
-        return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+        # _descent_jet refuses centre 0: extrapolate from outside the reach
+        return even_extrapolate(at, rho, POLE_REACH)
 
     if variant == "inside":
         gauss = gauss_jet(t)
@@ -321,12 +303,17 @@ def poisson_closed(n: int, y: float, rho: float) -> float:
 
 
 def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
+    """Jets of the closed strip kernel in dimension ``base_dim``, its base
+    cosh x - cos y valued as 2 sinh^2(x/2) + 2 sin^2(y/2), which does not
+    cancel as x and y go to 0; the higher coefficients are cosh x's."""
     half = 0.5 * (base_dim + 1)
     amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
+    floor = 2.0 * math.sin(0.5 * y) ** 2
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (x.cosh() - math.cos(y)).power(-half) * amp
+        base = variable(center, order).cosh()
+        base.coeffs[0] = 2.0 * math.sinh(0.5 * center) ** 2 + floor
+        return base.power(-half) * amp
 
     return gen
 
@@ -335,15 +322,7 @@ def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
     """Poisson kernel raised from the closed 1-d or 2-d strip kernel."""
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
     base_dim = 1 if n % 2 == 1 else 2
-    k = (n - base_dim) // 2
-
-    def at(r: float) -> QuadResult:
-        value = raise_operator(Space.HYPERBOLIC, _poisson_jet(base_dim, y), k, r)
-        return QuadResult(value, 0.0, 0)
-
-    if raises_directly(k, rho):
-        return at(rho)
-    return even_extrapolate(at, rho, 2.0 * GUARD_RHO, 4.0 * GUARD_RHO)
+    return raise_kernel(_HYPERBOLIC, _poisson_jet(base_dim, y), (n - base_dim) // 2, rho)
 
 
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:

@@ -17,23 +17,30 @@ maps the radial kernel in dimension n to the kernel in dimension n + 2 on
 every model space.  :func:`raise_operator` iterates it k times against a
 generator that can produce jets of the base kernel at any requested order;
 each application consumes one derivative order, which is why generators take
-an explicit order argument.
+an explicit order argument.  :func:`raise_kernel` adds an error bound and,
+near the zeros of w, sums the raised kernel's Taylor series there
+(:func:`pole_series`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space
+from .quadrature import DEFAULT_TOL, QuadResult
 
-MAX_ORDER = 16
+# one cap for every jet: the pole series of n = 15 takes 2k = 14 orders and 16 more
+MAX_ORDER = 32
 
-Scalar = Union[int, float]
+# raising within this distance of a zero of the weight, r = 0 and on the
+# sphere also phi = pi, takes the pole's Taylor series (see pole_series)
+POLE_REACH = 1e-2
+_EPS = float(np.finfo(float).eps)
 
 # A radial generator maps (center, order) to a jet of that order at the
 # given centre.  Kernel base cases are provided in this form so the raising
@@ -450,6 +457,12 @@ def weight_jet(space: Space, center: float, order: int) -> Jet:
     return x.sinh()
 
 
+# the weight jets at r = 0, which every origin raise slices
+_ORIGIN_WEIGHT = {space: weight_jet(space, 0.0, MAX_ORDER).coeffs for space in Space}
+# h / sin h in powers of h^2: all positive; h / sinh h's differ in sign only
+_SIN_RATIO = _divide(np.eye(MAX_ORDER)[0], _ORIGIN_WEIGHT[Space.SPHERE][1:])[::2]
+
+
 def _check_raise_count(k) -> None:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"raise count must be a nonnegative integer, got {k}")
@@ -480,8 +493,8 @@ def _raise_k(space: Space, c: np.ndarray, k: int, center: float) -> np.ndarray:
     """
     if k == 0:
         return c
-    w = weight_jet(space, center, c.shape[-1] - 2).coeffs
     lo = 1 if center == 0.0 else 0
+    w = _ORIGIN_WEIGHT[space] if lo else weight_jet(space, center, c.shape[-1] - 2).coeffs
     for _ in range(k):
         n = c.shape[-1] - 1
         d = c[..., 1:] * _IDX[1 : n + 1]
@@ -548,8 +561,8 @@ def raise_operator(
     gets the array of the m raised values.
 
     At r = 0 the quotient -f'/(2 pi w) is evaluated exactly through the even
-    symmetry of the base kernel.  On the sphere the antipode has no such
-    symmetry rescue and is refused.
+    symmetry of the base kernel.  The sphere's antipode is refused here;
+    :func:`raise_kernel` evaluates there from the jet at pi.
 
     The k applications run on the coefficient arrays of the generator's jet
     against one weight jet (see ``_raise_k``); no jet is built per step.
@@ -563,3 +576,68 @@ def raise_operator(
     if r == 0.0:
         return _values(raise_origin_jet(space, generator, k).coeffs)
     return _values(_raise_k(space, _generate(generator, r, k).coeffs, k, r))
+
+
+def _raise_magnitude(space: Space, c: np.ndarray, k: int) -> np.ndarray:
+    """|M| |c| for M the k-fold raise at r = 0, as a series in h^2: the origin
+    raise of |c| on the weight h or sin h, by one numpy call a step.
+
+    A step maps f = sum_i e_i h^(2i) to -(f'/h) (h/w) / (2 pi): the shift
+    e_i -> (i + 1) e_(i+1) / pi, then (but on the line) the product with
+    h/sin h or h/sinh h, whose coefficients differ only in sign.
+    """
+    m = np.abs(c[..., ::2])
+    for _ in range(k):
+        m = m[..., 1:] * (_IDX[1 : m.shape[-1]] / math.pi)
+        if space is not Space.EUCLIDEAN:
+            q = _SIN_RATIO[: m.shape[-1]]
+            m = np.convolve(m, q)[: m.size] if m.ndim == 1 else _cauchy(m, q)
+    return m
+
+
+def pole_series(
+    space: Space, generator: RadialGenerator, k: int, pole: float, reach: float, tol: float
+) -> tuple:
+    """The k-raised kernel at distance h <= ``reach`` from ``pole`` (0, or pi
+    on the sphere) is sum_j b_j h^2j within sum_j e_j h^2j: (b, e).
+
+    b is :func:`raise_origin_jet` with K extra orders, times (-1)^k at pi
+    (sin(pi + h) = -sin h); K is 0 at reach 0, else the least even K >= 4
+    with (2 reach)^(K-2) <= tol, or all MAX_ORDER leaves if that misses tol.
+    e is the last two terms plus the rounding (2k + K) eps |M| |c|.
+    """
+    cap = MAX_ORDER - 2 * k
+    if reach > 0.0 and cap < 4:
+        raise SingularPointError(f"{k} raises leave {cap} of {MAX_ORDER} jet orders for the pole")
+
+    def series(extra: int) -> tuple:
+        jet = _generate(generator, pole, 2 * k + extra)
+        b = raise_origin_jet(space, lambda *_: jet, k, extra).coeffs[..., ::2]
+        e = (2 * k + extra) * _EPS * _raise_magnitude(space, jet.coeffs, k)
+        if extra:
+            e[..., -2:] += np.abs(b[..., -2:])
+        return (-1.0 if pole and k % 2 else 1.0) * b, e
+
+    if reach == 0.0:
+        return series(0)
+    extra = min(max(4, 2 * math.ceil(0.5 * math.log(tol) / math.log(2.0 * reach)) + 2), cap)
+    b, e = series(extra)
+    powers = reach ** (2.0 * _IDX[: b.shape[-1]])
+    if extra < cap and np.any(np.abs(b[..., -2:]) @ powers[-2:] > tol * np.abs(b @ powers)):
+        b, e = series(cap)
+    return b, e
+
+
+def raise_kernel(
+    space: Space, generator: RadialGenerator, k: int, r: float, tol: float = DEFAULT_TOL
+) -> QuadResult:
+    """The k-times-raised kernel at r with an error bound: :func:`raise_operator`
+    with err 0, or within POLE_REACH of a pole the :func:`pole_series`."""
+    _check_raise_count(k)
+    pole = math.pi if space is Space.SPHERE and r > 0.5 * math.pi else 0.0
+    h = abs(r - pole)
+    if k == 0 or h >= POLE_REACH:
+        return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
+    b, e = pole_series(space, generator, k, pole, h, tol)
+    powers = h ** (2.0 * _IDX[: b.shape[-1]])
+    return QuadResult(_values(b @ powers[:, None]), _values(e @ powers[:, None]), 0)

@@ -100,15 +100,18 @@ class QuadResult:
         return QuadResult(self.value * factor, self.err_estimate * abs(factor), self.n_evals)
 
 
-def even_extrapolate(f, x: float, x1: float, x2: float) -> QuadResult:
+def even_extrapolate(f, x: float, reach: float) -> QuadResult:
     """Evaluate an even function near its symmetry point by quadratic fit.
 
-    ``f`` maps a coordinate to a QuadResult; the fit is linear in x^2 through
-    x1 and x2, exact for even quadratics, with the spread between the two
-    samples folded into the error estimate.
+    ``f`` maps a coordinate to a QuadResult; within ``reach`` the fit is
+    linear in x^2 through 2 and 4 times the reach, exact for even
+    quadratics, with the spread between the two samples folded into the
+    error estimate.
     """
-    r1 = f(x1)
-    r2 = f(x2)
+    if x >= reach:
+        return f(x)
+    x1, x2 = 2.0 * reach, 4.0 * reach
+    r1, r2 = f(x1), f(x2)
     slope = (r2.value - r1.value) / (x2 * x2 - x1 * x1)
     value = r1.value + (x * x - x1 * x1) * slope
     err = r1.err_estimate + r2.err_estimate + 0.05 * abs(r2.value - r1.value)

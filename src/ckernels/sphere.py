@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query, convention_exponent
-from .jets import Jet, RadialGenerator, raise_operator, variable
+from .jets import POLE_REACH, Jet, RadialGenerator, raise_kernel, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -48,11 +48,6 @@ from .quadrature import (
     sigma_default,
 )
 
-# Raising and image-sum paths degrade within this angle of the poles; they
-# switch to an even quadratic extrapolation from just outside the band
-# (documented accuracy loss around 1e-6 relative).
-GUARD_ANGLE = 1e-2
-
 # The spectral series refuses shorter times: its terms grow like t^(-n/2)
 # before they decay, so near the antipode, where the sum cancels to about
 # exp(-pi^2/4t), the roundoff floor swamps the value.  Sphere subordination
@@ -63,20 +58,6 @@ SPECTRAL_MIN_T = 0.1
 # bound once: an enum member lookup costs about as much as the entry check
 _SPHERE = Space.SPHERE
 _EPS = float(np.finfo(float).eps)
-
-
-def _pole_guarded(at, phi: float) -> QuadResult:
-    """at(phi), extrapolated evenly from outside GUARD_ANGLE near either pole."""
-    if phi < GUARD_ANGLE:
-        return even_extrapolate(at, phi, 2.0 * GUARD_ANGLE, 4.0 * GUARD_ANGLE)
-    if math.pi - phi < GUARD_ANGLE:
-        return even_extrapolate(
-            lambda u: at(math.pi - u),
-            math.pi - phi,
-            2.0 * GUARD_ANGLE,
-            4.0 * GUARD_ANGLE,
-        )
-    return at(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +302,28 @@ def heat_theta(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Sphere heat kernel through the dimension-raising recursion.
 
-    Near the poles the division by sin(phi) is replaced by an even quadratic
-    extrapolation from just outside GUARD_ANGLE (phi = 0 itself is exact by
-    parity for the circle-based branch).
+    Odd n raises the circle's image sum by :func:`raise_kernel` and claims
+    tol |v|, far above the sum's truncation, or the pole series' larger bound.
+    Even n raises the 2-sphere's wrapped integral, whose jets refuse the
+    poles: within POLE_REACH of one it extrapolates evenly from outside.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if n == 1:
         return heat_theta1(t, phi, tol)
     if n == 2:
         return heat_theta2(t, phi, tol)
+    if n % 2 == 1:
+        res = raise_kernel(_SPHERE, _theta1_jet(t, tol), (n - 1) // 2, phi, tol)
+        return QuadResult(res.value, max(tol * abs(res.value), res.err_estimate), 0)
+    k = (n - 2) // 2
 
     def at(angle: float) -> QuadResult:
-        if n % 2 == 1:
-            k = (n - 1) // 2
-            value = raise_operator(Space.SPHERE, _theta1_jet(t, tol), k, angle)
-            return QuadResult(value, tol * abs(value), 0)
         evals: list = []
-        k = (n - 2) // 2
         value = raise_operator(Space.SPHERE, _theta2_jet(t, tol, evals), k, angle)
         return QuadResult(value, 2.0 * tol * abs(value), sum(evals))
 
-    if phi == 0.0 and n % 2 == 1:
-        return at(phi)
-    return _pole_guarded(at, phi)
+    pole = 0.0 if phi < 0.5 * math.pi else math.pi
+    return even_extrapolate(lambda u: at(abs(pole - u)), abs(phi - pole), POLE_REACH)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +484,17 @@ def poisson_closed(n: int, y: float, phi: float) -> float:
 
 
 def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
-    """Jets of the closed Poisson kernel in dimension 1 or 2."""
+    """Jets of the closed Poisson kernel in dimension ``base_dim``, its base
+    2 cosh y - 2 cos x valued as 4 sinh^2(y/2) + 4 sin^2(x/2), which does not
+    cancel as x and y go to 0; the higher coefficients are -2 cos x's."""
     half = 0.5 * (base_dim + 1)
     amp = math.gamma(half) / math.pi**half * math.sinh(y)
+    floor = 4.0 * math.sinh(0.5 * y) ** 2
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (2.0 * math.cosh(y) - 2.0 * x.cos()).power(-half) * amp
+        base = variable(center, order).cos() * -2.0
+        base.coeffs[0] = 4.0 * math.sin(0.5 * center) ** 2 + floor
+        return base.power(-half) * amp
 
     return gen
 
@@ -519,15 +503,7 @@ def poisson_raise(n: int, y: float, phi: float) -> QuadResult:
     """Sphere Poisson kernel raised from the circle or 2-sphere closed form."""
     check_query(_SPHERE, n, "poisson", y, phi)
     base_dim = 1 if n % 2 == 1 else 2
-    k = (n - base_dim) // 2
-
-    def at(angle: float) -> QuadResult:
-        value = raise_operator(Space.SPHERE, _poisson_jet(base_dim, y), k, angle)
-        return QuadResult(value, 0.0, 0)
-
-    if phi == 0.0 or k == 0:
-        return at(phi)
-    return _pole_guarded(at, phi)
+    return raise_kernel(_SPHERE, _poisson_jet(base_dim, y), (n - base_dim) // 2, phi)
 
 
 def poisson_doubling(

@@ -316,8 +316,7 @@ def test_poisson_images_matches_closed_strip_kernel(n, y, rho):
 @pytest.mark.parametrize(
     "n,rho",
     [(n, rho) for n in (5, 7, 11, 15) for rho in (0.0, 0.5, 3.0)]
-    # the guard band, where the inner heat leaves the batched raise for the
-    # per-node walk (about 0.4 s)
+    # within the pole's reach, where the batched raise takes the pole jet
     + [(7, 0.005)],
 )
 def test_poisson_images_odd_n_matches_closed_form(n, rho):
@@ -326,17 +325,20 @@ def test_poisson_images_odd_n_matches_closed_form(n, rho):
     assert abs(res.value - want) <= min(5e-14 * want, res.err_estimate)
 
 
-@pytest.mark.parametrize("n", [1, 3, 7])
-def test_poisson_images_raises_once_per_panel(monkeypatch, n):
-    # odd n at interior rho: one batched raise per integrand call, which
-    # carries the 15 nodes of every panel of a quadrature sweep, and no
-    # per-node walk
+@pytest.mark.parametrize(
+    "n,rho",
+    [pytest.param(n, 1.5, id=str(n)) for n in (1, 3, 7)] + [pytest.param(7, 0.005, id="7-0.005")],
+)
+def test_poisson_images_raises_once_per_panel(monkeypatch, n, rho):
+    # odd n, at interior rho and within the pole's reach: one batched raise
+    # per integrand call, which carries the 15 nodes of every panel of a
+    # quadrature sweep, and no per-node walk
     calls = []
     sizes = []
 
     def counting(*args):
         calls.append(args)
-        return jets.raise_operator(*args)
+        return jets.raise_kernel(*args)
 
     def counted_quadrature(f, *args, **kwargs):
         def g(vs):
@@ -345,10 +347,10 @@ def test_poisson_images_raises_once_per_panel(monkeypatch, n):
 
         return quadrature.integrate_adaptive(g, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "raise_operator", counting, raising=False)
-    monkeypatch.setattr(hyperbolic, "raise_operator", counting)
+    monkeypatch.setattr(analysis, "raise_kernel", counting)
+    monkeypatch.setattr(hyperbolic, "raise_kernel", counting)
     monkeypatch.setattr(analysis, "integrate_adaptive", counted_quadrature)
-    res = analysis.poisson_images(n, 0.8, 1.5)
+    res = analysis.poisson_images(n, 0.8, rho)
     assert len(calls) == len(sizes)
     assert sum(sizes) == res.n_evals
     assert all(size % 15 == 0 for size in sizes)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckernels import euclid
-from ckernels.errors import DomainError, SingularPointError
+from ckernels.errors import DomainError
+
+EPS = 2.0**-52
 
 HEAT_N3_T08_R15 = 0.015530552852043673
 HEAT_N2_T03_R07 = 0.1763323387835621
@@ -103,7 +105,8 @@ HEAT_POINTS = [(0.3, 0.7), (0.8, 1.5), (2.0, 0.0), (1.2, 2.4)]
 @pytest.mark.parametrize("t,r", HEAT_POINTS)
 def test_heat_raise_odd_is_machine_exact(n, t, r):
     res = euclid.heat_raise(n, t, r)
-    assert res.err_estimate == 0.0
+    # at r = 0 the pole jet claims its rounding, one product per raise
+    assert res.err_estimate <= (n - 1) * EPS * res.value if r == 0.0 else res.err_estimate == 0.0
     assert res.value == pytest.approx(euclid.heat_closed(n, t, r), rel=1e-12)
 
 
@@ -138,8 +141,12 @@ def test_heat_contour_deformation_invariance():
 
 
 def test_heat_raise_guard_band():
-    with pytest.raises(SingularPointError):
-        euclid.heat_raise(3, 0.5, 1e-5)
+    # near the origin raising takes the pole jet, within its err of the
+    # closed form, where it used to refuse 0 < r < 1e-3
+    for n in (3, 4, 9, 15):
+        for r in (1e-5, 0.0021, 0.0076):
+            res = euclid.heat_raise(n, 0.5, r)
+            assert abs(res.value - euclid.heat_closed(n, 0.5, r)) <= res.err_estimate
     # r = 0 itself goes through the exact parity path
     assert euclid.heat_raise(3, 0.5, 0.0).value == pytest.approx(
         euclid.heat_closed(3, 0.5, 0.0), rel=1e-12
@@ -169,7 +176,7 @@ def test_poisson_integral_representation(n, y, r):
 @pytest.mark.parametrize("y,r", POISSON_POINTS)
 def test_poisson_raise_odd_is_machine_exact(n, y, r):
     res = euclid.poisson_raise(n, y, r)
-    assert res.err_estimate == 0.0
+    assert res.err_estimate <= (n - 1) * EPS * res.value if r == 0.0 else res.err_estimate == 0.0
     assert res.value == pytest.approx(euclid.poisson_closed(n, y, r), rel=1e-12)
 
 
@@ -219,8 +226,10 @@ def test_poisson_descent(n, y, r):
 
 
 def test_poisson_raise_guard_band():
-    with pytest.raises(SingularPointError):
-        euclid.poisson_raise(3, 0.5, 1e-5)
+    for n in (3, 4, 9, 14):
+        for r in (1e-5, 0.0021, 0.0076):
+            res = euclid.poisson_raise(n, 0.5, r)
+            assert abs(res.value - euclid.poisson_closed(n, 0.5, r)) <= res.err_estimate
     assert euclid.poisson_raise(5, 0.8, 0.0).value == pytest.approx(
         euclid.poisson_closed(5, 0.8, 0.0), rel=1e-12
     )

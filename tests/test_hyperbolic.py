@@ -65,10 +65,12 @@ def test_heat_raise_dimension_one_is_flat_gaussian():
 
 
 def test_heat_raise_guard_band_extrapolation():
+    # near rho = 0 the pole jet, within an err that meets the default tol
     t = 0.5
     for rho in (0.004, 0.009):
         res = hyperbolic.heat_raise(3, t, rho)
-        assert res.value == pytest.approx(closed3(t, rho), rel=1e-6)
+        want = closed3(t, rho)
+        assert abs(res.value - want) <= res.err_estimate <= 1e-10 * want
     # rho = 0 itself is exact by parity
     assert hyperbolic.heat_raise(3, t, 0.0).value == pytest.approx(
         closed3(t, 0.0), rel=1e-12
@@ -253,8 +255,7 @@ def test_poisson_raise_matches_closed(n):
 def test_poisson_raise_guard_band():
     res = hyperbolic.poisson_raise(3, 1.0, 0.005)
     want = hyperbolic.poisson_closed(3, 1.0, 0.005)
-    assert res.value == pytest.approx(want, rel=2e-5)
-    assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-9 * want)
+    assert abs(res.value - want) <= res.err_estimate <= 1e-10 * want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

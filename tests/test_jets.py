@@ -357,9 +357,11 @@ def test_raise_operator_refuses_antipode():
 
 
 def test_raise_operator_order_budget():
-    # k applications at the origin need 2k orders; 9 would exceed the cap
+    # k applications at the origin need 2k orders; the one cap of 32 leaves
+    # the pole jet of n = 15 (k = 7) 18 more, and 17 would exceed it
+    assert MAX_ORDER == 32
     with pytest.raises(DomainError):
-        raise_operator(Space.EUCLIDEAN, gauss_gen, 9, 0.0)
+        raise_operator(Space.EUCLIDEAN, gauss_gen, 17, 0.0)
 
 
 def test_raise_jet_value_and_derivative_consistent():
@@ -439,7 +441,7 @@ def test_batched_raise_of_gauss_jet_matches_single_times(k, r):
 
 def test_raise_origin_jet_order_budget():
     with pytest.raises(DomainError):
-        raise_origin_jet(Space.EUCLIDEAN, gauss_gen, 5, order=8)
+        raise_origin_jet(Space.EUCLIDEAN, gauss_gen, 13, order=8)
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,15 @@ def test_heat_raise_origin_is_exact_for_odd_dimension():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_heat_raise_guard_band_extrapolation(n):
+    # odd n takes the pole jets at both poles, within its err; even n keeps
+    # the even fit from outside the poles' reach
     t = 0.7
     for phi in (0.004, math.pi - 0.004):
         res = sphere.heat_raise(n, t, phi, tol=1e-9)
         want = spectral_oracle(n, t, phi)
+        if n % 2:
+            assert abs(res.value - want) <= res.err_estimate <= 2e-9 * abs(want)
+            continue
         assert res.value == pytest.approx(want, rel=1e-4)
         assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-9 * abs(want))
 
@@ -264,7 +269,7 @@ def test_poisson_raise_guard_band():
     for phi in (0.003, math.pi - 0.003):
         res = sphere.poisson_raise(n, y, phi)
         want = sphere.poisson_closed(n, y, phi)
-        assert res.value == pytest.approx(want, rel=1e-5)
+        assert abs(res.value - want) <= res.err_estimate <= 1e-10 * want
 
 
 @pytest.mark.parametrize("variant", ["angle", "half"])
