@@ -29,16 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Space, check_positive, check_query
-from .jets import (
-    POLE_REACH,
-    Jet,
-    RadialGenerator,
-    gauss_jet,
-    pole_series,
-    raise_kernel,
-    raise_operator,
-    variable,
-)
+from .jets import Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -85,23 +76,6 @@ def poisson_closed(n: int, y: float, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # raising
-
-
-def _raised_at_nodes(gen: RadialGenerator, k: int, r: float, tol: float):
-    """The k-raised kernel at the nodes s >= r of a sweep: one raise a node,
-    but within POLE_REACH one :func:`pole_series` (its err is not added)."""
-    b = pole_series(_EUCLIDEAN, gen, k, 0.0, POLE_REACH, tol)[0] if r < POLE_REACH else None
-
-    def kernel(s: np.ndarray) -> np.ndarray:
-        near = s < POLE_REACH
-        out = np.empty_like(s)
-        if b is not None:
-            out[near] = np.power.outer(s[near] ** 2, np.arange(b.size)) @ b
-        for i in np.flatnonzero(~near):
-            out[i] = raise_operator(_EUCLIDEAN, gen, k, float(s[i]))
-        return out
-
-    return kernel
 
 
 def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
@@ -158,7 +132,8 @@ def heat_raise(
         res = raise_kernel(_EUCLIDEAN, _plane_descent_jet(t, tol, evals), (n - 2) // 2, r, tol)
         return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
     if variant == "inside":
-        return _heat_descent(_raised_at_nodes(gauss_jet(t), n // 2, r, tol), t, r, tol)
+        kernel = _raised_at_nodes(_EUCLIDEAN, gauss_jet(t), n // 2, r, tol)
+        return _heat_descent(kernel, t, r, tol)
     raise DomainError(f"unknown raising variant {variant!r}")
 
 
@@ -298,7 +273,8 @@ def poisson_raise(
         res = raise_kernel(_EUCLIDEAN, _space_descent_jet(y, tol, evals), (n - 2) // 2, r, tol)
         return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
     if variant == "inside":
-        return _poisson_descent(_raised_at_nodes(_halfplane_jet(y), n // 2, r, tol), y, r, tol)
+        kernel = _raised_at_nodes(_EUCLIDEAN, _halfplane_jet(y), n // 2, r, tol)
+        return _poisson_descent(kernel, y, r, tol)
     raise DomainError(f"unknown raising variant {variant!r}")
 
 

@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_query, convention_factor
-from .jets import POLE_REACH, Jet, RadialGenerator, gauss_jet, raise_kernel, raise_operator
-from .jets import variable
+from .jets import POLE_REACH, Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel
+from .jets import raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -153,21 +153,16 @@ def heat_descent(
         return even_extrapolate(at, rho, POLE_REACH)
 
     if variant == "inside":
-        gauss = gauss_jet(t)
-        k_inner = n // 2
+        kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, rho, tol)
 
-        def f_regular(s: float) -> float:
-            h_next = raise_operator(Space.HYPERBOLIC, gauss, k_inner, s)
+        def f_regular(s: np.ndarray) -> np.ndarray:
             d = s - rho
-            ratio = 2.0 if d == 0.0 else d / math.sinh(0.5 * d)
-            return (
-                h_next
-                * math.sinh(s)
-                * math.sqrt(ratio / math.sinh(0.5 * (s + rho)))
-            )
+            # s rounds to rho at the nodes nearest the endpoint
+            ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
+            return kernel(s) * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
 
         s_top = math.sqrt(rho * rho + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
-        res = integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0)
+        res = integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0, vectorized=True)
         return res.scaled(factor)
 
     raise DomainError(f"unknown descent variant {variant!r}")

@@ -19,11 +19,13 @@ generator that can produce jets of the base kernel at any requested order;
 each application consumes one derivative order, which is why generators take
 an explicit order argument.  :func:`raise_kernel` adds an error bound and,
 near the zeros of w, sums the raised kernel's Taylor series there
-(:func:`pole_series`).
+(:func:`pole_series`): D is linear, so those coefficients are one cached
+matrix, built from :func:`raise_origin_jet`, times the generator's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -459,8 +461,6 @@ def weight_jet(space: Space, center: float, order: int) -> Jet:
 
 # the weight jets at r = 0, which every origin raise slices
 _ORIGIN_WEIGHT = {space: weight_jet(space, 0.0, MAX_ORDER).coeffs for space in Space}
-# h / sin h in powers of h^2: all positive; h / sinh h's differ in sign only
-_SIN_RATIO = _divide(np.eye(MAX_ORDER)[0], _ORIGIN_WEIGHT[Space.SPHERE][1:])[::2]
 
 
 def _check_raise_count(k) -> None:
@@ -578,21 +578,19 @@ def raise_operator(
     return _values(_raise_k(space, _generate(generator, r, k).coeffs, k, r))
 
 
-def _raise_magnitude(space: Space, c: np.ndarray, k: int) -> np.ndarray:
-    """|M| |c| for M the k-fold raise at r = 0, as a series in h^2: the origin
-    raise of |c| on the weight h or sin h, by one numpy call a step.
+@functools.cache
+def _origin_map(space: Space, k: int, extra: int) -> tuple:
+    """(M, |M|): k raises at r = 0 keeping ``extra`` orders, as the matrix
+    from a jet's even coefficients to the raised jet's (D is linear).
 
-    A step maps f = sum_i e_i h^(2i) to -(f'/h) (h/w) / (2 pi): the shift
-    e_i -> (i + 1) e_(i+1) / pi, then (but on the line) the product with
-    h/sin h or h/sinh h, whose coefficients differ only in sign.
+    Built on first use by one :func:`raise_origin_jet` on the even unit rows;
+    every caller shares the cached arrays, so they are read-only.
     """
-    m = np.abs(c[..., ::2])
-    for _ in range(k):
-        m = m[..., 1:] * (_IDX[1 : m.shape[-1]] / math.pi)
-        if space is not Space.EUCLIDEAN:
-            q = _SIN_RATIO[: m.shape[-1]]
-            m = np.convolve(m, q)[: m.size] if m.ndim == 1 else _cauchy(m, q)
-    return m
+    units = Jet(0.0, np.eye(2 * k + extra + 1)[::2])
+    m = raise_origin_jet(space, lambda *_: units, k, extra).coeffs[:, ::2].T
+    mag = np.abs(m)
+    m.flags.writeable = mag.flags.writeable = False
+    return m, mag
 
 
 def pole_series(
@@ -601,26 +599,31 @@ def pole_series(
     """The k-raised kernel at distance h <= ``reach`` from ``pole`` (0, or pi
     on the sphere) is sum_j b_j h^2j within sum_j e_j h^2j: (b, e).
 
-    b is :func:`raise_origin_jet` with K extra orders, times (-1)^k at pi
-    (sin(pi + h) = -sin h); K is 0 at reach 0, else the least even K >= 4
-    with (2 reach)^(K-2) <= tol, or all MAX_ORDER leaves if that misses tol.
-    e is the last two terms plus the rounding (2k + K) eps |M| |c|.
+    With c the even coefficients of the generator's jet at the pole, of
+    order 2k + K, and M the origin map (:func:`_origin_map`), b = M c, times
+    (-1)^k at pi (sin(pi + h) = -sin h).  K is 0 at reach 0, all MAX_ORDER
+    leaves at 2 reach >= 1, else the least even K >= 4 with
+    (2 reach)^(K-2) <= tol, or all the leaves if that misses tol.  e is the
+    last two terms plus the rounding (2k + K) eps |M| |c|.
     """
     cap = MAX_ORDER - 2 * k
     if reach > 0.0 and cap < 4:
         raise SingularPointError(f"{k} raises leave {cap} of {MAX_ORDER} jet orders for the pole")
 
     def series(extra: int) -> tuple:
-        jet = _generate(generator, pole, 2 * k + extra)
-        b = raise_origin_jet(space, lambda *_: jet, k, extra).coeffs[..., ::2]
-        e = (2 * k + extra) * _EPS * _raise_magnitude(space, jet.coeffs, k)
+        c = _generate(generator, pole, 2 * k + extra).coeffs[..., : 2 * k + extra + 1 : 2]
+        m, mag = _origin_map(space, k, extra)
+        b = c @ m.T
+        e = (2 * k + extra) * _EPS * (np.abs(c) @ mag.T)
         if extra:
             e[..., -2:] += np.abs(b[..., -2:])
         return (-1.0 if pole and k % 2 else 1.0) * b, e
 
     if reach == 0.0:
         return series(0)
-    extra = min(max(4, 2 * math.ceil(0.5 * math.log(tol) / math.log(2.0 * reach)) + 2), cap)
+    extra = cap
+    if 2.0 * reach < 1.0:
+        extra = min(max(4, 2 * math.ceil(0.5 * math.log(tol) / math.log(2.0 * reach)) + 2), cap)
     b, e = series(extra)
     powers = reach ** (2.0 * _IDX[: b.shape[-1]])
     if extra < cap and np.any(np.abs(b[..., -2:]) @ powers[-2:] > tol * np.abs(b @ powers)):
@@ -641,3 +644,20 @@ def raise_kernel(
     b, e = pole_series(space, generator, k, pole, h, tol)
     powers = h ** (2.0 * _IDX[: b.shape[-1]])
     return QuadResult(_values(b @ powers[:, None]), _values(e @ powers[:, None]), 0)
+
+
+def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: float):
+    """The k-raised kernel at the nodes s >= r of a sweep: one raise a node,
+    but within POLE_REACH of 0 one :func:`pole_series` (its err is not added)."""
+    b = pole_series(space, gen, k, 0.0, POLE_REACH, tol)[0] if r < POLE_REACH else None
+
+    def kernel(s: np.ndarray) -> np.ndarray:
+        near = s < POLE_REACH
+        out = np.empty_like(s)
+        if b is not None:
+            out[near] = np.power.outer(s[near] ** 2, np.arange(b.size)) @ b
+        for i in np.flatnonzero(~near):
+            out[i] = raise_operator(space, gen, k, float(s[i]))
+        return out
+
+    return kernel

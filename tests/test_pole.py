@@ -38,10 +38,10 @@ def _hyperbolic_heat_reference(n: int, t: float, rho: float) -> QuadResult:
 
 
 # (route, reference, dimensions, parameters); a route maps (n, param, r) to
-# a QuadResult.  The "inside" variants stop at n = 6: from
-# n = 8 on their integrands raise directly at s just past POLE_REACH, where
-# raising cancels, and they end in ConvergenceError after 7-18 s at every r
-# tried, 0.05 included.
+# a QuadResult.  The "inside" variants, on R^n and H^n alike, stop at n = 6:
+# from n = 8 on their integrands raise directly at s just past POLE_REACH,
+# where raising cancels (ROADMAP item 1), and they end in ConvergenceError
+# after 7-18 s at every r tried, 0.05 included.
 ROUTES = {
     "euclidean heat raise": (
         lambda n, t, r: euclid.heat_raise(n, t, r),
@@ -67,6 +67,11 @@ ROUTES = {
         lambda n, t, r: hyperbolic.heat_raise(n, t, r),
         _hyperbolic_heat_reference,
         range(1, 16, 2), TIMES,
+    ),
+    "hyperbolic heat descent inside": (
+        lambda n, t, r: hyperbolic.heat_descent(n, t, r, variant="inside"),
+        _hyperbolic_heat_reference,
+        range(2, 8, 2), TIMES,
     ),
     "hyperbolic poisson raise": (
         lambda n, y, r: hyperbolic.poisson_raise(n, y, r),
@@ -157,34 +162,71 @@ def test_poisson_raise_beyond_the_kernels_radius_claims_its_miss():
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_rounding_bound_raises_on_the_spheres_weight(k):
-    # pole_series bounds the rounding of an H^n raise by the raise of |c| on
-    # the sphere's weight: the origin raise's matrices on the two weights
+    # pole_series bounds the rounding of an H^n raise by |M| |c|, which is the
+    # raise of |c| on the sphere's weight: the origin maps on the two weights
     # agree up to sign, and the sphere's has the one sign (-1)^k, so the
     # raise of |c| there is |M| |c| with nothing cancelled
-    def matrix(space: Space) -> np.ndarray:
-        units = jets.Jet(0.0, np.eye(2 * k + 9))
-        return jets.raise_origin_jet(space, lambda *_: units, k, 8).coeffs[:, ::2]
-
-    sphere_matrix = matrix(Space.SPHERE)
+    sphere_matrix = jets._origin_map(Space.SPHERE, k, 8)[0]
     assert np.all((-1) ** k * sphere_matrix >= 0.0)
     np.testing.assert_allclose(
-        np.abs(matrix(Space.HYPERBOLIC)), np.abs(sphere_matrix), rtol=1e-14, atol=0.0
+        jets._origin_map(Space.HYPERBOLIC, k, 8)[1], np.abs(sphere_matrix), rtol=1e-14, atol=0.0
     )
+
+
+def _pole_generators():
+    times = np.array([0.05, 0.9, 20.0])
+    return (jets.gauss_jet(0.3), sphere._theta1_jet(0.9, 1e-10), jets.gauss_jet(times))
 
 
 @pytest.mark.parametrize("space", list(Space))
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_raise_magnitude_is_the_raise_of_magnitudes(space, k):
-    # |M| |c| by the shift-and-product steps equals the origin raise of |c|
-    # on the sphere's weight (the line's on R^n)
-    times = np.array([0.05, 0.9, 20.0])
-    for gen in (jets.gauss_jet(0.3), sphere._theta1_jet(0.9, 1e-10), jets.gauss_jet(times)):
+    # |M| |c| by the origin map equals the origin raise of |c| on the
+    # sphere's weight (the line's on R^n)
+    mag = jets._origin_map(space, k, 8)[1]
+    for gen in _pole_generators():
         c = gen(0.0, 2 * k + 8).coeffs
         mags = jets.Jet(0.0, np.abs(c))
         weight = Space.EUCLIDEAN if space is Space.EUCLIDEAN else Space.SPHERE
         want = np.abs(jets.raise_origin_jet(weight, lambda *_: mags, k, 8).coeffs[..., ::2])
-        got = jets._raise_magnitude(space, c, k)
+        got = np.abs(c[..., ::2]) @ mag.T
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("k", range(1, 15))
+def test_origin_map_is_the_origin_raise_within_its_rounding(space, k):
+    extra = min(8, jets.MAX_ORDER - 2 * k)
+    m, mag = jets._origin_map(space, k, extra)
+    for gen in _pole_generators():
+        jet = gen(0.0, 2 * k + extra)
+        want = jets.raise_origin_jet(space, lambda *_: jet, k, extra).coeffs[..., ::2]
+        c = jet.coeffs[..., ::2]
+        bound = (2 * k + extra) * np.finfo(float).eps * (np.abs(c) @ mag.T)
+        assert np.all(np.abs(c @ m.T - want) <= bound)
+
+
+def test_pole_series_builds_each_origin_map_once(monkeypatch):
+    calls = []
+    build = jets.raise_origin_jet
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(jets, "raise_origin_jet", counted)
+    jets._origin_map.cache_clear()
+    for t in (0.3, 0.9):
+        jets.pole_series(Space.HYPERBOLIC, jets.gauss_jet(t), 3, 0.0, 0.0, DEFAULT_TOL)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("reach", [0.5, 0.7])
+def test_pole_series_at_a_wide_reach_is_within_its_error(reach):
+    # 2 reach >= 1 takes every order the cap allows
+    b, e = jets.pole_series(Space.EUCLIDEAN, jets.gauss_jet(0.9), 1, 0.0, reach, DEFAULT_TOL)
+    powers = reach ** (2.0 * np.arange(b.size))
+    assert abs(b @ powers - euclid.heat_closed(3, 0.9, reach)) <= e @ powers
 
 
 @pytest.mark.parametrize(
