@@ -132,8 +132,8 @@ _REPRESENTATIONS = {
         ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol), None),
         ("descent", _any_n,
          lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol), None),
-        ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
-            lambda t, x: euclid.heat_closed(n, t, x), y, r, tol, dim_hint=n), None),
+        ("subordinate", _any_n, lambda n, y, r, tol, c, s: _euclid_subordinate(n, y, r, tol),
+         None),
     ),
     (Space.SPHERE, "poisson"): (
         ("closed", _any_n,
@@ -318,22 +318,34 @@ def subordinate(
     tol: float = DEFAULT_TOL,
     *,
     dim_hint: int = 3,
+    vectorized: bool = False,
 ) -> QuadResult:
     """Poisson kernel from a heat kernel by the half-line average
 
     P(y, r) = (2 y / sqrt(pi)) integral_0^inf exp(-v^2 y^2) H(1/(4 v^2), r) dv.
 
     ``dim_hint`` only widens the truncation to absorb the (4 pi t)^(-n/2)
-    short-time growth of the heat factor near the upper limit.
+    short-time growth of the heat factor near the upper limit.  With
+    ``vectorized`` ``heat_fn`` takes the array of a sweep's times, as for
+    :func:`integrate_adaptive`.
     """
     check_positive("height", y)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + dim_hint) / y * 1.2
+    exp = np.exp if vectorized else math.exp
 
-    def f(v: float) -> float:
-        return math.exp(-v * v * y * y) * heat_fn(0.25 / (v * v), r)
+    def f(v):
+        return exp(-v * v * y * y) * heat_fn(0.25 / (v * v), r)
 
-    res = integrate_adaptive(f, 0.0, v_max, tol, abs_tol=0.0)
+    res = integrate_adaptive(f, 0.0, v_max, tol, abs_tol=0.0, vectorized=vectorized)
     return res.scaled(2.0 * y / math.sqrt(math.pi))
+
+
+def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
+    """The euclidean ``subordinate`` row: the closed heat kernel on a sweep's times."""
+    check_query(Space.EUCLIDEAN, n, "poisson", y, r)
+    return subordinate(
+        lambda t, x: euclid._heat(np, n, t, x), y, r, tol, dim_hint=n, vectorized=True
+    )
 
 
 def _theta_weight(v: float, y: float) -> float:

@@ -20,7 +20,8 @@ each application consumes one derivative order, which is why generators take
 an explicit order argument.  :func:`raise_kernel` adds an error bound and,
 near the zeros of w, sums the raised kernel's Taylor series there
 (:func:`pole_series`): D is linear, so those coefficients are one cached
-matrix, built from :func:`raise_origin_jet`, times the generator's.
+matrix, built by the steps of :func:`raise_origin_jet`, times the
+generator's.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from .quadrature import DEFAULT_TOL, QuadResult
 MAX_ORDER = 32
 
 # raising within this distance of a zero of the weight, r = 0 and on the
-# sphere also phi = pi, takes the pole's Taylor series (see pole_series)
+# sphere also phi = pi, takes the pole's Taylor series (see pole_series), and
+# out to SERIES_REACH where the series meets tol: the direct raise can cancel
+# there, and at 0.1 the series' order for tol 1e-10 fits MAX_ORDER to n = 15
 POLE_REACH = 1e-2
+SERIES_REACH = 0.1
 _EPS = float(np.finfo(float).eps)
 
 # A radial generator maps (center, order) to a jet of that order at the
@@ -583,11 +587,11 @@ def _origin_map(space: Space, k: int, extra: int) -> tuple:
     """(M, |M|): k raises at r = 0 keeping ``extra`` orders, as the matrix
     from a jet's even coefficients to the raised jet's (D is linear).
 
-    Built on first use by one :func:`raise_origin_jet` on the even unit rows;
-    every caller shares the cached arrays, so they are read-only.
+    Built on first use by the origin steps of :func:`raise_origin_jet` on the
+    even unit rows, building no jet; every caller shares the cached arrays,
+    so they are read-only.
     """
-    units = Jet(0.0, np.eye(2 * k + extra + 1)[::2])
-    m = raise_origin_jet(space, lambda *_: units, k, extra).coeffs[:, ::2].T
+    m = _raise_k(space, np.eye(2 * k + extra + 1)[::2], k, 0.0)[:, ::2].T
     mag = np.abs(m)
     m.flags.writeable = mag.flags.writeable = False
     return m, mag
@@ -634,16 +638,19 @@ def pole_series(
 def raise_kernel(
     space: Space, generator: RadialGenerator, k: int, r: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
-    """The k-times-raised kernel at r with an error bound: :func:`raise_operator`
-    with err 0, or within POLE_REACH of a pole the :func:`pole_series`."""
+    """The k-times-raised kernel at r with an error bound: within POLE_REACH
+    of a pole the :func:`pole_series`, and out to SERIES_REACH too where its
+    bound meets tol; elsewhere :func:`raise_operator` with err 0."""
     _check_raise_count(k)
     pole = math.pi if space is Space.SPHERE and r > 0.5 * math.pi else 0.0
     h = abs(r - pole)
-    if k == 0 or h >= POLE_REACH:
-        return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
-    b, e = pole_series(space, generator, k, pole, h, tol)
-    powers = h ** (2.0 * _IDX[: b.shape[-1]])
-    return QuadResult(_values(b @ powers[:, None]), _values(e @ powers[:, None]), 0)
+    if k and h < SERIES_REACH:
+        b, e = pole_series(space, generator, k, pole, h, tol)
+        powers = h ** (2.0 * _IDX[: b.shape[-1], None])
+        value, err = b @ powers, e @ powers
+        if h < POLE_REACH or np.all(err <= tol * np.abs(value)):
+            return QuadResult(_values(value), _values(err), 0)
+    return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
 
 
 def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: float):

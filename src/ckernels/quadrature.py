@@ -1,11 +1,13 @@
 """Adaptive quadrature with honest error estimates.
 
 The core rule is the embedded Gauss-Kronrod G7/K15 pair of QUADPACK
-(Piessens et al., 1983) applied on a worst-panel-first bisection heap,
-refined in sweeps (Shampine, "Vectorized adaptive quadrature in MATLAB",
-J. Comput. Appl. Math. 211, 2008): each sweep bisects the worst panels until
-their errors sum to the excess of the total error over the target, and
-evaluates all the children together.  The 15 Kronrod nodes contain the 7
+(Piessens et al., 1983) applied on a worst-panel-first heap, refined in
+sweeps (Shampine, "Vectorized adaptive quadrature in MATLAB", J. Comput.
+Appl. Math. 211, 2008): each sweep cuts the worst panels in four, two
+bisection levels, until their errors sum to the excess of the total error
+over the target, and evaluates all the children together: a sweep's
+bookkeeping costs what a vectorized integrand does on a few hundred nodes,
+so fewer sweeps beat fewer nodes.  The 15 Kronrod nodes contain the 7
 Gauss nodes, so a panel costs 15 integrand evaluations.  A panel's error is
 the raw difference |K15 - G7|, without QUADPACK's (200 |K15 - G7| /
 resasc)^1.5 rescaling, which can report less than the difference itself.
@@ -27,8 +29,9 @@ kernel formulas: an inverse-square-root endpoint factor (substitute
 x = a + u^2), a half-line tail (substitute x = a + s u/(1-u)), and vertical
 complex contours with Gaussian envelopes, where truncation at xi_max is
 chosen from the envelope and the discarded tail is added to the error
-estimate.  A contour integrand always takes the complex array of a sweep's
-nodes.
+estimate, and seeds at the envelope's fall-off points resolve its length
+scale in the first sweep.  A contour integrand always takes the complex
+array of a sweep's nodes.
 """
 
 from __future__ import annotations
@@ -268,9 +271,11 @@ def integrate_adaptive(
 
     ``abs_tol`` defaults to ``tol``; pass 0.0 for a purely relative target.
     Interior ``breakpoints`` seed the initial partition (place them at kinks,
-    spikes and branch switches).  Refinement goes in sweeps: each bisects the
-    worst panels until their errors sum to the excess of the total error over
-    the target, and evaluates all the children together.  With ``vectorized``
+    spikes and branch switches).  Refinement goes in sweeps: each cuts the
+    worst panels in four until their errors sum to the excess of the total
+    error over the target, and evaluates all the children together; the last
+    split takes fewer parts if that fills ``max_panels``.  ``max_depth``
+    counts bisection levels, two per cut in four.  With ``vectorized``
     f takes the array of a sweep's nodes, a multiple of 15, and returns their
     values stacked along the leading axis; ``n_evals`` still counts nodes.
     Raises :class:`ConvergenceError`, carrying the best estimate, if the panel
@@ -334,25 +339,33 @@ def integrate_adaptive(
                 best,
             )
         # the worst panels whose errors cover the excess, as far as the panel
-        # budget allows: splitting fewer cannot reach the target
+        # budget allows: splitting fewer cannot reach the target.  Each is cut
+        # in four, or in as many parts (k adding k - 1 panels) as there is room
         split = []
         removed = 0.0
-        while heap and removed < excess and len(split) < room:
+        los, his, depths = [], [], []
+        while heap and removed < excess and room > 0:
             entry = heapq.heappop(heap)
-            if entry[7] >= max_depth:
+            _, _, lo, hi, _, err, _, depth = entry
+            if depth >= max_depth:
                 best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
                 raise ConvergenceError(
-                    f"bisection depth {max_depth} exhausted near [{entry[2]}, {entry[3]}]",
-                    best,
+                    f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", best
                 )
             split.append(entry)
-            removed += entry[5]
-        los, his, depths = [], [], []
-        for _, _, lo, hi, _, _, _, depth in split:
+            removed += err
+            parts = min(2 if depth + 2 > max_depth else 4, room + 1)
+            room -= parts - 1
             mid = 0.5 * (lo + hi)
-            los += (lo, mid)
-            his += (mid, hi)
-            depths += (depth + 1, depth + 1)
+            if parts == 2:
+                cuts, levels = (lo, mid, hi), (1, 1)
+            elif parts == 3:  # the right half stays whole
+                cuts, levels = (lo, 0.5 * (lo + mid), mid, hi), (2, 2, 1)
+            else:
+                cuts, levels = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi), (2, 2, 2, 2)
+            los += cuts[:-1]
+            his += cuts[1:]
+            depths += [depth + k for k in levels]
 
     return QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
 
@@ -452,13 +465,16 @@ def integrate_contour(
 
     ``f`` takes the complex array of a sweep's nodes sigma - i xi and returns
     its values there; it runs once per sweep, like a ``vectorized`` integrand
-    of :func:`integrate_adaptive`.  The discarded tail beyond xi_max is
-    bounded by the Gaussian envelope and added to the error estimate.  Any
-    convergence failure, including a non-finite integrand on the line or at
-    xi_max, is reported as :class:`ContourError`; the usual cure is a
-    different abscissa sigma.
+    of :func:`integrate_adaptive`.  The fall-off points xi = sqrt(G) j of the
+    envelope exp((sigma^2 - xi^2)/G) (:func:`gaussian_breakpoints`) join the
+    caller's ``breakpoints``.  The discarded tail beyond xi_max is bounded by
+    the Gaussian envelope and added to the error estimate.  Any convergence
+    failure, including a non-finite integrand on the line or at xi_max, is
+    reported as :class:`ContourError`; the usual cure is a different abscissa
+    sigma.
     """
     sigma = spec.sigma
+    seeds = gaussian_breakpoints(0.0, 0.25 * spec.envelope_scale, 0.0, spec.xi_max)
 
     def g(xi: np.ndarray) -> np.ndarray:
         return f(sigma - 1j * xi).real
@@ -470,7 +486,7 @@ def integrate_contour(
             spec.xi_max,
             spec.tol,
             abs_tol=0.0,
-            breakpoints=breakpoints or (),
+            breakpoints=[*(breakpoints or ()), *seeds],
             max_depth=max_depth,
             max_panels=max_panels,
             vectorized=True,

@@ -241,6 +241,35 @@ def test_subordination_closes_on_flat_space(n):
         assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-12 * want)
 
 
+# the scalar-quad benchmark's bands: y from 0.8 to 0.95; r = 0, 0.8-1.2 and 2.7-3
+@pytest.mark.parametrize("n", [1, 3, 6, 11, 15])
+@pytest.mark.parametrize("y", [0.8, 0.95])
+@pytest.mark.parametrize("r", [0.0, 0.8, 1.2, 2.7, 3.0])
+def test_euclidean_subordinate_row_meets_the_closed_form(n, y, r):
+    res = analysis.evaluate(Space.EUCLIDEAN, n, "poisson", y, r, rep="subordinate")
+    want = euclid.poisson_closed(n, y, r)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(res.value))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 11, 15])
+@pytest.mark.parametrize("y, r", [(0.8, 0.0), (0.95, 1.2), (0.1, 3.0), (2.5, 0.5)])
+def test_vectorized_subordinate_matches_per_node(n, y, r):
+    per_node = analysis.subordinate(
+        lambda t, s: euclid.heat_closed(n, t, s), y, r, dim_hint=n
+    )
+    calls = []
+
+    def heat(t, s):
+        calls.append(np.size(t))
+        return euclid._heat(np, n, t, s)
+
+    batched = analysis.subordinate(heat, y, r, dim_hint=n, vectorized=True)
+    # one call per sweep on its nodes, the same panels as per node
+    assert sum(calls) == batched.n_evals == per_node.n_evals
+    assert len(calls) < batched.n_evals // 15
+    assert abs(batched.value - per_node.value) <= 1e-15 * abs(per_node.value)
+
+
 def test_subordinate_validates_height():
     with pytest.raises(DomainError):
         analysis.subordinate(lambda t, s: 1.0, -1.0, 0.5)

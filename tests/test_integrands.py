@@ -462,6 +462,43 @@ def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
 
 
 # ---------------------------------------------------------------------------
+# float integrals in few sweeps: contours seeded at their envelope scale,
+# and panels cut in four
+
+
+@pytest.mark.parametrize(
+    "route, panels, n_evals",
+    [
+        (lambda: euclid.heat_gruet(3, 0.8, 1.5), [7, 8], 226),
+        (lambda: sphere.heat_gruet(3, 0.8, 1.2), [12, 16], 421),
+        (lambda: hyperbolic.heat_gruet(3, 0.8, 1.5), [7, 8], 226),
+    ],
+    ids=["R3", "S3", "H3"],
+)
+def test_gruet_contours_take_two_sweeps(sweeps_per_integral, route, panels, n_evals):
+    # unseeded they take 4, 3 and 4 sweeps; bisected instead of quartered,
+    # 3 each; with neither, 6, 4 and 6
+    res = route()
+    assert list(sweeps_per_integral.values()) == [panels]
+    assert res.n_evals == 15 * sum(panels) + 1  # and one node at xi_max
+
+
+def test_descent_takes_two_sweeps(monkeypatch):
+    # bisected instead of quartered, three: one panel, then 2, then 4
+    calls = []
+    heat = euclid._heat
+
+    def counted(xp, n, t, r):
+        calls.append(np.size(r))
+        return heat(xp, n, t, r)
+
+    monkeypatch.setattr(euclid, "_heat", counted)
+    res = euclid.heat_descent(3, 0.8, 1.5)
+    assert calls == [15, 60]
+    assert res.n_evals == 75
+
+
+# ---------------------------------------------------------------------------
 # contour failures
 
 

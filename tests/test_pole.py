@@ -99,10 +99,11 @@ ROUTES = {
 
 CASES = [(name, n) for name, spec in ROUTES.items() for n in spec[2]]
 
-# just past the reach every route raises directly, and from n = 7 on raising
-# cancels there while it claims err 0 (ROADMAP item 1): R^13 heat at
-# (0.9, 0.01) is 2e8 relative off, and H^n Poisson images from n = 9 on
-# exhaust their panel budget on the cancelled inner heat
+# just past the reach, out to jets.SERIES_REACH, raise_kernel keeps the pole
+# series wherever its bound meets tol, and raises directly elsewhere; from
+# n = 7 on direct raising cancels there while it claims err 0 (ROADMAP item
+# 1).  The series misses tol on S^11-S^15 heat at t = 0.9 (S^15 is then
+# 2e25 relative off) and on H^13 Poisson images at (0.3, 0.02)
 EDGE_DISTANCES = (jets.POLE_REACH, 2.0 * jets.POLE_REACH)
 EDGE_CASES = [
     pytest.param(
@@ -138,6 +139,19 @@ def test_pole_band_values_are_within_their_error(route, n):
 @pytest.mark.parametrize("route, n", EDGE_CASES)
 def test_values_just_past_the_reach_are_within_their_error(route, n):
     assert not _misses(route, n, EDGE_DISTANCES)
+
+
+# on these routes the pole series meets tol out to SERIES_REACH, where the
+# direct raise of n >= 7 cancels: raised directly, R^13 heat at (0.9, 0.01)
+# is 2e8 relative off
+@pytest.mark.parametrize(
+    "route, n",
+    [(name, n) for name in ("euclidean heat raise", "euclidean poisson raise",
+                            "hyperbolic heat raise", "hyperbolic poisson raise")
+     for n in ROUTES[name][2] if 7 <= n <= 14],
+)
+def test_pole_series_out_to_the_series_reach_is_within_its_error(route, n):
+    assert not _misses(route, n, (jets.POLE_REACH, 0.02, 0.05, 0.09))
 
 
 @pytest.mark.parametrize("space", [Space.SPHERE, Space.HYPERBOLIC])
@@ -208,13 +222,13 @@ def test_origin_map_is_the_origin_raise_within_its_rounding(space, k):
 
 def test_pole_series_builds_each_origin_map_once(monkeypatch):
     calls = []
-    build = jets.raise_origin_jet
+    build = jets._raise_k
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(jets, "raise_origin_jet", counted)
+    monkeypatch.setattr(jets, "_raise_k", counted)
     jets._origin_map.cache_clear()
     for t in (0.3, 0.9):
         jets.pole_series(Space.HYPERBOLIC, jets.gauss_jet(t), 3, 0.0, 0.0, DEFAULT_TOL)

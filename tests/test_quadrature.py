@@ -212,6 +212,20 @@ def _singular(x):
     return 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
 
 
+def _final_panels(nodes) -> int:
+    """The number of panels in the final partition of an integral that saw
+    ``nodes``.  A panel's 15 nodes come together with its centre in the
+    middle.  A panel that was split holds the centres of its children within
+    3/4 of its half-width of its own, while the centres of its neighbours
+    and ancestors lie at or beyond its ends."""
+    blocks = np.reshape(nodes, (-1, 15))
+    centres = blocks[:, 7]
+    halves = (blocks[:, 14] - blocks[:, 0]) / (2.0 * _XK15[14])
+    return sum(
+        int(np.sum(np.abs(centres - c) < 0.9 * h) == 1) for c, h in zip(centres, halves)
+    )
+
+
 @pytest.mark.parametrize(
     "budget",
     [{"max_panels": 1}, {"max_panels": 8}, {"max_panels": 9}, {"max_panels": 64},
@@ -220,19 +234,24 @@ def _singular(x):
 )
 def test_budget_exhaustion_is_the_same_per_node_and_vectorized(budget):
     found = []
+    seen = {False: [], True: []}
     for vectorized in (False, True):
+
+        def f(x, nodes=seen[vectorized]):
+            nodes.extend(np.atleast_1d(x).tolist())
+            return _singular(x)
+
         with pytest.raises(ConvergenceError, match="exhausted") as exc_info:
-            integrate_adaptive(
-                _singular, 0.0, 1.0, 1e-15, abs_tol=0.0, vectorized=vectorized, **budget
-            )
+            integrate_adaptive(f, 0.0, 1.0, 1e-15, abs_tol=0.0, vectorized=vectorized, **budget)
         found.append(exc_info.value.result)
     per_node, batched = found
-    assert batched.n_evals == per_node.n_evals
+    assert seen[False] == seen[True]
+    assert batched.n_evals == per_node.n_evals == len(seen[True])
     assert batched.value == per_node.value
     assert batched.err_estimate == per_node.err_estimate
-    # one panel to start, and each split adds one panel and evaluates two:
-    # the partition fills the panel budget but never exceeds it
-    panels = (batched.n_evals // 15 + 1) // 2
+    # the partition fills the panel budget but never exceeds it: a split
+    # cuts a panel in four unless the budget has room for fewer
+    panels = _final_panels(seen[True])
     assert panels == budget.get("max_panels", panels)
     assert abs(batched.value - 2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))) < 1.0
 
@@ -240,8 +259,8 @@ def test_budget_exhaustion_is_the_same_per_node_and_vectorized(budget):
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_non_finite_value_in_a_multi_panel_sweep_is_reported_at_its_node(vectorized):
     # the four seeded panels are far from tol 1e-12, so the first refinement
-    # sweep splits them all; the bad node belongs to the child [2.5, 3]
-    bad_x = float(2.75 + 0.25 * _XK15[4])
+    # sweep cuts each in four; the bad node belongs to the child [2.75, 3]
+    bad_x = float(2.875 + 0.125 * _XK15[4])
     sizes = []
 
     def f(x):
@@ -253,9 +272,9 @@ def test_non_finite_value_in_a_multi_panel_sweep_is_reported_at_its_node(vectori
             f, 0.0, 4.0, 1e-12, breakpoints=[1.0, 2.0, 3.0], vectorized=vectorized
         )
     best = exc_info.value.result
-    assert best.n_evals == sum(sizes) == 15 * (4 + 8)
+    assert best.n_evals == sum(sizes) == 15 * (4 + 16)
     if vectorized:
-        assert sizes == [15 * 4, 15 * 8]
+        assert sizes == [15 * 4, 15 * 16]
     assert best.err_estimate == math.inf
     assert best.value == pytest.approx((1.0 - math.cos(80.0)) / 20.0, abs=0.1)
 
