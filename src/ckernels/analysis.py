@@ -160,6 +160,8 @@ _REPRESENTATIONS = {
 # DomainError is the caller's, and ends the walk
 _FALL_THROUGH = (ConvergenceError, SingularPointError, OverflowError)
 _TINY = sys.float_info.min
+# exp(-x^2) is exactly 0.0 in double precision for x beyond this
+_EXP_UNDERFLOW = math.sqrt(746.0)
 
 
 def _walk(space: Space, kind: str, rows: tuple):
@@ -348,36 +350,31 @@ def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
     )
 
 
-def _theta_weight(v: float, y: float) -> float:
-    """(2/sqrt(pi)) sum over k of (y + 2 pi k) exp(-v^2 (y + 2 pi k)^2).
+def _theta_weight(v, y: float) -> np.ndarray:
+    """(2/sqrt(pi)) sum over k of (y + 2 pi k) exp(-v^2 (y + 2 pi k)^2), at
+    a node array v (a float gives a 0-d array).
 
     The image series converges rapidly for v above ~0.3 and the
-    Poisson-summation dual (a sine series in y) below it; both are summed
-    to machine precision.  Below v ~ 0.054 the weight is under 1e-30 and is
-    treated as zero.
+    Poisson-summation dual (a sine series in y) below it.  Each is summed on
+    all its nodes at once, out to the term at which the slowest-decaying
+    node's exp underflows to 0, so every omitted term is 0.  Below
+    v ~ 0.054 the weight is under 1e-30 and is treated as zero.
     """
-    if v < 0.054:
-        return 0.0
-    if v >= 0.3:
-        total = y * math.exp(-v * v * y * y)
-        for k in range(1, 80):
-            up = y + 2.0 * math.pi * k
-            down = y - 2.0 * math.pi * k
-            term = up * math.exp(-v * v * up * up) + down * math.exp(
-                -v * v * down * down
-            )
-            total += term
-            if abs(term) < 1e-18 * abs(total) + 1e-300:
-                break
-        return total * 2.0 / math.sqrt(math.pi)
-    decay = 0.25 / (v * v)
-    total = 0.0
-    for m in range(1, 200):
-        term = m * math.exp(-decay * m * m) * math.sin(m * y)
-        total += term
-        if m * math.exp(-decay * m * m) < 1e-20 * (abs(total) + 1e-30):
-            break
-    return total / (math.pi * v**3)
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape)
+    images, dual = v >= 0.3, (v >= 0.054) & (v < 0.3)
+    if images.any():
+        vi = v[images]
+        k_max = math.ceil((_EXP_UNDERFLOW / vi.min() + abs(y)) / (2.0 * math.pi))
+        args = y + 2.0 * math.pi * np.arange(-k_max, k_max + 1)
+        va = vi[:, None] * args
+        out[images] = (args * np.exp(-va * va)).sum(axis=1) * (2.0 / math.sqrt(math.pi))
+    if dual.any():
+        vd = v[dual]
+        m = np.arange(1.0, math.ceil(2.0 * _EXP_UNDERFLOW * vd.max()) + 1.0)
+        terms = m * np.exp(-np.outer(0.25 / (vd * vd), m * m)) * np.sin(m * y)
+        out[dual] = terms.sum(axis=1) / (math.pi * vd**3)
+    return out
 
 
 def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -403,7 +400,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     k = (n - 1) // 2
 
     def f(vs: np.ndarray) -> np.ndarray:
-        w = np.array([_theta_weight(v, y) for v in vs])
+        w = _theta_weight(vs, y)
         ts = 0.25 / (vs * vs)
         heat = np.full(len(vs), math.nan)  # a node left non-finite takes the walk
         if n % 2 == 1:

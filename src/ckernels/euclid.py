@@ -222,11 +222,20 @@ def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qu
 
 
 def _halfplane_jet(y: float) -> RadialGenerator:
-    """Jets of the 1-d Poisson kernel y / (pi (r^2 + y^2))."""
+    """Jets of the 1-d Poisson kernel y / (pi (r^2 + y^2)).
+
+    (y^2 + (c + h)^2) f' = -2 (c + h) f gives the Chebyshev-U recurrence
+    (y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1), run on Python floats.
+    """
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (y / math.pi) / (x * x + y * y)
+        s = center * center + y * y
+        a = [y / math.pi / s]
+        prev = 0.0
+        for j in range(order):
+            a.append(-(2.0 * center * a[j] + prev) / s)
+            prev = a[j]
+        return Jet(center, np.array(a))
 
     return gen
 

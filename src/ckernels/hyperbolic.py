@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_query, convention_factor
-from .jets import POLE_REACH, Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel
-from .jets import raise_operator, variable
+from .jets import _INV_FACTORIAL, POLE_REACH, Jet, RadialGenerator, _raised_at_nodes, gauss_jet
+from .jets import raise_kernel, raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -306,9 +306,11 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
     floor = 2.0 * math.sin(0.5 * y) ** 2
 
     def gen(center: float, order: int) -> Jet:
-        base = variable(center, order).cosh()
-        base.coeffs[0] = 2.0 * math.sinh(0.5 * center) ** 2 + floor
-        return base.power(-half) * amp
+        # cosh^(j)(c) / j!, the derivatives cycling with period 2
+        cycle = (math.cosh(center), math.sinh(center))
+        base = [2.0 * math.sinh(0.5 * center) ** 2 + floor]
+        base += [cycle[j % 2] * _INV_FACTORIAL[j] for j in range(1, order + 1)]
+        return Jet(center, np.array(base)).power(-half) * amp
 
     return gen
 

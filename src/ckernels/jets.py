@@ -22,6 +22,19 @@ near the zeros of w, sums the raised kernel's Taylor series there
 (:func:`pole_series`): D is linear, so those coefficients are one cached
 matrix, built by the steps of :func:`raise_origin_jet`, times the
 generator's.
+
+The closed generators write their Taylor coefficients directly, on Python
+floats for a single jet, and wrap only the result in a Jet.  The Gaussian
+exp(-u (c + h)^2), u = 1/4t, obeys f' = -2u (c + h) f, so
+
+    (j + 1) a_(j+1) = -2uc a_j - 2u a_(j-1)
+
+(:func:`gauss_jet`; a node array of times or of image centres runs it on
+numpy rows).  The half-plane Poisson kernel obeys
+(y^2 + (c + h)^2) f' = -2 (c + h) f, the Chebyshev-U recurrence
+(y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1).  The sphere and hyperbolic
+Poisson bases are closed forms whose derivatives cycle with period 4
+(cos) and 2 (cosh), raised to a real power by :meth:`Jet.power`.
 """
 
 from __future__ import annotations
@@ -67,6 +80,8 @@ _F64 = np.dtype(float)
 
 # 0, 1, ..., MAX_ORDER + 1 as floats, the index weights of the recurrences
 _IDX = np.arange(MAX_ORDER + 2, dtype=float)
+# 1/j! for j <= MAX_ORDER, the Taylor weights of closed-form derivatives
+_INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(MAX_ORDER + 1)]
 
 
 def _lead(c: np.ndarray):
@@ -389,19 +404,24 @@ class Jet:
         """Jet of f^alpha for real alpha; requires a positive jet value."""
         g = self.coeffs
         _refuse(_lead(g) <= 0.0, "power requires a positive jet value")
-        out = np.empty_like(g)
         if g.ndim == 2:
+            out = np.empty_like(g)
             g0 = g[:, 0]
             out[:, 0] = g0**alpha
             for k in range(1, g.shape[1]):
                 weights = (alpha + 1.0) * _IDX[1 : k + 1] - k
                 out[:, k] = _rowdot(weights * g[:, 1 : k + 1], out[:, k - 1 :: -1]) / (k * g0)
             return Jet(self.center, out)
-        out[0] = self.coeffs[0] ** alpha
-        for k in range(1, g.size):
-            weights = (alpha + 1.0) * _IDX[1 : k + 1] - k
-            out[k] = np.dot(weights * g[1 : k + 1], out[k - 1 :: -1]) / (k * g[0])
-        return Jet(self.center, out)
+        # a single jet on Python floats: K^2/2 products cost less than K numpy calls
+        g = g.tolist()
+        a1, g0 = alpha + 1.0, g[0]
+        out = [g0**alpha]
+        for k in range(1, len(g)):
+            acc = 0.0
+            for i in range(1, k + 1):
+                acc += (a1 * i - k) * g[i] * out[k - i]
+            out.append(acc / (k * g0))
+        return Jet(self.center, np.array(out))
 
     def arcsin(self) -> "Jet":
         c0 = _lead(self.coeffs)
@@ -442,13 +462,30 @@ def constant(value, order: int, center: float = 0.0) -> Jet:
     return Jet(center, coeffs)
 
 
-def gauss_jet(t: float, n: int = 1) -> RadialGenerator:
-    """Jets of the flat n-d heat kernel (4 pi t)^(-n/2) exp(-r^2/4t)."""
+def _gauss_coeffs(u, c, amp, order: int) -> np.ndarray:
+    """Taylor coefficients in h of amp exp(-u (c + h)^2), to ``order``, by
+    the three-term recurrence of the module docstring: on Python floats, or
+    on numpy rows for a node array of u (times) or of c (image centres),
+    one row a node."""
+    p, q = -2.0 * u * c, -2.0 * u
+    a = [amp * _at(-u * c * c, math.exp, np.exp)]
+    prev = 0.0
+    for j in range(order):
+        a.append((p * a[j] + q * prev) / (j + 1))
+        prev = a[j]
+    return np.stack(a, axis=-1) if isinstance(p, np.ndarray) else np.array(a)
+
+
+def gauss_jet(t, n: int = 1) -> RadialGenerator:
+    """Jets of the flat n-d heat kernel (4 pi t)^(-n/2) exp(-r^2/4t).
+
+    A node array of times gives a batch of jets, one row a time.
+    """
     amp = (4.0 * math.pi * t) ** (-0.5 * n)
+    u = 0.25 / t
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (x * x * (-0.25 / t)).exp() * amp
+        return Jet(center, _gauss_coeffs(u, center, amp, order))
 
     return gen
 
@@ -640,7 +677,8 @@ def raise_kernel(
 ) -> QuadResult:
     """The k-times-raised kernel at r with an error bound: within POLE_REACH
     of a pole the :func:`pole_series`, and out to SERIES_REACH too where its
-    bound meets tol; elsewhere :func:`raise_operator` with err 0."""
+    bound meets tol (node by node in a batch); elsewhere
+    :func:`raise_operator` with err 0."""
     _check_raise_count(k)
     pole = math.pi if space is Space.SPHERE and r > 0.5 * math.pi else 0.0
     h = abs(r - pole)
@@ -648,22 +686,32 @@ def raise_kernel(
         b, e = pole_series(space, generator, k, pole, h, tol)
         powers = h ** (2.0 * _IDX[: b.shape[-1], None])
         value, err = b @ powers, e @ powers
-        if h < POLE_REACH or np.all(err <= tol * np.abs(value)):
+        met = err <= tol * np.abs(value)
+        if h < POLE_REACH or np.all(met):
             return QuadResult(_values(value), _values(err), 0)
+        if np.any(met):  # a batch: the series at the nodes where it meets tol
+            direct = raise_operator(space, generator, k, r)
+            met = met[:, 0]
+            return QuadResult(np.where(met, value[:, 0], direct), np.where(met, err[:, 0], 0.0), 0)
     return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
 
 
 def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: float):
-    """The k-raised kernel at the nodes s >= r of a sweep: one raise a node,
-    but within POLE_REACH of 0 one :func:`pole_series` (its err is not added)."""
-    b = pole_series(space, gen, k, 0.0, POLE_REACH, tol)[0] if r < POLE_REACH else None
+    """The k-raised kernel at the nodes s >= r of a sweep.  As in
+    :func:`raise_kernel`, one :func:`pole_series` (its err is not added)
+    serves the nodes within POLE_REACH of 0, and those out to SERIES_REACH
+    where its bound meets tol; every other node takes one direct raise."""
+    b, e = pole_series(space, gen, k, 0.0, SERIES_REACH, tol) if r < SERIES_REACH else (None, None)
 
     def kernel(s: np.ndarray) -> np.ndarray:
-        near = s < POLE_REACH
         out = np.empty_like(s)
+        direct = s >= SERIES_REACH
         if b is not None:
-            out[near] = np.power.outer(s[near] ** 2, np.arange(b.size)) @ b
-        for i in np.flatnonzero(~near):
+            near = ~direct
+            powers = np.power.outer(s[near] ** 2, np.arange(b.size))
+            out[near] = value = powers @ b
+            direct[near] = (s[near] >= POLE_REACH) & ~(powers @ e <= tol * np.abs(value))
+        for i in np.flatnonzero(direct):
             out[i] = raise_operator(space, gen, k, float(s[i]))
         return out
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query, convention_exponent
-from .jets import POLE_REACH, Jet, RadialGenerator, raise_kernel, raise_operator, variable
+from .jets import _INV_FACTORIAL, POLE_REACH, Jet, RadialGenerator, _gauss_coeffs, raise_kernel
+from .jets import raise_operator, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -85,16 +86,15 @@ def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 def _theta1_jet(t: float, tol: float) -> RadialGenerator:
+    """Jets of the circle's image sum: the Gaussian recurrence of
+    :func:`gauss_jet` on the image centres, one row an image, summed."""
     amp = (4.0 * math.pi * t) ** -0.5
+    u = 0.25 / t
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        total = None
-        for m in _image_range(t, center, tol):
-            shifted = x + 2.0 * math.pi * m
-            term = (shifted * shifted * (-0.25 / t)).exp()
-            total = term if total is None else total + term
-        return total * amp
+        ms = _image_range(t, center, tol)
+        images = center + 2.0 * math.pi * np.arange(ms.start, ms.stop)
+        return Jet(center, _gauss_coeffs(u, images, amp, order).sum(axis=0))
 
     return gen
 
@@ -492,9 +492,12 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
     floor = 4.0 * math.sinh(0.5 * y) ** 2
 
     def gen(center: float, order: int) -> Jet:
-        base = variable(center, order).cos() * -2.0
-        base.coeffs[0] = 4.0 * math.sin(0.5 * center) ** 2 + floor
-        return base.power(-half) * amp
+        # -2 cos^(j)(c) / j!, the derivatives cycling with period 4
+        cos, sin = 2.0 * math.cos(center), 2.0 * math.sin(center)
+        cycle = (-cos, sin, cos, -sin)
+        base = [4.0 * math.sin(0.5 * center) ** 2 + floor]
+        base += [cycle[j % 4] * _INV_FACTORIAL[j] for j in range(1, order + 1)]
+        return Jet(center, np.array(base)).power(-half) * amp
 
     return gen
 

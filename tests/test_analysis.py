@@ -328,6 +328,27 @@ def test_theta_weight_branches_agree_across_series_switch():
         assert analysis._theta_weight(v, y) == pytest.approx(want, rel=1e-12)
 
 
+def test_theta_weight_on_a_node_array_matches_mpmath():
+    # one sweep's nodes: below the cutoff, in the dual series and in the
+    # image sum, each series summed out to its slowest node's underflow
+    import mpmath
+
+    def reference(v: float, y: float) -> float:
+        with mpmath.workdps(40):
+            v, y = mpmath.mpf(v), mpmath.mpf(y)
+            args = [y + 2 * mpmath.pi * k for k in range(-200, 201)]
+            total = sum(a * mpmath.exp(-(v * a) ** 2) for a in args)
+            return float(total * 2 / mpmath.sqrt(mpmath.pi))
+
+    vs = np.array([0.05, 0.054, 0.1, 0.2, 0.299, 0.3, 0.7, 2.5, 20.0])
+    for y in (1e-3, 1.1, 3.1):
+        want = np.array([reference(v, y) if v >= 0.054 else 0.0 for v in vs])
+        got = analysis._theta_weight(vs, y)
+        assert got.shape == vs.shape and got[0] == 0.0
+        # the sums cancel terms of order 1 to a weight of order y
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
 def test_theta_weight_negligible_region_is_zero():
     assert analysis._theta_weight(0.05, 1.0) == 0.0
     assert 0.0 < analysis._theta_weight(0.055, 1.0) < 1e-30

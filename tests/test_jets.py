@@ -622,3 +622,170 @@ def test_origin_raise_refuses_a_derivative_that_does_not_vanish():
     for space in Space:
         with pytest.raises(DomainError), np.errstate(invalid="ignore"):
             raise_origin_jet(space, gen, 2)
+
+
+# ---------------------------------------------------------------------------
+# the raising generators against the Jet expressions they replaced
+#
+# Each generator writes its coefficients by a recurrence or in closed form.
+# The references below are the Jet programs they replaced; the Poisson bases
+# take their power through a one-row batch, which runs the numpy recurrence.
+# Both sides carry rounding, so they agree to 1e-13 of the largest scaled
+# coefficient, the scale l being the generator's length: sqrt(4t), or
+# sqrt(y^2 + c^2) for the Poisson bases.
+
+GEN_TIMES = (1e-3, 0.1, 0.9, 9.0, 100.0)
+GEN_CENTRES = (0.0, 3e-3, 0.5, 1.0, 3.0, 20.0)
+GEN_ORDERS = (0, 1, 8, MAX_ORDER)
+
+
+def _jet_gauss(t, n: int):
+    amp = (4.0 * math.pi * t) ** (-0.5 * n)
+
+    def gen(center, order):
+        x = variable(center, order)
+        return (x * x * (-0.25 / t)).exp() * amp
+
+    return gen
+
+
+def _jet_theta1(t: float):
+    amp = (4.0 * math.pi * t) ** -0.5
+
+    def gen(center, order):
+        x = variable(center, order)
+        total = None
+        for m in sphere._image_range(t, center, 1e-10):
+            shifted = x + 2.0 * math.pi * m
+            term = (shifted * shifted * (-0.25 / t)).exp()
+            total = term if total is None else total + term
+        return total * amp
+
+    return gen
+
+
+def _jet_halfplane(y: float):
+    def gen(center, order):
+        x = variable(center, order)
+        return (y / math.pi) / (x * x + y * y)
+
+    return gen
+
+
+def _batch_power(base: Jet, alpha: float) -> Jet:
+    """base ** alpha by the numpy recurrence of a one-row batch."""
+    return Jet(base.center, Jet(base.center, base.coeffs[None, :]).power(alpha).coeffs[0])
+
+
+def _jet_sphere_poisson(base_dim: int, y: float):
+    half = 0.5 * (base_dim + 1)
+    amp = math.gamma(half) / math.pi**half * math.sinh(y)
+
+    def gen(center, order):
+        base = variable(center, order).cos() * -2.0
+        base.coeffs[0] = 4.0 * math.sin(0.5 * center) ** 2 + 4.0 * math.sinh(0.5 * y) ** 2
+        return _batch_power(base, -half) * amp
+
+    return gen
+
+
+def _jet_hyperbolic_poisson(base_dim: int, y: float):
+    half = 0.5 * (base_dim + 1)
+    amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
+
+    def gen(center, order):
+        base = variable(center, order).cosh()
+        base.coeffs[0] = 2.0 * math.sinh(0.5 * center) ** 2 + 2.0 * math.sin(0.5 * y) ** 2
+        return _batch_power(base, -half) * amp
+
+    return gen
+
+
+def _gen_cases(family: str) -> list:
+    """(generator, its Jet program, centres, length scale at a centre)."""
+    on_sphere = [c for c in GEN_CENTRES if c <= math.pi]
+    cases = []
+    for p in GEN_TIMES:
+        gauss_scale = lambda c, p=p: math.sqrt(4.0 * p)
+        poisson_scale = lambda c, p=p: math.hypot(p, c)
+        if family == "gauss":
+            cases += [(gauss_jet(p, n), _jet_gauss(p, n), GEN_CENTRES, gauss_scale) for n in (1, 6)]
+        elif family == "theta1":
+            cases.append((sphere._theta1_jet(p, 1e-10), _jet_theta1(p), on_sphere, gauss_scale))
+        elif family == "halfplane":
+            cases.append((euclid._halfplane_jet(p), _jet_halfplane(p), GEN_CENTRES, poisson_scale))
+        elif family == "sphere poisson":
+            cases += [
+                (sphere._poisson_jet(d, p), _jet_sphere_poisson(d, p), on_sphere, poisson_scale)
+                for d in (1, 2)
+            ]
+        elif family == "hyperbolic poisson" and p < math.pi:
+            # centres up to 1: as cosh grows like exp, the power recurrence
+            # sums terms of (1 + half)^j / j! to a result of half^j / j!, and
+            # at order 32 both sides are ~5e-13 off mpmath at 3 and ~1e-4 at
+            # 20, in this scaled measure; the raise takes such orders only at
+            # the pole
+            cases += [
+                (hyperbolic._poisson_jet(d, p), _jet_hyperbolic_poisson(d, p), GEN_CENTRES[:4],
+                 poisson_scale)
+                for d in (1, 2)
+            ]
+    return cases
+
+
+def _assert_scaled_close(got: np.ndarray, want: np.ndarray, scale) -> None:
+    powers = np.power.outer(np.asarray(scale, dtype=float), np.arange(want.shape[-1]))
+    size = np.max(np.abs(want * powers), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) * powers <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("order", GEN_ORDERS)
+@pytest.mark.parametrize(
+    "family", ["gauss", "theta1", "halfplane", "sphere poisson", "hyperbolic poisson"]
+)
+def test_generators_match_the_jet_expressions_they_replaced(family, order):
+    for new, old, centres, scale in _gen_cases(family):
+        for c in centres:
+            got, want = new(c, order), old(c, order)
+            assert got.center == c and got.coeffs.shape == want.coeffs.shape == (order + 1,)
+            _assert_scaled_close(got.coeffs, want.coeffs, scale(c))
+
+
+@pytest.mark.parametrize("order", GEN_ORDERS)
+def test_gauss_jet_of_a_time_array_matches_the_jet_expression(order):
+    times = np.array(GEN_TIMES)
+    for n in (1, 6):
+        for c in GEN_CENTRES:
+            got, want = gauss_jet(times, n)(c, order), _jet_gauss(times, n)(c, order)
+            assert got.coeffs.shape == want.coeffs.shape == (len(times), order + 1)
+            _assert_scaled_close(got.coeffs, want.coeffs, np.sqrt(4.0 * times))
+
+
+# (space, base dimension, y, centre): the closed Poisson bases at order 32,
+# against mpmath's Taylor coefficients of the closed kernel
+POISSON_ORACLE_POINTS = [
+    (Space.SPHERE, 1, 0.3, 0.5),
+    (Space.SPHERE, 2, 0.9, 2.5),
+    (Space.HYPERBOLIC, 1, 0.3, 0.0),
+    (Space.HYPERBOLIC, 2, 2.0, 1.5),
+]
+
+
+@pytest.mark.parametrize("space, base_dim, y, center", POISSON_ORACLE_POINTS)
+def test_poisson_generator_power_matches_mpmath_taylor(space, base_dim, y, center):
+    import mpmath
+
+    order = MAX_ORDER
+    with mpmath.workdps(30):
+        half = mpmath.mpf(base_dim + 1) / 2
+        y_mp = mpmath.mpf(y)
+        if space is Space.SPHERE:
+            got = sphere._poisson_jet(base_dim, y)(center, order)
+            amp = mpmath.gamma(half) / mpmath.pi**half * mpmath.sinh(y_mp)
+            kernel = lambda x: amp * (2 * mpmath.cosh(y_mp) - 2 * mpmath.cos(x)) ** -half
+        else:
+            got = hyperbolic._poisson_jet(base_dim, y)(center, order)
+            amp = mpmath.gamma(half) / (2 * mpmath.pi) ** half * mpmath.sin(y_mp)
+            kernel = lambda x: amp * (mpmath.cosh(x) - mpmath.cos(y_mp)) ** -half
+        want = np.array([float(a) for a in mpmath.taylor(kernel, mpmath.mpf(center), order)])
+    _assert_scaled_close(got.coeffs, want, math.hypot(y, center))

@@ -39,9 +39,9 @@ def _hyperbolic_heat_reference(n: int, t: float, rho: float) -> QuadResult:
 
 # (route, reference, dimensions, parameters); a route maps (n, param, r) to
 # a QuadResult.  The "inside" variants, on R^n and H^n alike, stop at n = 6:
-# from n = 8 on their integrands raise directly at s just past POLE_REACH,
-# where raising cancels (ROADMAP item 1), and they end in ConvergenceError
-# after 7-18 s at every r tried, 0.05 included.
+# their integrands raise directly at s just past SERIES_REACH, where raising
+# cancels (ROADMAP item 1).  At n = 8 that leaves errors up to 0.6 tol, and
+# from n = 10 on they end in ConvergenceError after seconds.
 ROUTES = {
     "euclidean heat raise": (
         lambda n, t, r: euclid.heat_raise(n, t, r),
