@@ -29,7 +29,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,12 +41,13 @@ from .geometry import (
     Space,
     check_positive,
     check_query,
+    check_tol,
     convention_factor,
     radial_laplacian,
     spectral_shift,
     sphere_surface_coeff,
 )
-from .jets import Jet, gauss_jet, raise_jet, raise_kernel, variable
+from .jets import Jet, gauss_jet, raise_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -274,8 +275,7 @@ def evaluate(
     call = _route(space, kind, rep)
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
+    check_tol(tol)
     return call(n, param, r, tol, convention, sigma)
 
 
@@ -332,6 +332,7 @@ def subordinate(
     :func:`integrate_adaptive`.
     """
     check_positive("height", y)
+    check_tol(tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + dim_hint) / y * 1.2
     exp = np.exp if vectorized else math.exp
 
@@ -394,6 +395,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     where it overflows or is not finite, and even n.
     """
     check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
+    check_tol(tol)
     heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
     inner = max(tol * 0.1, 1e-12)  # the tolerance _heat_fn asks of the walk
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
@@ -443,6 +445,7 @@ def heat_mass(
     in the markovian convention.
     """
     check_query(space, n, "heat", t, 0.0)
+    check_tol(tol)
     factor = convention_factor(space, convention, n, t)
     coeff = sphere_surface_coeff(n)
     inner = max(0.05 * tol, 1e-12)
@@ -483,6 +486,7 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
     decays like exp(-(n+1) rho / 2) against volume growth exp((n-1) rho)).
     """
     check_query(space, n, "poisson", y, 0.0)
+    check_tol(tol)
     coeff = sphere_surface_coeff(n)
     if space is Space.EUCLIDEAN:
 
@@ -582,14 +586,7 @@ def _kernel_jet(
         return lambda center, order: raise_jet(space, base, k, center, order) * factor
 
     if space is Space.EUCLIDEAN:
-        half = 0.5 * (n + 1)
-        amp = math.gamma(half) / math.pi**half * param
-
-        def gen(center: float, order: int) -> Jet:
-            x = variable(center, order)
-            return (x * x + param * param).power(-half) * amp
-
-        return gen
+        return euclid._poisson_jet(n, param)
     if space is Space.SPHERE:
         return sphere._poisson_jet(n, param)
     return hyperbolic._poisson_jet(n, param)
@@ -705,10 +702,14 @@ def compare(
     """Evaluate the chosen representations on a grid and cross-compare.
 
     Points a representation refuses (singular points, domain limits)
-    are recorded as NaN and skipped in the pairwise comparison.
+    are recorded as NaN and skipped in the pairwise comparison; an unknown
+    representation name raises DomainError.
     """
     if reps is None:
         reps = [name for name, admits, _, _ in _rows(space, kind) if admits(n)]
+    for rep in reps:
+        _route(space, kind, rep)
+    check_tol(tol)
     values = {}
     errs = {}
     for rep in reps:

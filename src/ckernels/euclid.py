@@ -8,10 +8,9 @@ The closed forms are
 and the alternative representations cross-validate them:
 
 * raising: apply D = -(2 pi w)^(-1) d/dr, which sends dimension n to n+2,
-  (n-1)/2 times to the 1-d kernel for odd n; for even n either apply it to
-  the descent integral of the 3-d kernel ("outside") or move it under the
-  integral sign ("inside").  Outside, the descent integral separates: the
-  jet in r of a closed-form factor multiplies one scalar integral.
+  (n-1)/2 times to the closed 1-d kernel for odd n; for even n either
+  apply it (n-2)/2 times to the closed 2-d kernel ("outside") or move it
+  under the descent integral of the 3-d kernel ("inside").
 * descent: the inverse-square-root integral
   integral_r^inf (s^2-r^2)^(-1/2) K_(n+1)(s) 2s ds, which lowers n+1 to n
   with multiplicative constant exactly 1.
@@ -34,7 +33,6 @@ from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
-    gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -78,37 +76,6 @@ def poisson_closed(n: int, y: float, r: float) -> float:
 # raising
 
 
-def _plane_descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
-    """Jets of the 2-d kernel written as the descent integral of the 3-d one.
-
-    With z = s^2 - r^2 the integral becomes
-    (4 pi t)^(-3/2) exp(-r^2/4t) integral_0^inf z^(-1/2) exp(-z/4t) dz: the
-    integrand separates, so the jet in r multiplies one scalar integral.  It
-    is the Gaussian exp(-u^2/4t) in u = sqrt(z), seeded at its fall-off
-    points (:func:`gaussian_breakpoints`), z = 4t j^2.
-    """
-    amp = (4.0 * math.pi * t) ** -1.5
-    z_max = 4.0 * t * (math.log(1.0 / tol) + 5.0)
-    seeds = [u * u for u in gaussian_breakpoints(0.0, t, 0.0, math.sqrt(z_max))]
-
-    def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        radial = (x * x * (-0.25 / t)).exp()
-        res = integrate_sqrt_endpoint(
-            lambda z: np.exp(-z / (4.0 * t)),
-            0.0,
-            z_max,
-            tol * 0.1,
-            abs_tol=0.0,
-            breakpoints=seeds,
-            vectorized=True,
-        )
-        evals.append(res.n_evals)
-        return radial * (res.value * amp)
-
-    return gen
-
-
 def heat_raise(
     n: int,
     t: float,
@@ -119,18 +86,17 @@ def heat_raise(
 ) -> QuadResult:
     """Heat kernel through the dimension-raising recursion.
 
-    Odd n reduces to jets of the 1-d Gaussian (no quadrature).  Even n needs
-    one inverse-square-root integral; ``variant`` selects whether the
-    raising operator acts outside it ("outside") or under the integral sign
-    on the 3-d kernel ("inside").  Each raise is :func:`raise_kernel`'s.
+    Odd n raises jets of the closed 1-d Gaussian.  For even n ``variant``
+    selects whether the raising operator acts on jets of the closed 2-d
+    Gaussian ("outside") or under the inverse-square-root descent integral
+    of the (n+1)-kernel, raised from the 1-d one ("inside").  Only the
+    latter needs quadrature.  Each raise is :func:`raise_kernel`'s.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, gauss_jet(t), (n - 1) // 2, r, tol)
     if variant == "outside":
-        evals: list = []
-        res = raise_kernel(_EUCLIDEAN, _plane_descent_jet(t, tol, evals), (n - 2) // 2, r, tol)
-        return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
+        return raise_kernel(_EUCLIDEAN, gauss_jet(t, 2), (n - 2) // 2, r, tol)
     if variant == "inside":
         kernel = _raised_at_nodes(_EUCLIDEAN, gauss_jet(t), n // 2, r, tol)
         return _heat_descent(kernel, t, r, tol)
@@ -240,23 +206,14 @@ def _halfplane_jet(y: float) -> RadialGenerator:
     return gen
 
 
-def _space_descent_jet(y: float, tol: float, evals: list) -> RadialGenerator:
-    """Jets of the 2-d Poisson kernel as the descent integral of the 3-d one.
-
-    P_3(y, s) = y / (pi^2 (s^2+y^2)^2); with s^2 - r^2 = (r^2+y^2) v^2 the
-    integral becomes y/pi^2 (r^2+y^2)^(-3/2) integral_0^inf 2 (1+v^2)^(-2) dv:
-    the integrand separates, so the jet in r multiplies one scalar integral.
-    """
-    amp = y / math.pi**2
+def _poisson_jet(n: int, y: float) -> RadialGenerator:
+    """Jets of the closed n-d Poisson kernel, by :meth:`Jet.power`."""
+    half = 0.5 * (n + 1)
+    amp = math.gamma(half) / math.pi**half * y
 
     def gen(center: float, order: int) -> Jet:
         x = variable(center, order)
-        radial = (x * x + y * y).power(-1.5)
-        res = integrate_to_infinity(
-            lambda v: 2.0 / (1.0 + v * v) ** 2, 0.0, tol * 0.1, abs_tol=0.0, vectorized=True
-        )
-        evals.append(res.n_evals)
-        return radial * (res.value * amp)
+        return (x * x + y * y).power(-half) * amp
 
     return gen
 
@@ -278,9 +235,7 @@ def poisson_raise(
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, _halfplane_jet(y), (n - 1) // 2, r, tol)
     if variant == "outside":
-        evals: list = []
-        res = raise_kernel(_EUCLIDEAN, _space_descent_jet(y, tol, evals), (n - 2) // 2, r, tol)
-        return QuadResult(res.value, tol * abs(res.value) + res.err_estimate, sum(evals))
+        return raise_kernel(_EUCLIDEAN, _poisson_jet(2, y), (n - 2) // 2, r, tol)
     if variant == "inside":
         kernel = _raised_at_nodes(_EUCLIDEAN, _halfplane_jet(y), n // 2, r, tol)
         return _poisson_descent(kernel, y, r, tol)

@@ -118,6 +118,11 @@ def check_positive(name: str, x: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {x}")
 
 
+def check_tol(tol: float) -> None:
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
+
+
 CONVENTIONS = ("paper", "markovian")
 
 

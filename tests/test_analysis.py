@@ -217,6 +217,22 @@ def test_evaluate_rejects_unavailable_representations():
                 analysis.evaluate(Space.EUCLIDEAN, 2, "heat", 0.5, 1.0, rep=rep, tol=tol)
 
 
+TOL_ENTRIES = {
+    "compare": lambda tol: analysis.compare(Space.EUCLIDEAN, 2, "heat", [0.5], [1.0], tol=tol),
+    "subordinate": lambda tol: analysis.subordinate(lambda t, r: 1.0, 0.5, 1.0, tol),
+    "poisson_images": lambda tol: analysis.poisson_images(3, 0.9, 0.5, tol=tol),
+    "heat_mass": lambda tol: analysis.heat_mass(Space.EUCLIDEAN, 2, 0.5, tol=tol),
+    "poisson_mass": lambda tol: analysis.poisson_mass(Space.EUCLIDEAN, 2, 0.5, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRIES))
+def test_entry_points_reject_tolerances_outside_the_unit_interval(entry, tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        TOL_ENTRIES[entry](tol)
+
+
 def test_spectral_shift_table():
     assert analysis.spectral_shift(Space.EUCLIDEAN, 4) == 0.0
     assert analysis.spectral_shift(Space.SPHERE, 1) == 0.0
@@ -562,6 +578,12 @@ def test_compare_records_refusals_as_nan():
     assert math.isnan(theta_row[1])  # antipode refused by the image sum
     assert not math.isnan(theta_row[0])
     assert report.worst < 1e-7  # comparison proceeds on the surviving points
+
+
+def test_compare_rejects_unknown_representations():
+    # a misspelled name is an error, not a grid of refused points
+    with pytest.raises(DomainError, match="gruett"):
+        analysis.compare(Space.HYPERBOLIC, 3, "heat", [0.5], [1.0], reps=["raise", "gruett"])
 
 
 def test_compare_skips_representations_that_do_not_reach_n():

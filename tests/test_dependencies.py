@@ -1,5 +1,6 @@
 """The package imports nothing at run time beyond the standard library,
-numpy and click; scipy, mpmath and hypothesis are test-only."""
+numpy and click; scipy, mpmath and hypothesis are test-only.  Every module
+uses each name it imports."""
 
 import ast
 import pathlib
@@ -34,3 +35,28 @@ def test_runtime_imports_are_stdlib_numpy_or_click(path):
         - set(sys.stdlib_module_names)
     )
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names one source file imports and never reads; ``__future__``
+    imports and the names its ``__all__`` re-exports are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

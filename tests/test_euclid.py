@@ -211,11 +211,21 @@ def test_poisson_raise_even_outside_condition_limited(n, y, r):
 
 
 @pytest.mark.parametrize("n", [2, 8, 14])
-def test_poisson_raise_even_cost_is_independent_of_the_point(n):
-    # the descent integral separates: the one scalar integral it leaves
-    # depends on neither y nor r
-    counts = {euclid.poisson_raise(n, y, r).n_evals for y, r in EVEN_RAISE_POINTS}
-    assert len(counts) == 1 and counts.pop() > 0
+@pytest.mark.parametrize("route", [euclid.heat_raise, euclid.poisson_raise], ids=["heat", "poisson"])
+def test_even_raise_runs_no_quadrature(route, n):
+    # even n raises the closed 2-d kernel, as odd n raises the 1-d one
+    for p, r in EVEN_RAISE_POINTS:
+        assert route(n, p, r).n_evals == 0
+
+
+@pytest.mark.parametrize(
+    "route, closed",
+    [(euclid.heat_raise, euclid.heat_closed), (euclid.poisson_raise, euclid.poisson_closed)],
+    ids=["heat", "poisson"],
+)
+def test_even_raise_at_n2_is_the_closed_form(route, closed):
+    for p, r in EVEN_RAISE_POINTS:
+        assert route(2, p, r).value == pytest.approx(closed(2, p, r), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

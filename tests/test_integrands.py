@@ -355,17 +355,6 @@ def test_doubling_integrands_match_per_node_forms(capture, n, y, phi):
     _assert_matches(g, ref_half, _nodes(a, b))
 
 
-def test_constant_descent_integrals_match_per_node_forms(capture):
-    calls = capture(euclid)
-    t, y = 0.7, 0.9
-    euclid.heat_raise(4, t, 1.2)
-    euclid.poisson_raise(4, y, 1.2)
-    _, f, (a, b, *_), _ = _single(calls, "integrate_sqrt_endpoint")
-    _assert_matches(f, lambda z: math.exp(-z / (4.0 * t)), _nodes(a, b))
-    _, g, (a, *_), _ = _single(calls, "integrate_to_infinity")
-    _assert_matches(g, lambda v: 2.0 / (1.0 + v * v) ** 2, _nodes(a, 1e3))
-
-
 # ---------------------------------------------------------------------------
 # one integrand call per sweep
 
@@ -373,10 +362,8 @@ def test_constant_descent_integrals_match_per_node_forms(capture):
 ROUTES = {
     "euclid.heat_gruet": lambda: euclid.heat_gruet(3, 0.8, 1.5),
     "euclid.heat_descent": lambda: euclid.heat_descent(2, 0.8, 1.5),
-    "euclid.heat_raise.outside": lambda: euclid.heat_raise(4, 0.8, 1.5),
     "euclid.poisson_integral": lambda: euclid.poisson_integral(3, 0.9, 1.3),
     "euclid.poisson_descent": lambda: euclid.poisson_descent(2, 0.9, 1.3),
-    "euclid.poisson_raise.outside": lambda: euclid.poisson_raise(4, 0.9, 1.3),
     "hyperbolic.heat_gruet": lambda: hyperbolic.heat_gruet(3, 0.8, 1.5),
     "hyperbolic.heat_classic": lambda: hyperbolic.heat_classic(3, 0.8, 1.5),
     "hyperbolic.poisson_descent": lambda: hyperbolic.poisson_descent(2, 0.9, 1.4),
@@ -445,11 +432,6 @@ def test_seeded_jet_integrals_take_at_most_three_sweeps(sweeps_per_integral, rou
     route()
     assert sweeps_per_integral
     assert max(len(s) for s in sweeps_per_integral.values()) <= 3
-
-
-def test_seeded_plane_descent_takes_one_sweep(sweeps_per_integral):
-    euclid.heat_raise(4, 0.8, 1.5)
-    assert list(map(len, sweeps_per_integral.values())) == [1]
 
 
 def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
