@@ -142,8 +142,8 @@ _REPRESENTATIONS = {
         ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r), None),
         ("doubling", _any_n,
          lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol), None),
-        ("subordinate", _any_n, lambda n, y, r, tol, c, s: subordinate(
-            _heat_fn(Space.SPHERE, n, tol), y, r, tol, dim_hint=n), None),
+        ("subordinate", _any_n, lambda n, y, r, tol, c, s: _sphere_subordinate(n, y, r, tol),
+         None),
     ),
     (Space.HYPERBOLIC, "poisson"): (
         ("closed", _any_n,
@@ -169,14 +169,14 @@ def _walk(space: Space, kind: str, rows: tuple):
     """``auto`` over several ranked rows: the first result that meets tol.
 
     The rows that admit n and have a rank at t run cheapest first.  A result
-    is accepted when its error is at most max(tol |value|, the smallest
-    normal float), so a kernel that underflows is accepted as 0 with its
-    absolute bound.  A row that raises one of _FALL_THROUGH passes to the
-    next.  If no row meets tol, the finished result with the smallest error
-    is returned; if every row raised, the first row's exception is.
+    is accepted when its error is at most max(tol |value|, abs_tol, the
+    smallest normal float), so a kernel that underflows is accepted as 0
+    with its absolute bound.  A row that raises one of _FALL_THROUGH passes
+    to the next.  If no row meets tol, the finished result with the smallest
+    error is returned; if every row raised, the first row's exception is.
     """
 
-    def walk(n, param, r, tol, convention, sigma):
+    def walk(n, param, r, tol, convention, sigma, abs_tol=0.0):
         check_query(space, n, kind, param, r)
         order = []
         for _, admits, call, rank in rows:
@@ -192,7 +192,7 @@ def _walk(space: Space, kind: str, rows: tuple):
                 if first is None:
                     first = exc
                 continue
-            if res.err_estimate <= max(tol * abs(res.value), _TINY):
+            if res.err_estimate <= max(tol * abs(res.value), abs_tol, _TINY):
                 return res
             if best is None or res.err_estimate < best.err_estimate:
                 best = res
@@ -284,7 +284,8 @@ def evaluate(
 
 
 def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float]:
-    """Paper-convention heat values for the subordination integrands."""
+    """Paper-convention heat values for the subordination integrands, node
+    by node; the S^n row (n >= 2) takes :func:`_sphere_subordinate`'s."""
     inner = max(tol * 0.1, 1e-12)
     if space is Space.HYPERBOLIC and n % 2 == 0:
 
@@ -297,20 +298,10 @@ def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float
 
         return even
     call = _route(space, "heat", "auto")
-    if space is Space.SPHERE and n >= 2:
-
-        def spectral_above(t: float, r: float) -> float:
-            # the Gegenbauer series needs only a few terms once t is not
-            # small, while the image sums get dearer as t grows.  Its tail
-            # bound is nearly attained near r = 0, where every term is
-            # positive, so it is asked for a hundredth of the inner
-            # tolerance: a term or two more
-            if t >= sphere.SPECTRAL_MIN_T:
-                return sphere.heat_spectral(n, t, r, inner * 0.01).value
-            return call(n, t, r, inner, "paper", None).value
-
-        return spectral_above
     return lambda t, r: call(n, t, r, inner, "paper", None).value
+
+
+_PAIRED = np.array([1.0, 2.0**-40])
 
 
 def subordinate(
@@ -329,7 +320,9 @@ def subordinate(
     ``dim_hint`` only widens the truncation to absorb the (4 pi t)^(-n/2)
     short-time growth of the heat factor near the upper limit.  With
     ``vectorized`` ``heat_fn`` takes the array of a sweep's times, as for
-    :func:`integrate_adaptive`.
+    :func:`integrate_adaptive`, and may return (value, error) pairs on the
+    last axis: the K15 sum of the weighted errors then joins the error.
+    They ride along scaled by 2^-40, so they never drive the refinement.
     """
     check_positive("height", y)
     check_tol(tol)
@@ -337,10 +330,16 @@ def subordinate(
     exp = np.exp if vectorized else math.exp
 
     def f(v):
-        return exp(-v * v * y * y) * heat_fn(0.25 / (v * v), r)
+        weight = exp(-v * v * y * y)
+        heat = heat_fn(0.25 / (v * v), r)
+        return weight[:, None] * heat * _PAIRED if np.ndim(heat) == 2 else weight * heat
 
     res = integrate_adaptive(f, 0.0, v_max, tol, abs_tol=0.0, vectorized=vectorized)
-    return res.scaled(2.0 * y / math.sqrt(math.pi))
+    res = res.scaled(2.0 * y / math.sqrt(math.pi))
+    if np.ndim(res.value):
+        value, inner_err = (res.value / _PAIRED).tolist()
+        return QuadResult(value, res.err_estimate + inner_err, res.n_evals)
+    return res
 
 
 def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
@@ -349,6 +348,28 @@ def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
     return subordinate(
         lambda t, x: euclid._heat(np, n, t, x), y, r, tol, dim_hint=n, vectorized=True
     )
+
+
+def _sphere_subordinate(n: int, y: float, phi: float, tol: float) -> QuadResult:
+    """The sphere ``subordinate`` row.  For n >= 2 a sweep's heat values are
+    one node-array series (sphere._spectral_nodes) with targets set by the
+    outer weight exp(-y^2/4t); a node that misses its target takes ``auto``."""
+    check_query(Space.SPHERE, n, "poisson", y, phi)
+    if n == 1:
+        return subordinate(_heat_fn(Space.SPHERE, 1, tol), y, phi, tol, dim_hint=1)
+    walk = _route(Space.SPHERE, "heat", "auto")
+    inner = max(tol * 0.1, 1e-12)
+    series = sphere._spectral_nodes(n, phi)
+
+    def heat(ts: np.ndarray, r: float) -> np.ndarray:
+        values, errs, targets = series(ts, np.exp(-0.25 * y * y / ts), inner)
+        for i in np.flatnonzero(errs > targets):
+            res = walk(n, ts[i], r, inner, "paper", None, targets[i])
+            if res.err_estimate < errs[i]:
+                values[i], errs[i] = res.value, res.err_estimate
+        return np.stack((values, errs), axis=1)
+
+    return subordinate(heat, y, phi, tol, dim_hint=n, vectorized=True)
 
 
 def _theta_weight(v, y: float) -> np.ndarray:
@@ -703,12 +724,14 @@ def compare(
 
     Points a representation refuses (singular points, domain limits)
     are recorded as NaN and skipped in the pairwise comparison; an unknown
-    representation name raises DomainError.
+    representation name or convention raises DomainError.
     """
     if reps is None:
         reps = [name for name, admits, _, _ in _rows(space, kind) if admits(n)]
     for rep in reps:
         _route(space, kind, rep)
+    if convention not in CONVENTIONS:
+        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     check_tol(tol)
     values = {}
     errs = {}

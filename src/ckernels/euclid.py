@@ -93,14 +93,14 @@ def heat_raise(
     latter needs quadrature.  Each raise is :func:`raise_kernel`'s.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
+    if variant not in ("outside", "inside"):
+        raise DomainError(f"unknown raising variant {variant!r}")
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, gauss_jet(t), (n - 1) // 2, r, tol)
     if variant == "outside":
         return raise_kernel(_EUCLIDEAN, gauss_jet(t, 2), (n - 2) // 2, r, tol)
-    if variant == "inside":
-        kernel = _raised_at_nodes(_EUCLIDEAN, gauss_jet(t), n // 2, r, tol)
-        return _heat_descent(kernel, t, r, tol)
-    raise DomainError(f"unknown raising variant {variant!r}")
+    kernel = _raised_at_nodes(_EUCLIDEAN, gauss_jet(t), n // 2, r, tol)
+    return _heat_descent(kernel, t, r, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +232,14 @@ def poisson_raise(
     base kernels.
     """
     check_query(_EUCLIDEAN, n, "poisson", y, r)
+    if variant not in ("outside", "inside"):
+        raise DomainError(f"unknown raising variant {variant!r}")
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, _halfplane_jet(y), (n - 1) // 2, r, tol)
     if variant == "outside":
         return raise_kernel(_EUCLIDEAN, _poisson_jet(2, y), (n - 2) // 2, r, tol)
-    if variant == "inside":
-        kernel = _raised_at_nodes(_EUCLIDEAN, _halfplane_jet(y), n // 2, r, tol)
-        return _poisson_descent(kernel, y, r, tol)
-    raise DomainError(f"unknown raising variant {variant!r}")
+    kernel = _raised_at_nodes(_EUCLIDEAN, _halfplane_jet(y), n // 2, r, tol)
+    return _poisson_descent(kernel, y, r, tol)
 
 
 def _poisson_descent(kernel, y: float, r: float, tol: float) -> QuadResult:

@@ -52,13 +52,18 @@ from .quadrature import (
 # The spectral series refuses shorter times: its terms grow like t^(-n/2)
 # before they decay, so near the antipode, where the sum cancels to about
 # exp(-pi^2/4t), the roundoff floor swamps the value.  Sphere subordination
-# takes its inner heat kernel from the series from this time on; at 0.1 a
-# call costs about as much as heat_theta3 and a twentieth of heat_theta2.
+# takes its inner heat kernel from the node-array form of the series
+# (_spectral_nodes) at every time, against an absolute target that the
+# outer weight exp(-y^2/4t) sets, which that floor meets except for high n
+# at small t; a node that misses it takes the auto walk.  The node-array
+# form sums at most _NODE_TERMS terms, which bounds its matrices.
 SPECTRAL_MIN_T = 0.1
+_NODE_TERMS = 1024
 
 # bound once: an enum member lookup costs about as much as the entry check
 _SPHERE = Space.SPHERE
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +399,77 @@ def heat_spectral(
     value = total * scale
     err = (tail + floor) * scale + _EPS * (carried + abs(log_vol) + 2.0) * abs(value)
     return QuadResult(value, err + math.ulp(0.0) * (bound + 1.0), l + 1)
+
+
+def _spectral_nodes(n: int, phi: float):
+    """:func:`heat_spectral`'s series at all the times of a sweep (n >= 2):
+    ``series(ts, weights, tol)`` gives the values, errors and targets.  With
+    phi fixed, one scalar recurrence gives the C_l^a(cos phi), the times one
+    weight matrix, one matrix product the sums.  A target is tol times |h|
+    or a tenth of the largest |weights h| yet seen over the node's weight.
+    A node stops where its tail bound is 1e-3 of its target, zeroes its
+    later weights, and takes heat_spectral's bounds at its own term count.
+    Terms run to where exp(-l(l+2a)t) < e^-40, doubling for the nodes that
+    need more up to _NODE_TERMS; past that a node's error is inf."""
+    a = 0.5 * (n - 1)
+    two_a = 2.0 * a
+    x2 = 2.0 * math.cos(phi)
+    log_vol = math.log(2.0) + (a + 1.0) * math.log(math.pi) - math.lgamma(a + 1.0)
+    ls = np.arange(_NODE_TERMS + 2.0)
+    growth, gl = ls * (ls + two_a), (2.0 * ls + two_a) / two_a
+    # C_l^a(cos phi), by the recurrence as far as asked, and C_l^a(1)
+    coef = np.empty((len(ls), 2))
+    coef[:2, 0] = 1.0, a * x2
+    coef[:, 1] = np.cumprod(np.r_[1.0, (ls[1:] - 1.0 + two_a) / ls[1:]])
+    known, peak = 2, 0.0
+
+    @np.errstate(over="ignore", divide="ignore")  # targets over a weight near 0 are inf
+    def series(ts: np.ndarray, weights: np.ndarray, tol: float):
+        nonlocal known, peak
+        values, errs = np.zeros(len(ts)), np.full(len(ts), np.inf)
+        scale = np.exp(-a * a * ts - log_vol)  # the carried exp(-a^2 t), and 1/vol
+        outer = np.maximum(weights * scale, _TINY)
+        terms, todo = 32, np.arange(len(ts))
+        while terms < min(_NODE_TERMS, math.sqrt(40.0 / ts.min())):
+            terms *= 2
+        while len(todo):
+            for l in range(known - 1, terms - 1):
+                c = coef[l - 1 : l + 1, 0]
+                coef[l + 1, 0] = (x2 * (l + a) * c[1] - (l - 1.0 + two_a) * c[0]) / (l + 1.0)
+            known = max(known, terms)
+            t, wt = ts[todo], outer[todo]
+            w = np.multiply.outer(t, -growth[: terms + 2])
+            w = np.exp(w, out=w) * gl[: terms + 2]
+            b = w[:, 1:] * coef[1 : terms + 2, 1]
+            # the tail past term l is at most sq/drop while drop > 0, and it
+            # falls with l: if any term meets a bound, the last one does
+            drop = b[:, :-1] - b[:, 1:]
+            sq = np.square(b[:, :-1], out=b[:, :-1])
+            full = np.abs(w[:, :terms] @ coef[:terms, 0])
+            # the nodes whose sums already meet tol/10 relatively set the scale
+            near = sq[:, -1] <= 0.1 * tol * full * drop[:, -1]
+            if near.any():
+                peak = max(peak, float((wt * full)[near].max()))
+            # a weight near 0 gives a slack of 1e299 peak: huge, but finite
+            slack = 0.1 * peak / np.maximum(wt, 1e-300 * peak)
+            done = sq <= drop * (1e-3 * tol * np.maximum(full, slack))[:, None]
+            ok = done[:, -1]
+            rows, at = np.flatnonzero(ok), todo[ok]
+            last, t = done[ok].argmax(axis=1), t[ok]
+            w = w[rows, :terms]
+            w[ls[:terms] > last[:, None]] = 0.0
+            total, bound = (w @ coef[:terms]).T
+            tail = sq[rows, last] / np.maximum(drop[rows, last], _TINY)
+            floor = _EPS * bound * (2.0 * (last + 1) + growth[last] * t)
+            err = tail + floor + _EPS * (a * a * t + abs(log_vol) + 2.0) * np.abs(total)
+            values[at] = total * scale[at]
+            errs[at] = err * scale[at] + math.ulp(0.0) * (bound + 1.0)
+            if terms >= _NODE_TERMS:
+                break
+            todo, terms = todo[~ok], 2 * terms
+        return values, errs, tol * np.maximum(np.abs(values), 0.1 * peak / weights)
+
+    return series
 
 
 # ---------------------------------------------------------------------------

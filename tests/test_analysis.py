@@ -300,26 +300,79 @@ def test_sphere_subordinate_at_the_pole(y):
     assert abs(res.value - want) <= res.err_estimate
 
 
-def test_sphere_subordinate_takes_large_times_from_the_spectral_series(monkeypatch):
-    image_times = []
-    spectral_times = []
-    theta2 = sphere.heat_theta2
-    spectral = sphere.heat_spectral
+ANGLES = (0.0, 1.5, math.pi - 0.01, math.pi)
+SPHERE_SUBORDINATE_POINTS = [
+    (n, y, phi) for n in range(2, 8) for y in (0.1, 0.8, 3.0) for phi in ANGLES
+] + [(n, y, phi) for n in (8, 10) for y in (0.8, 3.0) for phi in ANGLES]
 
-    def image_sum(t, phi, tol=1e-10):
-        image_times.append(t)
-        return theta2(t, phi, tol)
 
-    def series(n, t, phi, tol=1e-10):
-        spectral_times.append(t)
-        return spectral(n, t, phi, tol)
+@pytest.mark.parametrize("n, y, phi", SPHERE_SUBORDINATE_POINTS)
+def test_sphere_subordinate_meets_the_closed_form(n, y, phi):
+    res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="subordinate")
+    want = sphere.poisson_closed(n, y, phi)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
 
-    monkeypatch.setattr(sphere, "heat_theta2", image_sum)
-    monkeypatch.setattr(sphere, "heat_spectral", series)
-    res = analysis.evaluate(Space.SPHERE, 2, "poisson", 0.8, 1.5, rep="subordinate")
-    assert res.value == pytest.approx(sphere.poisson_closed(2, 0.8, 1.5), rel=1e-12)
-    assert image_times and max(image_times) < sphere.SPECTRAL_MIN_T
-    assert spectral_times and min(spectral_times) >= sphere.SPECTRAL_MIN_T
+
+@pytest.mark.parametrize("n, y, phi", [(2, 0.793, 1.504), (3, 0.819, 1.085), (3, 0.88, 0.005)])
+def test_sphere_subordinate_claims_tol_with_its_inner_error(n, y, phi, monkeypatch):
+    # the nested-quad benchmark's cells: the claim covers the quadrature and
+    # the weighted error of the inner series, and stays within tol
+    quad_errs = []
+
+    def recorded(*args, **kwargs):
+        res = quadrature.integrate_adaptive(*args, **kwargs)
+        quad_errs.append(res.err_estimate)
+        return res
+
+    monkeypatch.setattr(analysis, "integrate_adaptive", recorded)
+    res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="subordinate")
+    want = sphere.poisson_closed(n, y, phi)
+    assert abs(res.value - want) <= res.err_estimate <= 1e-10 * abs(res.value)
+    assert res.err_estimate > quad_errs[0] * 2.0 * y / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("n, y, phi", [(2, 0.8, 1.5), (5, 0.8, 0.3), (6, 3.0, 2.0)])
+def test_sphere_subordinate_sums_one_series_per_sweep(n, y, phi, monkeypatch):
+    # one node-array series per quadrature sweep, on all of the sweep's
+    # nodes; no heat kernel is evaluated node by node
+    sizes = []
+    node_series = sphere._spectral_nodes
+
+    def counted(*args):
+        series = node_series(*args)
+
+        def call(ts, weights, tol):
+            sizes.append(len(ts))
+            return series(ts, weights, tol)
+
+        return call
+
+    def per_node(*args, **kwargs):
+        raise AssertionError("a heat kernel was evaluated at one node")
+
+    monkeypatch.setattr(sphere, "_spectral_nodes", counted)
+    monkeypatch.setitem(analysis._AUTO, (Space.SPHERE, "heat"), per_node)
+    monkeypatch.setattr(sphere, "heat_spectral", per_node)
+    res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="subordinate")
+    assert sum(sizes) == res.n_evals
+    assert len(sizes) < res.n_evals // 15
+    assert abs(res.value - sphere.poisson_closed(n, y, phi)) <= res.err_estimate
+
+
+def test_subordinate_adds_the_weighted_inner_error():
+    # (value, error) pairs: the value is the plain integral's, and the
+    # errors, integrated with the same weight, join err_estimate
+    n, y, r = 3, 0.8, 0.5
+    plain = analysis.subordinate(
+        lambda t, s: euclid._heat(np, n, t, s), y, r, dim_hint=n, vectorized=True
+    )
+    paired = analysis.subordinate(
+        lambda t, s: np.stack((euclid._heat(np, n, t, s), 1e-6 * euclid._heat(np, n, t, s)), 1),
+        y, r, dim_hint=n, vectorized=True,
+    )
+    assert paired.value == pytest.approx(plain.value, rel=1e-15)
+    assert paired.n_evals == plain.n_evals
+    assert paired.err_estimate - plain.err_estimate == pytest.approx(1e-6 * plain.value, rel=1e-9)
 
 
 def _brute_force_theta_weight(v: float, y: float) -> float:
@@ -584,6 +637,16 @@ def test_compare_rejects_unknown_representations():
     # a misspelled name is an error, not a grid of refused points
     with pytest.raises(DomainError, match="gruett"):
         analysis.compare(Space.HYPERBOLIC, 3, "heat", [0.5], [1.0], reps=["raise", "gruett"])
+
+
+def test_compare_rejects_unknown_convention():
+    # checked before the grid: every point refused would be NaN, NaNs are
+    # skipped, and the worst disagreement would read 0
+    with pytest.raises(DomainError, match="markovain"):
+        analysis.compare(
+            Space.HYPERBOLIC, 3, "heat", [0.5], [1.0], reps=["raise", "gruet"],
+            convention="markovain",
+        )
 
 
 def test_compare_skips_representations_that_do_not_reach_n():
