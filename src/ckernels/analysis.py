@@ -51,6 +51,7 @@ from .jets import Jet, gauss_jet, raise_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    gaussian_breakpoints,
     integrate_adaptive,
     integrate_to_infinity,
 )
@@ -74,6 +75,9 @@ def _sphere_heat(route):
 
     return call
 
+
+# exp(x) overflows for x > ln(DBL_MAX); exp(pi^2/4t) does below this time
+_CLASSIC_MIN_T = math.pi**2 / (4.0 * math.log(sys.float_info.max))
 
 # Which representation serves which (space, kind, n).  Rows are
 # (name, dimension rule, call, rank); ``compare`` takes the rows whose rule
@@ -120,10 +124,11 @@ _REPRESENTATIONS = {
         ("gruet", _any_n, lambda n, t, r, tol, c, s: hyperbolic.heat_gruet(
             n, t, r, sigma=s, convention=c, tol=tol), _rank(2)),
         # from t = 0.5 on it meets tol and costs less than gruet (0.3-0.5 ms
-        # against 0.6-1 ms); below it cancels, below ~0.004 it overflows
+        # against 0.6-1 ms); below it cancels, and below _CLASSIC_MIN_T its
+        # exp(pi^2/4t) overflows at the first node, so auto skips it there
         ("gruet-classic", _any_n,
          lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol),
-         lambda n, t: 1 if t >= 0.5 else 3),
+         lambda n, t: 1 if t >= 0.5 else 3 if t >= _CLASSIC_MIN_T else None),
     ),
     (Space.EUCLIDEAN, "poisson"): (
         ("closed", _any_n,
@@ -304,6 +309,27 @@ def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float
 _PAIRED = np.array([1.0, 2.0**-40])
 
 
+def _bump_seeds(n: int, heights: tuple, lengths: tuple, a: float, b: float) -> list:
+    """Seeds on [a, b] for a subordination integrand in v, t = 1/4v^2.
+
+    At short times the heat factor takes v^n exp(-d^2 v^2) from a geodesic
+    of length d, so with an outer weight exp(-h^2 v^2) the integrand is
+    about v^n exp(-c v^2), c = h^2 + d^2: at most its value at
+    v* = sqrt(n/2c) times exp(-c (v - v*)^2).  The seeds are v* for each
+    height h and length d, that Gaussian's fall-off points and each outer
+    weight's (:func:`gaussian_breakpoints`), so the first sweep resolves
+    the bumps also where they are narrow beside [a, b].
+    """
+    seeds = []
+    for h in heights:
+        seeds += gaussian_breakpoints(0.0, 0.25 / (h * h), a, b)
+        for d in lengths:
+            c = h * h + d * d
+            peak = math.sqrt(0.5 * n / c)
+            seeds += [peak] + gaussian_breakpoints(peak, 0.25 / c, a, b)
+    return seeds
+
+
 def subordinate(
     heat_fn: Callable[[float, float], float],
     y: float,
@@ -317,13 +343,24 @@ def subordinate(
 
     P(y, r) = (2 y / sqrt(pi)) integral_0^inf exp(-v^2 y^2) H(1/(4 v^2), r) dv.
 
-    ``dim_hint`` only widens the truncation to absorb the (4 pi t)^(-n/2)
-    short-time growth of the heat factor near the upper limit.  With
+    ``dim_hint`` n widens the truncation to absorb the (4 pi t)^(-n/2)
+    short-time growth of the heat factor near the upper limit, and places
+    the first sweep's seeds at the bump of v^n exp(-(y^2 + r^2) v^2), which
+    the integrand follows at short times (:func:`_bump_seeds`).  With
     ``vectorized`` ``heat_fn`` takes the array of a sweep's times, as for
     :func:`integrate_adaptive`, and may return (value, error) pairs on the
     last axis: the K15 sum of the weighted errors then joins the error.
     They ride along scaled by 2^-40, so they never drive the refinement.
     """
+    return _subordinate(heat_fn, y, r, tol, dim_hint, vectorized, (r,))
+
+
+def _subordinate(
+    heat_fn: Callable, y: float, r: float, tol: float, dim_hint: int, vectorized: bool,
+    lengths: tuple,
+) -> QuadResult:
+    """:func:`subordinate`, seeded at the bumps of the geodesics of
+    ``lengths`` between the two points."""
     check_positive("height", y)
     check_tol(tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + dim_hint) / y * 1.2
@@ -334,7 +371,15 @@ def subordinate(
         heat = heat_fn(0.25 / (v * v), r)
         return weight[:, None] * heat * _PAIRED if np.ndim(heat) == 2 else weight * heat
 
-    res = integrate_adaptive(f, 0.0, v_max, tol, abs_tol=0.0, vectorized=vectorized)
+    res = integrate_adaptive(
+        f,
+        0.0,
+        v_max,
+        tol,
+        abs_tol=0.0,
+        breakpoints=_bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
+        vectorized=vectorized,
+    )
     res = res.scaled(2.0 * y / math.sqrt(math.pi))
     if np.ndim(res.value):
         value, inner_err = (res.value / _PAIRED).tolist()
@@ -353,10 +398,13 @@ def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
 def _sphere_subordinate(n: int, y: float, phi: float, tol: float) -> QuadResult:
     """The sphere ``subordinate`` row.  For n >= 2 a sweep's heat values are
     one node-array series (sphere._spectral_nodes) with targets set by the
-    outer weight exp(-y^2/4t); a node that misses its target takes ``auto``."""
+    outer weight exp(-y^2/4t); a node that misses its target takes ``auto``.
+    The seeds take both arcs of the great circle, phi and 2 pi - phi: the
+    heat kernel leaves the flat one where the longer arc's Gaussian rises."""
     check_query(Space.SPHERE, n, "poisson", y, phi)
+    arcs = (phi, 2.0 * math.pi - phi)
     if n == 1:
-        return subordinate(_heat_fn(Space.SPHERE, 1, tol), y, phi, tol, dim_hint=1)
+        return _subordinate(_heat_fn(Space.SPHERE, 1, tol), y, phi, tol, 1, False, arcs)
     walk = _route(Space.SPHERE, "heat", "auto")
     inner = max(tol * 0.1, 1e-12)
     series = sphere._spectral_nodes(n, phi)
@@ -369,7 +417,7 @@ def _sphere_subordinate(n: int, y: float, phi: float, tol: float) -> QuadResult:
                 values[i], errs[i] = res.value, res.err_estimate
         return np.stack((values, errs), axis=1)
 
-    return subordinate(heat, y, phi, tol, dim_hint=n, vectorized=True)
+    return _subordinate(heat, y, phi, tol, n, True, arcs)
 
 
 def _theta_weight(v, y: float) -> np.ndarray:
@@ -438,10 +486,18 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
             heat[i] = heat_fn(ts[i], rho)
         return w * heat
 
-    # breakpoints: the series switch inside the weight, and the inner
-    # representation switch for even dimensions at t = 1
+    # breakpoints: the series switch inside the weight, the inner
+    # representation switch for even dimensions at t = 1, and the bumps of
+    # the weight's widest images y and y - 2 pi (0 < y < pi), whose sum
+    # leaves the single image where the second one's Gaussian rises
     res = integrate_adaptive(
-        f, 0.054, v_max, tol, abs_tol=0.0, breakpoints=[0.3, 0.5], vectorized=True
+        f,
+        0.054,
+        v_max,
+        tol,
+        abs_tol=0.0,
+        breakpoints=[0.3, 0.5] + _bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
+        vectorized=True,
     )
     inner_err = 3.0 * inner * abs(res.value)
     return QuadResult(res.value, res.err_estimate + inner_err + 1e-30, res.n_evals)

@@ -208,8 +208,8 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
     Each of the two integrals is seeded with the fall-off points of the
     image's Gaussian on its own psi-range (:func:`gaussian_breakpoints`),
     mapped to z and to s.  Both integrands run once per quadrature sweep, on
-    a batch of jets.  Images whose Gaussian factor underflows to 0 on all of
-    [0, pi] add exact zeros and are skipped.
+    a batch of jets.  A piece whose Gaussian factor underflows to 0 on all
+    of its psi-range adds exact zeros and is skipped.
     """
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
@@ -225,18 +225,16 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
         span = math.pi - psi_up
         up = float(psi_up.coeffs[0])  # psi_up at the centre, for the seeds
         count = 0
-        total = None
-
-        def add(piece_val):
-            nonlocal total
-            total = piece_val if total is None else total + piece_val
-
+        zero = np.zeros(order + 1)
+        total = Jet(center, zero)
         for m in _image_range(t, center, tol):
             off = 2.0 * math.pi * m
-            # exp underflows to exactly 0 below -745.14, so such an image
-            # adds zeros
-            low = min(abs(off), abs(off + math.pi))
-            if low * low * inv4t > 746.0:
+            # exp underflows to exactly 0 below -745.14, so a piece whose
+            # psi-range keeps (psi + off)^2/4t above 746 has only zero nodes
+            # and adds an exact zero; neither range holds psi = -off
+            low_on = min(abs(center + off), abs(up + off)) ** 2 * inv4t <= 746.0
+            high_on = min(abs(up + off), abs(math.pi + off)) ** 2 * inv4t <= 746.0
+            if not (low_on or high_on):
                 continue
             sign = -1.0 if m % 2 else 1.0
 
@@ -256,33 +254,40 @@ def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
                 base = half * half - q_base
                 return (g_of(psi_jet) * base.power(-0.5) * span).coeffs
 
-            low_seeds = [
-                math.sin(0.5 * (psi + center)) * math.sin(0.5 * (psi - center))
-                for psi in gaussian_breakpoints(-off, t, center, up)
-            ]
-            high_seeds = [
-                (psi - up) / (math.pi - up) for psi in gaussian_breakpoints(-off, t, up, math.pi)
-            ]
-            res_low = integrate_sqrt_endpoint(
-                low_body,
-                0.0,
-                z_star,
-                tol * 0.2,
-                abs_tol=0.0,
-                breakpoints=low_seeds,
-                vectorized=True,
-            )
-            res_high = integrate_adaptive(
-                high_body,
-                0.0,
-                1.0,
-                tol * 0.2,
-                abs_tol=0.0,
-                breakpoints=high_seeds,
-                vectorized=True,
-            )
-            count += res_low.n_evals + res_high.n_evals
-            add(sign * (Jet(center, res_low.value) + Jet(center, res_high.value)))
+            value = zero
+            if low_on:
+                low_seeds = [
+                    math.sin(0.5 * (psi + center)) * math.sin(0.5 * (psi - center))
+                    for psi in gaussian_breakpoints(-off, t, center, up)
+                ]
+                res = integrate_sqrt_endpoint(
+                    low_body,
+                    0.0,
+                    z_star,
+                    tol * 0.2,
+                    abs_tol=0.0,
+                    breakpoints=low_seeds,
+                    vectorized=True,
+                )
+                count += res.n_evals
+                value = res.value
+            if high_on:
+                high_seeds = [
+                    (psi - up) / (math.pi - up)
+                    for psi in gaussian_breakpoints(-off, t, up, math.pi)
+                ]
+                res = integrate_adaptive(
+                    high_body,
+                    0.0,
+                    1.0,
+                    tol * 0.2,
+                    abs_tol=0.0,
+                    breakpoints=high_seeds,
+                    vectorized=True,
+                )
+                count += res.n_evals
+                value = value + res.value
+            total = total + sign * Jet(center, value)
         evals.append(count)
         return total * amp
 
@@ -409,8 +414,10 @@ def _spectral_nodes(n: int, phi: float):
     or a tenth of the largest |weights h| yet seen over the node's weight.
     A node stops where its tail bound is 1e-3 of its target, zeroes its
     later weights, and takes heat_spectral's bounds at its own term count.
-    Terms run to where exp(-l(l+2a)t) < e^-40, doubling for the nodes that
-    need more up to _NODE_TERMS; past that a node's error is inf."""
+    Terms start at 32 and double for the nodes that need more, up to
+    _NODE_TERMS; past that a node's error is inf.  Most nodes of a sweep
+    at small t carry a tiny weight, so a loose target: sizing every node
+    for the smallest t would cost them the full width."""
     a = 0.5 * (n - 1)
     two_a = 2.0 * a
     x2 = 2.0 * math.cos(phi)
@@ -430,8 +437,6 @@ def _spectral_nodes(n: int, phi: float):
         scale = np.exp(-a * a * ts - log_vol)  # the carried exp(-a^2 t), and 1/vol
         outer = np.maximum(weights * scale, _TINY)
         terms, todo = 32, np.arange(len(ts))
-        while terms < min(_NODE_TERMS, math.sqrt(40.0 / ts.min())):
-            terms *= 2
         while len(todo):
             for l in range(known - 1, terms - 1):
                 c = coef[l - 1 : l + 1, 0]

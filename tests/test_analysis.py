@@ -87,7 +87,12 @@ def _auto_order(space, kind, n, t):
         order += ["gruet"]
         return order + (["raise"] if n % 2 == 0 and n >= 4 else [])
     order = ["raise"] if n % 2 == 1 else []
-    order += ["gruet-classic", "gruet"] if t >= 0.5 else ["gruet", "gruet-classic"]
+    if t >= 0.5:
+        order += ["gruet-classic", "gruet"]
+    else:
+        # gruet-classic's exp(pi^2/4t) overflows below pi^2/(4 ln DBL_MAX)
+        overflows = t < math.pi**2 / (4.0 * math.log(sys.float_info.max))
+        order += ["gruet"] if overflows else ["gruet", "gruet-classic"]
     return order + ([] if n % 2 == 1 else ["descent"])
 
 
@@ -357,6 +362,36 @@ def test_sphere_subordinate_sums_one_series_per_sweep(n, y, phi, monkeypatch):
     assert sum(sizes) == res.n_evals
     assert len(sizes) < res.n_evals // 15
     assert abs(res.value - sphere.poisson_closed(n, y, phi)) <= res.err_estimate
+
+
+def _subordinate_gate():
+    """The subordinate rows of the three spaces against their closed forms,
+    from heights of 1e-3, where the integrand is a narrow bump far out in v,
+    to 2.5, and distances from the pole to 6 (the antipode's edge on S^n)."""
+    dims = {Space.EUCLIDEAN: (1, 2, 3, 4, 7), Space.SPHERE: (1, 2, 3, 4, 7),
+            Space.HYPERBOLIC: (1, 3, 5, 7)}
+    inner_walk = pytest.mark.xfail(
+        strict=True,
+        reason="S^4 at the pole: the inner auto walk at t < 1e-4 gets gruet's "
+        "ContourError and even-n raise's pole fit from phi = 0.02 and 0.04, "
+        "which misses a kernel that narrow while claiming tol",
+    )
+    cells = []
+    for space, ns in dims.items():
+        far = math.pi - 0.01 if space is Space.SPHERE else 6.0
+        for n in ns:
+            for y in (1e-3, 1e-2, 0.1, 0.8, 2.5):
+                for r in (0.0, 0.02, 0.5, 2.0, far):
+                    known = space is Space.SPHERE and n == 4 and r == 0.0 and y <= 0.01
+                    cells.append(pytest.param(space, n, y, r, marks=[inner_walk] if known else []))
+    return cells
+
+
+@pytest.mark.parametrize("space, n, y, r", _subordinate_gate())
+def test_subordinate_rows_meet_the_closed_form(space, n, y, r):
+    res = analysis.evaluate(space, n, "poisson", y, r, rep="subordinate")
+    want = analysis.evaluate(space, n, "poisson", y, r, rep="closed").value
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
 
 
 def test_subordinate_adds_the_weighted_inner_error():

@@ -22,7 +22,7 @@ import mpmath
 import pytest
 from scipy.special import eval_gegenbauer
 
-from ckernels import analysis, sphere
+from ckernels import analysis, quadrature, sphere
 from ckernels.errors import DomainError, SingularPointError
 from ckernels.geometry import Space
 
@@ -181,6 +181,37 @@ def test_heat_raise_guard_band_extrapolation(n):
             continue
         assert res.value == pytest.approx(want, rel=1e-4)
         assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-9 * abs(want))
+
+
+def test_heat_raise_skips_wrapped_pieces_that_underflow():
+    # at t ~ 0.001 far from the pole every image's Gaussian underflows to 0
+    # on both pieces of the wrapped integral: nothing is integrated
+    res = sphere.heat_raise(14, 0.001158, 2.818)
+    assert (res.value, res.err_estimate, res.n_evals) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "n, t, phi, frozen, high",
+    [
+        (8, 0.001073, 1.137, 1.0251629755530488e-123, 0),
+        # image 0's high piece peaks at exp(-744.1), a subnormal, not 0
+        (12, 0.001156, 1.116, 3.674239817481451e-106, 1),
+    ],
+)
+def test_heat_raise_skipped_pieces_keep_the_value(n, t, phi, frozen, high, monkeypatch):
+    # of the five images' high pieces [psi_up, pi] only those whose Gaussian
+    # does not underflow to 0 are integrated, and the exact zeros of the
+    # others leave the value bit for bit as it was with them
+    calls = []
+
+    def high_piece(*args, **kwargs):
+        calls.append(args)
+        return quadrature.integrate_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(sphere, "integrate_adaptive", high_piece)
+    res = sphere.heat_raise(n, t, phi)
+    assert (res.value, res.err_estimate) == (frozen, 2.0 * 1e-10 * frozen)
+    assert len(calls) == high
 
 
 # ---------------------------------------------------------------------------
