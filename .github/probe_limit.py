@@ -1,17 +1,25 @@
-"""Fail when a benchmark run record shows more failed probes than allowed.
+"""Fail when a benchmark run record shows a failed probe that is not allowed.
 
 Reads the run record line of ``perfbench/run.py`` on standard input:
 
-    python3 .github/probe_limit.py '{"jet-raise": [4, 3]}' jet-raise 1 < record
+    python3 .github/probe_limit.py jet-raise 1 < record
 
-The limits map a workload to its allowed ``probe_failed`` count per seed.
+``probe_allowed.json``, next to this script, maps a workload and a seed to
+the probes allowed to fail there, each named as in the record's
+``probe_failures`` (the text before ": ").  Any other failed probe fails the
+check, so a probe that starts failing cannot hide behind one that starts
+passing, as it could under a limit on the count alone.
 """
 
 import json
+import os
 import sys
 
-limits, workload, seed = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
-failed = json.load(sys.stdin)["record"]["probe_failed"]
-allowed = limits[workload][seed]
-if failed > allowed:
-    sys.exit(f"{workload} seed {seed}: {failed} probes failed, {allowed} allowed")
+workload, seed = sys.argv[1], sys.argv[2]
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "probe_allowed.json")) as fh:
+    allowed = set(json.load(fh)[workload][seed])
+failures = json.load(sys.stdin)["record"]["probe_failures"]
+unexpected = [f for f in failures if f.split(": ", 1)[0] not in allowed]
+if unexpected:
+    sys.exit(f"{workload} seed {seed}: probes failed that are not allowed to:\n"
+             + "\n".join(unexpected))

@@ -8,9 +8,8 @@ The closed forms are
 and the alternative representations cross-validate them:
 
 * raising: apply D = -(2 pi w)^(-1) d/dr, which sends dimension n to n+2,
-  (n-1)/2 times to the closed 1-d kernel for odd n; for even n either
-  apply it (n-2)/2 times to the closed 2-d kernel ("outside") or move it
-  under the descent integral of the 3-d kernel ("inside").
+  (n-1)/2 times to the closed 1-d kernel for odd n, and (n-2)/2 times to
+  the closed 2-d kernel for even n.
 * descent: the inverse-square-root integral
   integral_r^inf (s^2-r^2)^(-1/2) K_(n+1)(s) 2s ds, which lowers n+1 to n
   with multiplicative constant exactly 1.
@@ -26,9 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
 from .geometry import Space, check_positive, check_query
-from .jets import Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel, variable
+from .jets import Jet, RadialGenerator, gauss_jet, raise_kernel, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -76,45 +74,17 @@ def poisson_closed(n: int, y: float, r: float) -> float:
 # raising
 
 
-def heat_raise(
-    n: int,
-    t: float,
-    r: float,
-    *,
-    variant: str = "outside",
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
-    """Heat kernel through the dimension-raising recursion.
-
-    Odd n raises jets of the closed 1-d Gaussian.  For even n ``variant``
-    selects whether the raising operator acts on jets of the closed 2-d
-    Gaussian ("outside") or under the inverse-square-root descent integral
-    of the (n+1)-kernel, raised from the 1-d one ("inside").  Only the
-    latter needs quadrature.  Each raise is :func:`raise_kernel`'s.
-    """
+def heat_raise(n: int, t: float, r: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Heat kernel through the dimension-raising recursion: :func:`raise_kernel`
+    on jets of the closed 1-d Gaussian for odd n, of the 2-d one for even n."""
     check_query(_EUCLIDEAN, n, "heat", t, r)
-    if variant not in ("outside", "inside"):
-        raise DomainError(f"unknown raising variant {variant!r}")
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, gauss_jet(t), (n - 1) // 2, r, tol)
-    if variant == "outside":
-        return raise_kernel(_EUCLIDEAN, gauss_jet(t, 2), (n - 2) // 2, r, tol)
-    kernel = _raised_at_nodes(_EUCLIDEAN, gauss_jet(t), n // 2, r, tol)
-    return _heat_descent(kernel, t, r, tol)
+    return raise_kernel(_EUCLIDEAN, gauss_jet(t, 2), (n - 2) // 2, r, tol)
 
 
 # ---------------------------------------------------------------------------
 # descent
-
-
-def _heat_descent(kernel, t: float, r: float, tol: float) -> QuadResult:
-    """The descent integral of an (n+1)-kernel given at a sweep's nodes."""
-
-    def f_regular(s: np.ndarray) -> np.ndarray:
-        return kernel(s) * 2.0 * s / np.sqrt(s + r)
-
-    s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
 
 
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -123,7 +93,12 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
     The integrand takes a sweep's nodes at once.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
-    return _heat_descent(lambda s: _heat(np, n + 1, t, s), t, r, tol)
+
+    def f_regular(s: np.ndarray) -> np.ndarray:
+        return _heat(np, n + 1, t, s) * 2.0 * s / np.sqrt(s + r)
+
+    s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
+    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,38 +193,27 @@ def _poisson_jet(n: int, y: float) -> RadialGenerator:
     return gen
 
 
-def poisson_raise(
-    n: int,
-    y: float,
-    r: float,
-    *,
-    variant: str = "outside",
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
-    """Poisson kernel through the dimension-raising recursion.
-
-    Same parity split and raises as :func:`heat_raise`, over the Poisson
-    base kernels.
-    """
+def poisson_raise(n: int, y: float, r: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Poisson kernel through the dimension-raising recursion: the parity
+    split and raises of :func:`heat_raise`, over the Poisson base kernels."""
     check_query(_EUCLIDEAN, n, "poisson", y, r)
-    if variant not in ("outside", "inside"):
-        raise DomainError(f"unknown raising variant {variant!r}")
     if n % 2 == 1:
         return raise_kernel(_EUCLIDEAN, _halfplane_jet(y), (n - 1) // 2, r, tol)
-    if variant == "outside":
-        return raise_kernel(_EUCLIDEAN, _poisson_jet(2, y), (n - 2) // 2, r, tol)
-    kernel = _raised_at_nodes(_EUCLIDEAN, _halfplane_jet(y), n // 2, r, tol)
-    return _poisson_descent(kernel, y, r, tol)
+    return raise_kernel(_EUCLIDEAN, _poisson_jet(2, y), (n - 2) // 2, r, tol)
 
 
-def _poisson_descent(kernel, y: float, r: float, tol: float) -> QuadResult:
-    """The descent integral of an (n+1)-kernel given at a sweep's nodes."""
+def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
+
+    Both integrands take a sweep's nodes at once.
+    """
+    check_query(_EUCLIDEAN, n, "poisson", y, r)
 
     def f_regular(s: np.ndarray) -> np.ndarray:
-        return kernel(s) * 2.0 * s / np.sqrt(s + r)
+        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s + r)
 
     def f_tail(s: np.ndarray) -> np.ndarray:
-        return kernel(s) * 2.0 * s / np.sqrt(s * s - r * r)
+        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
 
     split = r + 4.0 * max(y, r, 1.0)
     res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0, vectorized=True)
@@ -261,12 +225,3 @@ def _poisson_descent(kernel, y: float, r: float, tol: float) -> QuadResult:
         res1.err_estimate + res2.err_estimate,
         res1.n_evals + res2.n_evals,
     )
-
-
-def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Poisson kernel as the descent integral of the closed (n+1)-kernel.
-
-    Both integrands take a sweep's nodes at once.
-    """
-    check_query(_EUCLIDEAN, n, "poisson", y, r)
-    return _poisson_descent(lambda s: _poisson(n + 1, y, s), y, r, tol)

@@ -7,9 +7,8 @@ Heat representations:
   H_3(t, rho) = (4 pi t)^(-3/2) (rho/sinh rho) exp(-rho^2/4t).
 * descent (even n): the inverse-square-root integral
   integral_rho^inf (cosh^2(s/2) - cosh^2(rho/2))^(-1/2) H_(n+1)(t,s)
-  sinh s ds, with the raising operator acting either outside the integral
-  ("outside", jets of the integral through z = cosh s - cosh rho) or under
-  the integral sign on the odd closed forms ("inside").
+  sinh s ds of the odd (n+1)-kernel, a float integral whose integrand
+  raises the 1-d Gaussian at a whole sweep's nodes in one batch.
 * classic: the real oscillatory integral along the line through pi,
   K_n (2t)^(-1/2) integral_0^inf exp((pi^2 - xi^2)/4t) sinh xi
   sin(pi xi / 2t) (cosh rho + cosh xi)^(-(n+1)/2) dxi.
@@ -36,15 +35,13 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .geometry import Space, check_query, convention_factor
-from .jets import _INV_FACTORIAL, POLE_REACH, Jet, RadialGenerator, _raised_at_nodes, gauss_jet
-from .jets import raise_kernel, raise_operator, variable
+from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
-    even_extrapolate,
     gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
@@ -77,55 +74,6 @@ def heat_raise(
     return raise_kernel(_HYPERBOLIC, gauss_jet(t), (n - 1) // 2, rho, tol).scaled(factor)
 
 
-def _descent_jet(t: float, tol: float, evals: list) -> RadialGenerator:
-    """Jets of the 2-d kernel as the descent integral of the 3-d one.
-
-    Since H_3 sinh s ds = (4 pi t)^(-3/2) s exp(-s^2/4t) ds, substituting
-    z = cosh s - cosh rho (so cosh^2(s/2) - cosh^2(rho/2) = z/2) gives
-
-        H_2(rho) = sqrt(2) (4 pi t)^(-3/2)
-                   integral_0^inf z^(-1/2) (s/sinh s) exp(-s^2/4t) dz,
-
-    with s = arccosh(cosh rho + z); the jets in rho flow through arccosh.
-    Where cosh(s) would overflow at the top, the integral stops where the
-    Gaussian has underflowed to 0, if that comes first, and is 0 if that is
-    below rho.  The Gaussian's fall-off points on [rho, s_top]
-    (:func:`gaussian_breakpoints`), mapped to z, seed the partition.  The
-    integrand runs once per quadrature sweep, on a batch of jets.
-    """
-    amp = math.sqrt(2.0) * (4.0 * math.pi * t) ** -1.5
-    # exp(-s^2/4t) is exactly 0 beyond this s
-    s_zero = math.sqrt(4.0 * t * 746.0)
-
-    def gen(center: float, order: int) -> Jet:
-        if center <= 0.0:
-            raise SingularPointError("descent jets need a positive distance")
-        s_top = math.sqrt(center * center + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
-        if s_top > 710.0:
-            s_top = min(s_top, s_zero)
-        if s_top <= center:
-            evals.append(0)
-            return Jet(center, np.zeros(order + 1))
-        x = variable(center, order)
-        ch = x.cosh()
-        cosh_c = math.cosh(center)
-        z_top = math.cosh(s_top) - cosh_c
-        seeds = [math.cosh(s) - cosh_c for s in gaussian_breakpoints(0.0, t, center, s_top)]
-
-        def body(z: np.ndarray):
-            s_jet = (ch + z).arccosh()
-            val = (s_jet / s_jet.sinh()) * (s_jet * s_jet * (-0.25 / t)).exp()
-            return val.coeffs
-
-        res = integrate_sqrt_endpoint(
-            body, 0.0, z_top, tol * 0.1, abs_tol=0.0, breakpoints=seeds, vectorized=True
-        )
-        evals.append(res.n_evals)
-        return Jet(center, res.value) * amp
-
-    return gen
-
-
 def heat_descent(
     n: int,
     t: float,
@@ -133,39 +81,45 @@ def heat_descent(
     *,
     convention: str = "paper",
     tol: float = DEFAULT_TOL,
-    variant: str = "outside",
 ) -> QuadResult:
-    """Even-dimensional heat kernel through the descent integral."""
+    """Even-dimensional heat kernel as the descent integral of the odd
+    (n+1)-kernel,
+
+        H_n(rho) = sqrt(2) integral_rho^inf H_(n+1)(s) sinh s
+                   (cosh s - cosh rho)^(-1/2) ds,
+
+    with cosh s - cosh rho = 2 sinh((s + rho)/2) sinh((s - rho)/2), so that
+    the square-root endpoint comes off as (s - rho)^(-1/2).  H_(n+1) takes a
+    sweep's nodes from :func:`_raised_at_nodes`: the pole series near 0 and
+    one batched raise of the 1-d Gaussian beyond.  The Gaussian's fall-off
+    points (:func:`gaussian_breakpoints`) seed the partition.  Where sinh s
+    would overflow at the top, the integral stops where the Gaussian has
+    underflowed to 0, if that comes first, and is 0 if that is below rho.
+    The err is the quadrature's; the raise adds none of its own.
+    """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 1:
         raise DomainError("descent reaches even dimensions only; use heat_raise")
+    s_top = math.sqrt(rho * rho + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
+    if s_top > 710.0:
+        # exp(-s^2/4t) is exactly 0 beyond this s
+        s_top = min(s_top, math.sqrt(4.0 * t * 746.0))
+    if s_top <= rho:
+        return QuadResult(0.0, 0.0, 0)
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
+    kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, rho, tol)
 
-    if variant == "outside":
-        k = (n - 2) // 2
+    def f_regular(s: np.ndarray) -> np.ndarray:
+        d = s - rho
+        # s rounds to rho at the nodes nearest the endpoint
+        ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
+        return kernel(s) * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
 
-        def at(r: float) -> QuadResult:
-            evals: list = []
-            value = raise_operator(Space.HYPERBOLIC, _descent_jet(t, tol, evals), k, r)
-            return QuadResult(value * factor, 2.0 * tol * abs(value) * factor, sum(evals))
-
-        # _descent_jet refuses centre 0: extrapolate from outside the reach
-        return even_extrapolate(at, rho, POLE_REACH)
-
-    if variant == "inside":
-        kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, rho, tol)
-
-        def f_regular(s: np.ndarray) -> np.ndarray:
-            d = s - rho
-            # s rounds to rho at the nodes nearest the endpoint
-            ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
-            return kernel(s) * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
-
-        s_top = math.sqrt(rho * rho + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 2.0
-        res = integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0, vectorized=True)
-        return res.scaled(factor)
-
-    raise DomainError(f"unknown descent variant {variant!r}")
+    seeds = gaussian_breakpoints(0.0, t, rho, s_top)
+    res = integrate_sqrt_endpoint(
+        f_regular, rho, s_top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
+    )
+    return res.scaled(factor)
 
 
 def heat_classic(

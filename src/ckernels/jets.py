@@ -168,7 +168,10 @@ class Jet:
     recurrences with math.* leading values (so an overflow raises
     OverflowError); a batch runs the same recurrences on all rows at once
     with numpy's, where an overflow gives inf.  ``value``, ``derivative``
-    and evaluation are defined for a single jet only.
+    and evaluation are defined for a single jet only.  A batch may also
+    hold one centre a row, ``center`` then being that node array: the
+    weight and Gaussian rows :func:`raise_operator` raises at a node array,
+    which are read and never combined.
     """
 
     center: float
@@ -433,16 +436,6 @@ class Jet:
         body = self.deriv() / (1.0 - short * short).sqrt()
         return body.antideriv(lead)
 
-    def arccosh(self) -> "Jet":
-        c0 = _lead(self.coeffs)
-        _refuse(c0 <= 1.0, "arccosh requires a jet value above 1")
-        lead = _at(c0, math.acosh, np.arccosh)
-        if self.order == 0:
-            return Jet(self.center, np.expand_dims(lead, -1))
-        short = self.truncate(self.order - 1)
-        body = self.deriv() / (short * short - 1.0).sqrt()
-        return body.antideriv(lead)
-
 
 def variable(center: float, order: int) -> Jet:
     """The identity function r as a jet about ``center``."""
@@ -479,7 +472,8 @@ def _gauss_coeffs(u, c, amp, order: int) -> np.ndarray:
 def gauss_jet(t, n: int = 1) -> RadialGenerator:
     """Jets of the flat n-d heat kernel (4 pi t)^(-n/2) exp(-r^2/4t).
 
-    A node array of times gives a batch of jets, one row a time.
+    A node array of times gives a batch of jets, one row a time; a node
+    array of centres, one row a centre.
     """
     amp = (4.0 * math.pi * t) ** (-0.5 * n)
     u = 0.25 / t
@@ -490,8 +484,25 @@ def gauss_jet(t, n: int = 1) -> RadialGenerator:
     return gen
 
 
-def weight_jet(space: Space, center: float, order: int) -> Jet:
-    """Jet of the metric weight w(r) about ``center``."""
+def weight_jet(space: Space, center, order: int) -> Jet:
+    """Jet of the metric weight w(r) about ``center``.
+
+    A node array of centres gives one row a centre, in closed form: the
+    derivatives of sin and sinh cycle with period 4 and 2.
+    """
+    if isinstance(center, np.ndarray):
+        if space is Space.EUCLIDEAN:
+            rows = np.zeros(center.shape + (order + 1,))
+            rows[:, 0] = center
+            rows[:, 1:2] = 1.0
+            return Jet(center, rows)
+        if space is Space.SPHERE:
+            sin, cos = np.sin(center), np.cos(center)
+            cycle = (sin, cos, -sin, -cos)
+        else:
+            cycle = (np.sinh(center), np.cosh(center))
+        rows = [cycle[j % len(cycle)] * _INV_FACTORIAL[j] for j in range(order + 1)]
+        return Jet(center, np.stack(rows, axis=-1))
     x = variable(center, order)
     if space is Space.EUCLIDEAN:
         return x
@@ -521,27 +532,28 @@ def _generate(generator: RadialGenerator, center: float, order: int) -> Jet:
 _RAISE_SCALE = -1.0 / (2.0 * math.pi)
 
 
-def _raise_k(space: Space, c: np.ndarray, k: int, center: float) -> np.ndarray:
+def _raise_k(space: Space, c: np.ndarray, k: int, center) -> np.ndarray:
     """Apply D = -(2 pi w)^(-1) d/dr k times to a jet's coefficients.
 
     The k steps run on coefficient arrays (one row or a batch) against one
     weight jet, built once at the order of the first derivative and sliced
-    by each step.  Away from the origin a step consumes one order.  At
-    ``center`` = 0 the weight vanishes, and so must the derivative of an even
-    kernel: one power of h cancels from both before the division, so a step
-    consumes two orders, and a derivative whose leading coefficient is not
-    exactly 0 is refused.
+    by each step.  ``center`` is one centre, or a node array of positive
+    centres, one a row of the batch.  Away from the origin a step consumes
+    one order.  At ``center`` = 0 the weight vanishes, and so must the
+    derivative of an even kernel: one power of h cancels from both before
+    the division, so a step consumes two orders, and a derivative whose
+    leading coefficient is not exactly 0 is refused.
     """
     if k == 0:
         return c
-    lo = 1 if center == 0.0 else 0
+    lo = 0 if isinstance(center, np.ndarray) or center != 0.0 else 1
     w = _ORIGIN_WEIGHT[space] if lo else weight_jet(space, center, c.shape[-1] - 2).coeffs
     for _ in range(k):
         n = c.shape[-1] - 1
         d = c[..., 1:] * _IDX[1 : n + 1]
         if lo:
             _refuse(_lead(d) != 0.0, "raising at r = 0 needs a derivative that vanishes there")
-        c = _divide(d[..., lo:], w[lo:n]) * _RAISE_SCALE + 0.0
+        c = _divide(d[..., lo:], w[..., lo:n]) * _RAISE_SCALE + 0.0
     return c
 
 
@@ -607,8 +619,16 @@ def raise_operator(
 
     The k applications run on the coefficient arrays of the generator's jet
     against one weight jet (see ``_raise_k``); no jet is built per step.
+
+    ``r`` may also be a node array of distances off the poles, for a
+    generator that takes one (``gauss_jet``'s gives one row a centre): one
+    call then raises at every node and returns the array of values.
     """
     _check_raise_count(k)
+    if isinstance(r, np.ndarray):
+        far = math.pi - 1e-9 if space is Space.SPHERE else math.inf
+        _refuse(~((r > 0.0) & (r < far)), "raising at a node array needs nodes off the poles")
+        return _values(_raise_k(space, _generate(generator, r, k).coeffs, k, r))
     space.validate_distance(r)
     if k == 0:
         return _values(generator(r, 0).coeffs)
@@ -617,6 +637,21 @@ def raise_operator(
     if r == 0.0:
         return _values(raise_origin_jet(space, generator, k).coeffs)
     return _values(_raise_k(space, _generate(generator, r, k).coeffs, k, r))
+
+
+def _lower_jet(space: Space, values, center: float) -> Jet:
+    """The jet of order K about ``center`` of the kernel f whose raises f,
+    Df, ..., D^K f take ``values`` there: raising undone.
+
+    D f = -(2 pi w)^(-1) f' gives f' = -2 pi w Df, so from the constant jet
+    of D^K f each step down is the antiderivative of -2 pi w times the jet
+    above, taking the next value at the centre.
+    """
+    jet = constant(values[-1], 0, center)
+    w = weight_jet(space, center, max(len(values) - 2, 0)) * (2.0 * math.pi)
+    for value in values[-2::-1]:
+        jet = (-(jet * w)).antideriv(value)
+    return jet
 
 
 @functools.cache
@@ -700,7 +735,8 @@ def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: 
     """The k-raised kernel at the nodes s >= r of a sweep.  As in
     :func:`raise_kernel`, one :func:`pole_series` (its err is not added)
     serves the nodes within POLE_REACH of 0, and those out to SERIES_REACH
-    where its bound meets tol; every other node takes one direct raise."""
+    where its bound meets tol; one :func:`raise_operator` on the node array
+    raises at every other node."""
     b, e = pole_series(space, gen, k, 0.0, SERIES_REACH, tol) if r < SERIES_REACH else (None, None)
 
     def kernel(s: np.ndarray) -> np.ndarray:
@@ -711,8 +747,8 @@ def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: 
             powers = np.power.outer(s[near] ** 2, np.arange(b.size))
             out[near] = value = powers @ b
             direct[near] = (s[near] >= POLE_REACH) & ~(powers @ e <= tol * np.abs(value))
-        for i in np.flatnonzero(direct):
-            out[i] = raise_operator(space, gen, k, float(s[i]))
+        if direct.any():
+            out[direct] = raise_operator(space, gen, k, s[direct])
         return out
 
     return kernel

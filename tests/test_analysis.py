@@ -100,12 +100,16 @@ def _auto_order(space, kind, n, t):
 @pytest.mark.parametrize("kind", ["heat", "poisson"])
 @pytest.mark.parametrize("space", list(Space))
 def test_evaluate_auto_matches_named_route(space, kind, n):
-    # at these points the cheapest row meets tol
+    # auto returns the first row of its order that meets tol: the cheapest
+    # one at these points, but at H^2 (0.05, 1.5), where gruet claims 1.9e-15
+    # against tol |v| = 1.73e-15, descent
     r = 1.5
     for param in (0.05, 0.8):
         auto = analysis.evaluate(space, n, kind, param, r)
-        rep = _auto_order(space, kind, n, param)[0]
-        named = analysis.evaluate(space, n, kind, param, r, rep=rep)
+        for rep in _auto_order(space, kind, n, param):
+            named = analysis.evaluate(space, n, kind, param, r, rep=rep)
+            if named.err_estimate <= quadrature.DEFAULT_TOL * abs(named.value):
+                break
         assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate), rep
 
 
@@ -120,7 +124,7 @@ def test_evaluate_auto_matches_named_route(space, kind, n):
 )
 def test_every_row_returns_plain_floats(space, kind, rep):
     # n = 1 reaches the circle rows, n = 2 the wrapped theta2 integral and the
-    # jet-valued descent; a row refuses the dimensions it does not reach
+    # even descent; a row refuses the dimensions it does not reach
     param = 0.7 if kind == "heat" else 0.8
     reached = 0
     for n in (1, 2, 3):
@@ -384,6 +388,11 @@ def _subordinate_gate():
                 for r in (0.0, 0.02, 0.5, 2.0, far):
                     known = space is Space.SPHERE and n == 4 and r == 0.0 and y <= 0.01
                     cells.append(pytest.param(space, n, y, r, marks=[inner_walk] if known else []))
+    # even H^n, whose inner heat kernel below t = 1 is the descent row
+    cells += [
+        pytest.param(Space.HYPERBOLIC, n, y, r)
+        for n in (2, 4) for y in (0.8, 2.0) for r in (0.0, 0.5, 1.5)
+    ]
     return cells
 
 

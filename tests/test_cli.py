@@ -265,9 +265,6 @@ def test_eval_convergence_failure_exits_4(runner):
         ["eval", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--r", "800"],
         ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "1",
          "--rep", "gruet-classic"],
-        # sinh(800) overflows in the raising weight
-        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "0.001", "--r", "800",
-         "--rep", "descent"],
     ],
 )
 def test_eval_overflow_exits_4(runner, args):
@@ -286,17 +283,19 @@ def test_eval_poisson_closed_underflows_instead_of_overflowing(runner):
 
 
 def test_eval_descent_stops_where_the_gaussian_underflows(runner):
-    # cosh(s) at the top of the descent integral would overflow past
-    # rho ~ 708; the Gaussian is 0 there, and so is the kernel
-    res = invoke(
-        runner,
-        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "0.001", "--r", "709",
-         "--rep", "descent", "--format", "json"],
-    )
-    assert res.exit_code == 0
-    (rec,) = json.loads(res.stdout)["records"]
-    assert rec["value"] == 0.0
-    assert rec["err"] == 0.0
+    # sinh(s) at the top of the descent integral, and in the raising weight,
+    # would overflow past rho ~ 708; the Gaussian is 0 there, and so is the
+    # kernel
+    for rho in ("709", "800"):
+        res = invoke(
+            runner,
+            ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "0.001", "--r", rho,
+             "--rep", "descent", "--format", "json"],
+        )
+        assert res.exit_code == 0
+        (rec,) = json.loads(res.stdout)["records"]
+        assert rec["value"] == 0.0
+        assert rec["err"] == 0.0
 
 
 def test_table_partial_rows_before_overflow(runner):

@@ -110,11 +110,10 @@ def test_heat_raise_odd_is_machine_exact(n, t, r):
     assert res.value == pytest.approx(euclid.heat_closed(n, t, r), rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["outside", "inside"])
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("t,r", HEAT_POINTS)
-def test_heat_raise_even_variants(variant, n, t, r):
-    res = euclid.heat_raise(n, t, r, variant=variant, tol=1e-11)
+def test_heat_raise_even(n, t, r):
+    res = euclid.heat_raise(n, t, r, tol=1e-11)
     assert res.value == pytest.approx(euclid.heat_closed(n, t, r), rel=5e-10)
 
 
@@ -153,21 +152,6 @@ def test_heat_raise_guard_band():
     )
 
 
-def test_heat_raise_unknown_variant():
-    with pytest.raises(DomainError):
-        euclid.heat_raise(2, 0.5, 1.0, variant="sideways")
-
-
-@pytest.mark.parametrize(
-    "route", [euclid.heat_raise, euclid.poisson_raise], ids=["heat", "poisson"]
-)
-def test_raise_checks_the_variant_at_odd_n(route):
-    # odd n raises the 1-d kernel whatever the variant, but a misspelled one
-    # is refused there too
-    with pytest.raises(DomainError, match="bogus"):
-        route(3, 0.5, 1.0, variant="bogus")
-
-
 # ---------------------------------------------------------------------------
 # poisson representations against the closed form
 
@@ -190,11 +174,10 @@ def test_poisson_raise_odd_is_machine_exact(n, y, r):
     assert res.value == pytest.approx(euclid.poisson_closed(n, y, r), rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["outside", "inside"])
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("y,r", POISSON_POINTS)
-def test_poisson_raise_even_variants(variant, n, y, r):
-    res = euclid.poisson_raise(n, y, r, variant=variant, tol=1e-11)
+def test_poisson_raise_even(n, y, r):
+    res = euclid.poisson_raise(n, y, r, tol=1e-11)
     assert res.value == pytest.approx(euclid.poisson_closed(n, y, r), rel=5e-10)
 
 

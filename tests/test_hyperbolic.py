@@ -15,8 +15,9 @@ import mpmath
 import pytest
 
 from ckernels import analysis, hyperbolic
-from ckernels.errors import DomainError, SingularPointError
+from ckernels.errors import ConvergenceError, DomainError, SingularPointError
 from ckernels.geometry import Space
+from ckernels.quadrature import DEFAULT_TOL
 
 HEAT_N3_T08_R15 = 0.010940710117840375
 HEAT_N3_T03_R22 = 0.0011945895476972103
@@ -95,30 +96,48 @@ def test_markovian_convention_restores_unit_mass_scale():
 # descent (even dimensions)
 
 
-@pytest.mark.parametrize("variant", ["outside", "inside"])
-def test_heat_descent_frozen_values(variant):
-    assert hyperbolic.heat_descent(2, 0.8, 1.5, variant=variant).value == pytest.approx(
-        HEAT_N2_T08_R15, rel=5e-10
-    )
-    assert hyperbolic.heat_descent(2, 0.3, 2.2, variant=variant).value == pytest.approx(
-        HEAT_N2_T03_R22, rel=5e-10
-    )
-    assert hyperbolic.heat_descent(4, 0.8, 1.5, variant=variant).value == pytest.approx(
-        HEAT_N4_T08_R15, rel=5e-10
-    )
+def test_heat_descent_frozen_values():
+    assert hyperbolic.heat_descent(2, 0.8, 1.5).value == pytest.approx(HEAT_N2_T08_R15, rel=5e-10)
+    assert hyperbolic.heat_descent(2, 0.3, 2.2).value == pytest.approx(HEAT_N2_T03_R22, rel=5e-10)
+    assert hyperbolic.heat_descent(4, 0.8, 1.5).value == pytest.approx(HEAT_N4_T08_R15, rel=5e-10)
 
 
 def test_heat_descent_rejects_odd_dimension():
     with pytest.raises(DomainError):
         hyperbolic.heat_descent(3, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        hyperbolic.heat_descent(2, 0.5, 1.0, variant="diagonal")
 
 
 def test_heat_descent_near_origin():
-    res = hyperbolic.heat_descent(2, 0.7, 0.003)
-    ref = hyperbolic.heat_descent(2, 0.7, 0.0, variant="inside")
-    assert res.value == pytest.approx(ref.value, rel=1e-4)
+    for rho in (0.0, 0.003):
+        res = hyperbolic.heat_descent(2, 0.7, rho)
+        ref = hyperbolic.heat_gruet(2, 0.7, rho, tol=1e-13)
+        assert abs(res.value - ref.value) <= DEFAULT_TOL * abs(ref.value) + ref.err_estimate
+
+
+# ROADMAP item 11's grid: the even descent against the contour rows at tol
+# 1e-13, from the pole to rho = 1.5.  Near the pole at n >= 10 and large t
+# the direct raise at the nodes cancels (ROADMAP item 1), so the quadrature
+# cannot meet tol there and refuses with ConvergenceError
+DESCENT_REFUSALS = {
+    (n, rho, t)
+    for rho in (0.0, 0.005, 0.02)
+    for n, t in [(10, 0.9), (10, 9.0), (12, 0.9), (12, 9.0), (14, 0.05), (14, 0.9), (14, 9.0)]
+}
+
+
+@pytest.mark.parametrize("n", range(2, 16, 2))
+@pytest.mark.parametrize("rho", [0.0, 0.005, 0.02, 0.5, 1.5])
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.9, 9.0])
+def test_even_descent_is_within_its_error_or_refuses(n, rho, t):
+    reference = hyperbolic.heat_gruet if t < 0.5 else hyperbolic.heat_classic
+    ref = reference(n, t, rho, tol=1e-13)
+    try:
+        res = hyperbolic.heat_descent(n, t, rho)
+    except ConvergenceError:
+        assert (n, rho, t) in DESCENT_REFUSALS
+        return
+    bound = max(res.err_estimate, DEFAULT_TOL * abs(ref.value)) + ref.err_estimate
+    assert abs(res.value - ref.value) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def sweeps_per_integral(monkeypatch):
 )
 def test_seeded_jet_integrals_take_at_most_three_sweeps(sweeps_per_integral, route):
     # unseeded, the first sweeps bisect toward the narrow Gaussian one level
-    # at a time: 6 to 7 sweeps, each one batched jet program
+    # at a time: 6 to 7 sweeps, each one batched jet program or batched raise
     route()
     assert sweeps_per_integral
     assert max(len(s) for s in sweeps_per_integral.values()) <= 3

@@ -38,40 +38,30 @@ def _hyperbolic_heat_reference(n: int, t: float, rho: float) -> QuadResult:
 
 
 # (route, reference, dimensions, parameters); a route maps (n, param, r) to
-# a QuadResult.  The "inside" variants, on R^n and H^n alike, stop at n = 6:
-# their integrands raise directly at s just past SERIES_REACH, where raising
-# cancels (ROADMAP item 1).  At n = 8 that leaves errors up to 0.6 tol, and
-# from n = 10 on they end in ConvergenceError after seconds.
+# a QuadResult.  The even H^n descent stops at n = 8: its integrand raises
+# directly at s just past SERIES_REACH, where raising cancels (ROADMAP item
+# 1), and from n = 10 on it refuses with ConvergenceError near the pole at
+# t = 0.9.
 ROUTES = {
     "euclidean heat raise": (
         lambda n, t, r: euclid.heat_raise(n, t, r),
         lambda n, t, r: _exact(euclid.heat_closed(n, t, r)),
         range(1, 16), TIMES,
     ),
-    "euclidean heat raise inside": (
-        lambda n, t, r: euclid.heat_raise(n, t, r, variant="inside"),
-        lambda n, t, r: _exact(euclid.heat_closed(n, t, r)),
-        range(2, 8, 2), TIMES,
-    ),
     "euclidean poisson raise": (
         lambda n, y, r: euclid.poisson_raise(n, y, r),
         lambda n, y, r: _exact(euclid.poisson_closed(n, y, r)),
         range(1, 16), HEIGHTS,
-    ),
-    "euclidean poisson raise inside": (
-        lambda n, y, r: euclid.poisson_raise(n, y, r, variant="inside"),
-        lambda n, y, r: _exact(euclid.poisson_closed(n, y, r)),
-        range(2, 8, 2), HEIGHTS,
     ),
     "hyperbolic heat raise": (
         lambda n, t, r: hyperbolic.heat_raise(n, t, r),
         _hyperbolic_heat_reference,
         range(1, 16, 2), TIMES,
     ),
-    "hyperbolic heat descent inside": (
-        lambda n, t, r: hyperbolic.heat_descent(n, t, r, variant="inside"),
+    "hyperbolic heat descent": (
+        lambda n, t, r: hyperbolic.heat_descent(n, t, r),
         _hyperbolic_heat_reference,
-        range(2, 8, 2), TIMES,
+        range(2, 10, 2), TIMES,
     ),
     "hyperbolic poisson raise": (
         lambda n, y, r: hyperbolic.poisson_raise(n, y, r),
@@ -112,7 +102,7 @@ EDGE_CASES = [
         marks=pytest.mark.xfail((name, n) in EDGE_MISSES, reason="direct raising cancels",
                                 strict=False),
     )
-    for name, spec in ROUTES.items() if "inside" not in name for n in spec[2]
+    for name, spec in ROUTES.items() for n in spec[2]
 ]
 
 
