@@ -94,8 +94,9 @@ def heat_descent(
     one batched raise of the 1-d Gaussian beyond.  The Gaussian's fall-off
     points (:func:`gaussian_breakpoints`) seed the partition.  Where sinh s
     would overflow at the top, the integral stops where the Gaussian has
-    underflowed to 0, if that comes first, and is 0 if that is below rho.
-    The err is the quadrature's; the raise adds none of its own.
+    underflowed to 0, if that comes first, and is 0 if that is below rho;
+    if the Gaussian is not yet 0 there, it raises OverflowError.  The err
+    is the quadrature's; the raise adds none of its own.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 1:
@@ -106,6 +107,8 @@ def heat_descent(
         s_top = min(s_top, math.sqrt(4.0 * t * 746.0))
     if s_top <= rho:
         return QuadResult(0.0, 0.0, 0)
+    if s_top > 710.0:
+        raise OverflowError("sinh s overflows before the Gaussian underflows")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, rho, tol)
 

@@ -265,6 +265,9 @@ def test_eval_convergence_failure_exits_4(runner):
         ["eval", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--r", "800"],
         ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "1",
          "--rep", "gruet-classic"],
+        # sinh(s) overflows past s ~ 710 while exp(-s^2/800) is still nonzero
+        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "700",
+         "--rep", "descent"],
     ],
 )
 def test_eval_overflow_exits_4(runner, args):
