@@ -51,7 +51,7 @@ from .jets import Jet, _lower_jet, gauss_jet, raise_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
-    gaussian_breakpoints,
+    bump_seeds,
     integrate_adaptive,
     integrate_to_infinity,
 )
@@ -309,27 +309,6 @@ def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float
 _PAIRED = np.array([1.0, 2.0**-40])
 
 
-def _bump_seeds(n: int, heights: tuple, lengths: tuple, a: float, b: float) -> list:
-    """Seeds on [a, b] for a subordination integrand in v, t = 1/4v^2.
-
-    At short times the heat factor takes v^n exp(-d^2 v^2) from a geodesic
-    of length d, so with an outer weight exp(-h^2 v^2) the integrand is
-    about v^n exp(-c v^2), c = h^2 + d^2: at most its value at
-    v* = sqrt(n/2c) times exp(-c (v - v*)^2).  The seeds are v* for each
-    height h and length d, that Gaussian's fall-off points and each outer
-    weight's (:func:`gaussian_breakpoints`), so the first sweep resolves
-    the bumps also where they are narrow beside [a, b].
-    """
-    seeds = []
-    for h in heights:
-        seeds += gaussian_breakpoints(0.0, 0.25 / (h * h), a, b)
-        for d in lengths:
-            c = h * h + d * d
-            peak = math.sqrt(0.5 * n / c)
-            seeds += [peak] + gaussian_breakpoints(peak, 0.25 / c, a, b)
-    return seeds
-
-
 def subordinate(
     heat_fn: Callable[[float, float], float],
     y: float,
@@ -346,7 +325,7 @@ def subordinate(
     ``dim_hint`` n widens the truncation to absorb the (4 pi t)^(-n/2)
     short-time growth of the heat factor near the upper limit, and places
     the first sweep's seeds at the bump of v^n exp(-(y^2 + r^2) v^2), which
-    the integrand follows at short times (:func:`_bump_seeds`).  With
+    the integrand follows at short times (:func:`bump_seeds`).  With
     ``vectorized`` ``heat_fn`` takes the array of a sweep's times, as for
     :func:`integrate_adaptive`, and may return (value, error) pairs on the
     last axis: the K15 sum of the weighted errors then joins the error.
@@ -377,7 +356,7 @@ def _subordinate(
         v_max,
         tol,
         abs_tol=0.0,
-        breakpoints=_bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
+        breakpoints=bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
         vectorized=vectorized,
     )
     res = res.scaled(2.0 * y / math.sqrt(math.pi))
@@ -496,7 +475,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
         v_max,
         tol,
         abs_tol=0.0,
-        breakpoints=[0.3, 0.5] + _bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
+        breakpoints=[0.3, 0.5] + bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
         vectorized=True,
     )
     inner_err = 3.0 * inner * abs(res.value)

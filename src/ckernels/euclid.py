@@ -30,11 +30,14 @@ from .jets import Jet, RadialGenerator, gauss_jet, raise_kernel, variable
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    bump_seeds,
     contour_spec,
+    gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
     integrate_to_infinity,
+    scale_seeds,
     sigma_default,
 )
 
@@ -98,7 +101,10 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
         return _heat(np, n + 1, t, s) * 2.0 * s / np.sqrt(s + r)
 
     s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, abs_tol=0.0, vectorized=True)
+    seeds = gaussian_breakpoints(0.0, t, r, s_max)
+    return integrate_sqrt_endpoint(
+        f_regular, r, s_max, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +124,7 @@ def heat_gruet(
     Parametrized by y = sigma - i xi, the integrand
     2 y exp(y^2/4t) (r^2+y^2)^(-(n+1)/2) has a Gaussian envelope in xi and
     algebraic spikes where y^2 approaches -r^2 (near xi = r for small sigma);
-    the spike is seeded as a breakpoint.  The value is independent of sigma,
+    the spike is seeded at its widths.  The value is independent of sigma,
     which the error estimate must cover (the basis of the deformation
     cross-check).  The integrand takes a sweep's nodes at once.
     """
@@ -136,9 +142,7 @@ def heat_gruet(
         yy = y * y
         return 2.0 * y * np.exp(yy * inv4t) / (r * r + yy) ** half
 
-    spec = contour_spec(sigma, 4.0 * t, tol)
-    bps = [r] if 0.0 < r < spec.xi_max else []
-    res = integrate_contour(f, spec, bps)
+    res = integrate_contour(f, contour_spec(sigma, 4.0 * t, tol), spikes=[r])
     return res.scaled(pref)
 
 
@@ -158,7 +162,8 @@ def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qu
     def f(w: np.ndarray) -> np.ndarray:
         return w**n * np.exp(-c * w * w)
 
-    res = integrate_adaptive(f, 0.0, w_max, tol, abs_tol=0.0, vectorized=True)
+    seeds = bump_seeds(n, (y,), (r,), 0.0, w_max)
+    res = integrate_adaptive(f, 0.0, w_max, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True)
     return res.scaled(2.0 * y / math.pi ** (0.5 * (n + 1)))
 
 
@@ -216,7 +221,10 @@ def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qua
         return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
 
     split = r + 4.0 * max(y, r, 1.0)
-    res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, abs_tol=0.0, vectorized=True)
+    seeds = scale_seeds(r, 0.25 * y, split - r, r, split)
+    res1 = integrate_sqrt_endpoint(
+        f_regular, r, split, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
+    )
     res2 = integrate_to_infinity(
         f_tail, split, tol, abs_tol=0.0, scale=split, vectorized=True
     )

@@ -46,6 +46,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
+    scale_seeds,
     sigma_default,
 )
 
@@ -180,10 +181,13 @@ def heat_classic(
         return out
 
     xi_max = 2.0 * math.sqrt(t * (math.log(1.0 / tol) + 5.0)) + 2.0 * t + 2.0
-    # seed the sign-change lattice of the oscillation
+    # seed the sign-change lattice of the oscillation, and its extrema where
+    # the Gaussian exp(-xi^2/4t) has fallen by less than e^-9
     step = 2.0 * t
     count = min(int(xi_max / step), 400)
     bps = [step * k for k in range(1, count + 1)]
+    bps += [t * k for k in range(1, min(int(6.0 / math.sqrt(t)), 400), 2)]
+    bps += scale_seeds(0.0, 0.5 * min(t, 1.0), 2.0 * math.sqrt(t), 0.0, xi_max)
     res = integrate_adaptive(
         f, 0.0, xi_max, tol, abs_tol=0.0, breakpoints=bps, vectorized=True
     )
@@ -204,7 +208,7 @@ def heat_gruet(
     The integrand sin(y) (cosh rho - cos y)^(-(n+1)/2) exp(y^2/4t) with
     y = sigma - i xi is analytic for 0 < sigma < 2 pi, so no branch tracking
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
-    near xi = rho for small sigma, seeded as a breakpoint.  The integrand
+    near xi = rho for small sigma, seeded at its widths.  The integrand
     takes a sweep's nodes at once.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
@@ -226,9 +230,7 @@ def heat_gruet(
     def f(y: np.ndarray) -> np.ndarray:
         return np.exp(y * y * inv4t) * np.sin(y) * (cosh_rho - np.cos(y)) ** (-half)
 
-    spec = contour_spec(sigma, 4.0 * t, tol)
-    bps = [rho] if 0.0 < rho < spec.xi_max else []
-    res = integrate_contour(f, spec, bps)
+    res = integrate_contour(f, contour_spec(sigma, 4.0 * t, tol), spikes=[rho])
     return res.scaled(pref * factor)
 
 
@@ -307,4 +309,8 @@ def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Q
         )
 
     s_top = rho + 2.0 * (math.log(1.0 / tol) + 5.0) / (n + 1) + 5.0
-    return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, abs_tol=0.0, vectorized=True)
+    # the bump of width y at s = 0, and the decay e^(-(2n+1)s/4)
+    seeds = scale_seeds(rho, min(0.25 * y, 4.0 / (2 * n + 1)), s_top - rho, rho, s_top)
+    return integrate_sqrt_endpoint(
+        f_regular, rho, s_top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
+    )

@@ -14,7 +14,8 @@ resasc)^1.5 rescaling, which can report less than the difference itself.
 The reported error is the accumulated panel differences plus a roundoff
 floor proportional to the integral of |f|, so results near the
 double-precision cancellation limit carry error estimates that reflect it
-instead of the nominal tolerance.
+instead of the nominal tolerance.  A scalar integrand's K15 sums, K15 - G7
+differences and integrals of |f| come from one matrix product per sweep.
 
 Integrands may return scalars or numpy arrays of a fixed shape; array mode is
 what lets Taylor-jet-valued integrands (derivatives under the integral sign)
@@ -29,15 +30,21 @@ kernel formulas: an inverse-square-root endpoint factor (substitute
 x = a + u^2), a half-line tail (substitute x = a + s u/(1-u)), and vertical
 complex contours with Gaussian envelopes, where truncation at xi_max is
 chosen from the envelope and the discarded tail is added to the error
-estimate, and seeds at the envelope's fall-off points resolve its length
-scale in the first sweep.  A contour integrand always takes the complex
-array of a sweep's nodes.
+estimate.  A contour integrand always takes the complex array of a sweep's
+nodes.
+
+The kernel rows seed their float integrals at the integrand's length
+scales, as QUADPACK places breakpoints, so that most finish in their first
+sweep: :func:`gaussian_breakpoints`, :func:`bump_seeds` and
+:func:`scale_seeds`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -86,6 +93,9 @@ _WK15 = np.array(_WGK[:-1] + _WGK[::-1])
 _WG7 = np.zeros(15)
 _WG7[1::2] = _WG[:-1] + _WG[::-1]
 _WDIFF = _WK15 - _WG7
+# (values, |values|) of a panel times _W3: K15, K15 - G7 and K15 of |f|
+_W3 = np.zeros((30, 3))
+_W3[:15, :2], _W3[15:, 2] = np.stack((_WK15, _WDIFF), axis=1), _WK15
 
 Value = Union[float, np.ndarray]
 
@@ -197,6 +207,37 @@ def gaussian_breakpoints(c: float, t: float, a: float, b: float) -> list:
     return sorted(out)
 
 
+def scale_seeds(c: float, shortest: float, longest: float, a: float, b: float) -> list:
+    """c and c -+ l, l = shortest, 2 shortest, ... up to ``longest``, in (a, b):
+    seeds for a spike off the path at c, or for a decay from c."""
+    out = [c]
+    while shortest <= longest:
+        out += [c - shortest, c + shortest]
+        shortest *= 2.0
+    return [x for x in out if a < x < b]
+
+
+def bump_seeds(n: int, heights: tuple, lengths: tuple, a: float, b: float) -> list:
+    """Seeds on [a, b] for an integrand in v with heat factors at t = 1/4v^2.
+
+    At short times the heat factor takes v^n exp(-d^2 v^2) from a geodesic
+    of length d, so with an outer weight exp(-h^2 v^2) the integrand is
+    about v^n exp(-c v^2), c = h^2 + d^2: at most its value at
+    v* = sqrt(n/2c) times exp(-c (v - v*)^2).  The seeds are v* for each
+    height h and length d, that Gaussian's fall-off points and each outer
+    weight's (:func:`gaussian_breakpoints`), so the first sweep resolves
+    the bumps also where they are narrow beside [a, b].
+    """
+    seeds = []
+    for h in heights:
+        seeds += gaussian_breakpoints(0.0, 0.25 / (h * h), a, b)
+        for d in lengths:
+            c = h * h + d * d
+            peak = math.sqrt(0.5 * n / c)
+            seeds += [peak] + gaussian_breakpoints(peak, 0.25 / c, a, b)
+    return seeds
+
+
 def _norm(v: Value) -> float:
     if isinstance(v, np.ndarray):
         return float(np.max(np.abs(v)))
@@ -207,9 +248,7 @@ def _sweep(f, los: list, his: list, vectorized: bool):
     """Embedded G7/K15 estimates on the panels [los[i], his[i]] of one sweep.
 
     One integrand call per Kronrod node, 15 per panel, or one call on the
-    array of all the sweep's nodes if ``vectorized``; such a call runs with
-    numpy's floating-point warnings off, since a node that overflows yields a
-    non-finite value and is reported like any other.  Returns (values, errs,
+    array of all the sweep's nodes if ``vectorized``.  Returns (values, errs,
     resabs, where_bad) with one entry per panel: the K15 value (a float, or an
     array of the integrand's shape), the raw |K15 - G7| (max norm for array
     values) and the K15 integral of |f|.  ``where_bad`` is the first node at
@@ -223,8 +262,7 @@ def _sweep(f, los: list, his: list, vectorized: bool):
         nodes += np.array([0.5 * (a + b) for a, b in zip(los, his)])[:, None]
         nodes = nodes.ravel()
     if vectorized:
-        with np.errstate(all="ignore"):
-            v = np.asarray(f(nodes), float)
+        v = np.asarray(f(nodes), float)
     else:
         vals = [f(x) for x in nodes]
         if isinstance(vals[0], np.ndarray):
@@ -232,26 +270,31 @@ def _sweep(f, los: list, his: list, vectorized: bool):
         else:
             v = np.array(vals, float)
     shape = v.shape[1:]
-    # the rule's weights times each panel's (15, components) block: the
-    # products a panel alone would get, whatever the sweep.  Array values
-    # take the max norm over their components
-    v = v.reshape(len(h), 15, -1)
-    absum = _WK15 @ np.abs(v)
-    absum = (absum.max(axis=1) if shape else absum[:, 0]).tolist()
+    # the rule's weights times each panel's block of 15 values: the products
+    # a panel alone would get, whatever the sweep.  An inf times a zero
+    # weight is a nan, and is reported like the inf
+    with nullcontext() if vectorized else np.errstate(invalid="ignore"):
+        if not shape:
+            # K15, K15 - G7 and the K15 integral of |f| in one product
+            v = v.reshape(len(h), 15)
+            sums, diffs, absum = (np.concatenate((v, np.abs(v)), axis=1) @ _W3).T.tolist()
+        else:
+            # array values take the max norm over their components
+            v = v.reshape(len(h), 15, -1)
+            absum = (_WK15 @ np.abs(v)).max(axis=1).tolist()
+            diffs = np.abs(_WDIFF @ v).max(axis=1).tolist()
+            sums = _WK15 @ v
     # a non-finite node makes its panel's integral of |f| non-finite
     if not math.isfinite(sum(absum)):
-        finite = np.isfinite(v).all(axis=2)
+        finite = np.isfinite(v.reshape(len(nodes), -1)).all(axis=1)
         if not finite.all():
             return None, None, None, float(nodes[np.argmin(finite)])
-    diffs = np.abs(_WDIFF @ v)
-    diffs = (diffs.max(axis=1) if shape else diffs[:, 0]).tolist()
-    sums = _WK15 @ v
     resabs = [hp * r for hp, r in zip(h, absum)]
-    errs = [hp * d for hp, d in zip(h, diffs)]
+    errs = [hp * abs(d) for hp, d in zip(h, diffs)]
     if shape:
         values = [hp * k.reshape(shape) for hp, k in zip(h, sums)]
     else:
-        values = [hp * k for hp, k in zip(h, sums[:, 0].tolist())]
+        values = [hp * k for hp, k in zip(h, sums)]
     return values, errs, resabs, None
 
 
@@ -307,65 +350,70 @@ def integrate_adaptive(
     total_resabs = 0.0
     n_evals = 0
 
-    while True:
-        values, errs, resabs, bad_at = _sweep(f, los, his, vectorized)
-        n_evals += 15 * len(los)
-        if bad_at is not None:
-            best = QuadResult(total_value, math.inf, n_evals) if split else None
-            raise ConvergenceError(
-                f"integrand returned a non-finite value near x = {bad_at}", best
-            )
-        for _, _, _, _, value, err, ra, _ in split:
-            total_value = total_value - value
-            total_err -= err
-            total_resabs -= ra
-        for lo, hi, value, err, ra, depth in zip(los, his, values, errs, resabs, depths):
-            total_value = total_value + value
-            total_err += err
-            total_resabs += ra
-            heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, depth))
-            seq += 1
+    # numpy's warnings are off for a vectorized f: an overflow is reported as
+    # a non-finite value.  The floor ends subnormal noise above a target of 0
+    floor = (b - a) * sys.float_info.min
+    with np.errstate(all="ignore") if vectorized else nullcontext():
+        while True:
+            values, errs, resabs, bad_at = _sweep(f, los, his, vectorized)
+            n_evals += 15 * len(los)
+            if bad_at is not None:
+                best = QuadResult(total_value, math.inf, n_evals) if split else None
+                raise ConvergenceError(
+                    f"integrand returned a non-finite value near x = {bad_at}", best
+                )
+            for _, _, _, _, value, err, ra, _ in split:
+                total_value = total_value - value
+                total_err -= err
+                total_resabs -= ra
+            for lo, hi, value, err, ra, dep in zip(los, his, values, errs, resabs, depths):
+                total_value = total_value + value
+                total_err += err
+                total_resabs += ra
+                heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, dep))
+                seq += 1
 
-        target = max(abs_tol, tol * _norm(total_value))
-        excess = total_err - max(target, 100.0 * _EPS * total_resabs)
-        if excess <= 0.0:
-            break
-        room = max_panels - len(heap)
-        if room <= 0:
-            best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
-            raise ConvergenceError(
-                f"panel budget {max_panels} exhausted (error {total_err:.3e}, "
-                f"target {target:.3e})",
-                best,
-            )
-        # the worst panels whose errors cover the excess, as far as the panel
-        # budget allows: splitting fewer cannot reach the target.  Each is cut
-        # in four, or in as many parts (k adding k - 1 panels) as there is room
-        split = []
-        removed = 0.0
-        los, his, depths = [], [], []
-        while heap and removed < excess and room > 0:
-            entry = heapq.heappop(heap)
-            _, _, lo, hi, _, err, _, depth = entry
-            if depth >= max_depth:
+            target = max(abs_tol, tol * _norm(total_value))
+            excess = total_err - max(target, 100.0 * _EPS * total_resabs) - floor
+            if excess <= 0.0:
+                break
+            room = max_panels - len(heap)
+            if room <= 0:
                 best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
                 raise ConvergenceError(
-                    f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", best
+                    f"panel budget {max_panels} exhausted (error {total_err:.3e}, "
+                    f"target {target:.3e})",
+                    best,
                 )
-            split.append(entry)
-            removed += err
-            parts = min(2 if depth + 2 > max_depth else 4, room + 1)
-            room -= parts - 1
-            mid = 0.5 * (lo + hi)
-            if parts == 2:
-                cuts, levels = (lo, mid, hi), (1, 1)
-            elif parts == 3:  # the right half stays whole
-                cuts, levels = (lo, 0.5 * (lo + mid), mid, hi), (2, 2, 1)
-            else:
-                cuts, levels = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi), (2, 2, 2, 2)
-            los += cuts[:-1]
-            his += cuts[1:]
-            depths += [depth + k for k in levels]
+            # the worst panels whose errors cover the excess, as far as the
+            # panel budget allows: splitting fewer cannot reach the target.
+            # Each is cut in four, or in as many parts (k adding k - 1
+            # panels) as there is room
+            split = []
+            removed = 0.0
+            los, his, depths = [], [], []
+            while heap and removed < excess and room > 0:
+                entry = heapq.heappop(heap)
+                _, _, lo, hi, _, err, _, depth = entry
+                if depth >= max_depth:
+                    best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
+                    raise ConvergenceError(
+                        f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", best
+                    )
+                split.append(entry)
+                removed += err
+                parts = min(2 if depth + 2 > max_depth else 4, room + 1)
+                room -= parts - 1
+                mid = 0.5 * (lo + hi)
+                if parts == 2:
+                    cuts, levels = (lo, mid, hi), (1, 1)
+                elif parts == 3:  # the right half stays whole
+                    cuts, levels = (lo, 0.5 * (lo + mid), mid, hi), (2, 2, 1)
+                else:
+                    cuts, levels = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi), (2,) * 4
+                los += cuts[:-1]
+                his += cuts[1:]
+                depths += [depth + k for k in levels]
 
     return QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
 
@@ -458,6 +506,7 @@ def integrate_contour(
     spec: ContourSpec,
     breakpoints: Iterable[float] | None = None,
     *,
+    spikes: Iterable[float] = (),
     max_depth: int = 60,
     max_panels: int = 4096,
 ) -> QuadResult:
@@ -467,23 +516,33 @@ def integrate_contour(
     its values there; it runs once per sweep, like a ``vectorized`` integrand
     of :func:`integrate_adaptive`.  The fall-off points xi = sqrt(G) j of the
     envelope exp((sigma^2 - xi^2)/G) (:func:`gaussian_breakpoints`) join the
-    caller's ``breakpoints``.  The discarded tail beyond xi_max is bounded by
-    the Gaussian envelope and added to the error estimate.  Any convergence
-    failure, including a non-finite integrand on the line or at xi_max, is
-    reported as :class:`ContourError`; the usual cure is a different abscissa
-    sigma.
+    caller's ``breakpoints`` (kinks and branch cuts).  Each xi of ``spikes``,
+    nearest a singular point sigma off the line, is seeded at xi -+ sigma/2,
+    -+ sigma, -+ 2 sigma and on to sqrt(G) (:func:`scale_seeds`).  The tail
+    beyond xi_max, bounded by the envelope from f at xi_max (one more node
+    of the first sweep), joins the error.  Any convergence failure,
+    including a non-finite integrand on the line or at xi_max, is reported
+    as :class:`ContourError`; the usual cure is a different abscissa sigma.
     """
-    sigma = spec.sigma
-    seeds = gaussian_breakpoints(0.0, 0.25 * spec.envelope_scale, 0.0, spec.xi_max)
+    sigma, xi_max = spec.sigma, spec.xi_max
+    seeds = gaussian_breakpoints(0.0, 0.25 * spec.envelope_scale, 0.0, xi_max)
+    reach = max(2.0 * sigma, math.sqrt(spec.envelope_scale))
+    for xi in spikes:
+        seeds += scale_seeds(xi, 0.5 * sigma, reach, 0.0, xi_max)
+    end = []  # |f| at xi_max, from the first sweep
 
     def g(xi: np.ndarray) -> np.ndarray:
-        return f(sigma - 1j * xi).real
+        if end:
+            return f(sigma - 1j * xi).real
+        val = f(sigma - 1j * np.append(xi, xi_max))
+        end.append(abs(val[-1]))
+        return val[:-1].real
 
     try:
         res = integrate_adaptive(
             g,
             0.0,
-            spec.xi_max,
+            xi_max,
             spec.tol,
             abs_tol=0.0,
             breakpoints=[*(breakpoints or ()), *seeds],
@@ -500,13 +559,12 @@ def integrate_contour(
 
     # Tail of a Gaussian envelope: integral_X^inf exp(-x^2/G) dx is below
     # (G / 2X) exp(-X^2/G), and |f(sigma - i X)| already carries the envelope.
-    with np.errstate(all="ignore"):
-        end_mag = float(np.abs(f(np.array([complex(sigma, -spec.xi_max)]))[0]))
+    end_mag = float(end[0])
     if not math.isfinite(end_mag):
         raise ContourError(
             f"contour integrand at sigma = {sigma} is not finite at the truncation "
-            f"point xi = {spec.xi_max}; a different abscissa may avoid the problem",
+            f"point xi = {xi_max}; a different abscissa may avoid the problem",
             QuadResult(res.value, math.inf, res.n_evals + 1),
         )
-    tail = end_mag * spec.envelope_scale / (2.0 * spec.xi_max)
+    tail = end_mag * spec.envelope_scale / (2.0 * xi_max)
     return QuadResult(res.value, res.err_estimate + 2.0 * tail, res.n_evals + 1)

@@ -46,6 +46,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
+    scale_seeds,
     sigma_default,
 )
 
@@ -494,9 +495,9 @@ def heat_gruet(
     The integrand sinh(y) (cosh y - cos phi)^(-(n+1)/2) exp(y^2/4t) with
     y = sigma - i xi crosses the cut of the principal half-integer power at
     xi = pi, 3 pi, ...; for even n the analytic branch flips sign there.
-    Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); both
-    families are seeded as breakpoints.  The integrand takes a sweep's nodes
-    at once.
+    Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); the
+    cuts are breakpoints, the spikes seeded at their widths.  The integrand
+    takes a sweep's nodes at once.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if sigma is None:
@@ -525,18 +526,10 @@ def heat_gruet(
         return val
 
     spec = contour_spec(sigma, 4.0 * t, tol)
-    bps = set()
-    k = 1
-    while k * math.pi < spec.xi_max:
-        bps.add(k * math.pi)
-        k += 1
-    base = 0.0
-    while base - phi < spec.xi_max:
-        for cand in (base + phi, base - phi):
-            if 0.0 < cand < spec.xi_max:
-                bps.add(cand)
-        base += 2.0 * math.pi
-    res = integrate_contour(f, spec, sorted(bps))
+    cuts = [k * math.pi for k in range(1, int(spec.xi_max / math.pi) + 1)]
+    top = int((spec.xi_max + phi) / (2.0 * math.pi))
+    spikes = [2.0 * math.pi * k + s * phi for k in range(top + 1) for s in (-1.0, 1.0)]
+    res = integrate_contour(f, spec, cuts, spikes=spikes)
     return res.scaled(pref)
 
 
@@ -637,8 +630,13 @@ def poisson_doubling(
         def f(theta: np.ndarray) -> np.ndarray:
             return weighted_kernel(np.sin(theta) * cos_half_phi) * np.cos(theta) ** n
 
+        # cos^n theta is about exp(-n theta^2/2), a Gaussian at t = 1/2n, and
+        # the kernel peaks at theta = pi/2 in a bump of width about y/2
+        top = 0.5 * math.pi
+        seeds = gaussian_breakpoints(0.0, 0.5 / n, -top, top)
+        seeds += scale_seeds(top, 0.25 * y, math.pi, -top, top)
         res = integrate_adaptive(
-            f, -0.5 * math.pi, 0.5 * math.pi, tol, abs_tol=0.0, vectorized=True
+            f, -top, top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
         )
         return res.scaled(c_n)
 

@@ -444,29 +444,29 @@ def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
 
 
 # ---------------------------------------------------------------------------
-# float integrals in few sweeps: contours seeded at their envelope scale,
-# and panels cut in four
+# float integrals in few sweeps: every row seeded at its integrand's length
+# scales, and panels cut in four
 
 
 @pytest.mark.parametrize(
     "route, panels, n_evals",
     [
-        (lambda: euclid.heat_gruet(3, 0.8, 1.5), [7, 8], 226),
-        (lambda: sphere.heat_gruet(3, 0.8, 1.2), [12, 16], 421),
-        (lambda: hyperbolic.heat_gruet(3, 0.8, 1.5), [7, 8], 226),
+        (lambda: euclid.heat_gruet(3, 0.8, 1.5), 12, 181),
+        (lambda: sphere.heat_gruet(3, 0.8, 1.2), 27, 406),
+        (lambda: hyperbolic.heat_gruet(3, 0.8, 1.5), 12, 181),
     ],
     ids=["R3", "S3", "H3"],
 )
-def test_gruet_contours_take_two_sweeps(sweeps_per_integral, route, panels, n_evals):
-    # unseeded they take 4, 3 and 4 sweeps; bisected instead of quartered,
-    # 3 each; with neither, 6, 4 and 6
+def test_gruet_contours_take_one_sweep(sweeps_per_integral, route, panels, n_evals):
+    # seeded at the envelope alone they took [7, 8], [12, 16] and [7, 8]
+    # panels in two sweeps; unseeded, 4, 3 and 4 sweeps
     res = route()
-    assert list(sweeps_per_integral.values()) == [panels]
-    assert res.n_evals == 15 * sum(panels) + 1  # and one node at xi_max
+    assert list(sweeps_per_integral.values()) == [[panels]]
+    assert res.n_evals == 15 * panels + 1  # and one node at xi_max
 
 
-def test_descent_takes_two_sweeps(monkeypatch):
-    # bisected instead of quartered, three: one panel, then 2, then 4
+def test_descent_takes_one_sweep(monkeypatch):
+    # unseeded it took two sweeps, one panel and then 4: calls [15, 60]
     calls = []
     heat = euclid._heat
 
@@ -476,8 +476,101 @@ def test_descent_takes_two_sweeps(monkeypatch):
 
     monkeypatch.setattr(euclid, "_heat", counted)
     res = euclid.heat_descent(3, 0.8, 1.5)
-    assert calls == [15, 60]
-    assert res.n_evals == 75
+    assert calls == [90]
+    assert res.n_evals == 90
+
+
+# every seeded float row on one grid, within its error of a reference, in at
+# most two sweeps per integral
+
+GRID_N = (2, 3, 8, 15)
+GRID_T = (0.1, 0.9, 8.5)
+GRID_R = (0.0, 1.0, 2.9)
+
+# H^n heat at (n, t, rho), 30-digit mpmath values from
+# perfbench/make_references.py: hyp_heat_odd for odd n (the H^3 closed form
+# raised), hyp_heat_descent for even n (the descent integral of H^(n+1))
+HYPERBOLIC_HEAT = {
+    (2, 0.1, 0.0): 0.7892563557321237,
+    (2, 0.1, 1.0): 0.059791372985853096,
+    (2, 0.1, 2.9): 3.310808074479669e-10,
+    (2, 0.9, 0.0): 0.08264224120772833,
+    (2, 0.9, 1.0): 0.0579466222738271,
+    (2, 0.9, 2.9): 0.00460844897737167,
+    (2, 8.5, 0.0): 0.006272627480445868,
+    (2, 8.5, 1.0): 0.005688548002252433,
+    (2, 8.5, 2.9): 0.0029830315991117816,
+    (3, 0.1, 0.0): 0.7098804304379308,
+    (3, 0.1, 1.0): 0.04958345385521434,
+    (3, 0.1, 2.9): 1.6804846998019863e-10,
+    (3, 0.9, 0.0): 0.02629186779399744,
+    (3, 0.9, 1.0): 0.01694618174495536,
+    (3, 0.9, 2.9): 0.0008138645197518088,
+    (3, 8.5, 0.0): 0.0009058510986553239,
+    (3, 8.5, 1.0): 0.0007484645310190907,
+    (3, 8.5, 2.9): 0.00022642461540419548,
+    (8, 0.1, 0.0): 0.529027763413406,
+    (8, 0.1, 1.0): 0.024282886870524413,
+    (8, 0.1, 2.9): 6.668788425222234e-12,
+    (8, 0.9, 0.0): 0.0003782391736781491,
+    (8, 0.9, 1.0): 0.00014960728852389012,
+    (8, 0.9, 2.9): 4.2587302288790556e-07,
+    (8, 8.5, 0.0): 3.298058290303857e-06,
+    (8, 8.5, 1.0): 1.558110206508961e-06,
+    (8, 8.5, 2.9): 1.9069238859287532e-08,
+    (15, 0.1, 0.0): 0.6444338156031836,
+    (15, 0.1, 1.0): 0.01588194871691694,
+    (15, 0.1, 2.9): 1.1178886327606986e-13,
+    (15, 0.9, 0.0): 1.360889440504423e-05,
+    (15, 0.9, 1.0): 2.4922242281709197e-06,
+    (15, 0.9, 2.9): 8.924331225857346e-11,
+    (15, 8.5, 0.0): 7.312425072874147e-08,
+    (15, 8.5, 1.0): 1.5099311641167242e-08,
+    (15, 8.5, 2.9): 1.6233848428195582e-12,
+}
+
+
+def _closed(fn):
+    return lambda n, p, r: (fn(n, p, r), 0.0)
+
+
+def _spectral(n, t, phi):
+    res = sphere.heat_spectral(n, t, phi)
+    return res.value, res.err_estimate
+
+
+SEEDED_ROWS = {
+    # row: (route, reference (value, error), its t or y)
+    "R-heat-gruet": (euclid.heat_gruet, _closed(euclid.heat_closed), GRID_T),
+    "R-heat-descent": (euclid.heat_descent, _closed(euclid.heat_closed), GRID_T),
+    "R-poisson-integral": (euclid.poisson_integral, _closed(euclid.poisson_closed), GRID_T),
+    "R-poisson-descent": (euclid.poisson_descent, _closed(euclid.poisson_closed), GRID_T),
+    "S-heat-gruet": (sphere.heat_gruet, _spectral, GRID_T),
+    "S-poisson-doubling": (sphere.poisson_doubling, _closed(sphere.poisson_closed), GRID_T),
+    "H-heat-gruet": (hyperbolic.heat_gruet, lambda *k: (HYPERBOLIC_HEAT[k], 0.0), GRID_T),
+    "H-heat-classic": (hyperbolic.heat_classic, lambda *k: (HYPERBOLIC_HEAT[k], 0.0), GRID_T),
+    # the height of the hyperbolic strip lies in (0, pi)
+    "H-poisson-descent": (
+        hyperbolic.poisson_descent, _closed(hyperbolic.poisson_closed), (0.1, 0.9, 2.9)
+    ),
+}
+
+
+@pytest.mark.parametrize("n", GRID_N)
+@pytest.mark.parametrize("row", sorted(SEEDED_ROWS))
+def test_seeded_rows_take_at_most_two_sweeps(sweeps_per_integral, row, n):
+    route, reference, params = SEEDED_ROWS[row]
+    for p in params:
+        for r in GRID_R:
+            sweeps_per_integral.clear()
+            res = route(n, p, r)
+            # a spectral reference carries its own error into the bound
+            want, want_err = reference(n, p, r)
+            assert abs(res.value - want) <= max(res.err_estimate + want_err, 1e-10 * abs(want))
+            # where the value cancels, the roundoff floor and not tol ends the
+            # refinement (err > tol |v|), one sweep later
+            limit = 2 if res.err_estimate <= 1e-10 * abs(res.value) else 3
+            assert max(map(len, sweeps_per_integral.values())) <= limit, (p, r)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,23 @@ def test_heat_raise_skipped_pieces_keep_the_value(n, t, phi, frozen, high, monke
     assert len(calls) == high
 
 
+@pytest.mark.parametrize(
+    "n, t, phi, frozen",
+    [
+        # 40-digit spectral sums (perfbench/make_references.py)
+        (10, 0.0011, 1.0, 8.478611376859583e-90),
+        (14, 0.001122, 1.015, 5.742663528303872e-87),
+    ],
+)
+def test_heat_raise_answers_where_a_piece_is_subnormal(n, t, phi, frozen):
+    # an image's high piece peaks at a subnormal: its K15 - G7 differences
+    # cannot fall below a relative target there, and once exhausted the panel
+    # budget; the quadrature's floor of the least normal float per unit
+    # length ends it in one sweep
+    res = sphere.heat_raise(n, t, phi)
+    assert abs(res.value - frozen) <= res.err_estimate <= 1e-9 * frozen
+
+
 # ---------------------------------------------------------------------------
 # contour
 
