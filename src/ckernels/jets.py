@@ -17,7 +17,10 @@ maps the radial kernel in dimension n to the kernel in dimension n + 2 on
 every model space.  :func:`raise_operator` iterates it k times against a
 generator that can produce jets of the base kernel at any requested order;
 each application consumes one derivative order, which is why generators take
-an explicit order argument.  :func:`raise_kernel` adds an error bound and,
+an explicit order argument.  The k steps run on the generator's coefficients
+against one weight row: on Python floats for one jet about one centre, where
+a numpy call on a row of at most 33 floats costs more than its arithmetic,
+and on numpy rows for a batch.  :func:`raise_kernel` adds an error bound and,
 near the zeros of w, sums the raised kernel's Taylor series there
 (:func:`pole_series`): D is linear, so those coefficients are one cached
 matrix, built by the steps of :func:`raise_origin_jet`, times the
@@ -153,7 +156,18 @@ def _identity_circular(s0: float, c0: float, size: int, hyperbolic: bool) -> tup
     for k in range(2, size):
         s.append((c[k - 1] + 0.0) / k)
         c.append(sign * (s[k - 1] + 0.0) / k)
-    return np.array(s[:size]), np.array(c[:size])
+    return s[:size], c[:size]
+
+
+def _weight_row(space: Space, center: float, size: int) -> list:
+    """The first ``size`` Taylor coefficients of the weight w(r) about one
+    centre, as Python floats: those of the identity jet r, or of its sin or
+    sinh (:func:`_identity_circular`), so bit for bit the Jet's."""
+    if space is Space.EUCLIDEAN:
+        return [center, 1.0, *[0.0] * (size - 2)][:size]
+    if space is Space.SPHERE:
+        return _identity_circular(math.sin(center), math.cos(center), size, False)[0]
+    return _identity_circular(math.sinh(center), math.cosh(center), size, True)[0]
 
 
 @dataclass(eq=False, slots=True)
@@ -165,13 +179,15 @@ class Jet:
     the m nodes of a quadrature sweep.  Every operation accepts either
     shape, a single jet broadcasts against a batch, and a node array of m
     values lifts to a batch of constant jets.  A single jet runs the scalar
-    recurrences with math.* leading values (so an overflow raises
-    OverflowError); a batch runs the same recurrences on all rows at once
-    with numpy's, where an overflow gives inf.  ``value``, ``derivative``
-    and evaluation are defined for a single jet only.  A batch may also
-    hold one centre a row, ``center`` then being that node array: the
-    weight and Gaussian rows :func:`raise_operator` raises at a node array,
-    which are read and never combined.
+    recurrences with math.* leading values, so a leading value that
+    overflows raises OverflowError, as does a raise of a single jet
+    (:func:`raise_operator`) whose result is not finite; a batch runs the
+    same recurrences on all rows at once with numpy's, where an overflow
+    gives inf.  ``value``, ``derivative`` and evaluation are defined for a
+    single jet only.  A batch may also hold one centre a row, ``center``
+    then being that node array: the weight and Gaussian rows
+    :func:`raise_operator` raises at a node array, which are read and never
+    combined.
     """
 
     center: float
@@ -366,7 +382,7 @@ class Jet:
             s0, c0 = math.sin(g[0]), math.cos(g[0])
         if g.size > 1 and g[1] == 1.0 and not g[2:].any():
             s, c = _identity_circular(s0, c0, g.size, hyperbolic)
-            return Jet(self.center, s), Jet(self.center, c)
+            return Jet(self.center, np.array(s)), Jet(self.center, np.array(c))
         s[0], c[0] = s0, c0
         jg = g * _IDX[: g.size]
         for k in range(1, g.size):
@@ -503,15 +519,11 @@ def weight_jet(space: Space, center, order: int) -> Jet:
             cycle = (np.sinh(center), np.cosh(center))
         rows = [cycle[j % len(cycle)] * _INV_FACTORIAL[j] for j in range(order + 1)]
         return Jet(center, np.stack(rows, axis=-1))
-    x = variable(center, order)
-    if space is Space.EUCLIDEAN:
-        return x
-    if space is Space.SPHERE:
-        return x.sin()
-    return x.sinh()
+    _check_order(order)
+    return Jet(center, np.array(_weight_row(space, float(center), order + 1)))
 
 
-# the weight jets at r = 0, which every origin raise slices
+# the weight jets at r = 0, which every batch origin raise slices
 _ORIGIN_WEIGHT = {space: weight_jet(space, 0.0, MAX_ORDER).coeffs for space in Space}
 
 
@@ -535,26 +547,64 @@ _RAISE_SCALE = -1.0 / (2.0 * math.pi)
 def _raise_k(space: Space, c: np.ndarray, k: int, center) -> np.ndarray:
     """Apply D = -(2 pi w)^(-1) d/dr k times to a jet's coefficients.
 
-    The k steps run on coefficient arrays (one row or a batch) against one
-    weight jet, built once at the order of the first derivative and sliced
-    by each step.  ``center`` is one centre, or a node array of positive
-    centres, one a row of the batch.  Away from the origin a step consumes
-    one order.  At ``center`` = 0 the weight vanishes, and so must the
-    derivative of an even kernel: one power of h cancels from both before
-    the division, so a step consumes two orders, and a derivative whose
-    leading coefficient is not exactly 0 is refused.
+    The k steps run on coefficients against one weight row, written once at
+    the order of the first derivative and sliced by each step.  One row
+    about one centre runs on Python floats (:func:`_raise_row`); a batch, of
+    rows about one centre or one centre a row (``center`` then being a node
+    array of positive centres), runs on numpy rows.  Away from the origin a
+    step consumes one order.  At ``center`` = 0 the weight vanishes, and so
+    must the derivative of an even kernel: one power of h cancels from both
+    before the division, so a step consumes two orders, and a derivative
+    whose leading coefficient is not exactly 0 is refused.
     """
     if k == 0:
         return c
     lo = 0 if isinstance(center, np.ndarray) or center != 0.0 else 1
+    if c.ndim == 1:
+        return _raise_row(space, c.tolist(), k, float(center), lo)
     w = _ORIGIN_WEIGHT[space] if lo else weight_jet(space, center, c.shape[-1] - 2).coeffs
     for _ in range(k):
         n = c.shape[-1] - 1
         d = c[..., 1:] * _IDX[1 : n + 1]
         if lo:
-            _refuse(_lead(d) != 0.0, "raising at r = 0 needs a derivative that vanishes there")
+            _refuse(_lead(d) != 0.0, _ORIGIN_REFUSAL)
         c = _divide(d[..., lo:], w[..., lo:n]) * _RAISE_SCALE + 0.0
     return c
+
+
+_ORIGIN_REFUSAL = "raising at r = 0 needs a derivative that vanishes there"
+
+
+def _raise_row(space: Space, c: list, k: int, center: float, lo: int) -> np.ndarray:
+    """The k steps of :func:`_raise_k` on one row of Python floats.
+
+    A step takes d_j = (j + 1) c_(j+1), drops d_0 = 0 and w_0 at the origin
+    (``lo`` = 1), and solves the series quotient by
+    q_i = (d_i - sum_(j=1..i) w_j q_(i-j)) / w_0, the sum taken left to
+    right, then scales by -1/(2 pi).  The weight row is written on floats
+    too, so no numpy call runs until the result.  A result that is not
+    finite raises OverflowError, as the math.* leading values of a single
+    jet do.  Checking the result suffices: a non-finite coefficient makes
+    the later ones of its step non-finite, and the last one of a step
+    stays the last one of the next.
+    """
+    w = _weight_row(space, center, len(c) - 1)[lo:]
+    w0, tail = w[0], w[1:]
+    if w0 == 0.0:
+        raise DomainError("division by a jet with vanishing value")
+    for _ in range(k):
+        if lo and c[1] != 0.0:
+            raise DomainError(_ORIGIN_REFUSAL)
+        q = []
+        for i in range(lo + 1, len(c)):
+            acc = 0.0
+            for wj, qv in zip(tail, reversed(q)):
+                acc += wj * qv
+            q.append((i * c[i] - acc) / w0)
+        c = [v * _RAISE_SCALE + 0.0 for v in q]
+    if not all(map(math.isfinite, c)):
+        raise OverflowError(f"raising {k} times at r = {center} overflows")
+    return np.array(c)
 
 
 def raise_jet(
@@ -617,8 +667,9 @@ def raise_operator(
     symmetry of the base kernel.  The sphere's antipode is refused here;
     :func:`raise_kernel` evaluates there from the jet at pi.
 
-    The k applications run on the coefficient arrays of the generator's jet
-    against one weight jet (see ``_raise_k``); no jet is built per step.
+    The k applications run on the coefficients of the generator's jet
+    against one weight row (see ``_raise_k``); no jet is built per step.
+    A single value that is not finite raises OverflowError.
 
     ``r`` may also be a node array of distances off the poles, for a
     generator that takes one (``gauss_jet``'s gives one row a centre): one

@@ -14,8 +14,10 @@ resasc)^1.5 rescaling, which can report less than the difference itself.
 The reported error is the accumulated panel differences plus a roundoff
 floor proportional to the integral of |f|, so results near the
 double-precision cancellation limit carry error estimates that reflect it
-instead of the nominal tolerance.  A scalar integrand's K15 sums, K15 - G7
-differences and integrals of |f| come from one matrix product per sweep.
+instead of the nominal tolerance, plus 15 least subnormals a panel, the
+absolute rounding of an integral of subnormal values.  A scalar integrand's
+K15 sums, K15 - G7 differences and integrals of |f| come from one matrix
+product per sweep.
 
 Integrands may return scalars or numpy arrays of a fixed shape; array mode is
 what lets Taylor-jet-valued integrands (derivatives under the integral sign)
@@ -54,6 +56,9 @@ from .errors import ContourError, ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+# below the normal range the rounding of a panel's 15 weighted values is
+# absolute, up to the least subnormal each, which no relative floor covers
+_PANEL_SUBNORMAL_ERR = 15 * 5e-324
 
 # QUADPACK qk15: the non-negative Kronrod abscissae of the rule on [-1, 1] in
 # decreasing order, of which xgk[1], xgk[3], xgk[5] and xgk[7] are the 7-point
@@ -323,8 +328,8 @@ def integrate_adaptive(
     values stacked along the leading axis; ``n_evals`` still counts nodes.
     Raises :class:`ConvergenceError`, carrying the best estimate, if the panel
     or depth budget runs out, and reports a roundoff-floor error term
-    proportional to the integral of |f| so that cancellation-limited results
-    are not overclaimed.
+    proportional to the integral of |f|, plus 15 least subnormals a panel,
+    so that cancellation-limited and subnormal results are not overclaimed.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
@@ -350,6 +355,11 @@ def integrate_adaptive(
     total_resabs = 0.0
     n_evals = 0
 
+    def reported() -> QuadResult:
+        """The estimate with the roundoff floor and subnormal rounding added."""
+        err = total_err + 30.0 * _EPS * total_resabs + _PANEL_SUBNORMAL_ERR * panels
+        return QuadResult(total_value, err, n_evals)
+
     # numpy's warnings are off for a vectorized f: an overflow is reported as
     # a non-finite value.  The floor ends subnormal noise above a target of 0
     floor = (b - a) * sys.float_info.min
@@ -372,6 +382,7 @@ def integrate_adaptive(
                 total_resabs += ra
                 heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, dep))
                 seq += 1
+            panels = len(heap)
 
             target = max(abs_tol, tol * _norm(total_value))
             excess = total_err - max(target, 100.0 * _EPS * total_resabs) - floor
@@ -379,11 +390,10 @@ def integrate_adaptive(
                 break
             room = max_panels - len(heap)
             if room <= 0:
-                best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
                 raise ConvergenceError(
                     f"panel budget {max_panels} exhausted (error {total_err:.3e}, "
                     f"target {target:.3e})",
-                    best,
+                    reported(),
                 )
             # the worst panels whose errors cover the excess, as far as the
             # panel budget allows: splitting fewer cannot reach the target.
@@ -396,9 +406,8 @@ def integrate_adaptive(
                 entry = heapq.heappop(heap)
                 _, _, lo, hi, _, err, _, depth = entry
                 if depth >= max_depth:
-                    best = QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
                     raise ConvergenceError(
-                        f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", best
+                        f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", reported()
                     )
                 split.append(entry)
                 removed += err
@@ -415,7 +424,7 @@ def integrate_adaptive(
                 his += cuts[1:]
                 depths += [depth + k for k in levels]
 
-    return QuadResult(total_value, total_err + 30.0 * _EPS * total_resabs, n_evals)
+    return reported()
 
 
 def integrate_sqrt_endpoint(

@@ -23,6 +23,7 @@ from ckernels.jets import (
     MAX_ORDER,
     Jet,
     _lower_jet,
+    _weight_row,
     gauss_jet,
     raise_jet,
     raise_operator,
@@ -518,10 +519,14 @@ def _reference_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             dots = np.matmul(b[:, None, 1 : i + 1], out[:, i - 1 :: -1, None])[:, 0, 0]
             out[:, i] = (a[:, i] - dots) / b[:, 0]
         return out
-    out = np.empty(a.size)
+    # a single row takes its sums on Python floats, left to right
+    out = []
     for i in range(a.size):
-        out[i] = (a[i] - np.dot(b[1 : i + 1], out[i - 1 :: -1][:i])) / b[0]
-    return out
+        acc = 0.0
+        for j in range(1, i + 1):
+            acc += float(b[j]) * out[i - j]
+        out.append((float(a[i]) - acc) / float(b[0]))
+    return np.array(out)
 
 
 def _reference_raise(space: Space, jet: Jet, k: int, center: float) -> Jet:
@@ -655,6 +660,38 @@ def test_origin_raise_refuses_a_derivative_that_does_not_vanish():
     for space in Space:
         with pytest.raises(DomainError), np.errstate(invalid="ignore"):
             raise_origin_jet(space, gen, 2)
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("gen", ["gauss", "poisson"])
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_single_raise_matches_the_batch_raise(space, gen, r):
+    # one jet raises on Python floats, a one-row batch of it on numpy rows;
+    # the two sum in other orders, so they agree to rounding
+    g = _generator(space, gen)
+
+    def one_row(center, order):
+        return Jet(center, g(center, order).coeffs[None, :])
+
+    for k in range(5):
+        single = raise_operator(space, g, k, r)
+        assert isinstance(single, float)
+        assert single == pytest.approx(raise_operator(space, one_row, k, r)[0], rel=1e-13, abs=0.0)
+    # the weight row on floats is the general recurrence's, bit for bit
+    for order in (0, 1, 4, MAX_ORDER):
+        want = _reference_weight(space, r, order).coeffs
+        assert np.array(_weight_row(space, r, order + 1)).tobytes() == want.tobytes()
+        assert weight_jet(space, r, order).coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space", list(Space))
+def test_single_raise_overflow_raises(space):
+    # numpy would give inf with a RuntimeWarning; a single raise refuses it
+    def gen(center, order):
+        return Jet(center, [1.0, 1e308, 1e308])
+
+    with pytest.raises(OverflowError):
+        raise_operator(space, gen, 2, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_cancellation_reports_roundoff_floor():
     assert abs(res.value) <= res.err_estimate  # zero within the stated error
 
 
+def test_subnormal_integral_is_within_its_error():
+    # the K15 sums of subnormal values round by absolute subnormal ulps: this
+    # one returns 1.5005e-320, one ulp above 1.5e-320, where a relative floor
+    # alone claimed err 0
+    res = integrate_adaptive(lambda x: 1e-320 * (1.0 + x), 0.0, 1.0, abs_tol=0.0, vectorized=True)
+    assert abs(res.value - 1.5e-320) <= res.err_estimate <= 1e-321
+
+
 def test_log_endpoint_singularity():
     res = integrate_adaptive(
         lambda x: math.log(math.sin(x)), 0.0, math.pi / 2.0, 1e-11
