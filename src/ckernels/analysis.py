@@ -62,8 +62,23 @@ def _any_n(n: int) -> bool:
 
 
 def _rank(cost: int):
-    """A row's ``auto`` rank that depends on neither n nor t."""
-    return lambda n, t: cost
+    """A row's ``auto`` rank that depends on neither n, t nor r."""
+    return lambda n, t, r: (cost, False)
+
+
+# A Gruet contour integrates exp(y^2/4t) against a kernel of size about
+# exp(-r^2/4t), so its relative rounding floor grows like exp(r^2/4t).  A scan
+# of the S^n and H^n heat contours over 1001 cells (n in {2, 3, 4, 6, 8, 11,
+# 14}, t from 1e-3 to 0.3, r from 0 to 6 on H^n and to 3.1 on S^n) at tol
+# 1e-10: none of the 378 cells with r^2/4t >= 32 met tol, claiming 1e-3 to 1e3
+# relative; 2 of the 28 in [28, 32) did, and 392 of the 455 below 8.  Past
+# r^2 = _CONTOUR_REACH t ``auto`` runs the contour only as a last resort.
+_CONTOUR_REACH = 128.0
+
+
+def _contour_rank(cost: int):
+    """A Gruet contour row's rank: last resort past r^2 = _CONTOUR_REACH t."""
+    return lambda n, t, r: (cost, r * r > _CONTOUR_REACH * t)
 
 
 def _sphere_heat(route):
@@ -81,9 +96,11 @@ _CLASSIC_MIN_T = math.pi**2 / (4.0 * math.log(sys.float_info.max))
 
 # Which representation serves which (space, kind, n).  Rows are
 # (name, dimension rule, call, rank); ``compare`` takes the rows whose rule
-# admits n.  ``rank(n, t)`` orders the rows ``auto`` tries, cheapest first
-# (measured per point on the benchmark's auto sweep), or is None where
-# ``auto`` skips the row.  A table with one ranked row, its closed form,
+# admits n.  ``rank(n, t, r)`` is None where ``auto`` skips the row, else
+# (cost, last resort): the cost orders the rows ``auto`` tries, cheapest first
+# (measured per point on the benchmark's auto sweep), and a last-resort row
+# runs after the others, and only if none of them finished (see
+# :func:`_walk`).  A table with one ranked row, its closed form,
 # gets that row's call as ``auto`` itself; the sphere and hyperbolic heat
 # kernels get the error-guarded walk of :func:`_walk`.  A call maps
 # (n, param, r, tol, convention, sigma) to a QuadResult and looks its route up
@@ -104,14 +121,14 @@ _REPRESENTATIONS = {
         # pure jets for odd n (0.2-0.6 ms), a jet-valued integral for even n
         # (5-150 ms); for n <= 2 it is the theta row itself
         ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
-         lambda n, t: None if n <= 2 else 2 if n % 2 else 4),
+         lambda n, t, r: None if n <= 2 else (2 if n % 2 else 4, False)),
         ("gruet", _any_n,
          _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
-         _rank(3)),
+         _contour_rank(3)),
         # 0.01-0.05 ms wherever it is defined
         ("spectral", lambda n: n >= 2,
          lambda n, t, r, tol, c, s: sphere.heat_spectral(n, t, r, tol, convention=c),
-         lambda n, t: 0 if t >= sphere.SPECTRAL_MIN_T else None),
+         lambda n, t, r: (0, False) if t >= sphere.SPECTRAL_MIN_T else None),
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,
@@ -122,13 +139,13 @@ _REPRESENTATIONS = {
          lambda n, t, r, tol, c, s: hyperbolic.heat_descent(n, t, r, convention=c, tol=tol),
          _rank(4)),
         ("gruet", _any_n, lambda n, t, r, tol, c, s: hyperbolic.heat_gruet(
-            n, t, r, sigma=s, convention=c, tol=tol), _rank(2)),
+            n, t, r, sigma=s, convention=c, tol=tol), _contour_rank(2)),
         # from t = 0.5 on it meets tol and costs less than gruet (0.3-0.5 ms
         # against 0.6-1 ms); below it cancels, and below _CLASSIC_MIN_T its
         # exp(pi^2/4t) overflows at the first node, so auto skips it there
         ("gruet-classic", _any_n,
          lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol),
-         lambda n, t: 1 if t >= 0.5 else 3 if t >= _CLASSIC_MIN_T else None),
+         lambda n, t, r: None if t < _CLASSIC_MIN_T else (1 if t >= 0.5 else 3, False)),
     ),
     (Space.EUCLIDEAN, "poisson"): (
         ("closed", _any_n,
@@ -173,24 +190,32 @@ _EXP_UNDERFLOW = math.sqrt(746.0)
 def _walk(space: Space, kind: str, rows: tuple):
     """``auto`` over several ranked rows: the first result that meets tol.
 
-    The rows that admit n and have a rank at t run cheapest first.  A result
-    is accepted when its error is at most max(tol |value|, abs_tol, the
-    smallest normal float), so a kernel that underflows is accepted as 0
+    The rows that admit n and have a rank at (t, r) run cheapest first.  A
+    result is accepted when its error is at most max(tol |value|, abs_tol,
+    the smallest normal float), so a kernel that underflows is accepted as 0
     with its absolute bound.  A row that raises one of _FALL_THROUGH passes
-    to the next.  If no row meets tol, the finished result with the smallest
-    error is returned; if every row raised, the first row's exception is.
+    to the next.  For a relative target (abs_tol 0) the last-resort rows run
+    after the others, and only while none of them has finished: a contour
+    whose rounding floor lies above tol then costs nothing where another row
+    answers.  An absolute target can be met whatever the relative floor, so
+    with abs_tol > 0 every row runs in cost order.  If no row meets tol, the
+    finished result with the smallest error is returned; if every row
+    raised, the first row's exception is.
     """
 
     def walk(n, param, r, tol, convention, sigma, abs_tol=0.0):
         check_query(space, n, kind, param, r)
         order = []
         for _, admits, call, rank in rows:
-            cost = rank(n, param) if admits(n) else None
-            if cost is not None:
-                order.append((cost, call))
-        order.sort(key=operator.itemgetter(0))
+            key = rank(n, param, r) if admits(n) else None
+            if key is not None:
+                cost, last = key
+                order.append((last and not abs_tol, cost, call))
+        order.sort(key=operator.itemgetter(0, 1))
         best = first = None
-        for _, call in order:
+        for last, _, call in order:
+            if last and best is not None:
+                break
             try:
                 res = call(n, param, r, tol, convention, sigma)
             except _FALL_THROUGH as exc:
@@ -267,10 +292,13 @@ def evaluate(
     ``param`` is the time t (heat) or height y (poisson).  ``rep`` of "auto"
     calls the closed form where one exists.  For the sphere and hyperbolic
     heat kernels it tries the representations cheapest first (a cost rank
-    per row that may depend on n and t) and returns the first result whose
+    per row that may depend on n, t and r) and returns the first result whose
     error is at most max(tol |value|, the smallest normal float).  A row that
     raises ConvergenceError, SingularPointError or OverflowError passes to
-    the next one.  If no row meets tol, the result with the smallest error
+    the next one.  Past r^2 = 128 t the Gruet contour runs last, and only if
+    every other row raised: it integrates exp(y^2/4t) against a kernel of
+    size exp(-r^2/4t), so its rounding floor lies above tol there.  If no
+    row meets tol, the result with the smallest error of the rows that ran
     is returned; if every row raised, the first row's exception is raised.
     The convention applies to hyperbolic and sphere heat kernels
     ("markovian" rescales to the unit-mass normalization); it is validated

@@ -473,6 +473,7 @@ def integrate_to_infinity(
     *,
     abs_tol: float | None = None,
     scale: float = 1.0,
+    breakpoints: Iterable[float] = (),
     max_depth: int = 60,
     max_panels: int = 4096,
     vectorized: bool = False,
@@ -482,8 +483,8 @@ def integrate_to_infinity(
     The map x = a + scale * u/(1-u) compactifies the half line; ``scale``
     should be of the order of the integrand's decay length so the transformed
     integrand is well resolved.  f must decay faster than x^(-2) for the
-    transformed integrand to stay bounded.  ``vectorized`` is as for
-    :func:`integrate_adaptive`.
+    transformed integrand to stay bounded.  ``breakpoints`` are given in x
+    coordinates; ``vectorized`` is as for :func:`integrate_adaptive`.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be positive, got {scale}")
@@ -504,6 +505,7 @@ def integrate_to_infinity(
         1.0,
         tol,
         abs_tol=abs_tol,
+        breakpoints=[(p - a) / (p - a + scale) for p in breakpoints if a < p < math.inf],
         max_depth=max_depth,
         max_panels=max_panels,
         vectorized=vectorized,

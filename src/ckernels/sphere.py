@@ -140,13 +140,21 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
 
     Each image m contributes
     integral_phi^pi exp(-(psi+2 pi m)^2/4t) (psi+2 pi m)
-    (sin^2(psi/2) - sin^2(phi/2))^(-1/2) dpsi with alternating sign; the
+    (sin^2(psi/2) - sin^2(phi/2))^(-1/2) dpsi with the sign (-1)^m; the
     endpoint singularity at psi = phi is removed by the x = phi + u^2
     substitution, using sin^2(psi/2) - sin^2(phi/2)
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
-    Each image integral is seeded with the fall-off points of its Gaussian
-    on [phi, pi] (:func:`gaussian_breakpoints`).  The integrand takes a
-    sweep's nodes at once.
+    At phi = 0 that leaves 1/sin(psi/2), and each image m != 0 diverges
+    logarithmically at psi = 0; only the sum of m and -m is finite there.  So
+    the images m and -m are integrated as one integrand, their Gaussians
+    summed as psi (E_+ + E_-) + c E_- expm1(-psi c/t), c = 2 pi m, which
+    vanishes at psi = 0 without cancelling.  An image whose Gaussian is not
+    negligible on [phi, pi] seeds the pair's integral with its fall-off
+    points there (:func:`gaussian_breakpoints`).  A pair with no such image
+    is left out where its bound (below) is under the images' target, and
+    that bound joins the error: the images cancel down to the kernel, so the
+    left-out pairs can matter beside it.  The integrand takes a sweep's
+    nodes at once.
     """
     check_query(_SPHERE, 2, "heat", t, phi)
     if phi == math.pi:
@@ -154,15 +162,20 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
 
-    def piece(m: int, abs_tol: float) -> QuadResult:
-        off = 2.0 * math.pi * m
+    def piece(m: int, seeded: tuple, abs_tol: float) -> QuadResult:
+        """The integral of the image m = 0, or of the pair m, -m."""
+        c = 2.0 * math.pi * m
 
         def f_regular(psi: np.ndarray) -> np.ndarray:
             d = psi - phi
             # psi rounds to phi at the nodes nearest the endpoint
             ratio = np.where(d == 0.0, 2.0, d / np.sin(0.5 * d))
-            arg = psi + off
-            return arg * np.exp(-arg * arg * inv4t) * np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
+            if m == 0:
+                gauss = psi * np.exp(-psi * psi * inv4t)
+            else:
+                above, below = np.exp(-(psi + c) ** 2 * inv4t), np.exp(-(psi - c) ** 2 * inv4t)
+                gauss = psi * (above + below) + c * below * np.expm1(-4.0 * inv4t * psi * c)
+            return gauss * np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
 
         return integrate_sqrt_endpoint(
             f_regular,
@@ -170,27 +183,40 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
             math.pi,
             tol * 0.3,
             abs_tol=abs_tol,
-            breakpoints=gaussian_breakpoints(-off, t, phi, math.pi),
+            breakpoints=[
+                x for k in seeded for x in gaussian_breakpoints(-2.0 * math.pi * k, t, phi, math.pi)
+            ],
             vectorized=True,
         )
 
-    head = piece(0, 0.0)
+    head = piece(0, (0,), 0.0)
     value = head.value
     err = head.err_estimate
     evals = head.n_evals
     scale_tol = tol * 0.3 * abs(head.value)
-    for m in _image_range(t, phi, tol):
-        if m == 0:
-            continue
-        # skip images whose Gaussian factor is negligible on [phi, pi]
+
+    def matters(m: int) -> bool:
+        """Whether image m != 0's Gaussian factor is not negligible on [phi, pi]."""
         low = min(abs(phi + 2.0 * math.pi * m), abs(math.pi + 2.0 * math.pi * m))
-        if phi + 2.0 * math.pi * m < 0.0 < math.pi + 2.0 * math.pi * m:
-            low = 0.0
-        if math.exp(-low * low * inv4t) * (abs(low) + math.pi) < scale_tol:
-            continue
-        sign = -1.0 if m % 2 else 1.0
-        res = piece(m, scale_tol)
-        value += sign * res.value
+        return math.exp(-low * low * inv4t) * (abs(low) + math.pi) >= scale_tol
+
+    for m in range(1, _image_range(t, phi, tol).stop):
+        seeded = tuple(k for k in (m, -m) if matters(k))
+        if not seeded:
+            # the pair's Gaussians are g(c + psi) - g(c - psi), g(x) = x e^(-x^2/4t),
+            # at most 2 psi max |g'| on [c - pi, c + pi]; psi over the root is
+            # at most pi psi / sqrt(psi^2 - phi^2), whose integral is under pi^2
+            c = 2.0 * math.pi * m
+            bound = (
+                2.0 * math.pi**2
+                * (1.0 + (c + math.pi) ** 2 * 2.0 * inv4t)
+                * math.exp(-((c - math.pi) ** 2) * inv4t)
+            )
+            if bound < scale_tol:
+                err += bound
+                continue
+        res = piece(m, seeded, scale_tol)
+        value += (-1.0 if m % 2 else 1.0) * res.value
         err += res.err_estimate
         evals += res.n_evals
     return QuadResult(value * amp, err * amp, evals)

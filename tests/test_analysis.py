@@ -75,9 +75,15 @@ def test_evaluate_dispatches_to_closed_forms():
     assert got == sphere.heat_theta2(0.7, 1.1).value
 
 
-def _auto_order(space, kind, n, t):
-    """The rows ``auto`` tries at time or height t, cheapest first, written out
-    independently of the table."""
+def _contour_last(space, kind, t, r):
+    """Whether ``auto`` runs the Gruet contour as a last resort: past
+    r^2 = 128 t, where its rounding floor exp(r^2/4t) lies above tol."""
+    return kind == "heat" and space is not Space.EUCLIDEAN and r * r > 128.0 * t
+
+
+def _auto_order(space, kind, n, t, r):
+    """The rows ``auto`` tries at time or height t and distance r, cheapest
+    first, written out independently of the table."""
     if kind == "poisson" or space is Space.EUCLIDEAN:
         return ["closed"]
     if space is Space.SPHERE:
@@ -85,15 +91,20 @@ def _auto_order(space, kind, n, t):
         order += ["theta"] if n <= 3 else []
         order += ["raise"] if n % 2 == 1 and n >= 3 else []
         order += ["gruet"]
-        return order + (["raise"] if n % 2 == 0 and n >= 4 else [])
-    order = ["raise"] if n % 2 == 1 else []
-    if t >= 0.5:
-        order += ["gruet-classic", "gruet"]
+        order += ["raise"] if n % 2 == 0 and n >= 4 else []
     else:
-        # gruet-classic's exp(pi^2/4t) overflows below pi^2/(4 ln DBL_MAX)
-        overflows = t < math.pi**2 / (4.0 * math.log(sys.float_info.max))
-        order += ["gruet"] if overflows else ["gruet", "gruet-classic"]
-    return order + ([] if n % 2 == 1 else ["descent"])
+        order = ["raise"] if n % 2 == 1 else []
+        if t >= 0.5:
+            order += ["gruet-classic", "gruet"]
+        else:
+            # gruet-classic's exp(pi^2/4t) overflows below pi^2/(4 ln DBL_MAX)
+            overflows = t < math.pi**2 / (4.0 * math.log(sys.float_info.max))
+            order += ["gruet"] if overflows else ["gruet", "gruet-classic"]
+        order += [] if n % 2 == 1 else ["descent"]
+    if _contour_last(space, kind, t, r):
+        order.remove("gruet")
+        order.append("gruet")
+    return order
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -106,7 +117,7 @@ def test_evaluate_auto_matches_named_route(space, kind, n):
     r = 1.5
     for param in (0.05, 0.8):
         auto = analysis.evaluate(space, n, kind, param, r)
-        for rep in _auto_order(space, kind, n, param):
+        for rep in _auto_order(space, kind, n, param, r):
             named = analysis.evaluate(space, n, kind, param, r, rep=rep)
             if named.err_estimate <= quadrature.DEFAULT_TOL * abs(named.value):
                 break
@@ -141,13 +152,9 @@ def _meets(res, tol):
     return res.err_estimate <= max(tol * abs(res.value), sys.float_info.min)
 
 
-@pytest.mark.parametrize("space", [Space.SPHERE, Space.HYPERBOLIC])
-def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypatch):
-    # auto tries the rows in _auto_order and returns one row's own result:
-    # the first that meets tol, else the smallest err of the rows that
-    # finished; if every row raised, the first row's exception
-    tol = 1e-10
-    log = []
+def _recording_walk(space, log):
+    """The heat walk of ``space``, each row appending (name, its result or
+    exception) to ``log``."""
 
     def recorded(name, call):
         def wrapped(*args):
@@ -161,12 +168,22 @@ def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypa
 
         return wrapped
 
-    key = (space, "heat")
     rows = tuple(
         (name, admits, recorded(name, call), rank)
-        for name, admits, call, rank in analysis._REPRESENTATIONS[key]
+        for name, admits, call, rank in analysis._REPRESENTATIONS[(space, "heat")]
     )
-    monkeypatch.setitem(analysis._AUTO, key, analysis._walk(space, "heat", rows))
+    return analysis._walk(space, "heat", rows)
+
+
+@pytest.mark.parametrize("space", [Space.SPHERE, Space.HYPERBOLIC])
+def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypatch):
+    # auto tries the rows in _auto_order and returns one row's own result:
+    # the first that meets tol, else the smallest err of the rows that
+    # finished; if every row raised, the first row's exception.  A last-resort
+    # contour runs only if no earlier row finished
+    tol = 1e-10
+    log = []
+    monkeypatch.setitem(analysis._AUTO, (space, "heat"), _recording_walk(space, log))
     far = 3.1 if space is Space.SPHERE else 50.0
     for n in range(1, 16):
         for t in (1e-3, 0.05, 0.8, 10.0, 100.0):
@@ -179,7 +196,11 @@ def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypa
                     res = exc
                 names = [name for name, _ in log]
                 finished = [out for _, out in log if not isinstance(out, Exception)]
-                order = _auto_order(space, "heat", n, t)
+                order = _auto_order(space, "heat", n, t, r)
+                if _contour_last(space, "heat", t, r) and any(
+                    not isinstance(out, Exception) for name, out in log if name != "gruet"
+                ):
+                    order.remove("gruet")
                 where = (n, t, r, convention, names)
                 assert names == order[: len(names)], where
                 if isinstance(res, Exception):
@@ -192,6 +213,50 @@ def test_auto_walk_returns_first_row_meeting_tol_or_smallest_err(space, monkeypa
                     assert not any(_meets(out, tol) for out in finished), where
                     assert any(res is out for out in finished), where
                     assert res.err_estimate == min(out.err_estimate for out in finished), where
+
+
+@pytest.mark.parametrize(
+    "space, n, t, r, answer",
+    [
+        # the contours claim 3e2 and 4e3 relative here; before the reach
+        # they ran first and their results were thrown away
+        (Space.HYPERBOLIC, 6, 0.001029, 0.8735, "descent"),
+        (Space.SPHERE, 8, 0.001073, 1.137, "raise"),
+    ],
+)
+def test_auto_skips_the_contour_past_its_reach(space, n, t, r, answer, monkeypatch):
+    log = []
+    monkeypatch.setitem(analysis._AUTO, (space, "heat"), _recording_walk(space, log))
+    auto = analysis.evaluate(space, n, "heat", t, r)
+    names = [name for name, _ in log]
+    assert "gruet" not in names and names[-1] == answer and auto is log[-1][1]
+    named = analysis.evaluate(space, n, "heat", t, r, rep=answer)
+    assert (auto.value, auto.err_estimate) == (named.value, named.err_estimate)
+
+
+def test_auto_tries_the_contour_where_every_other_row_raises(monkeypatch):
+    # H^3 (1, 800): every row overflows; the contour still runs, last, and
+    # the first row's exception is the one raised
+    log = []
+    space = Space.HYPERBOLIC
+    monkeypatch.setitem(analysis._AUTO, (space, "heat"), _recording_walk(space, log))
+    with pytest.raises(OverflowError) as caught:
+        analysis.evaluate(space, 3, "heat", 1.0, 800.0)
+    assert [name for name, _ in log] == ["raise", "gruet-classic", "gruet"]
+    assert caught.value is log[0][1]
+
+
+def test_walk_to_an_absolute_target_keeps_the_cost_order():
+    # a contour with a large relative floor can still meet an absolute
+    # target, so the S^n subordinate fallback tries it in its cost order:
+    # here it claims 7.8e-13, which meets 1e-9 but not 1e-14
+    log = []
+    walk = _recording_walk(Space.SPHERE, log)
+    args = (8, 0.001073, 1.137, 1e-10, "paper", None)
+    for abs_tol, names in ((1e-9, ["gruet"]), (1e-14, ["gruet", "raise"]), (0.0, ["raise"])):
+        log.clear()
+        res = walk(*args, abs_tol)
+        assert [name for name, _ in log] == names and res is log[-1][1], abs_tol
 
 
 def test_evaluate_conventions():

@@ -243,6 +243,14 @@ def test_eval_spectral_rep(runner):
     assert res.stdout == ""
 
 
+def test_eval_theta_at_the_pole(runner):
+    # the S^2 image integrals are paired, so phi = 0 converges at t >= 0.5
+    res = invoke(runner, ["eval", "--space", "sphere", "--dim", "2", "--t", "0.9",
+                          "--r", "0", "--rep", "theta"])
+    assert res.exit_code == 0
+    assert "rep=theta" in res.stdout
+
+
 # ----------------------------------------------------------------------------
 # eval: convergence failure (exit code 4)
 

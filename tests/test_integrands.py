@@ -436,11 +436,12 @@ def test_seeded_jet_integrals_take_at_most_three_sweeps(sweeps_per_integral, rou
 
 def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
     # every Gaussian underflows to 0 on [2, pi] at t = 0.001: each image
-    # integral is one panel, 15 evaluations, as without seeds
+    # integral (m = 0 and the pairs m = +-1, +-2) is one panel, 15
+    # evaluations, as without seeds
     res = sphere.heat_theta2(0.001, 2.0)
     assert res.value == 0.0
     assert all(s == [1] for s in sweeps_per_integral.values())
-    assert res.n_evals == 15 * len(sweeps_per_integral) == 75
+    assert res.n_evals == 15 * len(sweeps_per_integral) == 45
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +479,17 @@ def test_descent_takes_one_sweep(monkeypatch):
     res = euclid.heat_descent(3, 0.8, 1.5)
     assert calls == [90]
     assert res.n_evals == 90
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
+@pytest.mark.parametrize("y, r", [(0.83, 0.0), (0.9, 1.04), (0.87, 2.8)])
+def test_poisson_descent_tail_takes_one_sweep(sweeps_per_integral, n, y, r):
+    # the tail on [split, infinity) is seeded where s doubles; unseeded it
+    # took two sweeps, one panel and then 4, at n = 9 and 14
+    res = euclid.poisson_descent(n, y, r)
+    *_, tail = sweeps_per_integral.values()
+    assert len(tail) == 1
+    assert abs(res.value - euclid.poisson_closed(n, y, r)) <= max(res.err_estimate, 1e-15)
 
 
 # every seeded float row on one grid, within its error of a reference, in at

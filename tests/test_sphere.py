@@ -114,6 +114,18 @@ def test_theta_error_estimates_are_honest():
         assert abs(res.value - frozen) <= max(10.0 * res.err_estimate, 1e-14)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.9, 9.0])
+def test_theta2_at_the_pole_for_large_t(t):
+    # at phi = 0 each image m != 0 diverges logarithmically at psi = 0 and
+    # only the pair m, -m is finite; integrated one by one they ran out of
+    # bisection depth from t = 0.5 on
+    res = sphere.heat_theta2(t, 0.0)
+    ref = sphere.heat_spectral(2, t, 0.0, 1e-13)
+    assert abs(res.value - ref.value) <= (
+        max(res.err_estimate, 1e-10 * abs(ref.value)) + ref.err_estimate
+    )
+
+
 def test_theta_dispatch():
     assert sphere.heat_theta(1, 0.5, 1.0).value == sphere.heat_theta1(0.5, 1.0).value
     assert sphere.heat_theta(3, 0.5, 1.0).value == sphere.heat_theta3(0.5, 1.0).value
