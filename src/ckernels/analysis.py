@@ -118,8 +118,9 @@ _REPRESENTATIONS = {
     (Space.SPHERE, "heat"): (
         ("theta", lambda n: n <= 3,
          _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)), _rank(1)),
-        # pure jets for odd n (0.2-0.6 ms), a jet-valued integral for even n
-        # (5-150 ms); for n <= 2 it is the theta row itself
+        # pure jets for odd n (0.2-0.6 ms), a float integral over a batched
+        # raise for even n (0.5-3.4 ms, a refusal up to 25 ms; best of 5 on
+        # n = 4..14, t = 1e-3..9); for n <= 2 it is the theta row itself
         ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
          lambda n, t, r: None if n <= 2 else (2 if n % 2 else 4, False)),
         ("gruet", _any_n,
@@ -661,23 +662,20 @@ def _kernel_jet(
         if space is Space.EUCLIDEAN:
             return gauss_jet(param, n)
         factor = convention_factor(space, convention, n, param)
-        odd = n % 2 == 1
-        if space is Space.HYPERBOLIC and not odd:
-            # descent gives values only; the jet is lowered from those of
-            # H_n, H_(n+2), ..., H_(n+2 order) at the centre
+        if n % 2 == 0:
+            # even H^n descent and S^n raise give values only: the jet is
+            # lowered from K_n, K_(n+2), ... at the centre, at DEFAULT_TOL or
+            # looser, below which S^8 raise refuses on its rounding at t = 1
+            row = hyperbolic.heat_descent if space is Space.HYPERBOLIC else sphere.heat_raise
+            row_tol = max(tol, DEFAULT_TOL)
 
             def lowered(center: float, order: int) -> Jet:
-                values = [
-                    hyperbolic.heat_descent(n + 2 * j, param, center, tol=inner).value
-                    for j in range(order + 1)
-                ]
+                ns = range(n, n + 2 * order + 1, 2)
+                values = [row(m, param, center, tol=row_tol).value for m in ns]
                 return _lower_jet(space, values, center) * factor
 
             return lowered
-        if space is Space.SPHERE:
-            base = sphere._theta1_jet(param, inner) if odd else sphere._theta2_jet(param, inner, [])
-        else:
-            base = gauss_jet(param)
+        base = sphere._theta1_jet(param, inner) if space is Space.SPHERE else gauss_jet(param)
         k = (n - 1) // 2
         return lambda center, order: raise_jet(space, base, k, center, order) * factor
 
@@ -797,9 +795,10 @@ def compare(
 ) -> ValidationReport:
     """Evaluate the chosen representations on a grid and cross-compare.
 
-    Points a representation refuses (singular points, domain limits)
-    are recorded as NaN and skipped in the pairwise comparison; an unknown
-    representation name or convention raises DomainError.
+    Points a representation refuses (singular points, domain limits, a
+    quadrature that misses its target) are recorded as NaN and skipped in
+    the pairwise comparison; an unknown representation name or convention
+    raises DomainError.
     """
     if reps is None:
         reps = [name for name, admits, _, _ in _rows(space, kind) if admits(n)]
@@ -823,7 +822,7 @@ def compare(
                     )
                     row.append(float(res.value))
                     erow.append(res.err_estimate)
-                except (SingularPointError, DomainError):
+                except (DomainError, ConvergenceError):
                     row.append(math.nan)
                     erow.append(math.nan)
             grid.append(row)

@@ -111,13 +111,13 @@ def heat_descent(
     if s_top > 710.0:
         raise OverflowError("sinh s overflows before the Gaussian underflows")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
-    kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, rho, tol)
+    kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, tol)
 
     def f_regular(s: np.ndarray) -> np.ndarray:
         d = s - rho
         # s rounds to rho at the nodes nearest the endpoint
         ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
-        return kernel(s) * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
+        return kernel(s)[0] * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
 
     seeds = gaussian_breakpoints(0.0, t, rho, s_top)
     res = integrate_sqrt_endpoint(

@@ -5,9 +5,8 @@ c_0 + c_1 h + ... + c_K h^K approximating f(center + h).  All arithmetic and
 elementary functions propagate these coefficients exactly (in floating point)
 through O(K^2) recurrences, so K nested derivatives of any composite
 expression cost one jet evaluation instead of K finite-difference stencils.
-A jet may also carry a batch of m coefficient rows about one centre, so a
-jet-valued integrand runs one jet program for all nodes of a quadrature
-sweep.
+A jet may also carry a batch of m coefficient rows, one a node of a
+quadrature sweep.
 
 The raising operator
 
@@ -442,16 +441,6 @@ class Jet:
             out.append(acc / (k * g0))
         return Jet(self.center, np.array(out))
 
-    def arcsin(self) -> "Jet":
-        c0 = _lead(self.coeffs)
-        _refuse(~(abs(c0) < 1.0), "arcsin requires a jet value in (-1, 1)")
-        lead = _at(c0, math.asin, np.arcsin)
-        if self.order == 0:
-            return Jet(self.center, np.expand_dims(lead, -1))
-        short = self.truncate(self.order - 1)
-        body = self.deriv() / (1.0 - short * short).sqrt()
-        return body.antideriv(lead)
-
 
 def variable(center: float, order: int) -> Jet:
     """The identity function r as a jet about ``center``."""
@@ -721,7 +710,8 @@ def _origin_map(space: Space, k: int, extra: int) -> tuple:
 
 
 def pole_series(
-    space: Space, generator: RadialGenerator, k: int, pole: float, reach: float, tol: float
+    space: Space, generator: RadialGenerator, k: int, pole: float, reach: float, tol: float,
+    rounding: RadialGenerator | None = None,
 ) -> tuple:
     """The k-raised kernel at distance h <= ``reach`` from ``pole`` (0, or pi
     on the sphere) is sum_j b_j h^2j within sum_j e_j h^2j: (b, e).
@@ -731,17 +721,23 @@ def pole_series(
     (-1)^k at pi (sin(pi + h) = -sin h).  K is 0 at reach 0, all MAX_ORDER
     leaves at 2 reach >= 1, else the least even K >= 4 with
     (2 reach)^(K-2) <= tol, or all the leaves if that misses tol.  e is the
-    last two terms plus the rounding (2k + K) eps |M| |c|.
+    last two terms plus the rounding (2k + K) eps |M| |c|, with |c| + r for
+    |c| if a generator of rows r >= 0 is passed as ``rounding``: a sum that
+    cancels rounds to eps r, not eps |c|.
     """
     cap = MAX_ORDER - 2 * k
     if reach > 0.0 and cap < 4:
         raise SingularPointError(f"{k} raises leave {cap} of {MAX_ORDER} jet orders for the pole")
 
     def series(extra: int) -> tuple:
-        c = _generate(generator, pole, 2 * k + extra).coeffs[..., : 2 * k + extra + 1 : 2]
+        even = slice(0, 2 * k + extra + 1, 2)
+        c = _generate(generator, pole, 2 * k + extra).coeffs[..., even]
+        scale = np.abs(c)
+        if rounding is not None:
+            scale += _generate(rounding, pole, 2 * k + extra).coeffs[..., even]
         m, mag = _origin_map(space, k, extra)
         b = c @ m.T
-        e = (2 * k + extra) * _EPS * (np.abs(c) @ mag.T)
+        e = (2 * k + extra) * _EPS * (scale @ mag.T)
         if extra:
             e[..., -2:] += np.abs(b[..., -2:])
         return (-1.0 if pole and k % 2 else 1.0) * b, e
@@ -782,24 +778,35 @@ def raise_kernel(
     return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
 
 
-def _raised_at_nodes(space: Space, gen: RadialGenerator, k: int, r: float, tol: float):
-    """The k-raised kernel at the nodes s >= r of a sweep.  As in
-    :func:`raise_kernel`, one :func:`pole_series` (its err is not added)
-    serves the nodes within POLE_REACH of 0, and those out to SERIES_REACH
-    where its bound meets tol; one :func:`raise_operator` on the node array
-    raises at every other node."""
-    b, e = pole_series(space, gen, k, 0.0, SERIES_REACH, tol) if r < SERIES_REACH else (None, None)
+def _raised_at_nodes(
+    space: Space, gen: RadialGenerator, k: int, tol: float, rounding: RadialGenerator | None = None
+):
+    """``kernel(s)``: the k-raised kernel at the nodes s of a sweep, and the
+    series' bound there (0 at a direct node).  As in :func:`raise_kernel`, a
+    :func:`pole_series` (with ``rounding``), formed once a node comes within
+    SERIES_REACH of its pole (0, and pi on the sphere), serves the nodes
+    within POLE_REACH and those out to SERIES_REACH where its bound meets
+    tol; one :func:`raise_operator` on the node array raises at the others."""
+    poles = (0.0, math.pi) if space is Space.SPHERE else (0.0,)
+    series = {}
 
-    def kernel(s: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
-        direct = s >= SERIES_REACH
-        if b is not None:
-            near = ~direct
-            powers = np.power.outer(s[near] ** 2, np.arange(b.size))
-            out[near] = value = powers @ b
-            direct[near] = (s[near] >= POLE_REACH) & ~(powers @ e <= tol * np.abs(value))
+    def kernel(s: np.ndarray) -> tuple:
+        out, err = np.empty_like(s), np.zeros_like(s)
+        direct = np.ones(s.shape, dtype=bool)
+        for pole in poles:
+            h = np.abs(s - pole)
+            near = h < SERIES_REACH
+            if not near.any():
+                continue
+            if pole not in series:
+                series[pole] = pole_series(space, gen, k, pole, SERIES_REACH, tol, rounding)
+            b, e = series[pole]
+            powers = np.power.outer(h[near] ** 2, np.arange(b.size))
+            out[near], err[near] = value, bound = powers @ b, powers @ e
+            direct[near] = (h[near] >= POLE_REACH) & ~(bound <= tol * np.abs(value))
         if direct.any():
             out[direct] = raise_operator(space, gen, k, s[direct])
-        return out
+            err[direct] = 0.0
+        return out, err
 
     return kernel

@@ -19,13 +19,11 @@ absolute rounding of an integral of subnormal values.  A scalar integrand's
 K15 sums, K15 - G7 differences and integrals of |f| come from one matrix
 product per sweep.
 
-Integrands may return scalars or numpy arrays of a fixed shape; array mode is
-what lets Taylor-jet-valued integrands (derivatives under the integral sign)
-be integrated in a single adaptive pass, with the error measured in the
-max norm across components.  With ``vectorized=True`` the integrand is called
-once per sweep on the array of the 15 nodes of each of its panels and
-returns the values stacked along the leading axis, which lets a batch of
-jets carry a whole sweep.
+Integrands may return scalars or numpy arrays of a fixed shape ((value,
+error) pairs, say), the error measured in the max norm across components.
+With ``vectorized=True`` the integrand is called once per sweep on the
+array of the 15 nodes of each of its panels and returns the values stacked
+along the leading axis, so one batched raise can carry a whole sweep.
 
 Three transforms cover the singular and unbounded shapes that arise in the
 kernel formulas: an inverse-square-root endpoint factor (substitute
@@ -116,24 +114,6 @@ class QuadResult:
     def scaled(self, factor: float) -> "QuadResult":
         """The result of multiplying the integrand by a constant."""
         return QuadResult(self.value * factor, self.err_estimate * abs(factor), self.n_evals)
-
-
-def even_extrapolate(f, x: float, reach: float) -> QuadResult:
-    """Evaluate an even function near its symmetry point by quadratic fit.
-
-    ``f`` maps a coordinate to a QuadResult; within ``reach`` the fit is
-    linear in x^2 through 2 and 4 times the reach, exact for even
-    quadratics, with the spread between the two samples folded into the
-    error estimate.
-    """
-    if x >= reach:
-        return f(x)
-    x1, x2 = 2.0 * reach, 4.0 * reach
-    r1, r2 = f(x1), f(x2)
-    slope = (r2.value - r1.value) / (x2 * x2 - x1 * x1)
-    value = r1.value + (x * x - x1 * x1) * slope
-    err = r1.err_estimate + r2.err_estimate + 0.05 * abs(r2.value - r1.value)
-    return QuadResult(value, err, r1.n_evals + r2.n_evals)
 
 
 @dataclass(frozen=True)

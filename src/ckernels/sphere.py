@@ -6,8 +6,8 @@ Heat kernels come in five representations:
   inverse-square-root wrapped integral on the 2-sphere (n = 2), and the
   explicit image sum with the 1/sin(phi) Jacobian on the 3-sphere.
 * raising: (n-1)/2 or (n-2)/2 applications of D = -(2 pi sin phi)^(-1) d/dphi
-  to the circle or 2-sphere series, with the angular derivatives carried by
-  truncated jets (including jets of the wrapped integral itself).
+  to the circle's image sum, or under the 2-sphere's integral at its nodes,
+  with the angular derivatives carried by truncated jets.
 * contour: a vertical-line integral against exp(y^2/4t) sinh y
   (cosh y - cos phi)^(-(n+1)/2); for even n the half-integer power needs the
   analytic branch, tracked by an explicit sign on successive cut crossings.
@@ -33,15 +33,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import ConvergenceError, DomainError, SingularPointError
 from .geometry import Space, check_positive, check_query, convention_exponent
-from .jets import _INV_FACTORIAL, POLE_REACH, Jet, RadialGenerator, _gauss_coeffs, raise_kernel
-from .jets import raise_operator, variable
+from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _divide, _gauss_coeffs, _raised_at_nodes
+from .jets import raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     contour_spec,
-    even_extrapolate,
     gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
@@ -128,11 +127,6 @@ def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
         4.0 * math.pi * t
     ) ** -1.5
     return QuadResult(value, tail + floor, 0)
-
-
-def _half_sine_sq(x: float) -> float:
-    s = math.sin(0.5 * x)
-    return s * s
 
 
 def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -222,105 +216,6 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     return QuadResult(value * amp, err * amp, evals)
 
 
-def _theta2_jet(t: float, tol: float, evals: list) -> RadialGenerator:
-    """Jets of the wrapped inverse-square-root integral.
-
-    Differentiation under the integral sign is only legitimate once every
-    moving endpoint is removed, so each image integral is split at a fixed
-    interior level z* of z = sin^2(psi/2) - sin^2(phi/2).  Below z* the
-    z-substituted integrand has constant limits [0, z*] and is expanded in
-    jets through psi(z) = 2 arcsin(sqrt(sin^2(phi/2) + z)).  Above z* the
-    psi-range [psi_up(phi), pi] still moves with phi, so it is mapped to the
-    fixed interval s in [0, 1] with the endpoint psi_up carried as a jet.
-    Each of the two integrals is seeded with the fall-off points of the
-    image's Gaussian on its own psi-range (:func:`gaussian_breakpoints`),
-    mapped to z and to s.  Both integrands run once per quadrature sweep, on
-    a batch of jets.  A piece whose Gaussian factor underflows to 0 on all
-    of its psi-range adds exact zeros and is skipped.
-    """
-    amp = (4.0 * math.pi * t) ** -1.5
-    inv4t = 0.25 / t
-
-    def gen(center: float, order: int) -> Jet:
-        if not 0.0 < center < math.pi:
-            raise SingularPointError("wrapped-integral jets need an interior angle")
-        x = variable(center, order)
-        sin_half = (x * 0.5).sin()
-        q_base = sin_half * sin_half
-        z_star = 0.5 * (1.0 - _half_sine_sq(center))  # half of cos^2(phi/2)
-        psi_up = (q_base + z_star).sqrt().arcsin() * 2.0
-        span = math.pi - psi_up
-        up = float(psi_up.coeffs[0])  # psi_up at the centre, for the seeds
-        count = 0
-        zero = np.zeros(order + 1)
-        total = Jet(center, zero)
-        for m in _image_range(t, center, tol):
-            off = 2.0 * math.pi * m
-            # exp underflows to exactly 0 below -745.14, so a piece whose
-            # psi-range keeps (psi + off)^2/4t above 746 has only zero nodes
-            # and adds an exact zero; neither range holds psi = -off
-            low_on = min(abs(center + off), abs(up + off)) ** 2 * inv4t <= 746.0
-            high_on = min(abs(up + off), abs(math.pi + off)) ** 2 * inv4t <= 746.0
-            if not (low_on or high_on):
-                continue
-            sign = -1.0 if m % 2 else 1.0
-
-            def g_of(psi_jet):
-                arg = psi_jet + off
-                return arg * (arg * arg * (-inv4t)).exp()
-
-            def low_body(z: np.ndarray):
-                q = q_base + z
-                psi_jet = q.sqrt().arcsin() * 2.0
-                dens = (q * (1.0 - q)).sqrt()
-                return (g_of(psi_jet) / dens).coeffs
-
-            def high_body(s: np.ndarray):
-                psi_jet = psi_up + span * s
-                half = (psi_jet * 0.5).sin()
-                base = half * half - q_base
-                return (g_of(psi_jet) * base.power(-0.5) * span).coeffs
-
-            value = zero
-            if low_on:
-                low_seeds = [
-                    math.sin(0.5 * (psi + center)) * math.sin(0.5 * (psi - center))
-                    for psi in gaussian_breakpoints(-off, t, center, up)
-                ]
-                res = integrate_sqrt_endpoint(
-                    low_body,
-                    0.0,
-                    z_star,
-                    tol * 0.2,
-                    abs_tol=0.0,
-                    breakpoints=low_seeds,
-                    vectorized=True,
-                )
-                count += res.n_evals
-                value = res.value
-            if high_on:
-                high_seeds = [
-                    (psi - up) / (math.pi - up)
-                    for psi in gaussian_breakpoints(-off, t, up, math.pi)
-                ]
-                res = integrate_adaptive(
-                    high_body,
-                    0.0,
-                    1.0,
-                    tol * 0.2,
-                    abs_tol=0.0,
-                    breakpoints=high_seeds,
-                    vectorized=True,
-                )
-                count += res.n_evals
-                value = value + res.value
-            total = total + sign * Jet(center, value)
-        evals.append(count)
-        return total * amp
-
-    return gen
-
-
 def heat_theta(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Theta-series heat kernel; available for n in {1, 2, 3}."""
     if n == 1:
@@ -336,13 +231,55 @@ def heat_theta(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 # raising
 
 
+def _wrapped_jet(t: float, tol: float, magnitude: bool = False) -> RadialGenerator:
+    """Jets of Psi = F/sin(psi/2), F the signed image sum of :func:`heat_theta2`,
+    sum_m (-1)^m (psi + 2 pi m) exp(-(psi + 2 pi m)^2/4t): :func:`_gauss_coeffs`
+    at the image centres times (c + h), summed, over the rows of sin((c + h)/2)
+    (period 4, scaled by 2^-j/j!), shifted where both lead with 0 at c = 0.  A
+    node array of centres gives one row a centre.  With ``magnitude`` the rows
+    are sum_m |row_m| over the same divisor, positive at both poles (those of
+    h/sin(h/2) and 1/cos(h/2)): their eps multiple bounds Psi's rounding."""
+    u = 0.25 / t
+    images = _image_range(t, math.pi, tol)
+    ms = np.arange(images.start, images.stop)
+    offsets, signs = 2.0 * math.pi * ms, np.where(ms % 2, -1.0, 1.0)
+
+    def gen(center, order: int) -> Jet:
+        shift = 0 if isinstance(center, np.ndarray) or center != 0.0 else 1
+        images = np.add.outer(center, offsets)
+        g = _gauss_coeffs(u, images, 1.0, order + shift)
+        rows = g * images[..., None]
+        rows[..., 1:] += g[..., :-1]
+        f = np.abs(rows).sum(axis=-2) if magnitude else signs @ rows
+        sin, cos = np.sin(0.5 * center), np.cos(0.5 * center)
+        cycle = (sin, cos, -sin, -cos)
+        half = [cycle[j % 4] * 0.5**j / math.factorial(j) for j in range(shift, order + 1 + shift)]
+        return Jet(center, _divide(f[..., shift:], np.stack(np.broadcast_arrays(*half), axis=-1)))
+
+    return gen
+
+
 def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Sphere heat kernel through the dimension-raising recursion.
 
     Odd n raises the circle's image sum by :func:`raise_kernel` and claims
     tol |v|, far above the sum's truncation, or the pole series' larger bound.
-    Even n raises the 2-sphere's wrapped integral, whose jets refuse the
-    poles: within POLE_REACH of one it extrapolates evenly from outside.
+    Even n = 2 + 2k raises under :func:`heat_theta2`'s integral, whose limits
+    cos(psi/2) = cos(phi/2) sin(theta) fixes: with D = (2 pi)^-1 d/dx in
+    x = cos phi and Psi (:func:`_wrapped_jet`) even about both poles,
+
+        K_n(phi) = 2 (4 pi t)^(-3/2) integral_0^(pi/2) sin^(2k)(theta)
+                   (D^k Psi)(psi(theta)) dtheta,
+
+    psi/2 the arctangent of hypot(sin(phi/2), cos(phi/2) cos theta) over
+    cos(phi/2) sin theta.  D^k Psi takes a sweep's nodes from
+    :func:`_raised_at_nodes`.  The integral starts where psi = sqrt(4t 746)
+    puts every image's Gaussian at exactly 0 (it is 0 if that is at most
+    phi), seeded at the m = 0 Gaussian's fall-off points.  The quadrature
+    cannot see an error that a pole series carries smoothly (next to the
+    antipode, where the images cancel at large t), so for each pole the err
+    adds its largest weighted bound, Psi's rounding included, times the
+    span of the nodes it served; where that exceeds the value, it refuses.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if n == 1:
@@ -353,14 +290,40 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
         res = raise_kernel(_SPHERE, _theta1_jet(t, tol), (n - 1) // 2, phi, tol)
         return QuadResult(res.value, max(tol * abs(res.value), res.err_estimate), 0)
     k = (n - 2) // 2
+    top = math.sqrt(4.0 * t * 746.0)
+    if top <= phi:
+        return QuadResult(0.0, 0.0, 0)
+    cos_half, sin_half = math.cos(0.5 * phi), math.sin(0.5 * phi)
 
-    def at(angle: float) -> QuadResult:
-        evals: list = []
-        value = raise_operator(Space.SPHERE, _theta2_jet(t, tol, evals), k, angle)
-        return QuadResult(value, 2.0 * tol * abs(value), sum(evals))
+    def theta_at(psi: float) -> float:
+        return math.asin(min(1.0, math.cos(0.5 * psi) / cos_half))
 
-    pole = 0.0 if phi < 0.5 * math.pi else math.pi
-    return even_extrapolate(lambda u: at(abs(pole - u)), abs(phi - pole), POLE_REACH)
+    low = theta_at(top) if top < math.pi else 0.0
+    kernel = _raised_at_nodes(_SPHERE, _wrapped_jet(t, tol), k, tol, _wrapped_jet(t, tol, True))
+    # per pole: the largest weighted series bound, its nodes' least and greatest theta
+    zones = [[0.0, math.inf, -math.inf], [0.0, math.inf, -math.inf]]
+
+    def f(theta: np.ndarray) -> np.ndarray:
+        sin_t = np.sin(theta)
+        psi = 2.0 * np.arctan2(np.hypot(sin_half, cos_half * np.cos(theta)), cos_half * sin_t)
+        values, errs = np.array(kernel(psi)) * sin_t ** (2 * k)
+        for z, on in zip(zones, (errs > 0.0) & [psi < 1.0, psi >= 1.0]):
+            if on.any():
+                at = theta[on]
+                z[:] = max(z[0], errs[on].max()), min(z[1], at.min()), max(z[2], at.max())
+        return values
+
+    # a direct raise that cancels is noise no panel count resolves; the
+    # integrals that converge on n = 4..14, t = 1e-3..9 take <= 11 panels
+    seeds = [theta_at(psi) for psi in gaussian_breakpoints(0.0, t, phi, min(top, math.pi))]
+    res = integrate_adaptive(
+        f, low, 0.5 * math.pi, tol, abs_tol=0.0, breakpoints=seeds, max_panels=256, vectorized=True
+    )
+    carried = sum(float(bound) * (hi - lo) for bound, lo, hi in zones if bound)
+    if carried > abs(res.value):
+        raise ConvergenceError("the pole series leaves no digit of the raised integral")
+    res = QuadResult(res.value, res.err_estimate + carried, res.n_evals)
+    return res.scaled(2.0 * (4.0 * math.pi * t) ** -1.5)
 
 
 # ---------------------------------------------------------------------------

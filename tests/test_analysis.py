@@ -442,8 +442,8 @@ def _subordinate_gate():
     inner_walk = pytest.mark.xfail(
         strict=True,
         reason="S^4 at the pole: the inner auto walk at t < 1e-4 gets gruet's "
-        "ContourError and even-n raise's pole fit from phi = 0.02 and 0.04, "
-        "which misses a kernel that narrow while claiming tol",
+        "ContourError, and even-n raise refuses where the pole series "
+        "diverges at tiny t (ROADMAP item 1)",
     )
     cells = []
     for space, ns in dims.items():
@@ -693,7 +693,7 @@ def test_poisson_mass_strip_diverges_in_higher_dimension():
 
 @pytest.mark.parametrize("space", list(Space))
 @pytest.mark.parametrize("kind", ["heat", "poisson"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pde_residual_is_small(space, kind, n):
     param, r = 0.7, 0.9
     res = analysis.pde_residual(space, n, kind, param, r)
@@ -740,6 +740,14 @@ def test_compare_records_refusals_as_nan():
     assert math.isnan(theta_row[1])  # antipode refused by the image sum
     assert not math.isnan(theta_row[0])
     assert report.worst < 1e-7  # comparison proceeds on the surviving points
+
+
+def test_compare_records_convergence_failures_as_nan():
+    # H^14 descent refuses at rho = 0 with ConvergenceError (ROADMAP item 1);
+    # the report records the refusal and keeps the other point
+    report = analysis.compare(Space.HYPERBOLIC, 14, "heat", [0.05], [0.0, 0.5])
+    descent = report.values["descent"][0]
+    assert math.isnan(descent[0]) and not math.isnan(descent[1])
 
 
 def test_compare_rejects_unknown_representations():

@@ -368,6 +368,7 @@ ROUTES = {
     "hyperbolic.heat_classic": lambda: hyperbolic.heat_classic(3, 0.8, 1.5),
     "hyperbolic.poisson_descent": lambda: hyperbolic.poisson_descent(2, 0.9, 1.4),
     "sphere.heat_gruet": lambda: sphere.heat_gruet(4, 0.9, 1.0),
+    "sphere.heat_raise": lambda: sphere.heat_raise(6, 0.3, 1.0),
     "sphere.poisson_doubling.angle": lambda: sphere.poisson_doubling(3, 0.8, 0.9),
     "sphere.poisson_doubling.half": lambda: sphere.poisson_doubling(3, 0.8, 0.9, variant="half"),
 }

@@ -102,13 +102,11 @@ def test_division_and_power_consistency():
     assert p.value == pytest.approx((math.cos(0.8) + 2.0) ** -1.5, rel=1e-14)
 
 
-def test_sqrt_arcsin_jets():
+def test_sqrt_jet():
     x = variable(0.3, 7)
     s = x.sqrt()
     assert s.value == pytest.approx(math.sqrt(0.3), rel=1e-15)
     assert s.derivative(1) == pytest.approx(0.5 / math.sqrt(0.3), rel=1e-13)
-    a = x.arcsin()
-    assert a.derivative(1) == pytest.approx(1.0 / math.sqrt(1.0 - 0.09), rel=1e-13)
 
 
 def test_log_exp_roundtrip():
@@ -176,7 +174,6 @@ _UNARY = [
     ("power", lambda f: f.power(-1.7)),
     ("int power", lambda f: f**3),
     ("negative int power", lambda f: f**-2),
-    ("arcsin", lambda f: f.arcsin()),
     ("deriv", lambda f: f.deriv() if f.order else f),
     ("antideriv", lambda f: f.antideriv(0.3)),
     ("truncate", lambda f: f.truncate(f.order // 2)),
@@ -246,8 +243,6 @@ def test_batch_domain_checks_cover_every_node():
     for op in (Jet.log, Jet.sqrt, lambda f: f.power(0.5)):
         with pytest.raises(DomainError):
             op(batch)
-    with pytest.raises(DomainError):
-        (batch * 3.0).arcsin()  # 2.25 is outside (-1, 1)
     with pytest.raises(DomainError):
         1.0 / (batch + 0.25)  # a vanishing leading value at one node
 

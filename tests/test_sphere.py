@@ -15,15 +15,18 @@ threshold, the same series is summed in 40-digit mpmath arithmetic with
 mpmath's own Gegenbauer polynomials instead.
 """
 
+import json
 import math
+import os
 import sys
+import time
 
 import mpmath
 import pytest
 from scipy.special import eval_gegenbauer
 
-from ckernels import analysis, quadrature, sphere
-from ckernels.errors import DomainError, SingularPointError
+from ckernels import analysis, sphere
+from ckernels.errors import ConvergenceError, DomainError, SingularPointError
 from ckernels.geometry import Space
 
 THETA1_T07_P11 = 0.21888416330250216
@@ -182,48 +185,34 @@ def test_heat_raise_origin_is_exact_for_odd_dimension():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_heat_raise_guard_band_extrapolation(n):
-    # odd n takes the pole jets at both poles, within its err; even n keeps
-    # the even fit from outside the poles' reach
+    # both parities within POLE_REACH of both poles: odd n takes the pole
+    # jets, even n the pole series at the nodes of its integral
     t = 0.7
     for phi in (0.004, math.pi - 0.004):
         res = sphere.heat_raise(n, t, phi, tol=1e-9)
         want = spectral_oracle(n, t, phi)
-        if n % 2:
-            assert abs(res.value - want) <= res.err_estimate <= 2e-9 * abs(want)
-            continue
-        assert res.value == pytest.approx(want, rel=1e-4)
-        assert abs(res.value - want) <= max(10.0 * res.err_estimate, 1e-9 * abs(want))
+        assert abs(res.value - want) <= res.err_estimate <= 2e-9 * abs(want)
 
 
 def test_heat_raise_skips_wrapped_pieces_that_underflow():
     # at t ~ 0.001 far from the pole every image's Gaussian underflows to 0
-    # on both pieces of the wrapped integral: nothing is integrated
+    # on [phi, pi]: nothing is integrated
     res = sphere.heat_raise(14, 0.001158, 2.818)
     assert (res.value, res.err_estimate, res.n_evals) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize(
-    "n, t, phi, frozen, high",
+    "n, t, phi, frozen",
     [
-        (8, 0.001073, 1.137, 1.0251629755530488e-123, 0),
-        # image 0's high piece peaks at exp(-744.1), a subnormal, not 0
-        (12, 0.001156, 1.116, 3.674239817481451e-106, 1),
+        (8, 0.001073, 1.137, 1.0251629755530488e-123),
+        (12, 0.001156, 1.116, 3.674239817481451e-106),
     ],
 )
-def test_heat_raise_skipped_pieces_keep_the_value(n, t, phi, frozen, high, monkeypatch):
-    # of the five images' high pieces [psi_up, pi] only those whose Gaussian
-    # does not underflow to 0 are integrated, and the exact zeros of the
-    # others leave the value bit for bit as it was with them
-    calls = []
-
-    def high_piece(*args, **kwargs):
-        calls.append(args)
-        return quadrature.integrate_adaptive(*args, **kwargs)
-
-    monkeypatch.setattr(sphere, "integrate_adaptive", high_piece)
+def test_heat_raise_skipped_pieces_keep_the_value(n, t, phi, frozen):
+    # past psi = sqrt(4t 746) every image's Gaussian is exactly 0, and the
+    # integral leaves that range out; the value is within its error
     res = sphere.heat_raise(n, t, phi)
-    assert (res.value, res.err_estimate) == (frozen, 2.0 * 1e-10 * frozen)
-    assert len(calls) == high
+    assert abs(res.value - frozen) <= res.err_estimate <= 1e-10 * frozen
 
 
 @pytest.mark.parametrize(
@@ -241,6 +230,54 @@ def test_heat_raise_answers_where_a_piece_is_subnormal(n, t, phi, frozen):
     # length ends it in one sweep
     res = sphere.heat_raise(n, t, phi)
     assert abs(res.value - frozen) <= res.err_estimate <= 1e-9 * frozen
+
+
+# ROADMAP item 16's grid: even n raised under the 2-sphere's integral,
+# against 30-digit spectral sums (tests/make_sphere_raise_references.py).
+# Where the direct raise at the nodes cancels (ROADMAP item 1), its rounding
+# is noise that the quadrature cannot resolve, and it refuses with
+# ConvergenceError.  Next to the antipode every node takes the pole series,
+# whose err carries the images' cancellation: it answers within that, or
+# refuses where that exceeds the value (t = 9, n >= 6).  At S^4 (9, 3) the
+# direct raise's rounding is smooth enough to pass the quadrature unseen.
+_HERE = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(_HERE, "sphere_raise_references.json")) as fh:
+    RAISE_CELLS = json.load(fh)
+_NEAR_POLE = (0.0, 0.005, 0.02)
+_EVERY_ANGLE = _NEAR_POLE + (0.5, 1.5, 3.0, math.pi - 0.005, math.pi)
+RAISE_REFUSALS = {
+    (14, 0.05): _NEAR_POLE,
+    (8, 0.9): _NEAR_POLE + (3.0,),
+    (10, 0.9): _NEAR_POLE + (0.5, 3.0),
+    (12, 0.9): _NEAR_POLE + (0.5, 1.5, 3.0),
+    (14, 0.9): _NEAR_POLE + (0.5, 1.5, 3.0),
+    (4, 9.0): _NEAR_POLE + (0.5, 1.5),
+    **{(n, 9.0): _EVERY_ANGLE for n in (6, 8, 10, 12, 14)},
+}
+RAISE_MISS = pytest.mark.xfail(
+    strict=True, reason="the direct raise at t = 9 cancels unseen: ROADMAP item 1"
+)
+
+
+@pytest.mark.parametrize(
+    "n, t, phi, ref",
+    [
+        pytest.param(
+            c["n"], c["t"], c["phi"], float(c["ref"]),
+            marks=[RAISE_MISS] if (c["n"], c["t"], c["phi"]) == (4, 9.0, 3.0) else [],
+        )
+        for c in RAISE_CELLS
+    ],
+)
+def test_even_raise_is_within_its_error_or_refuses(n, t, phi, ref):
+    start = time.process_time()
+    try:
+        res = sphere.heat_raise(n, t, phi)
+    except ConvergenceError:
+        assert phi in RAISE_REFUSALS.get((n, t), ())
+        assert time.process_time() - start < 0.5
+        return
+    assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * abs(ref))
 
 
 # ---------------------------------------------------------------------------
