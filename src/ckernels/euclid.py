@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .geometry import Space, check_positive, check_query
-from .jets import Jet, RadialGenerator, gauss_jet, raise_kernel, variable
+from .jets import Jet, RadialGenerator, gauss_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -187,13 +187,14 @@ def _halfplane_jet(y: float) -> RadialGenerator:
 
 
 def _poisson_jet(n: int, y: float) -> RadialGenerator:
-    """Jets of the closed n-d Poisson kernel, by :meth:`Jet.power`."""
+    """Jets of the closed n-d Poisson kernel: its base (c + h)^2 + y^2, of
+    coefficients c^2 + y^2, 2c, 1, 0, ..., raised by :meth:`Jet.power`."""
     half = 0.5 * (n + 1)
     amp = math.gamma(half) / math.pi**half * y
 
     def gen(center: float, order: int) -> Jet:
-        x = variable(center, order)
-        return (x * x + y * y).power(-half) * amp
+        base = [center * center + y * y, 2.0 * center, 1.0, *[0.0] * (order - 2)]
+        return Jet(center, np.array(base[: order + 1])).power(-half) * amp
 
     return gen
 

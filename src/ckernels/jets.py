@@ -1,12 +1,14 @@
 """Truncated Taylor jets and the dimension-raising derivative operator.
 
 A :class:`Jet` stores the coefficients (c_0, ..., c_K) of a polynomial
-c_0 + c_1 h + ... + c_K h^K approximating f(center + h).  All arithmetic and
-elementary functions propagate these coefficients exactly (in floating point)
-through O(K^2) recurrences, so K nested derivatives of any composite
-expression cost one jet evaluation instead of K finite-difference stencils.
-A jet may also carry a batch of m coefficient rows, one a node of a
-quadrature sweep.
+c_0 + c_1 h + ... + c_K h^K approximating f(center + h).  The generators
+below write them by recurrences or in closed form, and the raise applies
+D to them exactly (in floating point), so K nested derivatives cost one jet
+instead of K finite-difference stencils.  A jet may also carry a batch of m
+coefficient rows, one a node of a quadrature sweep, which the raise reads.
+The few operations on single jets (sum, product, quotient, real power,
+derivative and antiderivative) serve the radial Laplacian, the lowering of
+:func:`_lower_jet` and the Poisson bases.
 
 The raising operator
 
@@ -36,7 +38,8 @@ numpy rows).  The half-plane Poisson kernel obeys
 (y^2 + (c + h)^2) f' = -2 (c + h) f, the Chebyshev-U recurrence
 (y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1).  The sphere and hyperbolic
 Poisson bases are closed forms whose derivatives cycle with period 4
-(cos) and 2 (cosh), raised to a real power by :meth:`Jet.power`.
+(cos) and 2 (cosh), raised to a real power by :meth:`Jet.power`, as is the
+flat base (c + h)^2 + y^2.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _check_order(order: int) -> None:
         raise DomainError(f"jet order {order} exceeds the cap of {MAX_ORDER}")
 
 
-# -- batch helpers: coefficient arrays of shape (m, K+1), one jet per row
+# -- coefficient rows: (K+1,) for one jet, (m, K+1) for a batch, one jet a row
 
 _F64 = np.dtype(float)
 
@@ -86,34 +89,20 @@ _IDX = np.arange(MAX_ORDER + 2, dtype=float)
 _INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(MAX_ORDER + 1)]
 
 
-def _lead(c: np.ndarray):
-    """The leading coefficient: a float64, or the node array of a batch."""
-    return c[:, 0] if c.ndim == 2 else c[0]
-
-
 def _at(c0, single, batch):
     """single(c0) (a math function) for a float, batch(c0) for a node array."""
     return batch(c0) if isinstance(c0, np.ndarray) else single(c0)
 
 
-def _refuse(bad, message: str) -> None:
-    """Raise DomainError if ``bad`` holds, at any node of a batch."""
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """Raise DomainError if ``bad`` holds at any node of a batch."""
+    if bad.any():
         raise DomainError(message)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (m, k) arrays; a (1, k) one broadcasts."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated series products of coefficient rows; either may be a batch."""
-    n = a.shape[-1]
-    out = a * b[..., :1]
-    for j in range(1, n):
-        out[..., j:] += a[..., : n - j] * b[..., j : j + 1]
-    return out
 
 
 def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,60 +129,52 @@ def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _identity_circular(s0: float, c0: float, size: int, hyperbolic: bool) -> tuple:
-    """sin and cos (or sinh and cosh) coefficients of the identity jet x0 + h.
+def _weight_row(space: Space, center: float, size: int) -> list:
+    """The first ``size`` Taylor coefficients of the weight w(r) about one
+    centre, as Python floats: those of r, or of sin r or sinh r.
 
-    ``s0`` and ``c0`` are the leading values.  For the identity the
-    recurrence of :meth:`Jet._circular` reduces to s_k = c_(k-1)/k and
-    c_k = +-s_(k-1)/k, run here on floats with the same roundings.  From
-    k = 2 on, the recurrence's dot products turn a zero into +0.0 before
-    the sign applies, which the ``+ 0.0`` repeats, so the coefficients are
-    the recurrence's bit for bit.
+    sin(x0 + h) and cos(x0 + h) have s_k = c_(k-1)/k and c_k = -s_(k-1)/k
+    (sinh and cosh +s_(k-1)/k).  The general recurrence for sin and cos of
+    a jet sums products with the jet's coefficients, which from k = 2 on
+    turns a zero into +0.0 before the sign applies; the ``+ 0.0`` repeats
+    that, so the row is the general recurrence's bit for bit.
     """
-    sign = 1.0 if hyperbolic else -1.0
+    if space is Space.EUCLIDEAN:
+        return [center, 1.0, *[0.0] * (size - 2)][:size]
+    if space is Space.SPHERE:
+        sign, s0, c0 = -1.0, math.sin(center), math.cos(center)
+    else:
+        sign, s0, c0 = 1.0, math.sinh(center), math.cosh(center)
     s, c = [s0, c0], [c0, sign * s0]
     for k in range(2, size):
         s.append((c[k - 1] + 0.0) / k)
         c.append(sign * (s[k - 1] + 0.0) / k)
-    return s[:size], c[:size]
-
-
-def _weight_row(space: Space, center: float, size: int) -> list:
-    """The first ``size`` Taylor coefficients of the weight w(r) about one
-    centre, as Python floats: those of the identity jet r, or of its sin or
-    sinh (:func:`_identity_circular`), so bit for bit the Jet's."""
-    if space is Space.EUCLIDEAN:
-        return [center, 1.0, *[0.0] * (size - 2)][:size]
-    if space is Space.SPHERE:
-        return _identity_circular(math.sin(center), math.cos(center), size, False)[0]
-    return _identity_circular(math.sinh(center), math.cosh(center), size, True)[0]
+    return s[:size]
 
 
 @dataclass(eq=False, slots=True)
 class Jet:
     """Taylor coefficients of a function about a fixed centre.
 
-    ``coeffs`` holds (c_0, ..., c_K), or an (m, K+1) array of such rows: a
-    batch of m jets about one centre, for instance an integrand's jets at
-    the m nodes of a quadrature sweep.  Every operation accepts either
-    shape, a single jet broadcasts against a batch, and a node array of m
-    values lifts to a batch of constant jets.  A single jet runs the scalar
-    recurrences with math.* leading values, so a leading value that
-    overflows raises OverflowError, as does a raise of a single jet
-    (:func:`raise_operator`) whose result is not finite; a batch runs the
-    same recurrences on all rows at once with numpy's, where an overflow
-    gives inf.  ``value``, ``derivative`` and evaluation are defined for a
-    single jet only.  A batch may also hold one centre a row, ``center``
-    then being that node array: the weight and Gaussian rows
-    :func:`raise_operator` raises at a node array, which are read and never
-    combined.
+    ``coeffs`` holds (c_0, ..., c_K) of a single jet, which the raise
+    returns (:func:`raise_jet`, :func:`raise_origin_jet`) and which the
+    radial Laplacian and :func:`_lower_jet` combine.  It may also hold an
+    (m, K+1) array of rows that the raise reads: a batch of m jets about one
+    centre (:func:`gauss_jet` of a node array of times, say), or one centre
+    a row, ``center`` then being that node array.  Combining two jets,
+    adding a scalar, ``power``, ``antideriv``, ``value``, ``derivative`` and
+    evaluation take single jets only; a batch raises DomainError there.
+    A single jet's rows take math.* leading values, so one that overflows
+    raises OverflowError, as does a single raise whose result is not finite
+    (:func:`raise_operator`); a batch's take numpy's, where an overflow
+    gives inf.
     """
 
     center: float
     coeffs: np.ndarray
 
-    # numpy defers to the reflected operators below, so node array + jet is
-    # a batch of jets, not an object array
+    # numpy defers to the reflected operators below, so a numpy scalar
+    # times a jet is a jet, not an object array
     __array_ufunc__ = None
 
     def __post_init__(self):
@@ -224,43 +205,34 @@ class Jet:
 
     def derivative(self, k: int) -> float:
         """The k-th derivative of the underlying function at the centre."""
+        _check_order(k)
         if k > self.order:
             raise DomainError(f"jet of order {self.order} has no derivative {k}")
         return float(self._single()[k]) * math.factorial(k)
-
-    def truncate(self, order: int) -> "Jet":
-        _check_order(order)
-        if order >= self.order:
-            return self
-        return Jet(self.center, self.coeffs[..., : order + 1])
 
     def __call__(self, h: float) -> float:
         """Evaluate the truncated polynomial at centre + h."""
         return float(np.polynomial.polynomial.polyval(h, self._single()))
 
     # -- ring operations ---------------------------------------------------
-    # A scalar or node array shifts the leading coefficient or scales every
-    # coefficient, which gives what combining with a constant jet gives (the
-    # + 0.0 turns -0.0 into 0.0, as that sum and product do); combining two
-    # jets truncates to the shorter one (the honest order).
+    # A scalar shifts the leading coefficient or scales every coefficient,
+    # which gives what combining with a constant jet gives (the + 0.0 turns
+    # -0.0 into 0.0, as that sum and product do); combining two jets
+    # truncates to the shorter one (the honest order).
 
     def _paired(self, other: "Jet") -> tuple[np.ndarray, np.ndarray]:
+        a, b = self._single(), other._single()
         if other.center != self.center:
             raise DomainError("jets must share a centre to combine")
-        k = min(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return self.coeffs[..., :k], other.coeffs[..., :k]
+        k = min(a.size, b.size)
+        return a[:k], b[:k]
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
             a, b = self._paired(other)
             return Jet(self.center, a + b)
-        c = self.coeffs
-        if isinstance(other, np.ndarray):
-            out = np.zeros(other.shape + c.shape[-1:])
-            out += c
-        else:
-            out = c + 0.0
-        out[..., 0] += other
+        out = self._single() + 0.0
+        out[0] += float(other)
         return Jet(self.center, out)
 
     __radd__ = __add__
@@ -268,49 +240,20 @@ class Jet:
     def __neg__(self) -> "Jet":
         return Jet(self.center, -self.coeffs)
 
-    def __sub__(self, other) -> "Jet":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Jet":
-        return (-self) + other
-
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             a, b = self._paired(other)
-            if a.ndim == b.ndim == 1:
-                return Jet(self.center, np.convolve(a, b)[: a.size])
-            return Jet(self.center, _cauchy(a, b))
-        if isinstance(other, np.ndarray):
-            other = other[..., None]
-        return Jet(self.center, self.coeffs * other + 0.0)
+            return Jet(self.center, np.convolve(a, b)[: a.size])
+        return Jet(self.center, self.coeffs * float(other) + 0.0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            _refuse(other == 0.0, "division by a jet with vanishing value")
-            if isinstance(other, np.ndarray):
-                other = other[..., None]
-            return Jet(self.center, self.coeffs / other)
-        return Jet(self.center, _divide(*self._paired(other)))
-
-    def __rtruediv__(self, other) -> "Jet":
-        return constant(other, self.order, self.center) / self
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, np.integer)):
-            if exponent < 0:
-                return 1.0 / (self ** (-exponent))
-            result = constant(1.0, self.order, self.center)
-            base = self
-            e = int(exponent)
-            while e:
-                if e & 1:
-                    result = result * base
-                base = base * base
-                e >>= 1
-            return result
-        return self.power(float(exponent))
+        if isinstance(other, Jet):
+            return Jet(self.center, _divide(*self._paired(other)))
+        if other == 0.0:
+            raise DomainError("division by a jet with vanishing value")
+        return Jet(self.center, self.coeffs / float(other))
 
     # -- calculus ----------------------------------------------------------
 
@@ -320,118 +263,20 @@ class Jet:
             raise DomainError("cannot differentiate an order-0 jet")
         return Jet(self.center, self.coeffs[..., 1:] * _IDX[1 : self.order + 1])
 
-    def antideriv(self, value_at_center=0.0) -> "Jet":
-        """Jet of the antiderivative taking the given value at the centre.
-
-        The value is a float, or a node array for a batch.
-        """
-        c = self.coeffs
-        n = c.shape[-1]
-        out = np.empty((c.shape[:-1] or np.shape(value_at_center)) + (n + 1,))
-        out[..., 0] = value_at_center
-        out[..., 1:] = c / _IDX[1 : n + 1]
-        return Jet(self.center, out)
-
-    # -- elementary functions ---------------------------------------------
-
-    def exp(self) -> "Jet":
-        g = self.coeffs
-        out = np.empty_like(g)
-        if g.ndim == 2:
-            out[:, 0] = np.exp(g[:, 0])
-            jg = g * _IDX[: g.shape[1]]
-            for k in range(1, g.shape[1]):
-                out[:, k] = _rowdot(jg[:, 1 : k + 1], out[:, k - 1 :: -1]) / k
-            return Jet(self.center, out)
-        out[0] = math.exp(g[0])
-        jg = g * _IDX[: g.size]
-        for k in range(1, g.size):
-            out[k] = np.dot(jg[1 : k + 1], out[k - 1 :: -1]) / k
-        return Jet(self.center, out)
-
-    def log(self) -> "Jet":
-        c0 = _lead(self.coeffs)
-        _refuse(c0 <= 0.0, "log requires a positive jet value")
-        lead = _at(c0, math.log, np.log)
-        if self.order == 0:
-            return Jet(self.center, np.expand_dims(lead, -1))
-        body = self.deriv() / self.truncate(self.order - 1)
-        return body.antideriv(lead)
-
-    def _circular(self, hyperbolic: bool) -> tuple["Jet", "Jet"]:
-        g = self.coeffs
-        s = np.empty_like(g)
-        c = np.empty_like(g)
-        sign = 1.0 if hyperbolic else -1.0
-        if g.ndim == 2:
-            g0 = g[:, 0]
-            if hyperbolic:
-                s[:, 0], c[:, 0] = np.sinh(g0), np.cosh(g0)
-            else:
-                s[:, 0], c[:, 0] = np.sin(g0), np.cos(g0)
-            jg = g * _IDX[: g.shape[1]]
-            for k in range(1, g.shape[1]):
-                dg = jg[:, 1 : k + 1]
-                s[:, k] = _rowdot(dg, c[:, k - 1 :: -1]) / k
-                c[:, k] = sign * _rowdot(dg, s[:, k - 1 :: -1]) / k
-            return Jet(self.center, s), Jet(self.center, c)
-        if hyperbolic:
-            s0, c0 = math.sinh(g[0]), math.cosh(g[0])
-        else:
-            s0, c0 = math.sin(g[0]), math.cos(g[0])
-        if g.size > 1 and g[1] == 1.0 and not g[2:].any():
-            s, c = _identity_circular(s0, c0, g.size, hyperbolic)
-            return Jet(self.center, np.array(s)), Jet(self.center, np.array(c))
-        s[0], c[0] = s0, c0
-        jg = g * _IDX[: g.size]
-        for k in range(1, g.size):
-            dg = jg[1 : k + 1]
-            s[k] = np.dot(dg, c[k - 1 :: -1]) / k
-            c[k] = sign * np.dot(dg, s[k - 1 :: -1]) / k
-        return Jet(self.center, s), Jet(self.center, c)
-
-    def sin(self) -> "Jet":
-        return self._circular(False)[0]
-
-    def cos(self) -> "Jet":
-        return self._circular(False)[1]
-
-    def sinh(self) -> "Jet":
-        return self._circular(True)[0]
-
-    def cosh(self) -> "Jet":
-        return self._circular(True)[1]
-
-    def sqrt(self) -> "Jet":
-        g = self.coeffs
-        _refuse(_lead(g) <= 0.0, "sqrt requires a positive jet value")
-        out = np.empty_like(g)
-        if g.ndim == 2:
-            out[:, 0] = np.sqrt(g[:, 0])
-            for k in range(1, g.shape[1]):
-                conv = _rowdot(out[:, 1:k], out[:, k - 1 : 0 : -1]) if k >= 2 else 0.0
-                out[:, k] = (g[:, k] - conv) / (2.0 * out[:, 0])
-            return Jet(self.center, out)
-        out[0] = math.sqrt(g[0])
-        for k in range(1, g.size):
-            conv = np.dot(out[1:k], out[k - 1 : 0 : -1]) if k >= 2 else 0.0
-            out[k] = (g[k] - conv) / (2.0 * out[0])
-        return Jet(self.center, out)
+    def antideriv(self, value_at_center: float = 0.0) -> "Jet":
+        """Jet of the antiderivative taking the given value at the centre."""
+        c = self._single()
+        return Jet(self.center, np.concatenate(([value_at_center], c / _IDX[1 : c.size + 1])))
 
     def power(self, alpha: float) -> "Jet":
-        """Jet of f^alpha for real alpha; requires a positive jet value."""
-        g = self.coeffs
-        _refuse(_lead(g) <= 0.0, "power requires a positive jet value")
-        if g.ndim == 2:
-            out = np.empty_like(g)
-            g0 = g[:, 0]
-            out[:, 0] = g0**alpha
-            for k in range(1, g.shape[1]):
-                weights = (alpha + 1.0) * _IDX[1 : k + 1] - k
-                out[:, k] = _rowdot(weights * g[:, 1 : k + 1], out[:, k - 1 :: -1]) / (k * g0)
-            return Jet(self.center, out)
-        # a single jet on Python floats: K^2/2 products cost less than K numpy calls
-        g = g.tolist()
+        """Jet of f^alpha for real alpha; requires a positive jet value.
+
+        The recurrence runs on Python floats: K^2/2 products cost less than
+        K numpy calls.
+        """
+        g = self._single().tolist()
+        if g[0] <= 0.0:
+            raise DomainError("power requires a positive jet value")
         a1, g0 = alpha + 1.0, g[0]
         out = [g0**alpha]
         for k in range(1, len(g)):
@@ -440,24 +285,6 @@ class Jet:
                 acc += (a1 * i - k) * g[i] * out[k - i]
             out.append(acc / (k * g0))
         return Jet(self.center, np.array(out))
-
-
-def variable(center: float, order: int) -> Jet:
-    """The identity function r as a jet about ``center``."""
-    _check_order(order)
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = center
-    if order >= 1:
-        coeffs[1] = 1.0
-    return Jet(center, coeffs)
-
-
-def constant(value, order: int, center: float = 0.0) -> Jet:
-    """A constant jet; a node array of values gives a batch."""
-    _check_order(order)
-    coeffs = np.zeros(np.shape(value) + (order + 1,))
-    coeffs[..., 0] = value
-    return Jet(center, coeffs)
 
 
 def _gauss_coeffs(u, c, amp, order: int) -> np.ndarray:
@@ -556,7 +383,7 @@ def _raise_k(space: Space, c: np.ndarray, k: int, center) -> np.ndarray:
         n = c.shape[-1] - 1
         d = c[..., 1:] * _IDX[1 : n + 1]
         if lo:
-            _refuse(_lead(d) != 0.0, _ORIGIN_REFUSAL)
+            _refuse(d[..., 0] != 0.0, _ORIGIN_REFUSAL)
         c = _divide(d[..., lo:], w[..., lo:n]) * _RAISE_SCALE + 0.0
     return c
 
@@ -687,7 +514,7 @@ def _lower_jet(space: Space, values, center: float) -> Jet:
     of D^K f each step down is the antiderivative of -2 pi w times the jet
     above, taking the next value at the centre.
     """
-    jet = constant(values[-1], 0, center)
+    jet = Jet(center, [values[-1]])
     w = weight_jet(space, center, max(len(values) - 2, 0)) * (2.0 * math.pi)
     for value in values[-2::-1]:
         jet = (-(jet * w)).antideriv(value)

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from ckernels import Space, analysis, euclid, hyperbolic, raise_operator, sphere
-from ckernels.jets import variable
+from ckernels.jets import gauss_jet
 from ckernels.quadrature import sigma_default
 
 # full grids: four geometric times, four linear distances
@@ -278,10 +278,7 @@ def test_11_jet_engine_and_suite_runtime():
     the complete validation suite finishes in under ten minutes."""
     t0, r0 = 0.7, 1.3
 
-    def gen(center: float, order: int):
-        x = variable(center, order)
-        return (x * x * (-0.25 / t0)).exp()
-
+    gen = gauss_jet(t0, 0)  # exp(-r^2 / 4 t0)
     g = math.exp(-r0 * r0 / (4.0 * t0))
     gp = -r0 / (2.0 * t0) * g
     gpp = (r0 * r0 / (4.0 * t0 * t0) - 1.0 / (2.0 * t0)) * g

@@ -1,6 +1,6 @@
 """The package imports nothing at run time beyond the standard library,
 numpy and click; scipy, mpmath and hypothesis are test-only.  Every module
-uses each name it imports."""
+uses each name it imports, and every function and class is used."""
 
 import ast
 import pathlib
@@ -60,3 +60,35 @@ def _unused_imports(path: pathlib.Path) -> list:
 def test_every_import_is_used(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _unreferenced_definitions() -> list:
+    """Module-level functions and classes of the package that no source file
+    reads (as a name or as a module attribute), that ``ckernels.__all__``
+    does not export and that no decorator registers (the click commands)."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            referenced |= set(ast.literal_eval(node.value))
+    return sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in referenced
+    )
+
+
+def test_every_definition_is_used():
+    unused = _unreferenced_definitions()
+    assert not unused, f"defined and never used: {unused}"

@@ -16,7 +16,7 @@ from ckernels.geometry import (
     space_from_name,
     sphere_surface_coeff,
 )
-from ckernels.jets import variable
+from ckernels.jets import weight_jet
 
 
 def test_curvature_signs():
@@ -93,7 +93,8 @@ def test_sphere_surface_coeff_known_values():
 
 def test_radial_laplacian_euclid_square():
     # u = r^2 in dimension 3: u'' + (2/r) u' = 2 + 4 = 6 everywhere
-    u = variable(0.9, 4) ** 2
+    x = weight_jet(Space.EUCLIDEAN, 0.9, 4)
+    u = x * x
     out = radial_laplacian(Space.EUCLIDEAN, 3, u)
     assert out.value == pytest.approx(6.0, rel=1e-14)
 
@@ -101,7 +102,7 @@ def test_radial_laplacian_euclid_square():
 def test_radial_laplacian_sphere_cosine():
     # u = cos r on S^2: u'' + (cos r / sin r) u' = -2 cos r
     r0 = 0.7
-    u = variable(r0, 4).cos()
+    u = weight_jet(Space.SPHERE, r0, 5).deriv()
     out = radial_laplacian(Space.SPHERE, 2, u)
     assert out.value == pytest.approx(-2.0 * math.cos(r0), rel=1e-13)
 
@@ -109,25 +110,26 @@ def test_radial_laplacian_sphere_cosine():
 def test_radial_laplacian_hyperbolic_exponential():
     # u = cosh r on H^3: u'' + 2 (cosh r / sinh r) u' = cosh r + 2 cosh r = 3 cosh r
     r0 = 1.1
-    u = variable(r0, 4).cosh()
+    u = weight_jet(Space.HYPERBOLIC, r0, 5).deriv()
     out = radial_laplacian(Space.HYPERBOLIC, 3, u)
     assert out.value == pytest.approx(3.0 * math.cosh(r0), rel=1e-13)
 
 
 def test_radial_laplacian_dimension_one_is_plain_second_derivative():
-    u = variable(0.5, 4).sin()
+    u = weight_jet(Space.SPHERE, 0.5, 4)
     out = radial_laplacian(Space.EUCLIDEAN, 1, u)
     assert out.value == pytest.approx(-math.sin(0.5), rel=1e-14)
 
 
 def test_radial_laplacian_rejects_center_zero():
-    u = variable(0.0, 4) ** 2
+    x = weight_jet(Space.EUCLIDEAN, 0.0, 4)
+    u = x * x
     with pytest.raises(SingularPointError):
         radial_laplacian(Space.EUCLIDEAN, 3, u)
 
 
 def test_radial_laplacian_needs_two_orders():
-    u = variable(1.0, 1)
+    u = weight_jet(Space.EUCLIDEAN, 1.0, 1)
     with pytest.raises(DomainError):
         radial_laplacian(Space.EUCLIDEAN, 3, u)
 

@@ -9,8 +9,10 @@ evaluated independently at 30-digit precision for g(r) = exp(-r^2/(4 t)),
 t = 0.7, r = 1.3, and frozen below at full double precision.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,13 @@ from ckernels.geometry import Space
 from ckernels.jets import (
     MAX_ORDER,
     Jet,
+    _divide,
     _lower_jet,
     _weight_row,
     gauss_jet,
     raise_jet,
     raise_operator,
     raise_origin_jet,
-    variable,
     weight_jet,
 )
 
@@ -53,10 +55,19 @@ D2_ORIGIN = {
 T0 = 0.7
 R0 = 1.3
 
+# exp(-r^2 / 4 T0): the 0-d heat kernel has amplitude 1
+gauss_gen = gauss_jet(T0, 0)
 
-def gauss_gen(center: float, order: int) -> Jet:
-    x = variable(center, order)
-    return (x * x * (-0.25 / T0)).exp()
+
+def _exp_minus_square(center: float, order: int) -> Jet:
+    """Jets of exp(-r^2)."""
+    return gauss_jet(0.25, 0)(center, order)
+
+
+def _sin_cos(space: Space, center: float, order: int) -> tuple:
+    """Jets of sin and cos (sinh and cosh on the hyperbolic space): the
+    weight and its derivative."""
+    return weight_jet(space, center, order), weight_jet(space, center, order + 1).deriv()
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +81,16 @@ def test_jet_evaluation_matches_polynomial():
 
 @pytest.mark.parametrize("center", [0.0, 0.4, -1.2, 2.0])
 def test_transcendental_jets_reproduce_taylor_coefficients(center):
-    x = variable(center, 8)
+    sin, cos = _sin_cos(Space.SPHERE, center, 8)
+    sinh, cosh = _sin_cos(Space.HYPERBOLIC, center, 8)
     cases = [
-        (x.exp(), math.exp, lambda k: math.exp(center)),
-        (x.sin(), math.sin, None),
-        (x.cos(), math.cos, None),
-        (x.sinh(), math.sinh, None),
-        (x.cosh(), math.cosh, None),
+        (_exp_minus_square(center, 8), lambda x: math.exp(-x * x)),
+        (sin, math.sin),
+        (cos, math.cos),
+        (sinh, math.sinh),
+        (cosh, math.cosh),
     ]
-    for jet, fn, _ in cases:
+    for jet, fn in cases:
         assert jet.value == pytest.approx(fn(center), rel=1e-15, abs=1e-15)
         # evaluate the truncated series a small step away
         h = 1e-2
@@ -86,53 +98,42 @@ def test_transcendental_jets_reproduce_taylor_coefficients(center):
 
 
 def test_derivative_extraction():
-    x = variable(0.5, 6)
-    j = x.exp()
+    j = weight_jet(Space.HYPERBOLIC, 0.5, 6)
     for k in range(5):
-        assert j.derivative(k) == pytest.approx(math.exp(0.5), rel=1e-13)
+        want = math.cosh(0.5) if k % 2 else math.sinh(0.5)
+        assert j.derivative(k) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, 7, MAX_ORDER + 1])
+def test_derivative_refuses_a_bad_order(k):
+    with pytest.raises(DomainError):
+        weight_jet(Space.HYPERBOLIC, 0.5, 6).derivative(k)
 
 
 def test_division_and_power_consistency():
-    x = variable(0.8, 8)
-    f = x.exp() + 1.0
-    g = x.cos() + 2.0
+    f = _exp_minus_square(0.8, 8) + 1.0
+    g = _sin_cos(Space.SPHERE, 0.8, 8)[1] + 2.0
     q = f / g
     assert (q * g).coeffs == pytest.approx(f.coeffs, rel=1e-13)
     p = g.power(-1.5)
     assert p.value == pytest.approx((math.cos(0.8) + 2.0) ** -1.5, rel=1e-14)
 
 
-def test_sqrt_jet():
-    x = variable(0.3, 7)
-    s = x.sqrt()
-    assert s.value == pytest.approx(math.sqrt(0.3), rel=1e-15)
-    assert s.derivative(1) == pytest.approx(0.5 / math.sqrt(0.3), rel=1e-13)
-
-
-def test_log_exp_roundtrip():
-    x = variable(0.6, 8)
-    f = x.cosh() + 0.5
-    back = f.log().exp()
-    assert back.coeffs == pytest.approx(f.coeffs, rel=1e-12)
-
-
 def test_deriv_antideriv_roundtrip():
-    x = variable(0.9, 8)
-    f = x.sin() * x.exp()
+    f = weight_jet(Space.SPHERE, 0.9, 8) * _exp_minus_square(0.9, 8)
     g = f.deriv().antideriv(f.value)
     assert g.coeffs == pytest.approx(f.coeffs, rel=1e-14)
 
 
 def test_scalar_coercion_keeps_order():
-    x = variable(0.5, 6)
-    f = x.exp()
+    f = _exp_minus_square(0.5, 6)
     assert (f + 1.0).order == 6
     assert (2.0 * f).order == 6
-    assert (1.0 / (f + 2.0)).order == 6
+    assert (f / 2.0).order == 6
 
 
 def test_zero_leading_division_rejected():
-    num = variable(1.0, 4)
+    num = weight_jet(Space.EUCLIDEAN, 1.0, 4)
     den = Jet(1.0, [0.0, 1.0, 0.5])
     with pytest.raises(DomainError):
         num / den
@@ -140,7 +141,7 @@ def test_zero_leading_division_rejected():
 
 def test_order_cap_enforced():
     with pytest.raises(DomainError):
-        variable(0.0, MAX_ORDER + 1)
+        weight_jet(Space.EUCLIDEAN, 0.0, MAX_ORDER + 1)
     # float64 arrays skip coercion, not the shape and order checks
     with pytest.raises(DomainError):
         Jet(0.0, np.zeros(MAX_ORDER + 2))
@@ -149,113 +150,37 @@ def test_order_cap_enforced():
 
 
 # ---------------------------------------------------------------------------
-# batches: one coefficient row per node
-
-
-def _per_node_close(batch: Jet, singles: list) -> None:
-    """Each row of ``batch`` equals its per-node jet, 1e-14 relative in max norm."""
-    assert batch.coeffs.shape == (len(singles), singles[0].order + 1)
-    for row, single in zip(batch.coeffs, singles):
-        scale = np.max(np.abs(single.coeffs))
-        assert np.max(np.abs(row - single.coeffs)) <= 1e-14 * scale
-
-
-# (name, batch operation, per-node operation); ``w`` is the node array and
-# ``wi`` its value at one node, ``g`` a single jet about the same centre
-_UNARY = [
-    ("neg", lambda f: -f),
-    ("exp", lambda f: f.exp()),
-    ("log", lambda f: f.log()),
-    ("sin", lambda f: f.sin()),
-    ("cos", lambda f: f.cos()),
-    ("sinh", lambda f: f.sinh()),
-    ("cosh", lambda f: f.cosh()),
-    ("sqrt", lambda f: f.sqrt()),
-    ("power", lambda f: f.power(-1.7)),
-    ("int power", lambda f: f**3),
-    ("negative int power", lambda f: f**-2),
-    ("deriv", lambda f: f.deriv() if f.order else f),
-    ("antideriv", lambda f: f.antideriv(0.3)),
-    ("truncate", lambda f: f.truncate(f.order // 2)),
-]
-_BINARY = [
-    ("jet + scalar", lambda f, g, w: f + 0.7, lambda f, g, wi: f + 0.7),
-    ("scalar - jet", lambda f, g, w: 0.7 - f, lambda f, g, wi: 0.7 - f),
-    ("jet * scalar", lambda f, g, w: f * -1.3, lambda f, g, wi: f * -1.3),
-    ("scalar / jet", lambda f, g, w: 2.0 / f, lambda f, g, wi: 2.0 / f),
-    ("jet / scalar", lambda f, g, w: f / 3.0, lambda f, g, wi: f / 3.0),
-    ("jet + nodes", lambda f, g, w: f + w, lambda f, g, wi: f + wi),
-    ("nodes - jet", lambda f, g, w: w - f, lambda f, g, wi: wi - f),
-    ("nodes * jet", lambda f, g, w: w * f, lambda f, g, wi: wi * f),
-    ("jet / nodes", lambda f, g, w: f / w, lambda f, g, wi: f / wi),
-    ("nodes / jet", lambda f, g, w: w / f, lambda f, g, wi: wi / f),
-    ("batch + jet", lambda f, g, w: f + g, lambda f, g, wi: f + g),
-    ("jet - batch", lambda f, g, w: g - f, lambda f, g, wi: g - f),
-    ("batch * jet", lambda f, g, w: f * g, lambda f, g, wi: f * g),
-    ("jet * batch", lambda f, g, w: g * f, lambda f, g, wi: g * f),
-    ("batch / jet", lambda f, g, w: f / (g + 2.0), lambda f, g, wi: f / (g + 2.0)),
-    ("jet / batch", lambda f, g, w: g / f, lambda f, g, wi: g / f),
-    ("batch * batch", lambda f, g, w: f * (g + w), lambda f, g, wi: f * (g + wi)),
-    ("batch / batch", lambda f, g, w: (g + w) / f, lambda f, g, wi: (g + wi) / f),
-]
-
-tail = st.floats(min_value=-0.25, max_value=0.25, allow_nan=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=8).flatmap(
-        lambda k: st.tuples(
-            st.lists(tail, min_size=k, max_size=k),
-            st.lists(tail, min_size=k, max_size=k),
-        )
-    ),
-    st.lists(st.floats(min_value=0.5, max_value=0.8), min_size=1, max_size=5),
-    st.floats(min_value=-1.0, max_value=1.0),
-)
-def test_batched_operations_match_per_node(tails, leading, center):
-    """A batch runs each operation's recurrence on all rows at once.
-
-    Its row dot products sum in order, where a single jet's np.dot may not,
-    so the two agree to rounding amplified by the recurrence.  Leading values
-    in [0.5, 0.8] and tails within 0.25 keep every operation well conditioned
-    (|c_j / c_0| <= 1/2); near a leading value of 0.1 the two orders of
-    summation of 1/f^2 differ by up to 1e-13.
-    """
-    # rows f_i = base + w_i, with leading values w_i inside every domain
-    base = Jet(center, [0.0] + tails[0])
-    g = Jet(center, [0.5] + tails[1])
-    w = np.array(leading)
-    batch = base + w
-    singles = [base + wi for wi in leading]
-    for name, op in _UNARY:
-        _per_node_close(op(batch), [op(f) for f in singles])
-    for name, op, op1 in _BINARY:
-        _per_node_close(op(batch, g, w), [op1(f, g, wi) for f, wi in zip(singles, leading)])
-    # an antiderivative may take a different value at each node
-    _per_node_close(
-        base.antideriv(w), [base.antideriv(wi) for wi in leading]
-    )
+# batches: one coefficient row per node, which the raise reads
 
 
 def test_batch_domain_checks_cover_every_node():
-    batch = variable(0.5, 3) + np.array([0.25, -0.75, 0.125])  # one node at -0.25
-    for op in (Jet.log, Jet.sqrt, lambda f: f.power(0.5)):
-        with pytest.raises(DomainError):
-            op(batch)
+    # the batch raise divides rows by the weight rows; a vanishing leading
+    # value at any one node is refused
+    rows = np.array([[0.25, 1.0, 0.0], [0.0, 1.0, 0.5], [0.125, 1.0, 0.0]])
     with pytest.raises(DomainError):
-        1.0 / (batch + 0.25)  # a vanishing leading value at one node
+        _divide(np.ones((3, 3)), rows)
+    with pytest.raises(DomainError):
+        _divide(np.ones(3), rows)
 
 
 def test_batch_has_no_single_value():
-    batch = variable(0.5, 3) + np.array([0.2, 0.4])
+    batch = Jet(0.5, [[0.7, 1.0, 0.0, 0.0], [0.9, 1.0, 0.0, 0.0]])
+    single = weight_jet(Space.SPHERE, 0.5, 3)
     assert batch.order == 3
-    with pytest.raises(DomainError):
-        batch.value
-    with pytest.raises(DomainError):
-        batch.derivative(1)
-    with pytest.raises(DomainError):
-        batch(0.1)
+    refused = [
+        lambda: batch.value,
+        lambda: batch.derivative(1),
+        lambda: batch(0.1),
+        lambda: batch.power(0.5),
+        lambda: batch.antideriv(),
+        lambda: batch + 1.0,
+        lambda: batch + single,
+        lambda: single * batch,
+        lambda: single / batch,
+    ]
+    for op in refused:
+        with pytest.raises(DomainError):
+            op()
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +203,22 @@ def test_product_jet_is_series_product(coeffs, center):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-1.2, max_value=1.2))
 def test_sin_cos_pythagoras(center):
-    x = variable(center, 8)
-    one = x.sin() ** 2 + x.cos() ** 2
+    sin, cos = _sin_cos(Space.SPHERE, center, 8)
+    one = sin * sin + cos * cos
     expect = np.zeros(9)
     expect[0] = 1.0
     assert one.coeffs == pytest.approx(expect, abs=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.2, max_value=2.5))
-def test_sqrt_squares_back(center):
-    x = variable(center, 8)
-    f = x.exp() + 0.3
-    s = f.sqrt()
-    assert (s * s).coeffs == pytest.approx(f.coeffs, rel=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0))
 def test_power_matches_exp_log(alpha, center_shift):
-    x = variable(1.5 + 0.1 * center_shift, 7)
-    f = x.cosh()
-    direct = f.power(alpha)
-    via_log = (f.log() * alpha).exp()
-    assert direct.coeffs == pytest.approx(via_log.coeffs, rel=1e-11, abs=1e-11)
+    center = 1.5 + 0.1 * center_shift
+    direct = _sin_cos(Space.HYPERBOLIC, center, 7)[1].power(alpha)
+    with mpmath.workdps(30):
+        exp_log = lambda x: mpmath.exp(alpha * mpmath.log(mpmath.cosh(x)))
+        via_log = [float(a) for a in mpmath.taylor(exp_log, mpmath.mpf(center), 7)]
+    assert direct.coeffs == pytest.approx(via_log, rel=1e-11, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +400,14 @@ def test_raise_origin_jet_order_budget():
 # scalar division loop and a Jet scaling.  Both must agree bit for bit.
 
 
+def _identity(x0: float, order: int) -> np.ndarray:
+    """The coefficients x0, 1, 0, ... of the identity function about x0."""
+    return np.array([x0, 1.0, *[0.0] * order][: order + 1])
+
+
 def _recurrence_circular(x0: float, order: int, hyp: bool) -> tuple:
     """sin and cos (sinh and cosh if hyp) of the identity jet, general recurrence."""
-    g = variable(x0, order).coeffs
+    g = _identity(x0, order)
     s, c = np.empty_like(g), np.empty_like(g)
     sign = 1.0 if hyp else -1.0
     if hyp:
@@ -501,7 +423,7 @@ def _recurrence_circular(x0: float, order: int, hyp: bool) -> tuple:
 
 def _reference_weight(space: Space, center: float, order: int) -> Jet:
     if space is Space.EUCLIDEAN:
-        return variable(center, order)
+        return Jet(center, _identity(center, order))
     return Jet(center, _recurrence_circular(center, order, space is Space.HYPERBOLIC)[0])
 
 
@@ -625,23 +547,20 @@ IDENTITY_CENTRES = [
 
 @pytest.mark.parametrize("hyp", [False, True])
 def test_identity_circular_matches_recurrence_bit_for_bit(hyp):
-    # the identity jet's sin/cos (sinh/cosh) take a reduced recurrence; the
-    # bytes, signed zeros included, are those of the general one
+    # the weight rows, sin (sinh) of the identity jet, take a reduced
+    # recurrence; the bytes, signed zeros included, are those of the general one
+    space = Space.HYPERBOLIC if hyp else Space.SPHERE
     for x0 in IDENTITY_CENTRES:
         for order in range(MAX_ORDER + 1):
-            x = variable(x0, order)
-            got = (x.sinh(), x.cosh()) if hyp else (x.sin(), x.cos())
-            want = _recurrence_circular(x0, order, hyp)
-            for jet, coeffs in zip(got, want):
-                assert jet.coeffs.tobytes() == coeffs.tobytes(), (x0, order)
+            want = _recurrence_circular(x0, order, hyp)[0].tobytes()
+            assert np.array(_weight_row(space, x0, order + 1)).tobytes() == want, (x0, order)
+            assert weight_jet(space, x0, order).coeffs.tobytes() == want, (x0, order)
 
 
 def test_identity_sinh_cosh_still_overflow():
     for order in (0, 1, 8):
         with pytest.raises(OverflowError):
-            variable(711.0, order).sinh()
-        with pytest.raises(OverflowError):
-            variable(711.0, order).cosh()
+            weight_jet(Space.HYPERBOLIC, 711.0, order)
 
 
 def test_origin_raise_refuses_a_derivative_that_does_not_vanish():
@@ -690,109 +609,136 @@ def test_single_raise_overflow_raises(space):
 
 
 # ---------------------------------------------------------------------------
-# the raising generators against the Jet expressions they replaced
+# the raising generators against independent references
 #
 # Each generator writes its coefficients by a recurrence or in closed form.
-# The references below are the Jet programs they replaced; the Poisson bases
-# take their power through a one-row batch, which runs the numpy recurrence.
-# Both sides carry rounding, so they agree to 1e-13 of the largest scaled
+# The references are mpmath rows at 40 digits, written once at MAX_ORDER and
+# sliced: the Gaussian by its Hermite closed form, the image sum of the
+# circle by the same Gaussians on the generator's images, the half-plane
+# kernel by its complex partial fraction, and the sphere and hyperbolic
+# Poisson bases by the power recurrence in 40-digit arithmetic.  The
+# generators round, so they agree to 1e-13 of the largest scaled
 # coefficient, the scale l being the generator's length: sqrt(4t), or
 # sqrt(y^2 + c^2) for the Poisson bases.
 
 GEN_TIMES = (1e-3, 0.1, 0.9, 9.0, 100.0)
 GEN_CENTRES = (0.0, 3e-3, 0.5, 1.0, 3.0, 20.0)
 GEN_ORDERS = (0, 1, 8, MAX_ORDER)
+GEN_DPS = 40
 
 
-def _jet_gauss(t, n: int):
-    amp = (4.0 * math.pi * t) ** (-0.5 * n)
-
-    def gen(center, order):
-        x = variable(center, order)
-        return (x * x * (-0.25 / t)).exp() * amp
-
-    return gen
+def _floats(row) -> np.ndarray:
+    return np.array([float(a) for a in row])
 
 
-def _jet_theta1(t: float):
-    amp = (4.0 * math.pi * t) ** -0.5
-
-    def gen(center, order):
-        x = variable(center, order)
-        total = None
-        for m in sphere._image_range(t, center, 1e-10):
-            shifted = x + 2.0 * math.pi * m
-            term = (shifted * shifted * (-0.25 / t)).exp()
-            total = term if total is None else total + term
-        return total * amp
-
-    return gen
+def _mp_gauss_row(t, center, amp) -> list:
+    """amp exp(-u (c + h)^2), u = 1/4t: a_j = amp e^(-u c^2) H_j(sqrt(u) c)
+    (-sqrt(u))^j / j!."""
+    root = mpmath.sqrt(1 / (4 * mpmath.mpf(t)))
+    x = root * center
+    lead = amp * mpmath.exp(-x * x)
+    return [
+        lead * mpmath.hermite(j, x) * (-root) ** j / mpmath.factorial(j)
+        for j in range(MAX_ORDER + 1)
+    ]
 
 
-def _jet_halfplane(y: float):
-    def gen(center, order):
-        x = variable(center, order)
-        return (y / math.pi) / (x * x + y * y)
-
-    return gen
-
-
-def _batch_power(base: Jet, alpha: float) -> Jet:
-    """base ** alpha by the numpy recurrence of a one-row batch."""
-    return Jet(base.center, Jet(base.center, base.coeffs[None, :]).power(alpha).coeffs[0])
+@functools.cache
+def _ref_gauss(t: float, n: int, center: float) -> np.ndarray:
+    with mpmath.workdps(GEN_DPS):
+        amp = (4 * mpmath.pi * t) ** (-mpmath.mpf(n) / 2)
+        return _floats(_mp_gauss_row(t, mpmath.mpf(center), amp))
 
 
-def _jet_sphere_poisson(base_dim: int, y: float):
-    half = 0.5 * (base_dim + 1)
-    amp = math.gamma(half) / math.pi**half * math.sinh(y)
+@functools.cache
+def _ref_theta1(t: float, center: float) -> np.ndarray:
+    with mpmath.workdps(GEN_DPS):
+        amp = (4 * mpmath.pi * t) ** (-mpmath.mpf(1) / 2)
+        rows = [
+            _mp_gauss_row(t, center + 2 * mpmath.pi * m, amp)
+            for m in sphere._image_range(t, center, 1e-10)
+        ]
+        return _floats([mpmath.fsum(column) for column in zip(*rows)])
 
-    def gen(center, order):
-        base = variable(center, order).cos() * -2.0
-        base.coeffs[0] = 4.0 * math.sin(0.5 * center) ** 2 + 4.0 * math.sinh(0.5 * y) ** 2
-        return _batch_power(base, -half) * amp
 
-    return gen
+@functools.cache
+def _ref_halfplane(y: float, center: float) -> np.ndarray:
+    """y / (pi ((c + h)^2 + y^2)) = Im 1 / (pi (c + h - iy))."""
+    with mpmath.workdps(GEN_DPS):
+        z = mpmath.mpc(center, -y)
+        return _floats(
+            [mpmath.im((-1) ** j / z ** (j + 1)) / mpmath.pi for j in range(MAX_ORDER + 1)]
+        )
 
 
-def _jet_hyperbolic_poisson(base_dim: int, y: float):
-    half = 0.5 * (base_dim + 1)
-    amp = math.gamma(half) / (2.0 * math.pi) ** half * math.sin(y)
+def _mp_power(g: list, alpha) -> list:
+    """The coefficients of (sum_j g_j h^j)^alpha, by the power recurrence."""
+    out = [g[0] ** alpha]
+    for k in range(1, len(g)):
+        acc = mpmath.fsum(((alpha + 1) * i - k) * g[i] * out[k - i] for i in range(1, k + 1))
+        out.append(acc / (k * g[0]))
+    return out
 
-    def gen(center, order):
-        base = variable(center, order).cosh()
-        base.coeffs[0] = 2.0 * math.sinh(0.5 * center) ** 2 + 2.0 * math.sin(0.5 * y) ** 2
-        return _batch_power(base, -half) * amp
 
-    return gen
+@functools.cache
+def _ref_sphere_poisson(base_dim: int, y: float, center: float) -> np.ndarray:
+    """amp (2 cosh y - 2 cos x)^(-half), its base 4 sinh^2(y/2) + 4 sin^2(c/2),
+    -2 cos^(j)(c) / j!, ..."""
+    with mpmath.workdps(GEN_DPS):
+        half = mpmath.mpf(base_dim + 1) / 2
+        amp = mpmath.gamma(half) / mpmath.pi**half * mpmath.sinh(y)
+        cycle = (-mpmath.cos(center), mpmath.sin(center), mpmath.cos(center), -mpmath.sin(center))
+        base = [4 * mpmath.sinh(mpmath.mpf(y) / 2) ** 2 + 4 * mpmath.sin(mpmath.mpf(center) / 2) ** 2]
+        base += [2 * cycle[j % 4] / mpmath.factorial(j) for j in range(1, MAX_ORDER + 1)]
+        return _floats([amp * a for a in _mp_power(base, -half)])
+
+
+@functools.cache
+def _ref_hyperbolic_poisson(base_dim: int, y: float, center: float) -> np.ndarray:
+    """amp (cosh x - cos y)^(-half), its base 2 sin^2(y/2) + 2 sinh^2(c/2),
+    cosh^(j)(c) / j!, ..."""
+    with mpmath.workdps(GEN_DPS):
+        half = mpmath.mpf(base_dim + 1) / 2
+        amp = mpmath.gamma(half) / (2 * mpmath.pi) ** half * mpmath.sin(y)
+        cycle = (mpmath.cosh(center), mpmath.sinh(center))
+        base = [2 * mpmath.sin(mpmath.mpf(y) / 2) ** 2 + 2 * mpmath.sinh(mpmath.mpf(center) / 2) ** 2]
+        base += [cycle[j % 2] / mpmath.factorial(j) for j in range(1, MAX_ORDER + 1)]
+        return _floats([amp * a for a in _mp_power(base, -half)])
 
 
 def _gen_cases(family: str) -> list:
-    """(generator, its Jet program, centres, length scale at a centre)."""
+    """(generator, its reference row at a centre, centres, length scale at a centre)."""
     on_sphere = [c for c in GEN_CENTRES if c <= math.pi]
     cases = []
     for p in GEN_TIMES:
         gauss_scale = lambda c, p=p: math.sqrt(4.0 * p)
         poisson_scale = lambda c, p=p: math.hypot(p, c)
         if family == "gauss":
-            cases += [(gauss_jet(p, n), _jet_gauss(p, n), GEN_CENTRES, gauss_scale) for n in (1, 6)]
+            cases += [
+                (gauss_jet(p, n), functools.partial(_ref_gauss, p, n), GEN_CENTRES, gauss_scale)
+                for n in (1, 6)
+            ]
         elif family == "theta1":
-            cases.append((sphere._theta1_jet(p, 1e-10), _jet_theta1(p), on_sphere, gauss_scale))
+            ref = functools.partial(_ref_theta1, p)
+            cases.append((sphere._theta1_jet(p, 1e-10), ref, on_sphere, gauss_scale))
         elif family == "halfplane":
-            cases.append((euclid._halfplane_jet(p), _jet_halfplane(p), GEN_CENTRES, poisson_scale))
+            ref = functools.partial(_ref_halfplane, p)
+            cases.append((euclid._halfplane_jet(p), ref, GEN_CENTRES, poisson_scale))
         elif family == "sphere poisson":
             cases += [
-                (sphere._poisson_jet(d, p), _jet_sphere_poisson(d, p), on_sphere, poisson_scale)
+                (sphere._poisson_jet(d, p), functools.partial(_ref_sphere_poisson, d, p),
+                 on_sphere, poisson_scale)
                 for d in (1, 2)
             ]
         elif family == "hyperbolic poisson" and p < math.pi:
             # centres up to 1: as cosh grows like exp, the power recurrence
             # sums terms of (1 + half)^j / j! to a result of half^j / j!, and
-            # at order 32 both sides are ~5e-13 off mpmath at 3 and ~1e-4 at
-            # 20, in this scaled measure; the raise takes such orders only at
-            # the pole
+            # at order 32 the generator is ~5e-13 off mpmath at 3 and ~1e-4
+            # at 20, in this scaled measure; the raise takes such orders only
+            # at the pole
             cases += [
-                (hyperbolic._poisson_jet(d, p), _jet_hyperbolic_poisson(d, p), GEN_CENTRES[:4],
-                 poisson_scale)
+                (hyperbolic._poisson_jet(d, p), functools.partial(_ref_hyperbolic_poisson, d, p),
+                 GEN_CENTRES[:4], poisson_scale)
                 for d in (1, 2)
             ]
     return cases
@@ -809,11 +755,11 @@ def _assert_scaled_close(got: np.ndarray, want: np.ndarray, scale) -> None:
     "family", ["gauss", "theta1", "halfplane", "sphere poisson", "hyperbolic poisson"]
 )
 def test_generators_match_the_jet_expressions_they_replaced(family, order):
-    for new, old, centres, scale in _gen_cases(family):
+    for new, ref, centres, scale in _gen_cases(family):
         for c in centres:
-            got, want = new(c, order), old(c, order)
-            assert got.center == c and got.coeffs.shape == want.coeffs.shape == (order + 1,)
-            _assert_scaled_close(got.coeffs, want.coeffs, scale(c))
+            got, want = new(c, order), ref(c)[: order + 1]
+            assert got.center == c and got.coeffs.shape == want.shape == (order + 1,)
+            _assert_scaled_close(got.coeffs, want, scale(c))
 
 
 @pytest.mark.parametrize("order", GEN_ORDERS)
@@ -821,9 +767,10 @@ def test_gauss_jet_of_a_time_array_matches_the_jet_expression(order):
     times = np.array(GEN_TIMES)
     for n in (1, 6):
         for c in GEN_CENTRES:
-            got, want = gauss_jet(times, n)(c, order), _jet_gauss(times, n)(c, order)
-            assert got.coeffs.shape == want.coeffs.shape == (len(times), order + 1)
-            _assert_scaled_close(got.coeffs, want.coeffs, np.sqrt(4.0 * times))
+            got = gauss_jet(times, n)(c, order)
+            want = np.stack([_ref_gauss(t, n, c)[: order + 1] for t in GEN_TIMES])
+            assert got.coeffs.shape == want.shape == (len(times), order + 1)
+            _assert_scaled_close(got.coeffs, want, np.sqrt(4.0 * times))
 
 
 # (space, base dimension, y, centre): the closed Poisson bases at order 32,
@@ -838,8 +785,6 @@ POISSON_ORACLE_POINTS = [
 
 @pytest.mark.parametrize("space, base_dim, y, center", POISSON_ORACLE_POINTS)
 def test_poisson_generator_power_matches_mpmath_taylor(space, base_dim, y, center):
-    import mpmath
-
     order = MAX_ORDER
     with mpmath.workdps(30):
         half = mpmath.mpf(base_dim + 1) / 2

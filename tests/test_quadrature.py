@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ckernels.errors import ContourError, ConvergenceError, DomainError
-from ckernels.jets import variable
+from ckernels.jets import gauss_jet
 from ckernels.quadrature import (
     _WG7,
     _WK15,
@@ -175,9 +175,8 @@ def test_non_finite_value_is_reported_at_its_node_vectorized(node):
 
 
 def _jet_integrand(x):
-    """Jets in c about 0.4 of sin(c + x) exp(-(c + x)^2); x a node or a node array."""
-    shifted = variable(0.4, 6) + x
-    return (shifted.sin() * (shifted * shifted * -1.0).exp()).coeffs
+    """Jets about 0.4 + x of exp(-r^2); x a node, or a node array for one row a node."""
+    return gauss_jet(0.25, 0)(0.4 + x, 6).coeffs
 
 
 @pytest.mark.parametrize(
