@@ -317,67 +317,108 @@ def evaluate(
 # subordination
 
 
-def _heat_fn(space: Space, n: int, tol: float) -> Callable[[float, float], float]:
-    """Paper-convention heat values for the subordination integrands, node
-    by node; the S^n row (n >= 2) takes :func:`_sphere_subordinate`'s."""
+def _heat_nodes(space: Space, n: int, r: float, tol: float) -> Callable:
+    """The paper-convention heat kernel at r inside a nested integral:
+    ``heat(ts, w)`` gives its values and errors at a sweep's times ``ts``
+    under the outer weights ``w``.
+
+    The space's batch runs first: the S^n node series
+    (:func:`sphere._spectral_nodes`, n >= 2) or, on odd H^n, one
+    :func:`raise_kernel` of the Gaussian at every time.  Each node the batch
+    leaves takes the ``auto`` walk, looked up when it runs, heaviest first,
+    with the absolute target the outer weight sets: the inner tolerance
+    times a tenth of the largest |w h| yet met, over |w|, so that a node of
+    tiny weight needs little of the kernel.  A node whose walk raises keeps
+    the batch's value and error where they are finite; a node of weight 0
+    needs none.
+    """
     inner = max(tol * 0.1, 1e-12)
-    if space is Space.HYPERBOLIC and n % 2 == 0:
+    batch = None
+    if space is Space.SPHERE and n >= 2:
+        series = sphere._spectral_nodes(n, r)
+        batch = lambda ts, w: series(ts, w, inner)
+    elif space is Space.HYPERBOLIC and n % 2:
 
-        def even(t: float, r: float) -> float:
-            # the oscillatory line integral cancels catastrophically for small t,
-            # while the descent integrand overflows for very large t
-            if t >= 1.0:
-                return hyperbolic.heat_classic(n, t, r, tol=inner).value
-            return hyperbolic.heat_descent(n, t, r, tol=inner).value
+        def batch(ts: np.ndarray, w: np.ndarray) -> tuple:
+            res = raise_kernel(Space.HYPERBOLIC, gauss_jet(ts), (n - 1) // 2, r, inner)
+            return res.value, res.err_estimate + np.zeros(len(ts))
 
-        return even
-    call = _route(space, "heat", "auto")
-    return lambda t, r: call(n, t, r, inner, "paper", None).value
+    walk = _route(space, "heat", "auto")
+    peak = 0.0
 
+    def heat(ts: np.ndarray, w: np.ndarray) -> tuple:
+        nonlocal peak
+        values, errs = np.zeros(len(ts)), np.full(len(ts), math.inf)
+        if batch is not None:
+            try:
+                values, errs = batch(ts, w)
+            except (OverflowError, SingularPointError):  # sinh r > ~710; k >= 15
+                pass
+        weight = np.abs(w)
+        zero = weight == 0.0
+        values[zero] = errs[zero] = 0.0
+        met = errs <= inner * np.abs(values)
+        if met.any():
+            peak = max(peak, float((weight * np.abs(values))[met].max()))
+        todo = np.flatnonzero(~met)
+        # the heavy nodes raise the peak, which loosens the light ones' targets
+        for i in todo[np.argsort(-weight[todo], kind="stable")]:
+            target = 0.1 * inner * peak / weight[i]
+            if errs[i] <= target:
+                continue
+            try:
+                res = walk(n, ts[i], r, inner, "paper", None, target)
+            except _FALL_THROUGH:
+                if math.isfinite(values[i]) and math.isfinite(errs[i]):
+                    continue
+                raise
+            if not res.err_estimate >= errs[i]:
+                values[i], errs[i] = res.value, res.err_estimate
+                if errs[i] <= inner * abs(values[i]):
+                    peak = max(peak, weight[i] * abs(values[i]))
+        return values, errs
 
-_PAIRED = np.array([1.0, 2.0**-40])
+    return heat
 
 
 def subordinate(
-    heat_fn: Callable[[float, float], float],
+    heat_fn: Callable[[np.ndarray, float], np.ndarray],
     y: float,
     r: float,
     tol: float = DEFAULT_TOL,
     *,
     dim_hint: int = 3,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Poisson kernel from a heat kernel by the half-line average
 
     P(y, r) = (2 y / sqrt(pi)) integral_0^inf exp(-v^2 y^2) H(1/(4 v^2), r) dv.
 
-    ``dim_hint`` n widens the truncation to absorb the (4 pi t)^(-n/2)
-    short-time growth of the heat factor near the upper limit, and places
-    the first sweep's seeds at the bump of v^n exp(-(y^2 + r^2) v^2), which
-    the integrand follows at short times (:func:`bump_seeds`).  With
-    ``vectorized`` ``heat_fn`` takes the array of a sweep's times, as for
-    :func:`integrate_adaptive`, and may return (value, error) pairs on the
-    last axis: the K15 sum of the weighted errors then joins the error.
-    They ride along scaled by 2^-40, so they never drive the refinement.
+    ``heat_fn(ts, r)`` takes the array of a sweep's times, as a vectorized
+    integrand of :func:`integrate_adaptive` does, and returns the heat
+    values there, or a tuple (values, errors): the integral of the weighted
+    errors then joins the error.  ``dim_hint`` n widens the truncation to
+    absorb the (4 pi t)^(-n/2) short-time growth of the heat factor near
+    the upper limit, and places the first sweep's seeds at the bump of
+    v^n exp(-(y^2 + r^2) v^2), which the integrand follows at short times
+    (:func:`bump_seeds`).
     """
-    return _subordinate(heat_fn, y, r, tol, dim_hint, vectorized, (r,))
+    return _subordinate(lambda ts, w: heat_fn(ts, r), y, tol, dim_hint, (r,))
 
 
 def _subordinate(
-    heat_fn: Callable, y: float, r: float, tol: float, dim_hint: int, vectorized: bool,
-    lengths: tuple,
+    heat: Callable, y: float, tol: float, dim_hint: int, lengths: tuple
 ) -> QuadResult:
-    """:func:`subordinate`, seeded at the bumps of the geodesics of
-    ``lengths`` between the two points."""
+    """:func:`subordinate` of ``heat(ts, w)``, which also sees the outer
+    weights w, seeded at the bumps of the geodesics of ``lengths`` between
+    the two points."""
     check_positive("height", y)
     check_tol(tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + dim_hint) / y * 1.2
-    exp = np.exp if vectorized else math.exp
 
-    def f(v):
-        weight = exp(-v * v * y * y)
-        heat = heat_fn(0.25 / (v * v), r)
-        return weight[:, None] * heat * _PAIRED if np.ndim(heat) == 2 else weight * heat
+    def f(v: np.ndarray):
+        w = np.exp(-v * v * y * y)
+        out = heat(0.25 / (v * v), w)
+        return (w * out[0], w * out[1]) if isinstance(out, tuple) else w * out
 
     res = integrate_adaptive(
         f,
@@ -386,46 +427,24 @@ def _subordinate(
         tol,
         abs_tol=0.0,
         breakpoints=bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
-        vectorized=vectorized,
+        vectorized=True,
     )
-    res = res.scaled(2.0 * y / math.sqrt(math.pi))
-    if np.ndim(res.value):
-        value, inner_err = (res.value / _PAIRED).tolist()
-        return QuadResult(value, res.err_estimate + inner_err, res.n_evals)
-    return res
+    return res.scaled(2.0 * y / math.sqrt(math.pi))
 
 
 def _euclid_subordinate(n: int, y: float, r: float, tol: float) -> QuadResult:
     """The euclidean ``subordinate`` row: the closed heat kernel on a sweep's times."""
     check_query(Space.EUCLIDEAN, n, "poisson", y, r)
-    return subordinate(
-        lambda t, x: euclid._heat(np, n, t, x), y, r, tol, dim_hint=n, vectorized=True
-    )
+    return subordinate(lambda ts, x: euclid._heat(np, n, ts, x), y, r, tol, dim_hint=n)
 
 
 def _sphere_subordinate(n: int, y: float, phi: float, tol: float) -> QuadResult:
-    """The sphere ``subordinate`` row.  For n >= 2 a sweep's heat values are
-    one node-array series (sphere._spectral_nodes) with targets set by the
-    outer weight exp(-y^2/4t); a node that misses its target takes ``auto``.
-    The seeds take both arcs of the great circle, phi and 2 pi - phi: the
-    heat kernel leaves the flat one where the longer arc's Gaussian rises."""
+    """The sphere ``subordinate`` row, on :func:`_heat_nodes`.  The seeds
+    take both arcs of the great circle, phi and 2 pi - phi: the heat kernel
+    leaves the flat one where the longer arc's Gaussian rises."""
     check_query(Space.SPHERE, n, "poisson", y, phi)
-    arcs = (phi, 2.0 * math.pi - phi)
-    if n == 1:
-        return _subordinate(_heat_fn(Space.SPHERE, 1, tol), y, phi, tol, 1, False, arcs)
-    walk = _route(Space.SPHERE, "heat", "auto")
-    inner = max(tol * 0.1, 1e-12)
-    series = sphere._spectral_nodes(n, phi)
-
-    def heat(ts: np.ndarray, r: float) -> np.ndarray:
-        values, errs, targets = series(ts, np.exp(-0.25 * y * y / ts), inner)
-        for i in np.flatnonzero(errs > targets):
-            res = walk(n, ts[i], r, inner, "paper", None, targets[i])
-            if res.err_estimate < errs[i]:
-                values[i], errs[i] = res.value, res.err_estimate
-        return np.stack((values, errs), axis=1)
-
-    return _subordinate(heat, y, phi, tol, n, True, arcs)
+    heat = _heat_nodes(Space.SPHERE, n, phi, tol)
+    return _subordinate(heat, y, tol, n, (phi, 2.0 * math.pi - phi))
 
 
 def _theta_weight(v, y: float) -> np.ndarray:
@@ -464,40 +483,26 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     subordination variable, so no image truncation is needed.
 
     The integrand runs once per quadrature sweep, on the 15 nodes of each of
-    the sweep's panels.  For odd n the inner heat kernel at all those times
-    is one batched :func:`raise_kernel` of the Gaussian, at every rho: the
-    row the ``auto`` walk tries first, kept where the walk would accept it.
-    The other nodes take the inner heat kernel one by one, as the walk
-    gives it: nodes where the batch's error exceeds the inner tolerance,
-    where it overflows or is not finite, and even n.
+    the sweep's panels, and takes the inner heat kernel from
+    :func:`_heat_nodes`: for odd n one batched :func:`raise_kernel` of the
+    Gaussian, the ``auto`` walk at the nodes it leaves and for even n.  The
+    integral of the weighted inner errors joins the error, as does 1e-30 for
+    the weight below v = 0.054, which is left out.
     """
     check_query(Space.HYPERBOLIC, n, "poisson", y, rho)
     check_tol(tol)
-    heat_fn = _heat_fn(Space.HYPERBOLIC, n, tol)
-    inner = max(tol * 0.1, 1e-12)  # the tolerance _heat_fn asks of the walk
+    heat = _heat_nodes(Space.HYPERBOLIC, n, rho, tol)
     v_max = math.sqrt(math.log(1.0 / tol) + 6.0 + n) / y * 1.2 + 1.0
-    k = (n - 1) // 2
 
-    def f(vs: np.ndarray) -> np.ndarray:
+    def f(vs: np.ndarray) -> tuple:
         w = _theta_weight(vs, y)
-        ts = 0.25 / (vs * vs)
-        heat = np.full(len(vs), math.nan)  # a node left non-finite takes the walk
-        if n % 2 == 1:
-            try:
-                res = raise_kernel(Space.HYPERBOLIC, gauss_jet(ts), k, rho, inner)
-                met = res.err_estimate <= inner * np.abs(res.value)
-                heat = np.where(met, res.value, math.nan)
-            except (OverflowError, SingularPointError):  # sinh rho > ~710; k >= 15
-                pass
-        heat[w == 0.0] = 0.0  # an underflowed weight needs no heat
-        for i in np.flatnonzero(~np.isfinite(heat)):
-            heat[i] = heat_fn(ts[i], rho)
-        return w * heat
+        values, errs = heat(0.25 / (vs * vs), w)
+        return w * values, np.abs(w) * errs
 
-    # breakpoints: the series switch inside the weight, the inner
-    # representation switch for even dimensions at t = 1, and the bumps of
-    # the weight's widest images y and y - 2 pi (0 < y < pi), whose sum
-    # leaves the single image where the second one's Gaussian rises
+    # breakpoints: the series switch inside the weight, v = 0.5 (t = 1), a
+    # seed of the partition the odd-n rows are timed on, and the bumps of the
+    # weight's widest images y and y - 2 pi (0 < y < pi), whose sum leaves
+    # the single image where the second one's Gaussian rises
     res = integrate_adaptive(
         f,
         0.054,
@@ -507,8 +512,7 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
         breakpoints=[0.3, 0.5] + bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
         vectorized=True,
     )
-    inner_err = 3.0 * inner * abs(res.value)
-    return QuadResult(res.value, res.err_estimate + inner_err + 1e-30, res.n_evals)
+    return QuadResult(res.value, res.err_estimate + 1e-30, res.n_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +538,16 @@ def heat_mass(
     factor = convention_factor(space, convention, n, t)
     coeff = sphere_surface_coeff(n)
     inner = max(0.05 * tol, 1e-12)
-    if space is Space.HYPERBOLIC and n % 2 == 0:
-        point = lambda rho: hyperbolic.heat_classic(n, t, rho, tol=inner).value
+    # on S^n the image sums or raising, never ``auto``: the spectral series'
+    # mass is exactly its l = 0 term, so it would test nothing
+    if space is Space.SPHERE:
+        rep = "theta" if n <= 3 else "raise"
     else:
-        # the closed form, the image sums or raising, never ``auto``: the
-        # spectral series' mass is exactly its l = 0 term, so it would test
-        # nothing
-        if space is Space.EUCLIDEAN:
-            rep = "closed"
-        elif space is Space.SPHERE and n <= 3:
-            rep = "theta"
-        else:
-            rep = "raise"
-        call = _route(space, "heat", rep)
-        point = lambda x: call(n, t, x, inner, "paper", None).value
+        rep = "closed" if space is Space.EUCLIDEAN else "auto"
+    call = _route(space, "heat", rep)
 
     def f(x: float) -> float:
-        return point(x) * coeff * space.weight(x) ** (n - 1)
+        return call(n, t, x, inner, "paper", None).value * coeff * space.weight(x) ** (n - 1)
 
     if space is Space.SPHERE:
         top = math.pi
@@ -948,42 +945,39 @@ def subordination_sweep(
     hyperbolic space the winning candidate is additionally corrected by the
     2 pi image sum in y, whose residual is reported separately.
     """
-    if space is Space.EUCLIDEAN:
-        heat = {"paper": lambda t, r: euclid.heat_closed(n, t, r)}
-    else:
-        base = _heat_fn(space, n, tol)
-        heat = {
-            "paper": base,
-            "markovian": lambda t, r: base(t, r)
-            * convention_factor(space, "markovian", n, t),
-        }
     closed_form = _route(space, "poisson", "closed")
     closed = lambda y, r: closed_form(n, y, r, tol, "paper", None).value
-
+    flat = space is Space.EUCLIDEAN
+    shift = spectral_shift(space, n)
     quarter = 0.25 * (n - 1) ** 2
     deltas = sorted({0.0, quarter, -quarter})
     rows = []
-    for name, fn in heat.items():
+    for convention in ("paper",) if flat else CONVENTIONS:
         for delta in deltas:
-
-            def shifted(t, r, _fn=fn, _d=delta):
-                return _fn(t, r) * math.exp(-_d * t)
-
+            # the markovian kernel is the paper one times exp(-shift t)
+            rate = delta + (shift if convention == "markovian" else 0.0)
             worst = 0.0
             note = "ok"
             for y, r in points:
+                if flat:
+                    heat = lambda ts, w, r=r: (euclid._heat(np, n, ts, r), np.zeros(len(ts)))
+                else:
+                    heat = _heat_nodes(space, n, r, tol)
+
+                def shifted(ts, w, heat=heat, rate=rate):
+                    factor = np.exp(-rate * ts)
+                    values, errs = heat(ts, w * factor)
+                    return values * factor, errs * factor
+
                 try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        got = subordinate(shifted, y, r, tol, dim_hint=n).value
-                    if not math.isfinite(got):
-                        raise OverflowError
+                    got = _subordinate(shifted, y, tol, n, (r,)).value
                     want = closed(y, r)
                     worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
                 except (ConvergenceError, OverflowError):
                     worst = math.inf
                     note = "integral diverges"
                     break
-            rows.append(SweepRow(name, delta, worst, note))
+            rows.append(SweepRow(convention, delta, worst, note))
 
     rows.sort(key=lambda row: row.mismatch)
     best = rows[0]
@@ -1269,7 +1263,7 @@ def _suite_subordination(thr: dict) -> list:
         worst = 0.0
         for y, r in pts:
             got = subordinate(
-                lambda t, s: euclid.heat_closed(n, t, s), y, r, 1e-10, dim_hint=n
+                lambda ts, s: euclid._heat(np, n, ts, s), y, r, 1e-10, dim_hint=n
             ).value
             want = euclid.poisson_closed(n, y, r)
             worst = max(worst, _rel(got, want))

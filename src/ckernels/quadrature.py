@@ -15,15 +15,17 @@ The reported error is the accumulated panel differences plus a roundoff
 floor proportional to the integral of |f|, so results near the
 double-precision cancellation limit carry error estimates that reflect it
 instead of the nominal tolerance, plus 15 least subnormals a panel, the
-absolute rounding of an integral of subnormal values.  A scalar integrand's
-K15 sums, K15 - G7 differences and integrals of |f| come from one matrix
-product per sweep.
+absolute rounding of an integral of subnormal values.  A sweep's K15 sums,
+K15 - G7 differences and integrals of |f| come from one matrix product.
 
-Integrands may return scalars or numpy arrays of a fixed shape ((value,
-error) pairs, say), the error measured in the max norm across components.
-With ``vectorized=True`` the integrand is called once per sweep on the
-array of the 15 nodes of each of its panels and returns the values stacked
-along the leading axis, so one batched raise can carry a whole sweep.
+Integrands return floats.  With ``vectorized=True`` the integrand is called
+once per sweep on the array of the 15 nodes of each of its panels and
+returns their values, so one batched raise can carry a whole sweep.  It may
+return a tuple (values, errors) of node arrays instead, the errors bounding
+its own values' (an inner integral's, say): their K15 integral, one more
+column of the sweep's matrix product, joins the reported error and never
+drives the refinement, the nested error budget of Gander and Gautschi
+(BIT 40, 2000).
 
 Three transforms cover the singular and unbounded shapes that arise in the
 kernel formulas: an inverse-square-root endpoint factor (substitute
@@ -95,10 +97,11 @@ _XK15 = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _WK15 = np.array(_WGK[:-1] + _WGK[::-1])
 _WG7 = np.zeros(15)
 _WG7[1::2] = _WG[:-1] + _WG[::-1]
-_WDIFF = _WK15 - _WG7
-# (values, |values|) of a panel times _W3: K15, K15 - G7 and K15 of |f|
-_W3 = np.zeros((30, 3))
-_W3[:15, :2], _W3[15:, 2] = np.stack((_WK15, _WDIFF), axis=1), _WK15
+# (values, |values|, errors) of a panel times _W4: K15, K15 - G7, K15 of |f|
+# and K15 of the errors; _W3, its top left, takes (values, |values|)
+_W4 = np.zeros((45, 4))
+_W4[:15, 0], _W4[:15, 1], _W4[15:30, 2], _W4[30:, 3] = _WK15, _WK15 - _WG7, _WK15, _WK15
+_W3 = np.ascontiguousarray(_W4[:30, :3])
 
 Value = Union[float, np.ndarray]
 
@@ -223,21 +226,16 @@ def bump_seeds(n: int, heights: tuple, lengths: tuple, a: float, b: float) -> li
     return seeds
 
 
-def _norm(v: Value) -> float:
-    if isinstance(v, np.ndarray):
-        return float(np.max(np.abs(v)))
-    return abs(v)
-
-
 def _sweep(f, los: list, his: list, vectorized: bool):
     """Embedded G7/K15 estimates on the panels [los[i], his[i]] of one sweep.
 
     One integrand call per Kronrod node, 15 per panel, or one call on the
     array of all the sweep's nodes if ``vectorized``.  Returns (values, errs,
-    resabs, where_bad) with one entry per panel: the K15 value (a float, or an
-    array of the integrand's shape), the raw |K15 - G7| (max norm for array
-    values) and the K15 integral of |f|.  ``where_bad`` is the first node at
-    which f is not finite, in which case the other fields are None.
+    resabs, inner, where_bad) with one entry per panel: the K15 value, the
+    raw |K15 - G7|, the K15 integral of |f| and the K15 integral of the
+    integrand's own errors (0 if it gives none).  ``where_bad`` is the first
+    node at which f or its error is not finite, in which case the other
+    fields are None.
     """
     h = [0.5 * (b - a) for a, b in zip(los, his)]
     if len(h) == 1:  # the first sweep of an integral without breakpoints
@@ -246,41 +244,28 @@ def _sweep(f, los: list, his: list, vectorized: bool):
         nodes = np.multiply.outer(h, _XK15)
         nodes += np.array([0.5 * (a + b) for a, b in zip(los, his)])[:, None]
         nodes = nodes.ravel()
-    if vectorized:
-        v = np.asarray(f(nodes), float)
-    else:
-        vals = [f(x) for x in nodes]
-        if isinstance(vals[0], np.ndarray):
-            v = np.stack([np.asarray(u, float) for u in vals])
-        else:
-            v = np.array(vals, float)
-    shape = v.shape[1:]
-    # the rule's weights times each panel's block of 15 values: the products
-    # a panel alone would get, whatever the sweep.  An inf times a zero
-    # weight is a nan, and is reported like the inf
+    out = f(nodes) if vectorized else [f(x) for x in nodes]
+    paired = isinstance(out, tuple)  # (values, errors)
+    v = np.asarray(out[0] if paired else out, float).reshape(len(h), 15)
+    blocks = [v, np.abs(v)]
+    if paired:
+        blocks.append(np.asarray(out[1], float).reshape(len(h), 15))
+    # the rule's weights times each panel's blocks of 15: the products a
+    # panel alone would get, whatever the sweep.  An inf times a zero weight
+    # is a nan, and is reported like the inf
     with nullcontext() if vectorized else np.errstate(invalid="ignore"):
-        if not shape:
-            # K15, K15 - G7 and the K15 integral of |f| in one product
-            v = v.reshape(len(h), 15)
-            sums, diffs, absum = (np.concatenate((v, np.abs(v)), axis=1) @ _W3).T.tolist()
-        else:
-            # array values take the max norm over their components
-            v = v.reshape(len(h), 15, -1)
-            absum = (_WK15 @ np.abs(v)).max(axis=1).tolist()
-            diffs = np.abs(_WDIFF @ v).max(axis=1).tolist()
-            sums = _WK15 @ v
-    # a non-finite node makes its panel's integral of |f| non-finite
-    if not math.isfinite(sum(absum)):
-        finite = np.isfinite(v.reshape(len(nodes), -1)).all(axis=1)
+        cols = (np.concatenate(blocks, axis=1) @ (_W4 if paired else _W3)).T.tolist()
+    # a non-finite node makes its panel's integral of |f| or of the errors
+    # non-finite
+    if not math.isfinite(sum(sum(c) for c in cols[2:])):
+        finite = np.isfinite(blocks[1]) & np.isfinite(blocks[-1])
         if not finite.all():
-            return None, None, None, float(nodes[np.argmin(finite)])
-    resabs = [hp * r for hp, r in zip(h, absum)]
-    errs = [hp * abs(d) for hp, d in zip(h, diffs)]
-    if shape:
-        values = [hp * k.reshape(shape) for hp, k in zip(h, sums)]
-    else:
-        values = [hp * k for hp, k in zip(h, sums)]
-    return values, errs, resabs, None
+            return None, None, None, None, float(nodes[np.argmin(finite.ravel())])
+    values = [hp * k for hp, k in zip(h, cols[0])]
+    errs = [hp * abs(d) for hp, d in zip(h, cols[1])]
+    resabs = [hp * r for hp, r in zip(h, cols[2])]
+    inner = [hp * e for hp, e in zip(h, cols[3])] if paired else [0.0] * len(h)
+    return values, errs, resabs, inner, None
 
 
 def integrate_adaptive(
@@ -305,9 +290,10 @@ def integrate_adaptive(
     split takes fewer parts if that fills ``max_panels``.  ``max_depth``
     counts bisection levels, two per cut in four.  With ``vectorized``
     f takes the array of a sweep's nodes, a multiple of 15, and returns their
-    values stacked along the leading axis; ``n_evals`` still counts nodes.
-    Raises :class:`ConvergenceError`, carrying the best estimate, if the panel
-    or depth budget runs out, and reports a roundoff-floor error term
+    values, or a tuple (values, errors) whose errors' integral joins the
+    reported error; ``n_evals`` still counts nodes.  Raises
+    :class:`ConvergenceError`, carrying the best estimate, if the panel or
+    depth budget runs out, and reports a roundoff-floor error term
     proportional to the integral of |f|, plus 15 least subnormals a panel,
     so that cancellation-limited and subnormal results are not overclaimed.
     """
@@ -327,44 +313,50 @@ def integrate_adaptive(
     his = los[1:] + [b]
     depths = [0] * len(los)
 
-    heap = []  # entries: (-err, seq, lo, hi, value, err, resabs, depth)
+    heap = []  # entries: (-err, seq, lo, hi, value, err, resabs, inner, depth)
     split = []  # the heap entries that the panels of the sweep replace
     seq = 0
     total_value = 0.0
     total_err = 0.0
     total_resabs = 0.0
+    total_inner = 0.0  # the integral of the integrand's own errors
     n_evals = 0
 
     def reported() -> QuadResult:
-        """The estimate with the roundoff floor and subnormal rounding added."""
-        err = total_err + 30.0 * _EPS * total_resabs + _PANEL_SUBNORMAL_ERR * panels
-        return QuadResult(total_value, err, n_evals)
+        """The estimate with the integrand's errors, the roundoff floor and
+        subnormal rounding added."""
+        err = total_err + total_inner + 30.0 * _EPS * total_resabs
+        return QuadResult(total_value, err + _PANEL_SUBNORMAL_ERR * panels, n_evals)
 
     # numpy's warnings are off for a vectorized f: an overflow is reported as
     # a non-finite value.  The floor ends subnormal noise above a target of 0
     floor = (b - a) * sys.float_info.min
     with np.errstate(all="ignore") if vectorized else nullcontext():
         while True:
-            values, errs, resabs, bad_at = _sweep(f, los, his, vectorized)
+            values, errs, resabs, inner, bad_at = _sweep(f, los, his, vectorized)
             n_evals += 15 * len(los)
             if bad_at is not None:
                 best = QuadResult(total_value, math.inf, n_evals) if split else None
                 raise ConvergenceError(
                     f"integrand returned a non-finite value near x = {bad_at}", best
                 )
-            for _, _, _, _, value, err, ra, _ in split:
-                total_value = total_value - value
+            for _, _, _, _, value, err, ra, ie, _ in split:
+                total_value -= value
                 total_err -= err
                 total_resabs -= ra
-            for lo, hi, value, err, ra, dep in zip(los, his, values, errs, resabs, depths):
-                total_value = total_value + value
+                total_inner -= ie
+            for lo, hi, value, err, ra, ie, dep in zip(
+                los, his, values, errs, resabs, inner, depths
+            ):
+                total_value += value
                 total_err += err
                 total_resabs += ra
-                heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, dep))
+                total_inner += ie
+                heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, ie, dep))
                 seq += 1
             panels = len(heap)
 
-            target = max(abs_tol, tol * _norm(total_value))
+            target = max(abs_tol, tol * abs(total_value))
             excess = total_err - max(target, 100.0 * _EPS * total_resabs) - floor
             if excess <= 0.0:
                 break
@@ -384,7 +376,7 @@ def integrate_adaptive(
             los, his, depths = [], [], []
             while heap and removed < excess and room > 0:
                 entry = heapq.heappop(heap)
-                _, _, lo, hi, _, err, _, depth = entry
+                _, _, lo, hi, _, err, _, _, depth = entry
                 if depth >= max_depth:
                     raise ConvergenceError(
                         f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", reported()
@@ -464,20 +456,15 @@ def integrate_to_infinity(
     should be of the order of the integrand's decay length so the transformed
     integrand is well resolved.  f must decay faster than x^(-2) for the
     transformed integrand to stay bounded.  ``breakpoints`` are given in x
-    coordinates; ``vectorized`` is as for :func:`integrate_adaptive`.
+    coordinates; ``vectorized`` is as for :func:`integrate_adaptive`, but f
+    returns values only.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be positive, got {scale}")
 
     def g(u: Value) -> Value:
         onemu = 1.0 - u
-        x = a + scale * u / onemu
-        jac = scale / (onemu * onemu)
-        val = f(x)
-        if vectorized:
-            # one Jacobian factor per node, along the leading axis
-            jac = np.reshape(jac, jac.shape + (1,) * (np.ndim(val) - 1))
-        return val * jac
+        return f(a + scale * u / onemu) * (scale / (onemu * onemu))
 
     return integrate_adaptive(
         g,

@@ -398,10 +398,10 @@ def heat_spectral(
 
 def _spectral_nodes(n: int, phi: float):
     """:func:`heat_spectral`'s series at all the times of a sweep (n >= 2):
-    ``series(ts, weights, tol)`` gives the values, errors and targets.  With
-    phi fixed, one scalar recurrence gives the C_l^a(cos phi), the times one
-    weight matrix, one matrix product the sums.  A target is tol times |h|
-    or a tenth of the largest |weights h| yet seen over the node's weight.
+    ``series(ts, weights, tol)`` gives the values and errors.  With phi
+    fixed, one scalar recurrence gives the C_l^a(cos phi), the times one
+    weight matrix, one matrix product the sums.  A node's target is tol
+    times |h| or a tenth of the largest |weights h| yet seen over its weight.
     A node stops where its tail bound is 1e-3 of its target, zeroes its
     later weights, and takes heat_spectral's bounds at its own term count.
     Terms start at 32 and double for the nodes that need more, up to
@@ -462,7 +462,7 @@ def _spectral_nodes(n: int, phi: float):
             if terms >= _NODE_TERMS:
                 break
             todo, terms = todo[~ok], 2 * terms
-        return values, errs, tol * np.maximum(np.abs(values), 0.1 * peak / weights)
+        return values, errs
 
     return series
 

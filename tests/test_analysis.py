@@ -324,7 +324,7 @@ def test_spectral_shift_table():
 def test_subordination_closes_on_flat_space(n):
     for y, r in [(0.8, 0.5), (1.5, 2.0)]:
         res = analysis.subordinate(
-            lambda t, s: euclid.heat_closed(n, t, s), y, r, 1e-10, dim_hint=n
+            lambda ts, s: euclid._heat(np, n, ts, s), y, r, 1e-10, dim_hint=n
         )
         want = euclid.poisson_closed(n, y, r)
         assert res.value == pytest.approx(want, rel=1e-9)
@@ -343,20 +343,28 @@ def test_euclidean_subordinate_row_meets_the_closed_form(n, y, r):
 
 @pytest.mark.parametrize("n", [1, 3, 6, 11, 15])
 @pytest.mark.parametrize("y, r", [(0.8, 0.0), (0.95, 1.2), (0.1, 3.0), (2.5, 0.5)])
-def test_vectorized_subordinate_matches_per_node(n, y, r):
-    per_node = analysis.subordinate(
-        lambda t, s: euclid.heat_closed(n, t, s), y, r, dim_hint=n
-    )
-    calls = []
+def test_vectorized_subordinate_matches_per_node(n, y, r, monkeypatch):
+    # the heat function runs once per sweep on the sweep's times; the same
+    # integral taken node by node splits the same panels to the same value
+    calls, runs = [], []
 
-    def heat(t, s):
-        calls.append(np.size(t))
-        return euclid._heat(np, n, t, s)
+    def heat(ts, s):
+        calls.append(np.size(ts))
+        return euclid._heat(np, n, ts, s)
 
-    batched = analysis.subordinate(heat, y, r, dim_hint=n, vectorized=True)
-    # one call per sweep on its nodes, the same panels as per node
-    assert sum(calls) == batched.n_evals == per_node.n_evals
+    def recorded(f, *args, **kwargs):
+        runs.append((f, args, kwargs))
+        return quadrature.integrate_adaptive(f, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate_adaptive", recorded)
+    batched = analysis.subordinate(heat, y, r, dim_hint=n)
+    assert sum(calls) == batched.n_evals
     assert len(calls) < batched.n_evals // 15
+    [(f, args, kwargs)] = runs
+    per_node = quadrature.integrate_adaptive(
+        lambda v: float(f(np.array([v]))[0]), *args, **{**kwargs, "vectorized": False}
+    ).scaled(2.0 * y / math.sqrt(math.pi))
+    assert per_node.n_evals == batched.n_evals
     assert abs(batched.value - per_node.value) <= 1e-15 * abs(per_node.value)
 
 
@@ -390,19 +398,21 @@ def test_sphere_subordinate_meets_the_closed_form(n, y, phi):
 @pytest.mark.parametrize("n, y, phi", [(2, 0.793, 1.504), (3, 0.819, 1.085), (3, 0.88, 0.005)])
 def test_sphere_subordinate_claims_tol_with_its_inner_error(n, y, phi, monkeypatch):
     # the nested-quad benchmark's cells: the claim covers the quadrature and
-    # the weighted error of the inner series, and stays within tol
-    quad_errs = []
-
-    def recorded(*args, **kwargs):
-        res = quadrature.integrate_adaptive(*args, **kwargs)
-        quad_errs.append(res.err_estimate)
-        return res
-
-    monkeypatch.setattr(analysis, "integrate_adaptive", recorded)
+    # the weighted error of the inner series, and stays within tol.  The
+    # inner errors never drive the refinement: without them the integral
+    # takes the same nodes to the same value, and claims less
     res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="subordinate")
     want = sphere.poisson_closed(n, y, phi)
     assert abs(res.value - want) <= res.err_estimate <= 1e-10 * abs(res.value)
-    assert res.err_estimate > quad_errs[0] * 2.0 * y / math.sqrt(math.pi)
+
+    def values_only(f, *args, **kwargs):
+        return quadrature.integrate_adaptive(lambda v: f(v)[0], *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate_adaptive", values_only)
+    plain = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="subordinate")
+    assert plain.n_evals == res.n_evals
+    assert plain.value == pytest.approx(res.value, rel=1e-15)
+    assert res.err_estimate > plain.err_estimate
 
 
 @pytest.mark.parametrize("n, y, phi", [(2, 0.8, 1.5), (5, 0.8, 0.3), (6, 3.0, 2.0)])
@@ -433,6 +443,25 @@ def test_sphere_subordinate_sums_one_series_per_sweep(n, y, phi, monkeypatch):
     assert abs(res.value - sphere.poisson_closed(n, y, phi)) <= res.err_estimate
 
 
+def test_a_node_whose_walk_raises_keeps_the_series(monkeypatch):
+    # S^6 at y = 0.1: the series' rounding floor sends ~130 nodes to the
+    # walk.  Where the walk raises, a node keeps the series' finite value
+    # and error, and the claim covers them; a node with no finite value of
+    # its own (on S^1 there is no series) raises the walk's error
+    walked = []
+
+    def refuse(n, t, *args):
+        walked.append(t)
+        raise ConvergenceError("refused")
+
+    monkeypatch.setitem(analysis._AUTO, (Space.SPHERE, "heat"), refuse)
+    res = analysis.evaluate(Space.SPHERE, 6, "poisson", 0.1, 1.5, rep="subordinate")
+    assert walked
+    assert abs(res.value - sphere.poisson_closed(6, 0.1, 1.5)) <= res.err_estimate
+    with pytest.raises(ConvergenceError, match="refused"):
+        analysis.evaluate(Space.SPHERE, 1, "poisson", 0.8, 1.5, rep="subordinate")
+
+
 def _subordinate_gate():
     """The subordinate rows of the three spaces against their closed forms,
     from heights of 1e-3, where the integrand is a narrow bump far out in v,
@@ -443,7 +472,8 @@ def _subordinate_gate():
         strict=True,
         reason="S^4 at the pole: the inner auto walk at t < 1e-4 gets gruet's "
         "ContourError, and even-n raise refuses where the pole series "
-        "diverges at tiny t (ROADMAP item 1)",
+        "diverges at tiny t (ROADMAP item 1); the node series has no finite "
+        "error there to keep",
     )
     cells = []
     for space, ns in dims.items():
@@ -453,10 +483,10 @@ def _subordinate_gate():
                 for r in (0.0, 0.02, 0.5, 2.0, far):
                     known = space is Space.SPHERE and n == 4 and r == 0.0 and y <= 0.01
                     cells.append(pytest.param(space, n, y, r, marks=[inner_walk] if known else []))
-    # even H^n, whose inner heat kernel below t = 1 is the descent row
+    # even H^n, whose inner heat kernel is the auto walk at every node
     cells += [
         pytest.param(Space.HYPERBOLIC, n, y, r)
-        for n in (2, 4) for y in (0.8, 2.0) for r in (0.0, 0.5, 1.5)
+        for n in (2, 4, 6, 8, 10) for y in (0.8, 2.0) for r in (0.0, 0.5, 1.5)
     ]
     return cells
 
@@ -469,15 +499,14 @@ def test_subordinate_rows_meet_the_closed_form(space, n, y, r):
 
 
 def test_subordinate_adds_the_weighted_inner_error():
-    # (value, error) pairs: the value is the plain integral's, and the
-    # errors, integrated with the same weight, join err_estimate
+    # (values, errors): the value is the plain integral's, on the same
+    # nodes, and the errors, integrated with the same weight, join
+    # err_estimate
     n, y, r = 3, 0.8, 0.5
-    plain = analysis.subordinate(
-        lambda t, s: euclid._heat(np, n, t, s), y, r, dim_hint=n, vectorized=True
-    )
+    plain = analysis.subordinate(lambda ts, s: euclid._heat(np, n, ts, s), y, r, dim_hint=n)
     paired = analysis.subordinate(
-        lambda t, s: np.stack((euclid._heat(np, n, t, s), 1e-6 * euclid._heat(np, n, t, s)), 1),
-        y, r, dim_hint=n, vectorized=True,
+        lambda ts, s: (euclid._heat(np, n, ts, s), 1e-6 * euclid._heat(np, n, ts, s)),
+        y, r, dim_hint=n,
     )
     assert paired.value == pytest.approx(plain.value, rel=1e-15)
     assert paired.n_evals == plain.n_evals
@@ -621,6 +650,15 @@ def test_heat_mass_hyperbolic_growth_law():
     assert markov == pytest.approx(1.0, rel=1e-8)
     even = analysis.heat_mass(Space.HYPERBOLIC, 2, 0.5).value
     assert even == pytest.approx(math.exp(0.5 / 4.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("t", [0.01, 0.7, 2.0])
+def test_heat_mass_even_hyperbolic_growth_law(n, t):
+    # the auto walk at each node: heat_classic alone cancelled past its
+    # budget at H^4 t = 0.01 and overflowed at H^6 t = 2
+    got = analysis.heat_mass(Space.HYPERBOLIC, n, t).value
+    assert got == pytest.approx(math.exp((n - 1) ** 2 * t / 4.0), rel=1e-9)
 
 
 def test_heat_mass_sphere_never_uses_the_spectral_series(monkeypatch):
@@ -827,6 +865,13 @@ def test_sweep_hyperbolic_needs_image_closure():
     # ... but the 2 pi image sum closes it to quadrature accuracy
     assert report.images_mismatch is not None
     assert report.images_mismatch < 1e-8
+
+
+def test_sweep_hyperbolic_even_n_closes_by_images():
+    # the even-n inner heat kernel at t ~ 86 overflowed heat_classic's power
+    report = analysis.subordination_sweep(Space.HYPERBOLIC, 6)
+    assert report.images_mismatch is not None
+    assert report.images_mismatch <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,14 @@ def test_eval_overflow_exits_4(runner, args):
     assert res.stdout == ""
 
 
+def test_eval_even_hyperbolic_subordinate_exits_0(runner):
+    # its inner heat kernel at t ~ 86 overflowed heat_classic's power
+    res = invoke(runner, ["eval", "--space", "hyperbolic", "--dim", "6", "--kind", "poisson",
+                          "--rep", "subordinate", "--y", "0.8", "--r", "1.5"])
+    assert res.exit_code == 0
+    assert res.stderr == ""
+
+
 def test_eval_poisson_closed_underflows_instead_of_overflowing(runner):
     # (cosh rho - cos y)^5 overflows at rho = 278.7; the kernel underflows
     res = invoke(runner, ["eval", "--space", "hyperbolic", "--dim", "9", "--kind", "poisson",

@@ -111,12 +111,24 @@ def test_log_endpoint_singularity():
     assert abs(res.value - INT_LOG_SIN) <= 10.0 * res.err_estimate
 
 
-def test_array_valued_integrand():
-    res = integrate_adaptive(
-        lambda x: np.array([math.sin(x), math.cos(x), x * x]), 0.0, 1.0, 1e-12
+def _runge(x):
+    return 1.0 / (1.0 + 25.0 * x * x)
+
+
+def test_integrand_errors_join_the_reported_error():
+    # (v, c |v|): the same nodes and value as v alone, and the plain error
+    # plus c times the integral of |v|; the errors never drive refinement
+    c = 1e-6
+    plain = integrate_adaptive(_runge, -1.0, 1.0, 1e-13, vectorized=True)
+    paired = integrate_adaptive(
+        lambda x: (_runge(x), c * np.abs(_runge(x))), -1.0, 1.0, 1e-13, vectorized=True
     )
-    expect = [1.0 - math.cos(1.0), math.sin(1.0), 1.0 / 3.0]
-    assert res.value == pytest.approx(expect, rel=1e-13)
+    assert plain.n_evals > 15  # refined past one panel
+    assert paired.n_evals == plain.n_evals
+    assert paired.value == pytest.approx(plain.value, rel=1e-15)
+    assert paired.err_estimate - plain.err_estimate == pytest.approx(
+        c * 0.4 * math.atan(5.0), rel=1e-9
+    )
 
 
 def test_zero_width_interval():
@@ -151,32 +163,34 @@ def test_non_finite_integrand_reported_with_location():
 
 
 @pytest.mark.parametrize("node", [4, 7])  # a Kronrod-only node, a Gauss node
-@pytest.mark.parametrize("as_array", [False, True])
-def test_non_finite_value_is_reported_at_its_node(node, as_array):
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_non_finite_value_is_reported_at_its_node(node, vectorized):
     bad_x = float(0.5 + 0.5 * _XK15[node])  # a node of the panel on [0, 1]
 
     def f(x):
-        y = math.nan if x == bad_x else x
-        return np.array([1.0, y]) if as_array else y
+        return np.where(x == bad_x, math.nan, x)
 
     with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")):
-        integrate_adaptive(f, 0.0, 1.0, 1e-10)
+        integrate_adaptive(f, 0.0, 1.0, 1e-10, vectorized=vectorized)
 
 
 @pytest.mark.parametrize("node", [4, 7])
 def test_non_finite_value_is_reported_at_its_node_vectorized(node):
+    # a (values, errors) integrand: a non-finite error is reported at its
+    # node, as a non-finite value is
     bad_x = float(0.5 + 0.5 * _XK15[node])
 
-    def f(xs):  # all nodes at once, one row each
-        return np.stack([np.ones_like(xs), np.where(xs == bad_x, math.nan, xs)], axis=1)
+    def f(xs):
+        return np.ones_like(xs), np.where(xs == bad_x, math.nan, xs)
 
     with pytest.raises(ConvergenceError, match=re.escape(f"x = {bad_x}")):
         integrate_adaptive(f, 0.0, 1.0, 1e-10, vectorized=True)
 
 
 def _jet_integrand(x):
-    """Jets about 0.4 + x of exp(-r^2); x a node, or a node array for one row a node."""
-    return gauss_jet(0.25, 0)(0.4 + x, 6).coeffs
+    """The order-6 Taylor coefficient of exp(-r^2) about 0.4 + x, at a node
+    or at each node of an array."""
+    return gauss_jet(0.25, 0)(0.4 + x, 6).coeffs[..., 6]
 
 
 @pytest.mark.parametrize(
@@ -206,8 +220,8 @@ def test_vectorized_panels_match_per_node_calls(integrate):
     assert sum(calls) == batched.n_evals
     assert len(calls) < batched.n_evals // 15
     assert batched.n_evals == per_node.n_evals == node_calls
-    scale = np.max(np.abs(per_node.value))
-    assert np.max(np.abs(batched.value - per_node.value)) <= 1e-15 * scale
+    scale = abs(per_node.value)
+    assert abs(batched.value - per_node.value) <= 1e-15 * scale
     # the error estimate is a difference of the same sums, equal to rounding
     assert abs(batched.err_estimate - per_node.err_estimate) <= 1e-15 * scale
 
