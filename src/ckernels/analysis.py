@@ -951,34 +951,38 @@ def subordination_sweep(
     shift = spectral_shift(space, n)
     quarter = 0.25 * (n - 1) ** 2
     deltas = sorted({0.0, quarter, -quarter})
-    rows = []
-    for convention in ("paper",) if flat else CONVENTIONS:
-        for delta in deltas:
-            # the markovian kernel is the paper one times exp(-shift t)
-            rate = delta + (shift if convention == "markovian" else 0.0)
-            worst = 0.0
-            note = "ok"
-            for y, r in points:
-                if flat:
-                    heat = lambda ts, w, r=r: (euclid._heat(np, n, ts, r), np.zeros(len(ts)))
-                else:
-                    heat = _heat_nodes(space, n, r, tol)
 
-                def shifted(ts, w, heat=heat, rate=rate):
-                    factor = np.exp(-rate * ts)
-                    values, errs = heat(ts, w * factor)
-                    return values * factor, errs * factor
+    def mismatch(rate: float) -> tuple:
+        """The worst relative mismatch over the points, and its note."""
+        worst = 0.0
+        for y, r in points:
+            if flat:
+                heat = lambda ts, w, r=r: (euclid._heat(np, n, ts, r), np.zeros(len(ts)))
+            else:
+                heat = _heat_nodes(space, n, r, tol)
 
-                try:
-                    got = _subordinate(shifted, y, tol, n, (r,)).value
-                    want = closed(y, r)
-                    worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-                except (ConvergenceError, OverflowError):
-                    worst = math.inf
-                    note = "integral diverges"
-                    break
-            rows.append(SweepRow(convention, delta, worst, note))
+            def shifted(ts, w, heat=heat):
+                factor = np.exp(-rate * ts)
+                values, errs = heat(ts, w * factor)
+                return values * factor, errs * factor
 
+            try:
+                got = _subordinate(shifted, y, tol, n, (r,)).value
+                want = closed(y, r)
+                worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+            except (ConvergenceError, OverflowError):
+                return math.inf, "integral diverges"
+        return worst, "ok"
+
+    # the markovian kernel is the paper one times exp(-shift t), so
+    # candidates of one rate, a multiple of 1/4 and exact, are one integral
+    candidates = [
+        (convention, delta, delta + (shift if convention == "markovian" else 0.0))
+        for convention in (("paper",) if flat else CONVENTIONS)
+        for delta in deltas
+    ]
+    by_rate = {rate: mismatch(rate) for rate in {rate for _, _, rate in candidates}}
+    rows = [SweepRow(convention, delta, *by_rate[rate]) for convention, delta, rate in candidates]
     rows.sort(key=lambda row: row.mismatch)
     best = rows[0]
     images = None

@@ -31,6 +31,7 @@ from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     bump_seeds,
+    contour_power,
     contour_spec,
     gaussian_breakpoints,
     integrate_adaptive,
@@ -135,12 +136,11 @@ def heat_gruet(
     pref = math.gamma(0.5 * (n + 1)) / (
         math.pi ** (0.5 * n + 1.0) * math.sqrt(4.0 * t)
     )
-    half = 0.5 * (n + 1)
     inv4t = 0.25 / t
 
     def f(y: np.ndarray) -> np.ndarray:
         yy = y * y
-        return 2.0 * y * np.exp(yy * inv4t) / (r * r + yy) ** half
+        return 2.0 * y * np.exp(yy * inv4t) * contour_power(r * r + yy, n)
 
     res = integrate_contour(f, contour_spec(sigma, 4.0 * t, tol), spikes=[r])
     return res.scaled(pref)

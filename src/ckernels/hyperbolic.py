@@ -41,6 +41,7 @@ from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _raised_at_nodes, gauss_
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    contour_power,
     contour_spec,
     gaussian_breakpoints,
     integrate_adaptive,
@@ -223,12 +224,11 @@ def heat_gruet(
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))
         / math.sqrt(4.0 * t)
     )
-    half = 0.5 * (n + 1)
     inv4t = 0.25 / t
     cosh_rho = math.cosh(rho)
 
     def f(y: np.ndarray) -> np.ndarray:
-        return np.exp(y * y * inv4t) * np.sin(y) * (cosh_rho - np.cos(y)) ** (-half)
+        return np.exp(y * y * inv4t) * np.sin(y) * contour_power(cosh_rho - np.cos(y), n)
 
     res = integrate_contour(f, contour_spec(sigma, 4.0 * t, tol), spikes=[rho])
     return res.scaled(pref * factor)

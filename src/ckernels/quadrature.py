@@ -7,7 +7,8 @@ Appl. Math. 211, 2008): each sweep cuts the worst panels in four, two
 bisection levels, until their errors sum to the excess of the total error
 over the target, and evaluates all the children together: a sweep's
 bookkeeping costs what a vectorized integrand does on a few hundred nodes,
-so fewer sweeps beat fewer nodes.  The 15 Kronrod nodes contain the 7
+so fewer sweeps beat fewer nodes; a first sweep that meets its target,
+as most seeded ones do, builds no heap.  The 15 Kronrod nodes contain the 7
 Gauss nodes, so a panel costs 15 integrand evaluations.  A panel's error is
 the raw difference |K15 - G7|, without QUADPACK's (200 |K15 - G7| /
 resasc)^1.5 rescaling, which can report less than the difference itself.
@@ -16,7 +17,8 @@ floor proportional to the integral of |f|, so results near the
 double-precision cancellation limit carry error estimates that reflect it
 instead of the nominal tolerance, plus 15 least subnormals a panel, the
 absolute rounding of an integral of subnormal values.  A sweep's K15 sums,
-K15 - G7 differences and integrals of |f| come from one matrix product.
+K15 - G7 differences and integrals of |f| come from one matrix product,
+and its panels' midpoints and half-widths from another.
 
 Integrands return floats.  With ``vectorized=True`` the integrand is called
 once per sweep on the array of the 15 nodes of each of its panels and
@@ -102,6 +104,8 @@ _WG7[1::2] = _WG[:-1] + _WG[::-1]
 _W4 = np.zeros((45, 4))
 _W4[:15, 0], _W4[:15, 1], _W4[15:30, 2], _W4[30:, 3] = _WK15, _WK15 - _WG7, _WK15, _WK15
 _W3 = np.ascontiguousarray(_W4[:30, :3])
+# (lo, hi) @ _MID_HALF is a panel's (midpoint, half-width)
+_MID_HALF = np.array([[0.5, -0.5], [0.5, 0.5]])
 
 Value = Union[float, np.ndarray]
 
@@ -237,35 +241,34 @@ def _sweep(f, los: list, his: list, vectorized: bool):
     node at which f or its error is not finite, in which case the other
     fields are None.
     """
-    h = [0.5 * (b - a) for a, b in zip(los, his)]
-    if len(h) == 1:  # the first sweep of an integral without breakpoints
-        nodes = 0.5 * (los[0] + his[0]) + h[0] * _XK15
+    if len(los) == 1:  # the first sweep of an integral without breakpoints
+        h = 0.5 * (his[0] - los[0])
+        nodes = h * _XK15 + 0.5 * (los[0] + his[0])
     else:
-        nodes = np.multiply.outer(h, _XK15)
-        nodes += np.array([0.5 * (a + b) for a, b in zip(los, his)])[:, None]
-        nodes = nodes.ravel()
+        # each panel's midpoint and half-width: 0.5 a + 0.5 b is 0.5 (a + b)
+        mid_h = np.array((los, his)).T @ _MID_HALF
+        h = mid_h[:, 1:]
+        nodes = (h * _XK15 + mid_h[:, :1]).ravel()
     out = f(nodes) if vectorized else [f(x) for x in nodes]
     paired = isinstance(out, tuple)  # (values, errors)
-    v = np.asarray(out[0] if paired else out, float).reshape(len(h), 15)
+    v = np.asarray(out[0] if paired else out, float).reshape(len(los), 15)
     blocks = [v, np.abs(v)]
     if paired:
-        blocks.append(np.asarray(out[1], float).reshape(len(h), 15))
+        blocks.append(np.asarray(out[1], float).reshape(len(los), 15))
     # the rule's weights times each panel's blocks of 15: the products a
     # panel alone would get, whatever the sweep.  An inf times a zero weight
     # is a nan, and is reported like the inf
     with nullcontext() if vectorized else np.errstate(invalid="ignore"):
-        cols = (np.concatenate(blocks, axis=1) @ (_W4 if paired else _W3)).T.tolist()
+        cols = np.concatenate(blocks, axis=1) @ (_W4 if paired else _W3)
+        cols *= h
+    values, errs, resabs, *inner = cols.T.tolist()
     # a non-finite node makes its panel's integral of |f| or of the errors
     # non-finite
-    if not math.isfinite(sum(sum(c) for c in cols[2:])):
+    if not math.isfinite(sum(resabs) + sum(inner[0] if paired else ())):
         finite = np.isfinite(blocks[1]) & np.isfinite(blocks[-1])
         if not finite.all():
             return None, None, None, None, float(nodes[np.argmin(finite.ravel())])
-    values = [hp * k for hp, k in zip(h, cols[0])]
-    errs = [hp * abs(d) for hp, d in zip(h, cols[1])]
-    resabs = [hp * r for hp, r in zip(h, cols[2])]
-    inner = [hp * e for hp, e in zip(h, cols[3])] if paired else [0.0] * len(h)
-    return values, errs, resabs, inner, None
+    return values, list(map(abs, errs)), resabs, inner[0] if paired else [0.0] * len(los), None
 
 
 def integrate_adaptive(
@@ -316,6 +319,7 @@ def integrate_adaptive(
     heap = []  # entries: (-err, seq, lo, hi, value, err, resabs, inner, depth)
     split = []  # the heap entries that the panels of the sweep replace
     seq = 0
+    panels = 0
     total_value = 0.0
     total_err = 0.0
     total_resabs = 0.0
@@ -345,28 +349,31 @@ def integrate_adaptive(
                 total_err -= err
                 total_resabs -= ra
                 total_inner -= ie
-            for lo, hi, value, err, ra, ie, dep in zip(
-                los, his, values, errs, resabs, inner, depths
-            ):
+            for value, err, ra, ie in zip(values, errs, resabs, inner):
                 total_value += value
                 total_err += err
                 total_resabs += ra
                 total_inner += ie
-                heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, ie, dep))
-                seq += 1
-            panels = len(heap)
+            panels += len(los) - len(split)
 
             target = max(abs_tol, tol * abs(total_value))
             excess = total_err - max(target, 100.0 * _EPS * total_resabs) - floor
             if excess <= 0.0:
                 break
-            room = max_panels - len(heap)
+            room = max_panels - panels
             if room <= 0:
                 raise ConvergenceError(
                     f"panel budget {max_panels} exhausted (error {total_err:.3e}, "
                     f"target {target:.3e})",
                     reported(),
                 )
+            # the sweep's panels join the heap only to be split: a sweep that
+            # meets its target, as most first sweeps do, builds none
+            for lo, hi, value, err, ra, ie, dep in zip(
+                los, his, values, errs, resabs, inner, depths
+            ):
+                heapq.heappush(heap, (-err, seq, lo, hi, value, err, ra, ie, dep))
+                seq += 1
             # the worst panels whose errors cover the excess, as far as the
             # panel budget allows: splitting fewer cannot reach the target.
             # Each is cut in four, or in as many parts (k adding k - 1
@@ -477,6 +484,13 @@ def integrate_to_infinity(
         max_panels=max_panels,
         vectorized=vectorized,
     )
+
+
+def contour_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z^(-(n+1)/2) on the principal branch, 0 rather than nan at huge |z|:
+    an integer power of 1/z for odd n, and (1/sqrt(z))^(n+1), a fraction of
+    the cost of numpy's half-integer power, for even n."""
+    return (1.0 / z) ** ((n + 1) // 2) if n % 2 else (1.0 / np.sqrt(z)) ** (n + 1)
 
 
 def integrate_contour(

@@ -40,6 +40,7 @@ from .jets import raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    contour_power,
     contour_spec,
     gaussian_breakpoints,
     integrate_adaptive,
@@ -140,15 +141,17 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     = sin((psi+phi)/2) sin((psi-phi)/2) for cancellation-free evaluation.
     At phi = 0 that leaves 1/sin(psi/2), and each image m != 0 diverges
     logarithmically at psi = 0; only the sum of m and -m is finite there.  So
-    the images m and -m are integrated as one integrand, their Gaussians
-    summed as psi (E_+ + E_-) + c E_- expm1(-psi c/t), c = 2 pi m, which
-    vanishes at psi = 0 without cancelling.  An image whose Gaussian is not
-    negligible on [phi, pi] seeds the pair's integral with its fall-off
-    points there (:func:`gaussian_breakpoints`).  A pair with no such image
-    is left out where its bound (below) is under the images' target, and
-    that bound joins the error: the images cancel down to the kernel, so the
-    left-out pairs can matter beside it.  The integrand takes a sweep's
-    nodes at once.
+    the images m and -m are summed as psi (E_+ + E_-) + c E_- expm1(-psi c/t),
+    c = 2 pi m, which vanishes at psi = 0 without cancelling.  The image
+    m = 0 is one integral, which sets the images' target; the pairs are one
+    more, of their signed sum, with a column bounding that sum's rounding
+    and each pair's (exp's, magnified by its exponent) for the quadrature to
+    carry.  An image whose Gaussian is not negligible on [phi, pi] seeds the
+    pairs' integral with its fall-off points there
+    (:func:`gaussian_breakpoints`).  A pair with no such image is left out
+    where its bound (below) is under the images' target, and that bound
+    joins the error: the images cancel down to the kernel, so the left-out
+    pairs can matter beside it.  The integrands take a sweep's nodes at once.
     """
     check_query(_SPHERE, 2, "heat", t, phi)
     if phi == math.pi:
@@ -156,20 +159,23 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
 
-    def piece(m: int, seeded: tuple, abs_tol: float) -> QuadResult:
-        """The integral of the image m = 0, or of the pair m, -m."""
-        c = 2.0 * math.pi * m
+    def integral(ms: tuple, seeded: set, abs_tol: float) -> QuadResult:
+        """The integral of the image m = 0, ms = (0,), or of the pairs m, -m."""
+        c = 2.0 * math.pi * np.array(ms, float)[:, None]
+        signs = np.where(np.array(ms) % 2, -1.0, 1.0)
 
-        def f_regular(psi: np.ndarray) -> np.ndarray:
+        def f_regular(psi: np.ndarray):
             d = psi - phi
             # psi rounds to phi at the nodes nearest the endpoint
             ratio = np.where(d == 0.0, 2.0, d / np.sin(0.5 * d))
-            if m == 0:
-                gauss = psi * np.exp(-psi * psi * inv4t)
-            else:
-                above, below = np.exp(-(psi + c) ** 2 * inv4t), np.exp(-(psi - c) ** 2 * inv4t)
-                gauss = psi * (above + below) + c * below * np.expm1(-4.0 * inv4t * psi * c)
-            return gauss * np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
+            root = np.sqrt(ratio / np.sin(0.5 * (psi + phi)))
+            if ms == (0,):
+                return psi * np.exp(-psi * psi * inv4t) * root
+            near = (psi - c) ** 2 * inv4t
+            above, below = np.exp(-(psi + c) ** 2 * inv4t), np.exp(-near)
+            terms = psi * (above + below) + c * below * np.expm1(-4.0 * inv4t * psi * c)
+            rounding = _EPS * ((len(ms) + 3.0 * near) * np.abs(terms)).sum(axis=0)
+            return signs @ terms * root, rounding * root
 
         return integrate_sqrt_endpoint(
             f_regular,
@@ -183,7 +189,7 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
             vectorized=True,
         )
 
-    head = piece(0, (0,), 0.0)
+    head = integral((0,), {0}, 0.0)
     value = head.value
     err = head.err_estimate
     evals = head.n_evals
@@ -194,9 +200,11 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
         low = min(abs(phi + 2.0 * math.pi * m), abs(math.pi + 2.0 * math.pi * m))
         return math.exp(-low * low * inv4t) * (abs(low) + math.pi) >= scale_tol
 
+    pairs = []
+    seeded = set()
     for m in range(1, _image_range(t, phi, tol).stop):
-        seeded = tuple(k for k in (m, -m) if matters(k))
-        if not seeded:
+        images = [k for k in (m, -m) if matters(k)]
+        if not images:
             # the pair's Gaussians are g(c + psi) - g(c - psi), g(x) = x e^(-x^2/4t),
             # at most 2 psi max |g'| on [c - pi, c + pi]; psi over the root is
             # at most pi psi / sqrt(psi^2 - phi^2), whose integral is under pi^2
@@ -209,8 +217,11 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
             if bound < scale_tol:
                 err += bound
                 continue
-        res = piece(m, seeded, scale_tol)
-        value += (-1.0 if m % 2 else 1.0) * res.value
+        pairs.append(m)
+        seeded.update(images)
+    if pairs:
+        res = integral(tuple(pairs), seeded, scale_tol)
+        value += res.value
         err += res.err_estimate
         evals += res.n_evals
     return QuadResult(value * amp, err * amp, evals)
@@ -497,14 +508,13 @@ def heat_gruet(
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))
         / math.sqrt(4.0 * t)
     )
-    half = 0.5 * (n + 1)
     inv4t = 0.25 / t
     even = n % 2 == 0
     cos_phi = math.cos(phi)
 
     def f(y: np.ndarray) -> np.ndarray:
         base = np.cosh(y) - cos_phi
-        val = np.exp(y * y * inv4t) * np.sinh(y) * base ** (-half)
+        val = np.exp(y * y * inv4t) * np.sinh(y) * contour_power(base, n)
         if even:
             # The base crosses the cut where Im(base) = -sinh(sigma) sin(xi)
             # changes sign at an odd multiple of pi, and cos(xi/2) changes

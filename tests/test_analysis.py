@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from ckernels import analysis, euclid, hyperbolic, jets, quadrature, sphere
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
-from ckernels.geometry import CONVENTIONS, KINDS, Space
+from ckernels.geometry import CONVENTIONS, KINDS, Space, spectral_shift
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +865,43 @@ def test_sweep_hyperbolic_needs_image_closure():
     # ... but the 2 pi image sum closes it to quadrature accuracy
     assert report.images_mismatch is not None
     assert report.images_mismatch < 1e-8
+
+
+@pytest.mark.parametrize(
+    "space, n, mismatches",
+    [
+        (
+            Space.HYPERBOLIC,
+            3,
+            [0.1499105811176842] * 2 + [0.5204226242162692] * 2 + [0.7415972831585756, math.inf],
+        ),
+        (Space.SPHERE, 2, [0.0, 0.0, 0.3207336808949312] + [math.inf] * 3),
+    ],
+    ids=["H3", "S2"],
+)
+def test_sweep_integrates_each_rate_once(monkeypatch, space, n, mismatches):
+    # (paper, delta) and (markovian, delta - shift) subordinate one kernel,
+    # exp(-(delta + shift) t) h: of the 6 candidates 4 are integrated.  The
+    # mismatches are those of a sweep that integrated all 6, bit for bit on
+    # the machine that recorded them
+    ys = []
+    subordinate = analysis._subordinate
+
+    def counted(heat, y, *args):
+        ys.append(y)
+        return subordinate(heat, y, *args)
+
+    monkeypatch.setattr(analysis, "_subordinate", counted)
+    report = analysis.subordination_sweep(space, n)
+    assert ys.count(0.8) == 4
+    assert len(set(ys)) == 2 and len(ys) <= 8
+    got = [row.mismatch for row in report.rows]
+    assert got == pytest.approx(mismatches, rel=1e-12)
+    by_rate, shift = {}, spectral_shift(space, n)
+    for row in report.rows:
+        rate = row.extra_shift + (shift if row.convention == "markovian" else 0.0)
+        assert by_rate.setdefault(rate, (row.mismatch, row.note)) == (row.mismatch, row.note)
+    assert len(by_rate) == 4
 
 
 def test_sweep_hyperbolic_even_n_closes_by_images():

@@ -186,6 +186,15 @@ def test_heat_contour_deformation_invariance():
     assert b.value == pytest.approx(a.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [12, 13, 14, 15])
+def test_heat_contour_at_large_time_underflows_to_zero(n):
+    # past xi ~ 90 the base's power passes 1e308 in modulus: the integrand
+    # is 0 there, not a non-finite value
+    got = hyperbolic.heat_gruet(n, 100.0, 0.5)
+    want = hyperbolic.heat_raise(n, 100.0, 0.5) if n % 2 else hyperbolic.heat_descent(n, 100.0, 0.5)
+    assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+
+
 def test_heat_contour_abscissa_range():
     with pytest.raises(DomainError):
         hyperbolic.heat_gruet(3, 0.5, 1.0, sigma=3.5)

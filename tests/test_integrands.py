@@ -437,12 +437,24 @@ def test_seeded_jet_integrals_take_at_most_three_sweeps(sweeps_per_integral, rou
 
 def test_underflowed_theta2_images_are_not_seeded(sweeps_per_integral):
     # every Gaussian underflows to 0 on [2, pi] at t = 0.001: each image
-    # integral (m = 0 and the pairs m = +-1, +-2) is one panel, 15
+    # integral (m = 0, and the pairs m = +-1, +-2 as one) is one panel, 15
     # evaluations, as without seeds
     res = sphere.heat_theta2(0.001, 2.0)
     assert res.value == 0.0
     assert all(s == [1] for s in sweeps_per_integral.values())
-    assert res.n_evals == 15 * len(sweeps_per_integral) == 45
+    assert res.n_evals == 15 * len(sweeps_per_integral) == 30
+
+
+@pytest.mark.parametrize("t", [2.0, 9.448, 20.0, 50.0])
+@pytest.mark.parametrize("phi", [1e-12, 0.005746, 1.0, 2.7])
+def test_large_t_theta2_is_two_integrals_within_its_error(sweeps_per_integral, t, phi):
+    # the image m = 0 and one integral of every pair m, -m that matters;
+    # the images cancel down to the kernel, whose error carries the pairs'
+    # rounding
+    res = sphere.heat_theta2(t, phi)
+    assert len(sweeps_per_integral) <= 2
+    want = sphere.heat_spectral(2, t, phi)
+    assert abs(res.value - want.value) <= res.err_estimate + want.err_estimate
 
 
 # ---------------------------------------------------------------------------

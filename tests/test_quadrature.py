@@ -15,17 +15,21 @@ f(z) = exp(z^2 / G) it equals sqrt(pi G) / 2.
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from ckernels.errors import ContourError, ConvergenceError, DomainError
+from ckernels.geometry import Space
 from ckernels.jets import gauss_jet
 from ckernels.quadrature import (
+    _W3,
     _WG7,
     _WK15,
     _XK15,
     ContourSpec,
     QuadResult,
+    contour_power,
     contour_spec,
     integrate_adaptive,
     integrate_contour,
@@ -322,6 +326,71 @@ def test_quadresult_scaled():
     assert s.n_evals == 22
 
 
+# The same bits as the per-panel Python bookkeeping that the sweep's array
+# products replaced, recorded from it: the integrands take only arithmetic
+# and square roots, which round alike everywhere, and the totals add left to
+# right, so only the matrix product's order over a rule's 15 products can
+# differ between platforms.  The canary shows it: where it differs from the
+# recording platform's, the pins cannot hold bit for bit.
+_CANARY = [
+    [2.0, -2.220446049250313e-16, 5.100056965821189],
+    [6.2857142857142865, 4.440892098500626e-16, 9.354368154310304],
+]
+
+
+def _canary() -> list:
+    rows = np.arange(30.0).reshape(2, 15)
+    return (np.concatenate([rows / 7.0, np.sqrt(rows)], axis=1) @ _W3).tolist()
+
+
+@pytest.mark.skipif(_canary() != _CANARY, reason="this platform sums in another order")
+@pytest.mark.parametrize(
+    "integral, pinned",
+    [
+        (  # seeded, one sweep of 5 panels
+            lambda: integrate_adaptive(
+                lambda x: 1.0 / (1.0 + x * x), 0.0, 3.0, 1e-12, abs_tol=0.0,
+                breakpoints=[0.5, 1.0, 1.5, 2.0], vectorized=True,
+            ),
+            (1.2490457723982544, 9.746602095893567e-14, 75),
+        ),
+        (  # 11 sweeps toward the root's endpoint
+            lambda: integrate_adaptive(
+                lambda x: np.sqrt(x) * (1.0 - x), 0.0, 1.0, 1e-12, vectorized=True
+            ),
+            (0.2666666666666791, 2.46487940701129e-13, 615),
+        ),
+        (  # (values, errors)
+            lambda: integrate_adaptive(
+                lambda x: (1.0 / (1.0 + 9.0 * x * x), 1e-13 * x), 0.0, 3.0, 1e-12,
+                abs_tol=0.0, vectorized=True,
+            ),
+            (0.4867130352070004, 5.591309279145548e-13, 195),
+        ),
+        (  # one call a node
+            lambda: integrate_adaptive(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1e-12),
+            (0.5493603067780063, 2.603410864978262e-13, 315),
+        ),
+        (
+            lambda: integrate_sqrt_endpoint(
+                lambda x: 1.0 / (1.0 + x), 0.0, 1.0, 1e-12, vectorized=True
+            ),
+            (1.5707963267948966, 1.0512177751353247e-14, 75),
+        ),
+        (
+            lambda: integrate_to_infinity(
+                lambda x: 1.0 / (1.0 + x * x) ** 2, 0.0, 1e-10, abs_tol=0.0
+            ),
+            (0.7853981633974483, 8.437983236565913e-13, 75),
+        ),
+    ],
+    ids=["seeded-one-sweep", "refining", "paired", "per-node", "sqrt-endpoint", "to-infinity"],
+)
+def test_bookkeeping_keeps_its_bits(integral, pinned):
+    res = integral()
+    assert (res.value, res.err_estimate, res.n_evals) == pinned
+
+
 # ---------------------------------------------------------------------------
 # endpoint and half-line transforms
 
@@ -393,3 +462,34 @@ def test_contour_failure_is_contour_error():
     spec = contour_spec(sigma=1.0, envelope_scale=2.0, tol=1e-10)
     with pytest.raises(ContourError):
         integrate_contour(lambda z: np.full(z.shape, complex(math.nan, 0.0)), spec)
+
+
+def _contour_bases(space: Space) -> np.ndarray:
+    """The bases of the kernels' powers at nodes sigma - i xi of their
+    contours, and on the sphere next to its cuts at xi = pi and 3 pi."""
+    xi = np.linspace(0.0, 40.0, 41)
+    bases = []
+    for sigma in (0.05, 0.7, 3.0):
+        y = sigma - 1j * xi
+        if space is Space.EUCLIDEAN:
+            bases += [r * r + y * y for r in (0.0, 0.3, 5.0)]
+        elif space is Space.HYPERBOLIC:
+            bases += [math.cosh(rho) - np.cos(y) for rho in (0.0, 0.3, 5.0)]
+        else:
+            near = np.array([k * math.pi + d for k in (1, 3) for d in (-1e-12, 0.0, 1e-12)])
+            y = sigma - 1j * np.concatenate([xi, near])
+            bases += [np.cosh(y) - math.cos(phi) for phi in (0.0, 0.3, 2.0, math.pi)]
+    return np.concatenate(bases)
+
+
+@pytest.mark.parametrize("space", [Space.EUCLIDEAN, Space.SPHERE, Space.HYPERBOLIC])
+@pytest.mark.parametrize("n", range(1, 16))
+def test_contour_power_is_the_principal_power(space, n):
+    # against 30 digits: numpy's own complex power exp(-h log z) loses
+    # h log|z| rounding units, 5e-14 at |z| = e^40
+    z = _contour_bases(space)
+    with mpmath.workdps(30):
+        h = -mpmath.mpf(n + 1) / 2
+        want = np.array([complex(mpmath.mpc(x) ** h) for x in z])
+    got = contour_power(z, n)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

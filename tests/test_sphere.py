@@ -307,6 +307,17 @@ def test_heat_contour_deformation_invariance():
     assert abs(a.value - b.value) <= 10.0 * (a.err_estimate + b.err_estimate)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_even_heat_contour_is_within_its_error(n):
+    # even n takes the half-integer power by square root and flips the
+    # branch at the cuts xi = pi, 3 pi, ...
+    for t in (0.3, 0.8, 2.0):
+        for phi in (0.0, 0.7, 2.0, 3.0, math.pi - 1e-5):
+            got = sphere.heat_gruet(n, t, phi)
+            want = sphere.heat_spectral(n, t, phi)
+            assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate, (t, phi)
+
+
 def test_heat_contour_covers_both_poles():
     # phi = 0 and the antipode are regular for the contour representation
     assert sphere.heat_gruet(2, 0.5, 0.0).value == pytest.approx(
