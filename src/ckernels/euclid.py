@@ -22,6 +22,7 @@ and the alternative representations cross-validate them:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .quadrature import (
 
 # bound once: an enum member lookup costs about as much as the entry check
 _EUCLIDEAN = Space.EUCLIDEAN
+_TINY = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +53,7 @@ _EUCLIDEAN = Space.EUCLIDEAN
 
 
 # One body per closed form serves the public function, at a float r, and the
-# descent integrands, at the array of a sweep's nodes; _heat takes the math
+# descent integrands, at the array of a sweep's nodes; each takes the math
 # module or numpy as ``xp`` accordingly.
 
 
@@ -59,9 +61,12 @@ def _heat(xp, n: int, t: float, r):
     return (4.0 * math.pi * t) ** (-0.5 * n) * xp.exp(-r * r / (4.0 * t))
 
 
-def _poisson(n: int, y: float, r):
+def _poisson(xp, n: int, y: float, r):
+    """A y / rho^(n+1), rho = hypot(r, y), as (A y / rho) rho^-n: A y / rho
+    <= A, and rho neither under- nor overflows where r^2 + y^2 would."""
     half = 0.5 * (n + 1)
-    return math.gamma(half) / math.pi**half * y / (r * r + y * y) ** half
+    rho = xp.hypot(r, y)
+    return math.gamma(half) / math.pi**half * y / rho * rho**-n
 
 
 def heat_closed(n: int, t: float, r: float) -> float:
@@ -71,7 +76,13 @@ def heat_closed(n: int, t: float, r: float) -> float:
 
 def poisson_closed(n: int, y: float, r: float) -> float:
     check_query(_EUCLIDEAN, n, "poisson", y, r)
-    return _poisson(n, y, r)
+    try:
+        return _poisson(math, n, y, r)
+    except OverflowError:
+        # rho^-n alone overflows where r >> y, both tiny: scale y / rho^(n+1)
+        # by powers of 2; the kernel at (y, r) = (1, 0) is the amplitude A
+        (m, e), (my, ey) = math.frexp(math.hypot(r, y)), math.frexp(y)
+        return math.ldexp(_poisson(math, n, 1.0, 0.0) * my * m ** -(n + 1), ey - (n + 1) * e)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +178,29 @@ def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qu
     return res.scaled(2.0 * y / math.pi ** (0.5 * (n + 1)))
 
 
+def _tiny_base(n: int, y: float, center: float, order: int) -> Jet:
+    """The order-0 jet of the n-d Poisson kernel where c^2 + y^2 is below the
+    normal floats, from the closed form.  A higher order raises
+    OverflowError: the pole asks for order 2 and up, and the second
+    derivative there exceeds 1/y^3."""
+    if order:
+        raise OverflowError(f"the Poisson kernel's derivatives overflow at y = {y}")
+    return Jet(center, np.array([poisson_closed(n, y, center)]))
+
+
 def _halfplane_jet(y: float) -> RadialGenerator:
     """Jets of the 1-d Poisson kernel y / (pi (r^2 + y^2)).
 
     (y^2 + (c + h)^2) f' = -2 (c + h) f gives the Chebyshev-U recurrence
-    (y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1), run on Python floats.
+    (y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1), run on Python floats.  Where
+    y^2 + c^2 is below the normal floats, the value is the closed form's and
+    the derivatives overflow.
     """
 
     def gen(center: float, order: int) -> Jet:
         s = center * center + y * y
+        if s < _TINY:
+            return _tiny_base(1, y, center, order)
         a = [y / math.pi / s]
         prev = 0.0
         for j in range(order):
@@ -188,12 +213,16 @@ def _halfplane_jet(y: float) -> RadialGenerator:
 
 def _poisson_jet(n: int, y: float) -> RadialGenerator:
     """Jets of the closed n-d Poisson kernel: its base (c + h)^2 + y^2, of
-    coefficients c^2 + y^2, 2c, 1, 0, ..., raised by :meth:`Jet.power`."""
+    coefficients c^2 + y^2, 2c, 1, 0, ..., raised by :meth:`Jet.power`, or
+    :func:`_tiny_base` where c^2 + y^2 is below the normal floats."""
     half = 0.5 * (n + 1)
     amp = math.gamma(half) / math.pi**half * y
 
     def gen(center: float, order: int) -> Jet:
-        base = [center * center + y * y, 2.0 * center, 1.0, *[0.0] * (order - 2)]
+        s = center * center + y * y
+        if s < _TINY:
+            return _tiny_base(n, y, center, order)
+        base = [s, 2.0 * center, 1.0, *[0.0] * (order - 2)]
         return Jet(center, np.array(base[: order + 1])).power(-half) * amp
 
     return gen
@@ -216,10 +245,10 @@ def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qua
     check_query(_EUCLIDEAN, n, "poisson", y, r)
 
     def f_regular(s: np.ndarray) -> np.ndarray:
-        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s + r)
+        return _poisson(np, n + 1, y, s) * 2.0 * s / np.sqrt(s + r)
 
     def f_tail(s: np.ndarray) -> np.ndarray:
-        return _poisson(n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
+        return _poisson(np, n + 1, y, s) * 2.0 * s / np.sqrt(s * s - r * r)
 
     split = r + 4.0 * max(y, r, 1.0)
     seeds = scale_seeds(r, 0.25 * y, split - r, r, split)

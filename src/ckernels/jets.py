@@ -25,7 +25,8 @@ and on numpy rows for a batch.  :func:`raise_kernel` adds an error bound and,
 near the zeros of w, sums the raised kernel's Taylor series there
 (:func:`pole_series`): D is linear, so those coefficients are one cached
 matrix, built by the steps of :func:`raise_origin_jet`, times the
-generator's.
+generator's.  One jet's series runs on Python floats too, with no numpy
+call; a batch's on numpy rows.
 
 The closed generators write their Taylor coefficients directly, on Python
 floats for a single jet, and wrap only the result in a Jet.  The Gaussian
@@ -39,13 +40,15 @@ numpy rows).  The half-plane Poisson kernel obeys
 (y^2 + c^2) a_(j+1) = -2c a_j - a_(j-1).  The sphere and hyperbolic
 Poisson bases are closed forms whose derivatives cycle with period 4
 (cos) and 2 (cosh), raised to a real power by :meth:`Jet.power`, as is the
-flat base (c + h)^2 + y^2.
+flat base (c + h)^2 + y^2; the power skips the exact zeros of its row (the
+odd terms of a base at the pole, the tail of the flat one).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -272,17 +275,23 @@ class Jet:
         """Jet of f^alpha for real alpha; requires a positive jet value.
 
         The recurrence runs on Python floats: K^2/2 products cost less than
-        K numpy calls.
+        K numpy calls.  It skips the exact zeros of the row (the odd
+        coefficients of an even base, the tail of a polynomial one): their
+        products are exact zeros, which leave a sum that starts at +0.0
+        unchanged, so the coefficients are those of the full recurrence bit
+        for bit while they stay finite.
         """
         g = self._single().tolist()
         if g[0] <= 0.0:
             raise DomainError("power requires a positive jet value")
         a1, g0 = alpha + 1.0, g[0]
-        out = [g0**alpha]
+        out, live = [g0**alpha], []
         for k in range(1, len(g)):
+            if g[k] != 0.0:
+                live.append((k, a1 * k, g[k]))
             acc = 0.0
-            for i in range(1, k + 1):
-                acc += (a1 * i - k) * g[i] * out[k - i]
+            for i, ai, gi in live:
+                acc += (ai - k) * gi * out[k - i]
             out.append(acc / (k * g0))
         return Jet(self.center, np.array(out))
 
@@ -536,12 +545,89 @@ def _origin_map(space: Space, k: int, extra: int) -> tuple:
     return m, mag
 
 
+@functools.cache
+def _origin_rows(space: Space, k: int, extra: int) -> tuple:
+    """:func:`_origin_map`'s (M, |M|) as lists of Python floats, one list a
+    row, which the series of one jet reads.  A row stops at its last nonzero:
+    term i takes the jet's coefficients to order 2(i + k) only, and what
+    follows would add exact zeros."""
+    m, mag = _origin_map(space, k, extra)
+    ends = [int(np.flatnonzero(row)[-1]) + 1 for row in mag]
+    return tuple([row[:end] for row, end in zip(a.tolist(), ends)] for a in (m, mag))
+
+
+def _sum_at(terms, powers: list):
+    """sum_j terms_j powers_j: one jet's terms, a list, on Python floats left
+    to right; a batch's, one row of its jets' values a term, by one numpy
+    product."""
+    if isinstance(terms, list):
+        return sum(map(operator.mul, terms, powers))
+    return powers @ terms
+
+
+def _pole_terms(
+    space: Space, generator: RadialGenerator, k: int, pole: float, reach: float, tol: float,
+    rounding: RadialGenerator | None = None,
+) -> tuple:
+    """:func:`pole_series`' b and e term by term, and the powers reach^(2j).
+
+    One jet's terms are lists of Python floats, made with no numpy call: at
+    most 17 of them, whose products cost less than numpy calls on them.  A
+    batch's are numpy rows, one a term.  The two forms differ only in how
+    they take M c and |M| s, and in :func:`_sum_at`; the choice of orders,
+    the retry and the truncation term are one code for both.
+    """
+    cap = MAX_ORDER - 2 * k
+    if reach > 0.0 and cap < 4:
+        raise SingularPointError(f"{k} raises leave {cap} of {MAX_ORDER} jet orders for the pole")
+    sign = -1.0 if pole and k % 2 else 1.0
+
+    def series(extra: int) -> tuple:
+        order = 2 * k + extra
+        c = _generate(generator, pole, order).coeffs
+        r = None if rounding is None else _generate(rounding, pole, order).coeffs
+        grade = order * _EPS
+        if c.ndim == 1:
+            m, mag = _origin_rows(space, k, extra)
+            c = c.tolist()[::2]
+            s = [abs(v) for v in c] if r is None else [abs(v) + w for v, w in zip(c, r.tolist()[::2])]
+            b = [sign * sum(map(operator.mul, row, c)) for row in m]
+            e = [grade * sum(map(operator.mul, row, s)) for row in mag]
+        else:
+            m, mag = _origin_map(space, k, extra)
+            c = c[..., ::2]
+            s = np.abs(c) if r is None else np.abs(c) + r[..., ::2]
+            b, e = (sign * (c @ m.T)).T, (grade * (s @ mag.T)).T
+        if extra:  # the last two terms bound the truncation
+            for j in (-2, -1):
+                e[j] += abs(b[j])
+        return b, e
+
+    def powers(extra: int) -> list:
+        return [reach ** (2.0 * j) for j in range(extra // 2 + 1)]
+
+    if reach == 0.0:
+        return (*series(0), powers(0))
+    extra = cap
+    if 2.0 * reach < 1.0:
+        extra = min(max(4, 2 * math.ceil(0.5 * math.log(tol) / math.log(2.0 * reach)) + 2), cap)
+    b, e = series(extra)
+    p = powers(extra)
+    if extra < cap:
+        short = abs(b[-2]) * p[-2] + abs(b[-1]) * p[-1] > tol * abs(_sum_at(b, p))
+        if short if isinstance(short, bool) else short.any():
+            b, e = series(cap)
+            p = powers(cap)
+    return b, e, p
+
+
 def pole_series(
     space: Space, generator: RadialGenerator, k: int, pole: float, reach: float, tol: float,
     rounding: RadialGenerator | None = None,
 ) -> tuple:
     """The k-raised kernel at distance h <= ``reach`` from ``pole`` (0, or pi
-    on the sphere) is sum_j b_j h^2j within sum_j e_j h^2j: (b, e).
+    on the sphere) is sum_j b_j h^2j within sum_j e_j h^2j: (b, e), one row
+    a jet of a batch.
 
     With c the even coefficients of the generator's jet at the pole, of
     order 2k + K, and M the origin map (:func:`_origin_map`), b = M c, times
@@ -550,35 +636,11 @@ def pole_series(
     (2 reach)^(K-2) <= tol, or all the leaves if that misses tol.  e is the
     last two terms plus the rounding (2k + K) eps |M| |c|, with |c| + r for
     |c| if a generator of rows r >= 0 is passed as ``rounding``: a sum that
-    cancels rounds to eps r, not eps |c|.
+    cancels rounds to eps r, not eps |c|.  The terms of one jet are summed
+    on Python floats (:func:`_pole_terms`).
     """
-    cap = MAX_ORDER - 2 * k
-    if reach > 0.0 and cap < 4:
-        raise SingularPointError(f"{k} raises leave {cap} of {MAX_ORDER} jet orders for the pole")
-
-    def series(extra: int) -> tuple:
-        even = slice(0, 2 * k + extra + 1, 2)
-        c = _generate(generator, pole, 2 * k + extra).coeffs[..., even]
-        scale = np.abs(c)
-        if rounding is not None:
-            scale += _generate(rounding, pole, 2 * k + extra).coeffs[..., even]
-        m, mag = _origin_map(space, k, extra)
-        b = c @ m.T
-        e = (2 * k + extra) * _EPS * (scale @ mag.T)
-        if extra:
-            e[..., -2:] += np.abs(b[..., -2:])
-        return (-1.0 if pole and k % 2 else 1.0) * b, e
-
-    if reach == 0.0:
-        return series(0)
-    extra = cap
-    if 2.0 * reach < 1.0:
-        extra = min(max(4, 2 * math.ceil(0.5 * math.log(tol) / math.log(2.0 * reach)) + 2), cap)
-    b, e = series(extra)
-    powers = reach ** (2.0 * _IDX[: b.shape[-1]])
-    if extra < cap and np.any(np.abs(b[..., -2:]) @ powers[-2:] > tol * np.abs(b @ powers)):
-        b, e = series(cap)
-    return b, e
+    b, e, _ = _pole_terms(space, generator, k, pole, reach, tol, rounding)
+    return np.asarray(b).T, np.asarray(e).T
 
 
 def raise_kernel(
@@ -587,21 +649,25 @@ def raise_kernel(
     """The k-times-raised kernel at r with an error bound: within POLE_REACH
     of a pole the :func:`pole_series`, and out to SERIES_REACH too where its
     bound meets tol (node by node in a batch); elsewhere
-    :func:`raise_operator` with err 0."""
+    :func:`raise_operator` with err 0.  One jet's series, summed on Python
+    floats, raises OverflowError where its value or bound is not finite."""
     _check_raise_count(k)
     pole = math.pi if space is Space.SPHERE and r > 0.5 * math.pi else 0.0
     h = abs(r - pole)
     if k and h < SERIES_REACH:
-        b, e = pole_series(space, generator, k, pole, h, tol)
-        powers = h ** (2.0 * _IDX[: b.shape[-1], None])
-        value, err = b @ powers, e @ powers
-        met = err <= tol * np.abs(value)
-        if h < POLE_REACH or np.all(met):
-            return QuadResult(_values(value), _values(err), 0)
-        if np.any(met):  # a batch: the series at the nodes where it meets tol
+        b, e, powers = _pole_terms(space, generator, k, pole, h, tol)
+        value, err = _sum_at(b, powers), _sum_at(e, powers)
+        met = err <= tol * abs(value)
+        if isinstance(value, float):
+            if h < POLE_REACH or met:
+                if not (math.isfinite(value) and math.isfinite(err)):
+                    raise OverflowError(f"the pole series of {k} raises at r = {r} overflows")
+                return QuadResult(value, err, 0)
+        elif h < POLE_REACH or met.all():
+            return QuadResult(value, err, 0)
+        elif met.any():  # the series at the nodes where it meets tol
             direct = raise_operator(space, generator, k, r)
-            met = met[:, 0]
-            return QuadResult(np.where(met, value[:, 0], direct), np.where(met, err[:, 0], 0.0), 0)
+            return QuadResult(np.where(met, value, direct), np.where(met, err, 0.0), 0)
     return QuadResult(raise_operator(space, generator, k, r), 0.0, 0)
 
 

@@ -355,6 +355,10 @@ def integrate_adaptive(
                 total_resabs += ra
                 total_inner += ie
             panels += len(los) - len(split)
+            # sums of finite values can overflow, and a total that is not
+            # finite (or nan, from inf - inf) chooses no panel to split
+            if not abs(total_value) + total_err + total_resabs + total_inner < math.inf:
+                raise ConvergenceError("the panel sums overflow")
 
             target = max(abs_tol, tol * abs(total_value))
             excess = total_err - max(target, 100.0 * _EPS * total_resabs) - floor

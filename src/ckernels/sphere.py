@@ -60,6 +60,7 @@ from .quadrature import (
 # form sums at most _NODE_TERMS terms, which bounds its matrices.
 SPECTRAL_MIN_T = 0.1
 _NODE_TERMS = 1024
+_MAX_IMAGES = 10_000
 
 # bound once: an enum member lookup costs about as much as the entry check
 _SPHERE = Space.SPHERE
@@ -72,10 +73,23 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _image_range(t: float, phi: float, tol: float) -> range:
-    """Indices m for which the image at phi + 2 pi m still matters."""
+    """Indices m for which the image at phi + 2 pi m still matters.
+
+    They grow like sqrt(t); past _MAX_IMAGES a side, first near t = 4e7 at
+    tol 1e-10, the sums would allocate without bound, so they refuse with
+    ConvergenceError before anything is allocated (:func:`_check_images`),
+    as the contour's cuts and spikes do (:func:`heat_gruet`).
+    """
     reach = math.sqrt(phi * phi + 4.0 * t * (math.log(1.0 / tol) + 3.0)) + 2.0 * math.pi
-    m_max = int(reach / (2.0 * math.pi)) + 1
+    m_max = _check_images(int(reach / (2.0 * math.pi)) + 1, t)
     return range(-m_max, m_max + 1)
+
+
+def _check_images(m_max: int, t: float) -> int:
+    """``m_max``, or ConvergenceError if it passes _MAX_IMAGES."""
+    if m_max > _MAX_IMAGES:
+        raise ConvergenceError(f"t = {t} needs {m_max:.3g} images a side, past {_MAX_IMAGES}")
+    return m_max
 
 
 def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -100,7 +114,9 @@ def _theta1_jet(t: float, tol: float) -> RadialGenerator:
     def gen(center: float, order: int) -> Jet:
         ms = _image_range(t, center, tol)
         images = center + 2.0 * math.pi * np.arange(ms.start, ms.stop)
-        return Jet(center, _gauss_coeffs(u, images, amp, order).sum(axis=0))
+        # at tiny t the recurrence overflows; the raise refuses what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Jet(center, _gauss_coeffs(u, images, amp, order).sum(axis=0))
 
     return gen
 
@@ -525,8 +541,8 @@ def heat_gruet(
         return val
 
     spec = contour_spec(sigma, 4.0 * t, tol)
+    top = _check_images(int((spec.xi_max + phi) / (2.0 * math.pi)), t)
     cuts = [k * math.pi for k in range(1, int(spec.xi_max / math.pi) + 1)]
-    top = int((spec.xi_max + phi) / (2.0 * math.pi))
     spikes = [2.0 * math.pi * k + s * phi for k in range(top + 1) for s in (-1.0, 1.0)]
     res = integrate_contour(f, spec, cuts, spikes=spikes)
     return res.scaled(pref)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -283,6 +284,39 @@ def test_eval_overflow_exits_4(runner, args):
     assert res.exit_code == 4
     assert res.stderr.startswith("numeric overflow:")
     assert res.stdout == ""
+
+
+# (space, n, r) at t = 1e-300, where the Gaussian's jet overflows: the pole
+# series of one jet printed inf or nan with exit 0, and the sphere's image
+# sum and the numpy series warned
+TINY_TIME_RAISES = [
+    ("hyperbolic", 3, 0.0), ("hyperbolic", 5, 0.001), ("sphere", 5, 0.0),
+    ("sphere", 5, 0.001), ("euclidean", 5, 0.0), ("euclidean", 5, 0.001),
+]
+
+
+@pytest.mark.parametrize("space, n, r", TINY_TIME_RAISES)
+def test_raise_at_a_tiny_time_overflows_without_a_warning(space, n, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            evaluate(Space(space), n, "heat", 1e-300, r, rep="raise")
+
+
+@pytest.mark.parametrize("rep", ["auto", "raise"])
+@pytest.mark.parametrize("space, n, r", TINY_TIME_RAISES)
+def test_eval_at_a_tiny_time_exits_4_or_prints_a_value_within_its_error(runner, space, n, r, rep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke(runner, ["eval", "--space", space, "--dim", str(n), "--t", "1e-300",
+                              "--r", str(r), "--rep", rep, "--format", "json"])
+    if res.exit_code == 4:
+        assert res.stderr.startswith("numeric overflow:")
+        return
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    # off the origin the kernel at t = 1e-300 is exp(-r^2/4t) = 0 times a float
+    assert r > 0.0 and abs(rec["value"]) <= rec["err"] < math.inf
 
 
 def test_eval_even_hyperbolic_subordinate_exits_0(runner):

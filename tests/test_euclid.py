@@ -6,12 +6,13 @@ Gamma((n+1)/2) pi^(-(n+1)/2) y (r^2+y^2)^(-(n+1)/2).
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckernels import euclid
+from ckernels import Space, euclid, evaluate
 from ckernels.errors import DomainError
 
 EPS = 2.0**-52
@@ -244,3 +245,34 @@ def test_poisson_raise_guard_band():
     assert euclid.poisson_raise(5, 0.8, 0.0).value == pytest.approx(
         euclid.poisson_closed(5, 0.8, 0.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("rep", ["closed", "auto", "raise"])
+@pytest.mark.parametrize("r", [0.0, 1e-3])
+@pytest.mark.parametrize("y", [1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poisson_where_y_squared_underflows(n, y, r, rep):
+    # y^2 (and r^2 + y^2 at r = 0) is 0 in floats here: the closed form
+    # divided by it, the 1-d jet divided by it and the 2-d one raised it to a
+    # power.  The log-space kernel either overflows, or the row returns it
+    # within its error; `raise` may refuse with OverflowError instead
+    half = 0.5 * (n + 1)
+    log_kernel = (math.lgamma(half) - half * math.log(math.pi) + math.log(y)
+                  - (n + 1) * math.log(math.hypot(r, y)))
+    route = lambda: evaluate(Space.EUCLIDEAN, n, "poisson", y, r, rep=rep)
+    if log_kernel > math.log(sys.float_info.max) or rep == "raise":
+        try:
+            res = route()
+        except OverflowError:
+            return
+        assert log_kernel <= math.log(sys.float_info.max)
+    else:
+        res = route()
+    want = math.exp(log_kernel)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-12 * want)
+
+
+def test_poisson_closed_scales_where_rho_alone_overflows():
+    # r >> y, both tiny: rho^-4 overflows, y rho^-5 = 1e200 does not
+    want = math.gamma(2.5) / math.pi**2.5 * 1e200
+    assert euclid.poisson_closed(4, 1e-300, 1e-100) == pytest.approx(want, rel=1e-14)

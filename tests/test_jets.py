@@ -221,6 +221,51 @@ def test_power_matches_exp_log(alpha, center_shift):
     assert direct.coeffs == pytest.approx(via_log, rel=1e-11, abs=1e-11)
 
 
+def _full_power(g: list, alpha: float) -> list:
+    """The power recurrence over every coefficient of the row, zeros too."""
+    a1, g0 = alpha + 1.0, g[0]
+    out = [g0**alpha]
+    for k in range(1, len(g)):
+        acc = 0.0
+        for i in range(1, k + 1):
+            acc += (a1 * i - k) * g[i] * out[k - i]
+        out.append(acc / (k * g0))
+    return out
+
+
+def _power_rows():
+    """Random sparse, even and polynomial rows of orders 0..MAX_ORDER, then
+    the Poisson bases' rows: the flat (c + h)^2 + y^2 and the cycles of
+    cos and cosh at the centres where their odd terms vanish."""
+    rng = np.random.default_rng(31)
+    for i in range(1500):
+        g = rng.normal(size=int(rng.integers(1, MAX_ORDER + 2))) * 10.0 ** rng.integers(-3, 4)
+        if i % 3 == 0:
+            g[rng.random(g.size) < 0.6] = 0.0
+        elif i % 3 == 1:
+            g[1::2] = 0.0
+        else:
+            g[3:] = 0.0
+        g[0] = abs(g[0]) + 0.25
+        yield g.tolist(), -0.5 * int(rng.integers(2, 17))
+    for c in (0.0, 0.5, 3.0, math.pi):
+        yield [c * c + 0.09, 2.0 * c, 1.0, *[0.0] * 30], -1.5
+        cos, sin = math.cos(c), math.sin(c)
+        for cycle in ((math.cosh(c), math.sinh(c)), (cos, -sin, -cos, sin)):
+            g = [cycle[j % len(cycle)] / math.factorial(j) for j in range(MAX_ORDER + 1)]
+            g[0] += 2.0
+            yield g, -2.0
+
+
+def test_power_skipping_zeros_keeps_every_bit():
+    # a skipped product is an exact zero, and a sum that starts at +0.0
+    # never becomes -0.0, so even the signs of zeros agree
+    for g, alpha in _power_rows():
+        got = Jet(0.0, g).power(alpha).coeffs
+        want = np.array(_full_power(g, alpha))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # weight jets and the raising operator
 

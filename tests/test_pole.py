@@ -222,6 +222,7 @@ def test_pole_series_builds_each_origin_map_once(monkeypatch):
 
     monkeypatch.setattr(jets, "_raise_k", counted)
     jets._origin_map.cache_clear()
+    jets._origin_rows.cache_clear()
     for t in (0.3, 0.9):
         jets.pole_series(Space.HYPERBOLIC, jets.gauss_jet(t), 3, 0.0, 0.0, DEFAULT_TOL)
     assert len(calls) == 1
@@ -243,3 +244,55 @@ def test_pole_series_refuses_beyond_the_jet_cap(route):
     # on to its next row
     with pytest.raises(SingularPointError):
         ROUTES[route][0](31, 0.5, 0.005)
+
+
+def _as_batch(gen):
+    """The generator's jet as a batch of one row, which takes the numpy path."""
+    return lambda center, order: jets.Jet(center, gen(center, order).coeffs[None, :])
+
+
+# (space, k, generator, rounding) of every generator family the pole series
+# reads; the sphere's also expand at pi
+SERIES_FAMILIES = [
+    (Space.EUCLIDEAN, 3, jets.gauss_jet(0.3), None),
+    (Space.EUCLIDEAN, 2, jets.gauss_jet(0.9, 2), None),
+    (Space.EUCLIDEAN, 4, euclid._halfplane_jet(0.6), None),
+    (Space.EUCLIDEAN, 3, euclid._poisson_jet(2, 0.6), None),
+    (Space.HYPERBOLIC, 5, jets.gauss_jet(0.2), None),
+    (Space.HYPERBOLIC, 3, hyperbolic._poisson_jet(1, 0.5), None),
+    (Space.HYPERBOLIC, 6, hyperbolic._poisson_jet(2, 0.8), None),
+    (Space.SPHERE, 2, sphere._theta1_jet(0.9, DEFAULT_TOL), None),
+    (Space.SPHERE, 7, sphere._poisson_jet(1, 0.9), None),
+    (Space.SPHERE, 3, sphere._poisson_jet(2, 0.3), None),
+    (Space.SPHERE, 4, sphere._wrapped_jet(2.0, DEFAULT_TOL),
+     sphere._wrapped_jet(2.0, DEFAULT_TOL, True)),
+]
+
+
+@pytest.mark.parametrize("family", range(len(SERIES_FAMILIES)))
+@pytest.mark.parametrize("h", POLE_DISTANCES + (0.05,))
+def test_one_jet_series_on_floats_is_its_batch_within_rounding(family, h):
+    space, k, gen, rounding = SERIES_FAMILIES[family]
+    poles = (0.0, math.pi) if space is Space.SPHERE else (0.0,)
+    for pole in poles:
+        b, e = jets.pole_series(space, gen, k, pole, h, DEFAULT_TOL, rounding)
+        rows = None if rounding is None else _as_batch(rounding)
+        bb, eb = jets.pole_series(space, _as_batch(gen), k, pole, h, DEFAULT_TOL, rows)
+        assert b.shape == bb[0].shape
+        # the two sums of M c round apart by at most their rounding bound
+        assert np.all(np.abs(b - bb[0]) <= e)
+        np.testing.assert_allclose(e, eb[0], rtol=1e-13, atol=0.0)
+        res = jets.raise_kernel(space, gen, k, abs(pole - h), DEFAULT_TOL)
+        batch = jets.raise_kernel(space, _as_batch(gen), k, abs(pole - h), DEFAULT_TOL)
+        assert abs(res.value - batch.value[0]) <= res.err_estimate
+
+
+def test_one_jet_series_retries_to_the_cap_as_its_batch_does():
+    # at h = 0.004 > y = 0.001 the series diverges: the truncation test fails
+    # at the orders chosen for tol and both forms take every order the cap
+    # leaves
+    gen, k = sphere._poisson_jet(1, 0.001), 2
+    b, e = jets.pole_series(Space.SPHERE, gen, k, 0.0, 0.004, DEFAULT_TOL)
+    bb, _ = jets.pole_series(Space.SPHERE, _as_batch(gen), k, 0.0, 0.004, DEFAULT_TOL)
+    assert b.size == bb.shape[-1] == (jets.MAX_ORDER - 2 * k) // 2 + 1
+    assert np.all(np.abs(b - bb[0]) <= e)

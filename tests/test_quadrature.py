@@ -191,6 +191,20 @@ def test_non_finite_value_is_reported_at_its_node_vectorized(node):
         integrate_adaptive(f, 0.0, 1.0, 1e-10, vectorized=True)
 
 
+def test_overflowing_panel_sums_raise_after_one_sweep():
+    # every node value is finite, but the K15 sums of a panel 1e10 wide are
+    # not: no panel can be chosen for splitting by a non-finite excess
+    sweeps = []
+
+    def f(xs):
+        sweeps.append(xs.size)
+        return np.full_like(xs, 1e300)
+
+    with pytest.raises(ConvergenceError, match="overflow"):
+        integrate_adaptive(f, 0.0, 1e10, 1e-10, vectorized=True)
+    assert len(sweeps) == 1
+
+
 def _jet_integrand(x):
     """The order-6 Taylor coefficient of exp(-r^2) about 0.4 + x, at a node
     or at each node of an array."""

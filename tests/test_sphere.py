@@ -147,6 +147,17 @@ def test_theta_singular_points():
     assert sphere.heat_theta1(0.5, math.pi).value > 0.0
 
 
+@pytest.mark.parametrize("t", [1e8, 1e17, 1e300])
+@pytest.mark.parametrize("n, rep", [(1, "theta"), (2, "theta"), (3, "theta"), (3, "raise"),
+                                    (4, "raise"), (1, "gruet"), (1, "auto")])
+def test_image_sums_refuse_past_their_count(n, rep, t):
+    # the images grow like sqrt(t): at 1e300 the sums asked numpy for an
+    # array past its size limit, and at 1e17 for more memory than there was;
+    # each of these counts is refused before anything is allocated
+    with pytest.raises(ConvergenceError, match="images a side"):
+        analysis.evaluate(Space.SPHERE, n, "heat", t, 0.001, rep=rep)
+
+
 def test_theta_domain_validation():
     with pytest.raises(DomainError):
         sphere.heat_theta1(-0.5, 1.0)
