@@ -34,7 +34,7 @@ from .quadrature import (
     bump_seeds,
     contour_power,
     contour_spec,
-    gaussian_breakpoints,
+    descent_breakpoints,
     integrate_adaptive,
     integrate_contour,
     integrate_sqrt_endpoint,
@@ -54,7 +54,8 @@ _TINY = sys.float_info.min
 
 # One body per closed form serves the public function, at a float r, and the
 # descent integrands, at the array of a sweep's nodes; each takes the math
-# module or numpy as ``xp`` accordingly.
+# module or numpy as ``xp`` accordingly.  heat_closed writes the heat body
+# out, to add its tiny-t form.
 
 
 def _heat(xp, n: int, t: float, r):
@@ -70,8 +71,19 @@ def _poisson(xp, n: int, y: float, r):
 
 
 def heat_closed(n: int, t: float, r: float) -> float:
+    """(4 pi t)^(-n/2) exp(-r^2/4t), as :func:`_heat` takes it where
+    exp(-r^2/4t) is a normal float and the amplitude does not overflow.
+    Elsewhere, at tiny t, the two factors are one exponent: 0 where the
+    kernel is, a float where it is one (exp(-r^2/4t) alone would be 0 or
+    subnormal), and OverflowError only where the kernel itself overflows."""
     check_query(_EUCLIDEAN, n, "heat", t, r)
-    return _heat(math, n, t, r)
+    x = r * r / (4.0 * t)
+    if x < 708.0:
+        try:
+            return (4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-x)
+        except OverflowError:
+            pass
+    return math.exp(-0.5 * n * math.log(4.0 * math.pi * t) - x)
 
 
 def poisson_closed(n: int, y: float, r: float) -> float:
@@ -105,7 +117,8 @@ def heat_raise(n: int, t: float, r: float, *, tol: float = DEFAULT_TOL) -> QuadR
 def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Heat kernel as the descent integral of the closed (n+1)-kernel.
 
-    The integrand takes a sweep's nodes at once.
+    The integrand takes a sweep's nodes at once, seeded by
+    :func:`descent_breakpoints`.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
 
@@ -113,7 +126,7 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
         return _heat(np, n + 1, t, s) * 2.0 * s / np.sqrt(s + r)
 
     s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
-    seeds = gaussian_breakpoints(0.0, t, r, s_max)
+    seeds = descent_breakpoints(t, r, s_max)
     return integrate_sqrt_endpoint(
         f_regular, r, s_max, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
     )

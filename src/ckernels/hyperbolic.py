@@ -43,6 +43,7 @@ from .quadrature import (
     QuadResult,
     contour_power,
     contour_spec,
+    descent_breakpoints,
     gaussian_breakpoints,
     integrate_adaptive,
     integrate_contour,
@@ -94,7 +95,8 @@ def heat_descent(
     the square-root endpoint comes off as (s - rho)^(-1/2).  H_(n+1) takes a
     sweep's nodes from :func:`_raised_at_nodes`: the pole series near 0 and
     one batched raise of the 1-d Gaussian beyond.  The Gaussian's fall-off
-    points (:func:`gaussian_breakpoints`) seed the partition.  Where sinh s
+    points and, for n < 10, halvings of the first fall-off panel down to the
+    scale rho (:func:`descent_breakpoints`) seed the partition.  Where sinh s
     would overflow at the top, the integral stops where the Gaussian has
     underflowed to 0, if that comes first, and is 0 if that is below rho;
     if the Gaussian is not yet 0 there, it raises OverflowError.  The err
@@ -120,7 +122,12 @@ def heat_descent(
         ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
         return kernel(s)[0] * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
 
-    seeds = gaussian_breakpoints(0.0, t, rho, s_top)
+    # from n = 10 on the direct raise at the nodes is rounding-limited
+    # (ROADMAP item 1), and more seeds there only move which cells miss
+    if n < 10:
+        seeds = descent_breakpoints(t, rho, s_top)
+    else:
+        seeds = gaussian_breakpoints(0.0, t, rho, s_top)
     res = integrate_sqrt_endpoint(
         f_regular, rho, s_top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
     )

@@ -39,8 +39,8 @@ nodes.
 
 The kernel rows seed their float integrals at the integrand's length
 scales, as QUADPACK places breakpoints, so that most finish in their first
-sweep: :func:`gaussian_breakpoints`, :func:`bump_seeds` and
-:func:`scale_seeds`.
+sweep: :func:`gaussian_breakpoints`, :func:`descent_breakpoints`,
+:func:`bump_seeds` and :func:`scale_seeds`.
 """
 
 from __future__ import annotations
@@ -197,6 +197,31 @@ def gaussian_breakpoints(c: float, t: float, a: float, b: float) -> list:
         w = math.sqrt(base + 4.0 * t * j * j)
         out += [x for x in (c - w, c + w) if a < x < b]
     return sorted(out)
+
+
+def descent_breakpoints(t: float, a: float, b: float) -> list:
+    """Seeds on (a, b) for exp(-x^2/4t) times an integrand with a square-root
+    endpoint at a, as :func:`integrate_sqrt_endpoint` takes it.
+
+    The Gaussian's fall-off points (:func:`gaussian_breakpoints`), plus up
+    to four points a + w/4^j, j = 1, 2, ..., w the first fall-off point
+    minus a, stopping after the first w/4^j below 4a, and none where 4a
+    >= w.  In u = sqrt(x - a) they halve the first fall-off panel down to
+    the endpoint scale a: that panel holds both the Gaussian's flat top and
+    the descent's factor (x + a)^(-1/2), or sinh((x + a)/2)^(-1/2), which
+    varies on the scale a, and without them the first sweep misses there.
+    """
+    out = gaussian_breakpoints(0.0, t, a, b)
+    if not out or 4.0 * a >= out[0] - a:
+        return out
+    near = []
+    w = out[0] - a
+    for _ in range(4):
+        w *= 0.25
+        near.append(a + w)
+        if w < 4.0 * a:
+            break
+    return near[::-1] + out
 
 
 def scale_seeds(c: float, shortest: float, longest: float, a: float, b: float) -> list:

@@ -128,21 +128,29 @@ def heat_theta3(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
         raise SingularPointError(
             "image sum needs 1/sin(phi); evaluate away from the poles"
         )
+    try:
+        amp = (4.0 * math.pi * t) ** -1.5
+    except OverflowError:
+        # t < 1e-206, and every image is at least 1e-6 away: exp(-phi^2/4t)
+        # < e^-1e193 makes the kernel 0 whatever the amplitude
+        return QuadResult(0.0, 0.0, 0)
     ms = _image_range(t, phi, tol)
     args = phi + 2.0 * math.pi * np.arange(ms.start, ms.stop)
-    terms = args * np.exp(-(args * args) / (4.0 * t))
-    value = float(terms.sum()) / math.sin(phi) * (4.0 * math.pi * t) ** -1.5
+    expo = -(args * args) / (4.0 * t)
+    lift, scale = 0.0, amp
+    if phi * phi > 2832.0 * t:
+        # every image's Gaussian, the nearest phi's, is below the normal
+        # floats, e^-708: the amplitude joins the exponent, so that the
+        # terms keep their digits
+        lift, scale = math.log(amp), 1.0
+        expo += lift
+    terms = args * np.exp(expo)
+    value = float(terms.sum()) / math.sin(phi) * scale
     edge = abs(float(args[0])) + 2.0 * math.pi
-    tail = (
-        2.0
-        * edge
-        * math.exp(-edge * edge / (4.0 * t))
-        / abs(math.sin(phi))
-        * (4.0 * math.pi * t) ** -1.5
-    )
-    floor = 8.0 * _EPS * float(np.abs(terms).max() / abs(math.sin(phi))) * (
-        4.0 * math.pi * t
-    ) ** -1.5
+    tail = 2.0 * edge * math.exp(-edge * edge / (4.0 * t)) / abs(math.sin(phi)) * amp
+    # a term's exponent, args^2/4t + lift, rounds to eps times itself
+    spread = (8.0 + 2.0 * lift - expo) * np.abs(terms)
+    floor = _EPS * float(spread.max() / abs(math.sin(phi))) * scale
     return QuadResult(value, tail + floor, 0)
 
 
@@ -172,8 +180,18 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
     check_query(_SPHERE, 2, "heat", t, phi)
     if phi == math.pi:
         raise SingularPointError("representation degenerates at the antipode")
-    amp = (4.0 * math.pi * t) ** -1.5
     inv4t = 0.25 / t
+    try:
+        amp = (4.0 * math.pi * t) ** -1.5
+    except OverflowError:
+        # t < 1e-206: where exp(-phi^2/4t) leaves the kernel a float, phi <
+        # 1e-100, and it is the flat (4 pi t)^-1 exp(-phi^2/4t) times
+        # (phi/sin phi)^(1/2) (1 + O(t)), both factors 1 to far below eps.
+        # One exponent, 0 where the kernel is; the rounding of its two
+        # terms, magnified by their size, is the error
+        x, log_amp = phi * phi * inv4t, -math.log(4.0 * math.pi * t)
+        value = math.exp(log_amp - x)
+        return QuadResult(value, 4.0 * _EPS * (1.0 + x + log_amp) * value, 0)
 
     def integral(ms: tuple, seeded: set, abs_tol: float) -> QuadResult:
         """The integral of the image m = 0, ms = (0,), or of the pairs m, -m."""

@@ -319,6 +319,18 @@ def test_eval_at_a_tiny_time_exits_4_or_prints_a_value_within_its_error(runner, 
     assert r > 0.0 and abs(rec["value"]) <= rec["err"] < math.inf
 
 
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+def test_eval_closed_heat_at_a_tiny_time_prints_0(runner, space):
+    # the amplitude (4 pi t)^(-n/2) overflowed, exit 4, where exp(-r^2/4t)
+    # makes the kernel 0
+    n = 5 if space == "euclidean" else 3
+    res = invoke(runner, ["eval", "--space", space, "--dim", str(n), "--t", "1e-300",
+                          "--r", "0.001", "--format", "json"])
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    assert rec["value"] == 0.0
+
+
 def test_eval_even_hyperbolic_subordinate_exits_0(runner):
     # its inner heat kernel at t ~ 86 overflowed heat_classic's power
     res = invoke(runner, ["eval", "--space", "hyperbolic", "--dim", "6", "--kind", "poisson",

@@ -8,6 +8,7 @@ Gamma((n+1)/2) pi^(-(n+1)/2) y (r^2+y^2)^(-(n+1)/2).
 import math
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,44 @@ def test_heat_closed_peak_value():
         assert euclid.heat_closed(n, 0.6, 0.0) == pytest.approx(
             (4.0 * math.pi * 0.6) ** (-0.5 * n), rel=1e-15
         )
+
+
+def _log_space_heat(n: int, t: float, r: float) -> float:
+    """(4 pi t)^(-n/2) exp(-r^2/4t) as one 40-digit exponent, rounded once."""
+    with mpmath.workdps(40):
+        t, r = mpmath.mpf(t), mpmath.mpf(r)
+        return float(mpmath.exp(-n * mpmath.log(4 * mpmath.pi * t) / 2 - r * r / (4 * t)))
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+@pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-30])
+@pytest.mark.parametrize("r", [1e-3, 1.0])
+def test_heat_closed_at_a_tiny_time_is_the_kernel(n, t, r):
+    # the amplitude alone overflows from n = 3 at t = 1e-300 and n = 4 at
+    # t = 1e-200, where exp(-r^2/4t) makes the kernel 0
+    assert euclid.heat_closed(n, t, r) == _log_space_heat(n, t, r)
+
+
+@pytest.mark.parametrize(
+    "n,t,r",
+    [
+        # the amplitude overflows, and the kernel is a float near 1e-100
+        (15, 1e-50, 6.56e-24), (5, 1e-300, 8.83e-149), (3, 1e-300, 7.1e-149),
+        # exp(-r^2/4t) alone is subnormal (r^2/4t = 740) or 0 (800): the
+        # product was 0.26% off, or 0 against 2.5e-56
+        (15, 1e-40, 5.44e-19), (15, 1e-40, 5.657e-19),
+    ],
+)
+def test_heat_closed_past_its_factors_is_a_float(n, t, r):
+    ref = _log_space_heat(n, t, r)
+    assert 1e-120 < ref < 1e-20
+    # the exponent's terms are ~1e3, whose rounding the value inherits
+    assert euclid.heat_closed(n, t, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_heat_closed_overflows_with_the_kernel():
+    with pytest.raises(OverflowError):
+        euclid.heat_closed(5, 1e-300, 0.0)
 
 
 def test_poisson_closed_halfplane_formula():
@@ -123,6 +162,15 @@ def test_heat_raise_even(n, t, r):
 def test_heat_descent(n, t, r):
     res = euclid.heat_descent(n, t, r, tol=1e-11)
     assert res.value == pytest.approx(euclid.heat_closed(n, t, r), rel=5e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+@pytest.mark.parametrize("t", [1e-3, 0.1, 9.0])
+def test_heat_descent_at_the_origin_takes_one_sweep(sweeps, n, t):
+    # the first fall-off panel, halved in the endpoint variable u = sqrt(s),
+    # holds the Gaussian's flat top; unseeded it took a second sweep
+    euclid.heat_descent(n, t, 0.0)
+    assert sweeps[0] <= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

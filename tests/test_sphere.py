@@ -129,6 +129,52 @@ def test_theta2_at_the_pole_for_large_t(t):
     )
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-30])
+@pytest.mark.parametrize("phi", [1e-3, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_theta_at_a_tiny_time_is_the_kernel(n, t, phi):
+    # (4 pi t)^(-3/2) overflows at t = 1e-300: the theta rows raised
+    # OverflowError where the kernel is 0.  Its leading image in one
+    # exponent, (4 pi t)^(-n/2) (phi/sin phi)^((n-1)/2) exp(-phi^2/4t),
+    # rounds to 0 here, and the other images are smaller still
+    with mpmath.workdps(40):
+        mt, mphi = mpmath.mpf(t), mpmath.mpf(phi)
+        expo = -n * mpmath.log(4 * mpmath.pi * mt) / 2 - mphi**2 / (4 * mt)
+        ref = float(mpmath.exp(expo) * (mphi / mpmath.sin(mphi)) ** ((n - 1) / 2))
+    res = sphere.heat_theta(n, t, phi)
+    assert ref == 0.0
+    assert abs(res.value - ref) <= res.err_estimate < 1e-20
+
+
+@pytest.mark.parametrize("x", [700.0, 712.0, 725.0, 735.0])
+def test_theta3_is_within_its_error_at_a_large_exponent(x):
+    # phi^2/4t = x: from 708 on exp(-x) alone is subnormal, the kernel a
+    # normal float, and the image sum was up to 6% off, claiming err 0; at
+    # 700 it was 1.5e-13 off, the rounding of x, claiming 1.8e-15
+    t = 1e-15
+    phi = math.sqrt(4.0 * t * x)
+    with mpmath.workdps(40):
+        mt, mphi = mpmath.mpf(t), mpmath.mpf(phi)
+        expo = -(mphi**2) / (4 * mt)
+        ref = float((4 * mpmath.pi * mt) ** -1.5 * mphi / mpmath.sin(mphi) * mpmath.exp(expo))
+    res = sphere.heat_theta3(t, phi)
+    assert ref > sys.float_info.min
+    assert abs(res.value - ref) <= res.err_estimate <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-150, 6.06e-149])
+def test_theta2_past_its_amplitude_is_the_flat_kernel(phi):
+    # at t = 1e-300 the 2-sphere is flat to far below eps where its kernel
+    # is a float: (4 pi t)^-1 exp(-phi^2/4t), one 40-digit exponent
+    t = 1e-300
+    with mpmath.workdps(40):
+        mt, mphi = mpmath.mpf(t), mpmath.mpf(phi)
+        ref = float(mpmath.exp(-mpmath.log(4 * mpmath.pi * mt) - mphi**2 / (4 * mt)))
+    res = sphere.heat_theta2(t, phi)
+    assert ref > 1e-120
+    assert abs(res.value - ref) <= res.err_estimate <= 1e-11 * ref
+
+
 def test_theta_dispatch():
     assert sphere.heat_theta(1, 0.5, 1.0).value == sphere.heat_theta1(0.5, 1.0).value
     assert sphere.heat_theta(3, 0.5, 1.0).value == sphere.heat_theta3(0.5, 1.0).value
