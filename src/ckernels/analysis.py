@@ -81,6 +81,19 @@ def _contour_rank(cost: int):
     return lambda n, t, r: (cost, r * r > _CONTOUR_REACH * t)
 
 
+def _spectral_rank(n: int, t: float, r: float):
+    """The S^n spectral row's rank: first from t = 0.1 on and, down to
+    sphere.SPECTRAL_MIN_T, where r^2 <= 24 t.  Its relative rounding floor
+    grows like exp(r^2/4t), under e^6 there: on 1500 random cells of that
+    band (n 1..15, both conventions, 15% at r = 0) it met tol 1e-10 at
+    every one, within its error of a 30-digit sum.  It takes 0.01-0.05 ms
+    there, where the contour takes 0.08-0.25 ms and even-n raising
+    0.6-1.4 ms."""
+    if t >= 0.1 or (t >= sphere.SPECTRAL_MIN_T and r * r <= 24.0 * t):
+        return 0, False
+    return None
+
+
 def _sphere_heat(route):
     """A sphere heat row: ``route`` gives the paper-convention kernel."""
 
@@ -118,18 +131,19 @@ _REPRESENTATIONS = {
     (Space.SPHERE, "heat"): (
         ("theta", lambda n: n <= 3,
          _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)), _rank(1)),
-        # pure jets for odd n (0.2-0.6 ms), a float integral over a batched
-        # raise for even n (0.5-3.4 ms, a refusal up to 25 ms; best of 5 on
-        # n = 4..14, t = 1e-3..9); for n <= 2 it is the theta row itself
+        # pure jets for odd n (0.02-0.07 ms on n = 3..15), a float integral
+        # over a batched raise for even n (0.5-3.4 ms, a refusal up to 25 ms;
+        # best of 5 on n = 4..14, t = 1e-3..9); for n <= 2 it is the theta
+        # row itself
         ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
          lambda n, t, r: None if n <= 2 else (2 if n % 2 else 4, False)),
         ("gruet", _any_n,
          _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
          _contour_rank(3)),
-        # 0.01-0.05 ms wherever it is defined
-        ("spectral", lambda n: n >= 2,
+        # 0.01-0.05 ms wherever it is ranked; the Fourier series on the circle
+        ("spectral", _any_n,
          lambda n, t, r, tol, c, s: sphere.heat_spectral(n, t, r, tol, convention=c),
-         lambda n, t, r: (0, False) if t >= sphere.SPECTRAL_MIN_T else None),
+         _spectral_rank),
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,

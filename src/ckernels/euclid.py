@@ -55,11 +55,17 @@ _TINY = sys.float_info.min
 # One body per closed form serves the public function, at a float r, and the
 # descent integrands, at the array of a sweep's nodes; each takes the math
 # module or numpy as ``xp`` accordingly.  heat_closed writes the heat body
-# out, to add its tiny-t form.
+# out, to join the two factors also where exp(-r^2/4t) alone is subnormal.
 
 
 def _heat(xp, n: int, t: float, r):
-    return (4.0 * math.pi * t) ** (-0.5 * n) * xp.exp(-r * r / (4.0 * t))
+    x = r * r / (4.0 * t)
+    try:
+        return (4.0 * math.pi * t) ** (-0.5 * n) * xp.exp(-x)
+    except OverflowError:
+        # a float t so small that the amplitude overflows: it joins the
+        # exponent, as in heat_closed, which leaves 0 where the kernel is
+        return xp.exp(-0.5 * n * math.log(4.0 * math.pi * t) - x)
 
 
 def _poisson(xp, n: int, y: float, r):

@@ -11,8 +11,9 @@ Heat kernels come in five representations:
 * contour: a vertical-line integral against exp(y^2/4t) sinh y
   (cosh y - cos phi)^(-(n+1)/2); for even n the half-integer power needs the
   analytic branch, tracked by an explicit sign on successive cut crossings.
-* spectral (n >= 2, t >= SPECTRAL_MIN_T): the Gegenbauer eigenfunction
-  series, summed by the three-term recurrence with a rigorous tail bound.
+* spectral (t >= SPECTRAL_MIN_T): the Gegenbauer eigenfunction series, the
+  Fourier series on the circle, summed by the three-term recurrence with a
+  rigorous tail bound.
 * doubling (Poisson): the kernel at angle phi written as an average of the
   (2n+1)-sphere kernel at half the height.
 
@@ -51,14 +52,19 @@ from .quadrature import (
 )
 
 # The spectral series refuses shorter times: its terms grow like t^(-n/2)
-# before they decay, so near the antipode, where the sum cancels to about
-# exp(-pi^2/4t), the roundoff floor swamps the value.  Sphere subordination
-# takes its inner heat kernel from the node-array form of the series
-# (_spectral_nodes) at every time, against an absolute target that the
-# outer weight exp(-y^2/4t) sets, which that floor meets except for high n
-# at small t; a node that misses it takes the auto walk.  The node-array
-# form sums at most _NODE_TERMS terms, which bounds its matrices.
-SPECTRAL_MIN_T = 0.1
+# before they decay, and at angle phi the sum cancels to about
+# exp(-phi^2/4t) of them, so the roundoff floor grows like exp(phi^2/4t)
+# relative to the value and, at small t, swamps it away from the pole.  At
+# t = 0.01 the sum takes up to ~57 terms; ``auto`` ranks the series first
+# from t = 0.1 on, and below that only where phi^2 <= 24 t, where the
+# floor's growth stays below e^6 (analysis._spectral_rank).  Sphere
+# subordination takes its inner heat kernel from the node-array form of
+# the series (_spectral_nodes) at every time, against an absolute target
+# that the outer weight exp(-y^2/4t) sets, which that floor meets except
+# for high n at small t; a node that misses it takes the auto walk.  The
+# node-array form sums at most _NODE_TERMS terms, which bounds its
+# matrices.
+SPECTRAL_MIN_T = 0.01
 _NODE_TERMS = 1024
 _MAX_IMAGES = 10_000
 
@@ -107,16 +113,35 @@ def heat_theta1(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
 
 def _theta1_jet(t: float, tol: float) -> RadialGenerator:
     """Jets of the circle's image sum: the Gaussian recurrence of
-    :func:`gauss_jet` on the image centres, one row an image, summed."""
+    :func:`_gauss_coeffs` per image centre on Python floats, the leading
+    values from one np.exp over the images.  The rows are added in image
+    order onto a total that starts at 0.0: the bits numpy gives summing an
+    array of one row an image over axis 0, from order 1 on (the raise asks
+    no less; a single column numpy sums pairwise).  A row that leads with
+    0.0 under a finite p holds only signed zeros, which leave that total as
+    it is, so it is skipped."""
     amp = (4.0 * math.pi * t) ** -0.5
     u = 0.25 / t
+    q = -2.0 * u
 
     def gen(center: float, order: int) -> Jet:
         ms = _image_range(t, center, tol)
         images = center + 2.0 * math.pi * np.arange(ms.start, ms.stop)
-        # at tiny t the recurrence overflows; the raise refuses what is not finite
+        # at tiny t u c^2 and the recurrence overflow; the raise refuses what
+        # is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            return Jet(center, _gauss_coeffs(u, images, amp, order).sum(axis=0))
+            leads = amp * np.exp(-u * images * images)
+        total = [0.0] * (order + 1)
+        for c, a in zip(images.tolist(), leads.tolist()):
+            p = q * c  # not finite where q is not
+            if a == 0.0 and abs(p) < math.inf:
+                continue
+            total[0] += a
+            prev = 0.0
+            for j in range(1, order + 1):
+                a, prev = (p * a + q * prev) / j, a
+                total[j] += a
+        return Jet(center, np.array(total))
 
     return gen
 
@@ -378,36 +403,74 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 def heat_spectral(
     n: int, t: float, phi: float, tol: float = DEFAULT_TOL, *, convention: str = "paper"
 ) -> QuadResult:
-    """Sphere heat kernel as its Gegenbauer eigenfunction series (n >= 2):
+    """Sphere heat kernel as its Gegenbauer eigenfunction series:
 
     h_n(t, phi) = sum_l w_l C_l^a(cos phi) / vol(S^n),
     w_l = exp(-(l+a)^2 t) (2l+n-1)/(n-1),  a = (n-1)/2,
 
-    summed by the recurrence (l+1) C_(l+1) = 2 (l+a) x C_l - (l+2a-1) C_(l-1).
-    Since |C_l^a(x)| <= C_l^a(1), term l is at most b_l = w_l C_l^a(1), and
-    the ratio b_(l+1)/b_l decreases in l; so the tail past term l is at most
-    b_(l+1) / (1 - q) with q = b_(l+2)/b_(l+1).  The sum stops once that bound
-    is at most tol |sum|, which holds too once the b_l underflow to 0.  The
-    error estimate is the tail bound plus a roundoff floor proportional to
-    the sum of the b_l, the larger term near the antipode, where the sum
-    cancels.  Times below SPECTRAL_MIN_T are refused.  ``n_evals`` counts
-    the terms summed.  The "markovian" convention's factor exp(a^2 t) is
-    folded into the final scaling, which it cancels, so it never overflows.
+    summed by the recurrence (l+1) C_(l+1) = 2 (l+a) x C_l - (l+2a-1) C_(l-1)
+    (:func:`_gegenbauer_sum`).  On the circle, a = 0, it is the Fourier
+    series (1 + 2 sum_l exp(-l^2 t) T_l(cos phi)) / 2 pi
+    (:func:`_fourier_sum`).  Since |C_l^a(x)| <= C_l^a(1) (|T_l| <= 1), term
+    l is at most b_l = w_l C_l^a(1), and the ratio b_(l+1)/b_l decreases in
+    l; so the tail past term l is at most b_(l+1) / (1 - q) with
+    q = b_(l+2)/b_(l+1).  The error estimate is that tail bound plus a
+    roundoff floor proportional to the sum of the b_l, the larger term near
+    the antipode, where the sum cancels (:func:`_spectral_bounds`).  The sum
+    stops at the first term where the tail bound is at most tol |sum|
+    (which holds once the b_l underflow to 0) and the whole estimate is
+    too, unless the floor alone leaves it no room: where the floor is not
+    negligible, that costs a term or two more, not a missed tol.  Times
+    below SPECTRAL_MIN_T are refused.  ``n_evals`` counts the terms summed.
+    The "markovian" convention's factor exp(a^2 t) is folded into the final
+    scaling, which it cancels, so it never overflows.
     """
     check_query(_SPHERE, n, "heat", t, phi)
-    if n == 1:
-        raise DomainError("the spectral series is implemented for n >= 2")
     if t < SPECTRAL_MIN_T:
         raise DomainError(f"the spectral series needs t >= {SPECTRAL_MIN_T}, got {t}")
     check_positive("tolerance", tol)
     a = 0.5 * (n - 1)
-    two_a = 2.0 * a
-    x2 = 2.0 * math.cos(phi)
-    log_vol = math.log(2.0) + (a + 1.0) * math.log(math.pi) - math.lgamma(a + 1.0)
+    log_vol, log_size = _log_volume(a)
     # w_l carries exp(-(l+a)^2 t) / exp(-a^2 t); that factor, times the
     # convention's, and 1/vol(S^n) are applied once, at the end
     carried = a * a * t - convention_exponent(_SPHERE, convention, n, t)
     scale = math.exp(-carried - log_vol)
+    # the final scaling loses one unit in the last place per unit of its
+    # exponent's terms, and it may land among the subnormals
+    spread = _EPS * (carried + log_size + 2.0)
+    x2 = 2.0 * math.cos(phi)
+    if n == 1:
+        total, bound, l, tail, floor = _fourier_sum(t, x2, tol, spread)
+    else:
+        total, bound, l, tail, floor = _gegenbauer_sum(a, t, x2, tol, spread)
+    value = total * scale
+    err = (tail + floor) * scale + spread * abs(value)
+    return QuadResult(value, err + math.ulp(0.0) * (bound + 1.0), l + 1)
+
+
+def _log_volume(a: float) -> tuple:
+    """log vol(S^n), a = (n-1)/2, and the sum of its three terms' sizes:
+    they cancel (to 2.5 of 13.8 at n = 12), and each rounds to eps times
+    itself."""
+    terms = (math.log(2.0), (a + 1.0) * math.log(math.pi), -math.lgamma(a + 1.0))
+    return sum(terms), sum(map(abs, terms))
+
+
+def _spectral_bounds(bound: float, l: int, exponent: float, b_next: float, b_2: float) -> tuple:
+    """The tail bound past term l and the rounding floor of a sum of terms
+    at most b_0 .. b_l, ``bound`` their sum, the last weight
+    exp(-``exponent``) relative to the first."""
+    tail = b_next * b_next / (b_next - b_2) if b_next > 0.0 else 0.0
+    # the recurrence and the sum lose about l + 1 units in the last place of
+    # the largest term, and each weight one per unit of its exponent
+    return tail, _EPS * bound * (2.0 * (l + 1) + exponent)
+
+
+def _gegenbauer_sum(a: float, t: float, x2: float, tol: float, spread: float) -> tuple:
+    """:func:`heat_spectral`'s sum for a > 0, x2 = 2 cos phi, ``spread``
+    the final scaling's relative rounding: the sum, the sum of the b_l, the
+    last term l, the tail bound and the floor."""
+    two_a = 2.0 * a
     exp = math.exp
     c_prev, c = 0.0, 1.0  # C_(l-1), C_l at cos(phi)
     w, w_next = 1.0, exp(-(1.0 + two_a) * t) * (1.0 + a) / a
@@ -424,21 +487,38 @@ def heat_spectral(
         b_2 = w_2 * c_one_2
         # tail <= b_next / (1 - b_2/b_next) <= tol |total|, multiplied out
         if b_next * b_next <= tol * abs(total) * (b_next - b_2):
-            break
+            tail, floor = _spectral_bounds(bound, l, l * (l + two_a) * t, b_next, b_2)
+            room = (tol - spread) * abs(total) - floor
+            if tail <= room or room <= 0.0:
+                return total, bound, l, tail, floor
         l += 1
         c_prev, c = c, (x2 * (l - 1.0 + a) * c - (l - 2.0 + two_a) * c_prev) / l
         w, w_next = w_next, w_2
         c_one, c_one_next = c_one_next, c_one_2
         b_next = b_2
-    tail = b_next * b_next / (b_next - b_2) if b_next > 0.0 else 0.0
-    # rounding: the recurrence and the sum lose about l + 1 units in the
-    # last place of the largest term, and each weight one per unit of its
-    # exponent l (l + 2a) t; the final scaling one per unit of its exponent,
-    # and it may land among the subnormals
-    floor = _EPS * bound * (2.0 * (l + 1) + l * (l + two_a) * t)
-    value = total * scale
-    err = (tail + floor) * scale + _EPS * (carried + abs(log_vol) + 2.0) * abs(value)
-    return QuadResult(value, err + math.ulp(0.0) * (bound + 1.0), l + 1)
+
+
+def _fourier_sum(t: float, x2: float, tol: float, spread: float) -> tuple:
+    """:func:`_gegenbauer_sum` on the circle (a = 0): w_l T_l(cos phi) with
+    w_0 = 1, w_l = 2 exp(-l^2 t), T_(l+1) = x2 T_l - T_(l-1), and b_l = w_l."""
+    exp = math.exp
+    c_prev, c = 0.5 * x2, 1.0  # T_(l-1), T_l; T_(-1) = T_1
+    w, b_next = 1.0, 2.0 * exp(-t)
+    total = bound = 0.0
+    l = 0
+    while True:
+        total += w * c
+        bound += w
+        k = l + 2.0
+        b_2 = 2.0 * exp(-k * k * t)
+        if b_next * b_next <= tol * abs(total) * (b_next - b_2):
+            tail, floor = _spectral_bounds(bound, l, l * l * t, b_next, b_2)
+            room = (tol - spread) * abs(total) - floor
+            if tail <= room or room <= 0.0:
+                return total, bound, l, tail, floor
+        l += 1
+        c_prev, c = c, x2 * c - c_prev
+        w, b_next = b_next, b_2
 
 
 def _spectral_nodes(n: int, phi: float):
@@ -456,7 +536,7 @@ def _spectral_nodes(n: int, phi: float):
     a = 0.5 * (n - 1)
     two_a = 2.0 * a
     x2 = 2.0 * math.cos(phi)
-    log_vol = math.log(2.0) + (a + 1.0) * math.log(math.pi) - math.lgamma(a + 1.0)
+    log_vol, log_size = _log_volume(a)
     ls = np.arange(_NODE_TERMS + 2.0)
     growth, gl = ls * (ls + two_a), (2.0 * ls + two_a) / two_a
     # C_l^a(cos phi), by the recurrence as far as asked, and C_l^a(1)
@@ -501,7 +581,7 @@ def _spectral_nodes(n: int, phi: float):
             total, bound = (w @ coef[:terms]).T
             tail = sq[rows, last] / np.maximum(drop[rows, last], _TINY)
             floor = _EPS * bound * (2.0 * (last + 1) + growth[last] * t)
-            err = tail + floor + _EPS * (a * a * t + abs(log_vol) + 2.0) * np.abs(total)
+            err = tail + floor + _EPS * (a * a * t + log_size + 2.0) * np.abs(total)
             values[at] = total * scale[at]
             errs[at] = err * scale[at] + math.ulp(0.0) * (bound + 1.0)
             if terms >= _NODE_TERMS:

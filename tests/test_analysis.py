@@ -87,7 +87,10 @@ def _auto_order(space, kind, n, t, r):
     if kind == "poisson" or space is Space.EUCLIDEAN:
         return ["closed"]
     if space is Space.SPHERE:
-        order = ["spectral"] if n >= 2 and t >= 0.1 else []
+        # the series' floor grows like exp(r^2/4t): below t = 0.1 it is
+        # ranked only where that stays under e^6, and never below t = 0.01
+        spectral = t >= 0.1 or (t >= 0.01 and r * r <= 24.0 * t)
+        order = ["spectral"] if spectral else []
         order += ["theta"] if n <= 3 else []
         order += ["raise"] if n % 2 == 1 and n >= 3 else []
         order += ["gruet"]

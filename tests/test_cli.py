@@ -237,8 +237,8 @@ def test_eval_spectral_rep(runner):
     value = float(res.stdout.split("value=")[1].split(" ")[0])
     assert f"{value:.2e}" == "5.80e-138"
     assert "rep=spectral" in res.stdout
-    # below SPECTRAL_MIN_T the series refuses; no substitution of auto
-    res = invoke(runner, args + ["--t", "0.01"])
+    # below SPECTRAL_MIN_T (0.01) the series refuses; no substitution of auto
+    res = invoke(runner, args + ["--t", "0.005"])
     assert res.exit_code == 3
     assert res.stderr.startswith("domain error:")
     assert res.stdout == ""
@@ -329,6 +329,27 @@ def test_eval_closed_heat_at_a_tiny_time_prints_0(runner, space):
     assert res.exit_code == 0
     (rec,) = json.loads(res.stdout)["records"]
     assert rec["value"] == 0.0
+
+
+def test_eval_descent_at_a_tiny_time_prints_0(runner):
+    # the descent integrand's amplitude (4 pi t)^(-3) overflowed, exit 4,
+    # where exp(-s^2/4t) makes the kernel 0
+    res = invoke(runner, ["eval", "--space", "euclidean", "--dim", "5", "--t", "1e-300",
+                          "--r", "0.001", "--rep", "descent", "--format", "json"])
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    assert rec["value"] == 0.0
+
+
+@pytest.mark.parametrize("rep", ["auto", "spectral"])
+def test_eval_circle_heat_past_the_image_count_is_the_fourier_row(runner, rep):
+    # the image sum needs 1.62e4 images a side (exit 4) and the spectral row
+    # refused n = 1 (exit 3); the Fourier series is its first term, 1/2 pi
+    res = invoke(runner, ["eval", "--space", "sphere", "--dim", "1", "--t", "1e8",
+                          "--r", "1", "--rep", rep, "--format", "json"])
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    assert abs(rec["value"] - 0.5 / math.pi) <= rec["err"]
 
 
 def test_eval_even_hyperbolic_subordinate_exits_0(runner):

@@ -807,6 +807,35 @@ def test_generators_match_the_jet_expressions_they_replaced(family, order):
             _assert_scaled_close(got.coeffs, want, scale(c))
 
 
+def _theta1_image_rows(t: float, tol: float, center: float, order: int) -> np.ndarray:
+    """The image-row form that sphere._theta1_jet replaced: the Gaussian
+    recurrence on a numpy row an image, the rows summed over axis 0."""
+    amp, u = (4.0 * math.pi * t) ** -0.5, 0.25 / t
+    ms = sphere._image_range(t, center, tol)
+    images = center + 2.0 * math.pi * np.arange(ms.start, ms.stop)
+    p, q = -2.0 * u * images, -2.0 * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [amp * np.exp(-u * images * images)]
+        prev = 0.0
+        for j in range(order):
+            rows.append((p * rows[j] + q * prev) / (j + 1))
+            prev = rows[j]
+        return np.stack(rows, axis=-1).sum(axis=0)
+
+
+# t = 1e-300 overflows the recurrence (inf, nan) at the pole and leaves
+# every image 0 elsewhere; at 1e-3 all but the nearest images are 0; at 1e4
+# there are 325 images.  From order 1, the least a raise asks, numpy adds
+# the rows in order; a single column it sums pairwise
+@pytest.mark.parametrize("t", [1e-300, 1e-3, 0.05, 0.9, 9.0, 1e4])
+def test_theta1_jet_keeps_the_bits_of_the_image_rows(t):
+    for center in (0.0, 1e-12, 1e-3, 0.5, 2.0, math.pi - 1e-3, math.pi):
+        for order in (1, 2, 5, 17, MAX_ORDER):
+            got = sphere._theta1_jet(t, 1e-10)(center, order).coeffs
+            want = _theta1_image_rows(t, 1e-10, center, order)
+            assert list(map(repr, got)) == list(map(repr, want)), (center, order)
+
+
 @pytest.mark.parametrize("order", GEN_ORDERS)
 def test_gauss_jet_of_a_time_array_matches_the_jet_expression(order):
     times = np.array(GEN_TIMES)

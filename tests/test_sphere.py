@@ -195,13 +195,22 @@ def test_theta_singular_points():
 
 @pytest.mark.parametrize("t", [1e8, 1e17, 1e300])
 @pytest.mark.parametrize("n, rep", [(1, "theta"), (2, "theta"), (3, "theta"), (3, "raise"),
-                                    (4, "raise"), (1, "gruet"), (1, "auto")])
+                                    (4, "raise"), (1, "gruet")])
 def test_image_sums_refuse_past_their_count(n, rep, t):
     # the images grow like sqrt(t): at 1e300 the sums asked numpy for an
     # array past its size limit, and at 1e17 for more memory than there was;
     # each of these counts is refused before anything is allocated
     with pytest.raises(ConvergenceError, match="images a side"):
         analysis.evaluate(Space.SPHERE, n, "heat", t, 0.001, rep=rep)
+
+
+@pytest.mark.parametrize("t", [1e8, 1e17, 1e300])
+def test_auto_circle_heat_past_the_image_count_is_the_fourier_row(t):
+    # auto refused here with the image sums; the Fourier row, ranked first
+    # from t = 0.1 on, is its first term
+    res = analysis.evaluate(Space.SPHERE, 1, "heat", t, 0.001)
+    assert abs(res.value - 0.5 / math.pi) <= res.err_estimate <= 1e-15
+    assert res.n_evals == 1
 
 
 def test_theta_domain_validation():
@@ -488,7 +497,7 @@ def test_poisson_doubling_edge_cases():
 # ---------------------------------------------------------------------------
 # spectral
 
-SPECTRAL_TIMES = (sphere.SPECTRAL_MIN_T, 0.3, 1.0, 5.0, 20.0, 100.0)
+SPECTRAL_TIMES = (sphere.SPECTRAL_MIN_T, 0.1, 0.3, 1.0, 5.0, 20.0, 100.0)
 SPECTRAL_ANGLES = (0.0, 0.05, 1.0, 1.5, math.pi - 1e-3, math.pi)
 
 
@@ -511,10 +520,39 @@ def test_heat_spectral_matches_oracle(n):
     assert not wrong, wrong
 
 
+# The band where auto ranks the spectral series first below t = 0.1:
+# n = 1..15, t in [0.01, 0.1), phi at the pole, halfway to phi^2 = 24 t and
+# on it, both conventions, against 30-digit sums
+# (tests/make_spectral_references.py)
+with open(os.path.join(_HERE, "spectral_references.json")) as fh:
+    SPECTRAL_CELLS = json.load(fh)
+
+
+def test_spectral_below_a_tenth_is_within_its_error():
+    outside, missed, elsewhere = [], 0, []
+    for c in SPECTRAL_CELLS:
+        n, t, phi = c["n"], c["t"], c["phi"]
+        for convention in ("paper", "markovian"):
+            res = sphere.heat_spectral(n, t, phi, convention=convention)
+            ref = float(mpmath.mpf(c[convention]))
+            if not abs(res.value - ref) <= res.err_estimate:
+                outside.append((n, t, phi, convention, res.value, ref, res.err_estimate))
+            if res.err_estimate <= 1e-10 * abs(res.value):
+                auto = analysis.evaluate(Space.SPHERE, n, "heat", t, phi, convention=convention)
+                if (auto.value, auto.err_estimate) != (res.value, res.err_estimate):
+                    elsewhere.append((n, t, phi, convention))
+            else:
+                missed += 1
+    assert not outside, outside
+    assert missed <= 0.01 * 2 * len(SPECTRAL_CELLS)
+    # where it meets tol auto returns it: it is the first row tried
+    assert not elsewhere, elsewhere
+
+
 def test_heat_spectral_roundoff_floor_covers_the_antipode():
-    # at the shortest time the sum cancels to ~3e-10 of its largest terms, and
-    # the value is off by ~2e-7 relative: only the roundoff floor covers that
-    t, phi = sphere.SPECTRAL_MIN_T, math.pi
+    # at t = 0.1 the sum cancels to ~3e-10 of its largest terms, and the
+    # value is off by ~2e-7 relative: only the roundoff floor covers that
+    t, phi = 0.1, math.pi
     res = sphere.heat_spectral(2, t, phi)
     want = mp_spectral_oracle(2, t, phi)
     assert abs(res.value - want) > 1e-10 * want
@@ -588,6 +626,20 @@ def test_markovian_heat_at_large_time_does_not_overflow(n, t, phi, want):
         assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(want))
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_markovian_spectral_at_large_time_is_one_over_the_volume(n):
+    # one term, 1/vol(S^n) = exp(-log vol): the three terms of log vol
+    # cancel (to 2.5 of 13.8 at n = 12), and their rounding, not log vol's
+    # own, sets the error; from log vol alone S^12 and S^13 claimed
+    # 1.214e-16 and 1.62e-16 where they were 1.217e-16 and 2.03e-16 off
+    res = sphere.heat_spectral(n, 50.0, 1.0, convention="markovian")
+    with mpmath.workdps(30):
+        half = mpmath.mpf(n + 1) / 2
+        want = mpmath.gamma(half) / (2 * mpmath.pi**half)
+        assert res.n_evals == 1
+        assert abs(res.value - want) <= res.err_estimate
+
+
 def test_heat_spectral_convention_is_the_factor():
     for n, t, phi in [(2, 0.3, 1.0), (5, 2.0, 0.4), (9, 1.0, 3.0)]:
         paper = sphere.heat_spectral(n, t, phi)
@@ -608,8 +660,9 @@ def test_heat_spectral_needs_few_terms_at_large_time():
 def test_heat_spectral_domain():
     with pytest.raises(DomainError):
         sphere.heat_spectral(2, 0.5 * sphere.SPECTRAL_MIN_T, 1.0)
-    with pytest.raises(DomainError):
-        sphere.heat_spectral(1, 1.0, 1.0)
+    # the circle takes the Fourier series
+    circle, images = sphere.heat_spectral(1, 1.0, 1.0), sphere.heat_theta1(1.0, 1.0)
+    assert abs(circle.value - images.value) <= circle.err_estimate + images.err_estimate
     with pytest.raises(DomainError):
         sphere.heat_spectral(3, 1.0, 3.5)
     with pytest.raises(DomainError):
