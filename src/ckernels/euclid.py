@@ -40,7 +40,7 @@ from .quadrature import (
     integrate_sqrt_endpoint,
     integrate_to_infinity,
     scale_seeds,
-    sigma_default,
+    sigma_saddle,
 )
 
 # bound once: an enum member lookup costs about as much as the entry check
@@ -157,11 +157,13 @@ def heat_gruet(
     algebraic spikes where y^2 approaches -r^2 (near xi = r for small sigma);
     the spike is seeded at its widths.  The value is independent of sigma,
     which the error estimate must cover (the basis of the deformation
-    cross-check).  The integrand takes a sweep's nodes at once.
+    cross-check); by default the line runs through the saddle point on the
+    real axis (:func:`~ckernels.quadrature.sigma_saddle`, capped at 3), where
+    the panels do not cancel.  The integrand takes a sweep's nodes at once.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
     if sigma is None:
-        sigma = sigma_default(t, r, 3.0)
+        sigma = sigma_saddle(n, t, r, 3.0)
     check_positive("sigma", sigma)
     pref = math.gamma(0.5 * (n + 1)) / (
         math.pi ** (0.5 * n + 1.0) * math.sqrt(4.0 * t)

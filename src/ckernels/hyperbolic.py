@@ -49,7 +49,7 @@ from .quadrature import (
     integrate_contour,
     integrate_sqrt_endpoint,
     scale_seeds,
-    sigma_default,
+    sigma_saddle,
 )
 
 # bound once: an enum member lookup costs about as much as the entry check
@@ -144,9 +144,10 @@ def heat_classic(
 ) -> QuadResult:
     """Heat kernel from the oscillatory real integral along the pi line.
 
-    The integrand takes a sweep's nodes at once and switches each node past
-    xi = 350 to a log form.  As math does at a float, it raises
-    OverflowError where its Gaussian or its power overflows.
+    The integrand takes a sweep's nodes at once and takes a log form at
+    each node where the direct form's power (cosh rho + cosh xi)^((n+1)/2)
+    could pass e^700.  As math does at a float, it raises OverflowError
+    where its Gaussian exp(pi^2/4t) overflows.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
@@ -162,13 +163,12 @@ def heat_classic(
 
     def direct(xi: np.ndarray, osc: np.ndarray) -> np.ndarray:
         gauss = np.exp((pi_sq - xi * xi) * inv4t)
-        den = (cosh_rho + np.cosh(xi)) ** half
-        if np.isinf(gauss).any() or np.isinf(den).any():
-            raise OverflowError(f"exp(pi^2/4t) or (cosh rho + cosh xi)^{half} overflows")
-        return gauss * np.sinh(xi) * osc / den
+        if np.isinf(gauss).any():
+            raise OverflowError("exp(pi^2/4t) overflows")
+        return gauss * np.sinh(xi) * osc / (cosh_rho + np.cosh(xi)) ** half
 
     def log_form(xi: np.ndarray, osc: np.ndarray) -> np.ndarray:
-        # cosh overflows past ~710, and large xi arises whenever t is large
+        # the power overflows first, and large xi arises whenever t is large
         # because the integrand support scales with t
         log_sinh = xi - math.log(2.0) + np.log1p(-np.exp(-2.0 * xi))
         log_den = xi - math.log(2.0) + np.log1p(
@@ -177,9 +177,15 @@ def heat_classic(
         expo = (pi_sq - xi * xi) * inv4t + log_sinh - half * log_den
         return np.exp(np.where(expo < -745.0, -np.inf, expo)) * osc
 
+    # cosh rho + cosh xi <= 2 e^max(rho, xi), so the direct form's power
+    # and cosh xi stay below e^700 where max(rho, xi) is at most this
+    reach = 700.0 / half - math.log(2.0)
+    if rho > reach:
+        reach = -1.0
+
     def f(xi: np.ndarray) -> np.ndarray:
         osc = np.sin(math.pi * xi / (2.0 * t))
-        far = xi >= 350.0
+        far = xi > reach
         if not far.any():
             return direct(xi, osc)
         out = np.empty_like(xi)
@@ -216,13 +222,15 @@ def heat_gruet(
     The integrand sin(y) (cosh rho - cos y)^(-(n+1)/2) exp(y^2/4t) with
     y = sigma - i xi is analytic for 0 < sigma < 2 pi, so no branch tracking
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
-    near xi = rho for small sigma, seeded at its widths.  The integrand
-    takes a sweep's nodes at once.
+    near xi = rho for small sigma, seeded at its widths.  By default sigma
+    is the flat integrand's saddle point
+    (:func:`~ckernels.quadrature.sigma_saddle`, capped at pi).  The
+    integrand takes a sweep's nodes at once.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if sigma is None:
         # the abscissa must lie in (0, pi]
-        sigma = sigma_default(t, rho, math.pi)
+        sigma = sigma_saddle(n, t, rho, math.pi)
     if not 0.0 < sigma <= math.pi:
         raise DomainError(f"abscissa must lie in (0, pi], got {sigma}")
     factor = convention_factor(Space.HYPERBOLIC, convention, n, t)

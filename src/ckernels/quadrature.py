@@ -164,15 +164,42 @@ def contour_spec(sigma: float, envelope_scale: float, tol: float) -> ContourSpec
 
 
 def sigma_default(t: float, r: float, cap: float) -> float:
-    """Default abscissa of a heat-kernel contour with envelope exp(y^2/4t).
+    """Abscissa of a heat-kernel contour with envelope exp(y^2/4t) where it
+    has no saddle point (:func:`sigma_saddle`).
 
     Half the larger of 1 and r (clear of the branch point), at most ``cap``,
     and capped so the oscillatory factor exp(sigma^2/4t) cannot push the
     relative cancellation floor above about 1e-9 at small t.
     """
+    return min(0.5 * max(1.0, r), _cancellation_cap(t, r), cap)
+
+
+def _cancellation_cap(t: float, r: float) -> float:
+    """The largest abscissa whose factor exp(sigma^2/4t) keeps the relative
+    cancellation floor of the contour below about 1e-9."""
     floor_sq = 4.0 * t * math.log(1e9) - r * r
-    floor_cap = math.sqrt(floor_sq) if floor_sq > 0.04 else 0.2
-    return min(0.5 * max(1.0, r), floor_cap, cap)
+    return math.sqrt(floor_sq) if floor_sq > 0.04 else 0.2
+
+
+def sigma_saddle(n: int, t: float, r: float, cap: float) -> float:
+    """Abscissa through the saddle point of a heat-kernel contour.
+
+    On the real axis the flat integrand's modulus
+    2 sigma exp(sigma^2/4t) (r^2 + sigma^2)^(-(n+1)/2) has its interior
+    minimum at sigma^2 = x, the larger root of
+    x^2 + (r^2 - 2nt) x + 2t r^2 = 0.  A vertical line through it is a
+    steepest-descent line: |f| peaks at xi = 0 and the panels do not cancel
+    (Weideman & Trefethen, Math. Comp. 76, 2007).  The curved integrands of
+    S^n and H^n take the same flat root.  Where there is none (2nt <= r^2,
+    or a negative discriminant) this is :func:`sigma_default`; either way
+    the abscissa keeps that rule's small-t cap and ``cap``.
+    """
+    b = 2.0 * n * t - r * r
+    disc = b * b - 8.0 * t * r * r
+    # disc is nan where b * b and 8 t r^2 both overflow
+    if b <= 0.0 or not disc >= 0.0:
+        return sigma_default(t, r, cap)
+    return min(math.sqrt(0.5 * (b + math.sqrt(disc))), _cancellation_cap(t, r), cap)
 
 
 def gaussian_breakpoints(c: float, t: float, a: float, b: float) -> list:

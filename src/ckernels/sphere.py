@@ -48,7 +48,7 @@ from .quadrature import (
     integrate_contour,
     integrate_sqrt_endpoint,
     scale_seeds,
-    sigma_default,
+    sigma_saddle,
 )
 
 # The spectral series refuses shorter times: its terms grow like t^(-n/2)
@@ -610,12 +610,14 @@ def heat_gruet(
     y = sigma - i xi crosses the cut of the principal half-integer power at
     xi = pi, 3 pi, ...; for even n the analytic branch flips sign there.
     Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); the
-    cuts are breakpoints, the spikes seeded at their widths.  The integrand
+    cuts are breakpoints, the spikes seeded at their widths.  By default
+    sigma is the flat integrand's saddle point
+    (:func:`~ckernels.quadrature.sigma_saddle`, capped at 3).  The integrand
     takes a sweep's nodes at once.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if sigma is None:
-        sigma = sigma_default(t, phi, 3.0)
+        sigma = sigma_saddle(n, t, phi, 3.0)
     check_positive("sigma", sigma)
     pref = (
         math.gamma(0.5 * (n + 1))

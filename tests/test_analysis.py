@@ -484,7 +484,7 @@ def _subordinate_gate():
         for n in ns:
             for y in (1e-3, 1e-2, 0.1, 0.8, 2.5):
                 for r in (0.0, 0.02, 0.5, 2.0, far):
-                    known = space is Space.SPHERE and n == 4 and r == 0.0 and y <= 0.01
+                    known = space is Space.SPHERE and n == 4 and r == 0.0 and y == 1e-3
                     cells.append(pytest.param(space, n, y, r, marks=[inner_walk] if known else []))
     # even H^n, whose inner heat kernel is the auto walk at every node
     cells += [

@@ -15,7 +15,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from ckernels import Space, evaluate
+from ckernels import Space, evaluate, hyperbolic
 from ckernels.cli import CSV_HEADER, _parse_grid, main
 from ckernels.euclid import heat_closed
 from ckernels.sphere import heat_spectral
@@ -272,7 +272,9 @@ def test_eval_convergence_failure_exits_4(runner):
     "args",
     [
         ["eval", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--r", "800"],
-        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "1",
+        # exp(pi^2/4t) overflows at t = 1e-3; at (200, 1), where the power
+        # (cosh rho + cosh xi)^(5/2) overflowed, the log form answers
+        ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "0.001", "--r", "1",
          "--rep", "gruet-classic"],
         # sinh(s) overflows past s ~ 710 while exp(-s^2/800) is still nonzero
         ["eval", "--space", "hyperbolic", "--dim", "4", "--t", "200", "--r", "700",
@@ -284,6 +286,18 @@ def test_eval_overflow_exits_4(runner, args):
     assert res.exit_code == 4
     assert res.stderr.startswith("numeric overflow:")
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("n, t, rho", [(4, 200.0, 1.0), (11, 30.0, 0.5), (15, 100.0, 0.5)])
+def test_eval_classic_at_a_large_time_exits_0(runner, n, t, rho):
+    # (cosh rho + cosh xi)^((n+1)/2) overflowed below the old switch to the
+    # log form at xi = 350, exit 4; each node where it could now takes it
+    res = invoke(runner, ["eval", "--space", "hyperbolic", "--dim", str(n), "--t", str(t),
+                          "--r", str(rho), "--rep", "gruet-classic", "--format", "json"])
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    gruet = hyperbolic.heat_gruet(n, t, rho)
+    assert abs(rec["value"] - gruet.value) <= rec["err"] + gruet.err_estimate
 
 
 # (space, n, r) at t = 1e-300, where the Gaussian's jet overflows: the pole

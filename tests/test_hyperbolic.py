@@ -244,13 +244,31 @@ def test_heat_contour_deformation_invariance():
     assert b.value == pytest.approx(a.value, rel=1e-9)
 
 
+# Large times against 30-digit values (tests/make_contour_references.py):
+# odd n raised from the closed H^3 kernel, even n its descent integral, both
+# in mpmath.  The float direct raise cancels here (ROADMAP item 1), so it is
+# not gated; the two contour rows must be within their error at every cell.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "contour_references.json")) as fh:
+    CONTOUR_REFS = {(c["n"], c["t"], c["rho"]): float(c["ref"]) for c in json.load(fh)}
+
+
 @pytest.mark.parametrize("n", [12, 13, 14, 15])
 def test_heat_contour_at_large_time_underflows_to_zero(n):
     # past xi ~ 90 the base's power passes 1e308 in modulus: the integrand
     # is 0 there, not a non-finite value
     got = hyperbolic.heat_gruet(n, 100.0, 0.5)
-    want = hyperbolic.heat_raise(n, 100.0, 0.5) if n % 2 else hyperbolic.heat_descent(n, 100.0, 0.5)
-    assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+    assert abs(got.value - CONTOUR_REFS[n, 100.0, 0.5]) <= got.err_estimate
+
+
+@pytest.mark.parametrize("route", [hyperbolic.heat_gruet, hyperbolic.heat_classic],
+                         ids=["gruet", "gruet-classic"])
+@pytest.mark.parametrize("n, t, rho", sorted(CONTOUR_REFS))
+def test_contours_are_within_their_error_at_large_time(route, n, t, rho):
+    # gruet-classic's power (cosh rho + cosh xi)^((n+1)/2) used to overflow
+    # from H^4 at t = 100, H^8 at t = 50 and H^11 at t = 30
+    res = route(n, t, rho)
+    assert abs(res.value - CONTOUR_REFS[n, t, rho]) <= res.err_estimate
 
 
 def test_heat_contour_abscissa_range():

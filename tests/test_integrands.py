@@ -70,10 +70,13 @@ def ref_heat_classic(n, t, rho):
     inv4t = 0.25 / t
     cosh_rho = math.cosh(rho)
     pi_sq = math.pi * math.pi
+    # the direct form where cosh rho + cosh xi <= 2 e^max(rho, xi) keeps its
+    # power below e^700
+    reach = 700.0 / half - math.log(2.0)
 
     def f(xi):
         osc = math.sin(math.pi * xi / (2.0 * t))
-        if xi < 350.0:
+        if max(xi, rho) <= reach:
             return (
                 math.exp((pi_sq - xi * xi) * inv4t)
                 * math.sinh(xi)
@@ -259,18 +262,31 @@ def test_heat_classic_matches_per_node_form(capture, n, t, rho):
     calls = capture(hyperbolic)
     hyperbolic.heat_classic(n, t, rho)
     _, f, (a, b, *_), _ = _single(calls, "integrate_adaptive")
-    xi = _nodes(a, b)
-    if t > 100.0:
-        assert np.any(xi >= 350.0) and np.any(xi < 350.0)
-    _assert_matches(f, ref_heat_classic(n, t, rho), xi)
+    _assert_matches(f, ref_heat_classic(n, t, rho), _nodes(a, b))
 
 
 @pytest.mark.parametrize(
     "n, t, lo, hi",
     [
-        # (cosh rho + cosh xi)^(5/2) overflows past xi ~ 284
+        # (cosh rho + cosh xi)^(5/2) overflows past xi ~ 284, where the
+        # direct form raised OverflowError below the old switch at xi = 350
         (4, 200.0, 290.0, 349.0),
         (4, 200.0, 1.0, 349.0),
+    ],
+)
+def test_heat_classic_takes_the_log_form_where_the_power_overflows(capture, n, t, lo, hi):
+    calls = capture(hyperbolic)
+    hyperbolic.heat_classic(n, t, 1.0)
+    f = _single(calls, "integrate_adaptive")[1]
+    xi = _nodes(lo, hi)
+    with pytest.raises(OverflowError):
+        [(math.cosh(1.0) + math.cosh(u)) ** (0.5 * (n + 1)) for u in xi]
+    _assert_matches(f, ref_heat_classic(n, t, 1.0), xi)
+
+
+@pytest.mark.parametrize(
+    "n, t, lo, hi",
+    [
         # exp(pi^2/4t) overflows at small xi
         (3, 0.001, 0.0, 2.0),
     ],
@@ -466,17 +482,36 @@ def test_large_t_theta2_is_two_integrals_within_its_error(sweeps_per_integral, t
     "route, panels, n_evals",
     [
         (lambda: euclid.heat_gruet(3, 0.8, 1.5), 12, 181),
-        (lambda: sphere.heat_gruet(3, 0.8, 1.2), 27, 406),
+        (lambda: sphere.heat_gruet(3, 0.8, 1.2), 30, 451),
         (lambda: hyperbolic.heat_gruet(3, 0.8, 1.5), 12, 181),
     ],
     ids=["R3", "S3", "H3"],
 )
 def test_gruet_contours_take_one_sweep(sweeps_per_integral, route, panels, n_evals):
     # seeded at the envelope alone they took [7, 8], [12, 16] and [7, 8]
-    # panels in two sweeps; unseeded, 4, 3 and 4 sweeps
+    # panels in two sweeps; unseeded, 4, 3 and 4 sweeps.  S^3 runs through
+    # its saddle point (sigma = 1.55, 30 panels); at sigma = 0.6 it took 27
     res = route()
     assert list(sweeps_per_integral.values()) == [[panels]]
     assert res.n_evals == 15 * panels + 1  # and one node at xi_max
+
+
+@pytest.mark.parametrize(
+    "route, sweeps",
+    [
+        (lambda: euclid.heat_gruet(8, 0.1, 0.0), [6, 4]),
+        (lambda: hyperbolic.heat_gruet(4, 0.85, 0.0), [9, 4]),
+        (lambda: sphere.heat_gruet(13, 0.9, 0.9), [28, 16]),
+    ],
+    ids=["R8", "H4", "S13"],
+)
+def test_saddle_contours_take_few_panels(sweeps_per_integral, route, sweeps):
+    # at the abscissa 0.5 the panels cancel, and the same contours took
+    # [9, 12], [9, 16] and [30, 44] panels; these counts may only fall
+    route()
+    (got,) = sweeps_per_integral.values()
+    assert len(got) <= len(sweeps)
+    assert sum(got) <= sum(sweeps)
 
 
 def test_descent_takes_one_sweep(monkeypatch):
