@@ -5,11 +5,11 @@ Three commands:
 * ``eval``: one kernel value at one point.
 * ``table``: a parameter-by-distance grid, emitted as CSV, JSON or an
   aligned text table, in deterministic row order with full-precision floats.
-* ``validate``: the named self-check suites, as a JSON report.
+* ``validate``: the named self-check suites, as a JSON or text report.
 
-Exit codes: 0 success, 2 argument errors, 3 mathematical domain errors,
-4 quadrature convergence failures and numeric overflow (partial results are
-still printed).
+Exit codes: 0 success, 1 a validation check failed, 2 argument errors,
+3 mathematical domain errors, 4 quadrature convergence failures and numeric
+overflow (partial results are still printed).
 The default tolerance honors the CK_DEFAULT_TOL environment variable;
 explicit ``--tol`` flags win.
 """

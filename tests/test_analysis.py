@@ -8,15 +8,18 @@ n = 2 (checked against scipy quadrature of the closed form written out
 here), and divergent for n >= 3.
 """
 
+import json
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.integrate import quad
 
 from ckernels import analysis, euclid, hyperbolic, jets, quadrature, sphere
+from ckernels.cli import main
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
 from ckernels.geometry import CONVENTIONS, KINDS, Space, spectral_shift
 
@@ -771,6 +774,7 @@ def test_compare_flat_heat_grid():
     assert set(report.values) == {"closed", "raise", "descent", "gruet"}
     assert report.worst < 1e-9
     assert report.worst_pair != ()
+    assert report.apart == () and report.refused == ()
 
 
 def test_compare_records_refusals_as_nan():
@@ -780,6 +784,7 @@ def test_compare_records_refusals_as_nan():
     theta_row = report.values["theta"][0]
     assert math.isnan(theta_row[1])  # antipode refused by the image sum
     assert not math.isnan(theta_row[0])
+    assert report.refused == (("theta", 0.7, math.pi),)
     assert report.worst < 1e-7  # comparison proceeds on the surviving points
 
 
@@ -789,6 +794,7 @@ def test_compare_records_convergence_failures_as_nan():
     report = analysis.compare(Space.HYPERBOLIC, 14, "heat", [0.05], [0.0, 0.5])
     descent = report.values["descent"][0]
     assert math.isnan(descent[0]) and not math.isnan(descent[1])
+    assert report.refused == (("descent", 0.05, 0.0),)
 
 
 def test_compare_rejects_unknown_representations():
@@ -813,6 +819,114 @@ def test_compare_skips_representations_that_do_not_reach_n():
     hyp2 = analysis.compare(Space.HYPERBOLIC, 2, "heat", (0.8,), (1.5,), tol=1e-9)
     assert hyp2.reps == ("descent", "gruet", "gruet-classic")
     assert hyp2.worst < 1e-7
+
+
+def test_compare_records_overflow_as_a_refusal():
+    # OverflowError is one of the failures after which auto tries the next
+    # row; compare records it like the others instead of aborting
+    report = analysis.compare(Space.HYPERBOLIC, 3, "heat", [1.0], [800.0])
+    assert set(report.refused) == {(rep, 1.0, 800.0) for rep in report.reps}
+    report = analysis.compare(
+        Space.SPHERE, 7, "heat", [95.67], [0.005656], convention="markovian"
+    )
+    assert ("raise", 95.67, 0.005656) in report.refused
+    assert report.values["spectral"][0][0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the cross-row grid against its known-bad table
+
+GRID_KEYS = [(space, kind, n) for space in Space for kind in KINDS for n in analysis._GRID_NS]
+
+
+@pytest.fixture(scope="module")
+def grid_reports():
+    return {key: analysis._grid_report(*key) for key in GRID_KEYS}
+
+
+def _key_id(key):
+    space, kind, n = key
+    return f"{space.value}-{kind}-{n}"
+
+
+@pytest.mark.parametrize("key", GRID_KEYS, ids=_key_id)
+def test_grid_rows_agree_within_their_error_bars_but_for_the_table(grid_reports, key):
+    check = analysis._grid_check(grid_reports[key])
+    assert check.passed, check.detail
+    assert (check.value, check.threshold, check.detail) == (0.0, 0.0, "")
+
+
+def _table_entries():
+    """Every listed cell, as (table, key, param, r)."""
+    return [
+        (table, key, p, r)
+        for table in (analysis._KNOWN_APART, analysis._KNOWN_REFUSED)
+        for key, cells in table.items()
+        for p, rs in cells.items()
+        for r in rs
+    ]
+
+
+def _without(table, key, p, r):
+    """A copy of table[key] without the cell (p, r)."""
+    cells = {q: tuple(s for s in rs if (q, s) != (p, r)) for q, rs in table[key].items()}
+    return {q: rs for q, rs in cells.items() if rs}
+
+
+def test_grid_check_fails_without_any_one_table_entry(grid_reports, monkeypatch):
+    entries = _table_entries()
+    assert len(entries) == 45 + 19
+    for table, key, p, r in entries:
+        with monkeypatch.context() as m:
+            m.setitem(table, key, _without(table, key, p, r))
+            check = analysis._grid_check(grid_reports[key[:3]])
+        assert not check.passed and check.value == 1.0, (key, p, r)
+        cell = f"({p:g}, {r:g})"
+        assert check.detail.startswith(cell), (key, check.detail)
+        assert ("refuses" if len(key) == 4 else "apart") in check.detail
+        assert (key[3] if len(key) == 4 else "raise") in check.detail
+
+
+@pytest.mark.parametrize("table, key", [
+    (analysis._KNOWN_APART, (Space.EUCLIDEAN, "heat", 2)),
+    (analysis._KNOWN_REFUSED, (Space.EUCLIDEAN, "heat", 2, "raise")),
+], ids=["apart", "refused"])
+def test_grid_check_fails_on_an_entry_that_agrees(grid_reports, monkeypatch, table, key):
+    # as xfail(strict=True): a listed failure that is gone fails the check
+    monkeypatch.setitem(table, key, {0.9: (1.5,)})
+    check = analysis._grid_check(grid_reports[key[:3]])
+    assert not check.passed and check.value == 1.0
+    assert check.detail.startswith("(0.9, 1.5) ")
+    assert ("answers" if len(key) == 4 else "agrees") in check.detail
+
+
+def test_grid_table_entries_lie_on_the_grid(grid_reports):
+    # an entry off the grid, or for a row that does not run, could never
+    # be matched, and would hide nothing
+    for table, key, p, r in _table_entries():
+        space, kind, n = key[:3]
+        assert n in analysis._GRID_NS, key
+        assert p in analysis._grid_params(space, kind), (key, p)
+        assert r in analysis._GRID_RS, (key, r)
+        if len(key) == 4:
+            assert key[3] in grid_reports[key[:3]].reps, key
+
+
+def test_validate_exits_1_and_names_the_cell_the_table_misses(grid_reports, monkeypatch):
+    monkeypatch.setattr(analysis, "_grid_report", lambda *key: grid_reports[key])
+    key = (Space.SPHERE, "heat", 4)
+    monkeypatch.setitem(analysis._KNOWN_APART, key, {})
+    res = CliRunner().invoke(main, ["validate", "--suite", "representations"])
+    assert res.exit_code == 1, res.output
+    checks = json.loads(res.output)["checks"]
+    assert len(checks) == len(GRID_KEYS) + 3
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["rows within their error bars: sphere heat n=4"]
+    assert failed[0]["detail"].startswith("(9, 3) ") and "raise" in failed[0]["detail"]
+    res = CliRunner().invoke(main, ["validate", "--suite", "representations", "--format", "text"])
+    assert res.exit_code == 1
+    fails = [line for line in res.output.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "sphere heat n=4" in fails[0] and "(9, 3)" in fails[0]
 
 
 # ---------------------------------------------------------------------------
