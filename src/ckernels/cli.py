@@ -347,22 +347,16 @@ def table_cmd(space, dim, kind, rep, convention, tol, sigma, t_spec, y_spec, r_s
     show_default=True,
 )
 @click.option(
-    "--tol-profile",
-    type=click.Choice(["default", "strict"]),
-    default="default",
-    show_default=True,
-)
-@click.option(
     "--format",
     "fmt",
     type=click.Choice(["json", "text"]),
     default="json",
     show_default=True,
 )
-def validate_cmd(suite, tol_profile, fmt):
+def validate_cmd(suite, fmt):
     """Run the self-validation suites; exit 0 only if every check passes."""
     try:
-        report = run_suite(suite, tol_profile=tol_profile)
+        report = run_suite(suite)
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(3)

@@ -303,6 +303,9 @@ TOL_ENTRIES = {
     "poisson_images": lambda tol: analysis.poisson_images(3, 0.9, 0.5, tol=tol),
     "heat_mass": lambda tol: analysis.heat_mass(Space.EUCLIDEAN, 2, 0.5, tol=tol),
     "poisson_mass": lambda tol: analysis.poisson_mass(Space.EUCLIDEAN, 2, 0.5, tol=tol),
+    "semigroup_check": lambda tol: analysis.semigroup_check(
+        Space.EUCLIDEAN, 3, 0.5, 0.5, 1.0, tol=tol
+    ),
 }
 
 
@@ -932,6 +935,13 @@ def test_validate_exits_1_and_names_the_cell_the_table_misses(grid_reports, monk
 # ---------------------------------------------------------------------------
 # semigroup
 
+# the semigroup suite's calls: (space, n, tol) at t = 0.5, s = 0.9, r = 1.1
+SEMIGROUP_POINTS = [
+    (Space.EUCLIDEAN, 1, 1e-9),
+    (Space.EUCLIDEAN, 3, 1e-9),
+    (Space.HYPERBOLIC, 3, 1e-7),
+]
+
 
 def test_semigroup_flat():
     for n in (1, 3):
@@ -950,6 +960,28 @@ def test_semigroup_unsupported_cases():
         analysis.semigroup_check(Space.SPHERE, 1, 0.5, 0.5, 1.0)
     with pytest.raises(DomainError):
         analysis.semigroup_check(Space.EUCLIDEAN, 2, 0.5, 0.5, 1.0)
+    # each time is checked, not their sum, and so is the distance
+    with pytest.raises(DomainError, match="got -0.5"):
+        analysis.semigroup_check(Space.EUCLIDEAN, 1, -0.5, 0.5, 1.0)
+    with pytest.raises(DomainError, match="distance"):
+        analysis.semigroup_check(Space.HYPERBOLIC, 3, 0.5, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("space, n", [point[:2] for point in SEMIGROUP_POINTS])
+def test_semigroup_where_both_kernels_underflow(space, n):
+    # the direct kernel is 0 at r = 100; this divided by zero
+    res = analysis.semigroup_check(space, n, 0.5, 0.5, 100.0)
+    assert (res.convolution, res.direct, res.rel_deviation) == (0.0, 0.0, 0.0)
+    assert math.isfinite(res.err) and res.direct_err == 0.0
+
+
+@pytest.mark.parametrize("space, n, tol", SEMIGROUP_POINTS)
+def test_semigroup_err_meets_the_bar_rule_at_the_suite_points(space, n, tol):
+    res = analysis.semigroup_check(space, n, 0.5, 0.9, 1.1, tol=tol)
+    assert math.isfinite(res.err) and res.err > 0.0
+    assert math.isfinite(res.direct_err)
+    bar = max(res.err, tol * abs(res.convolution)) + max(res.direct_err, tol * abs(res.direct))
+    assert abs(res.convolution - res.direct) <= bar
 
 
 # ---------------------------------------------------------------------------
@@ -1045,5 +1077,44 @@ def test_run_suite_semigroup_passes():
 def test_run_suite_validation():
     with pytest.raises(DomainError):
         analysis.run_suite("everything")
-    with pytest.raises(DomainError):
-        analysis.run_suite("mass", tol_profile="sloppy")
+
+
+def test_a_mass_twice_its_bar_off_fails_its_check(monkeypatch):
+    heat_mass = analysis.heat_mass
+
+    def off(space, n, t, **kwargs):
+        res = heat_mass(space, n, t, **kwargs)
+        if (space, n) != (Space.SPHERE, 2):
+            return res
+        bar = max(res.err_estimate, kwargs["tol"] * abs(res.value))
+        return quadrature.QuadResult(res.value + 2.0 * bar, res.err_estimate, res.n_evals)
+
+    monkeypatch.setattr(analysis, "heat_mass", off)
+    report = analysis.run_suite("mass")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["heat mass: sphere n=2"]
+    assert failed[0].value == pytest.approx(2.0 * failed[0].threshold, rel=1e-3)
+
+
+# The thresholds of the fixed-threshold profile "strict", which these checks
+# replaced: no check may be looser.  First matching prefix wins.
+OLD_STRICT = [
+    ("pde residual", 1e-5),
+    ("heat mass: euclidean", 1e-10),
+    ("heat mass", 1e-9),
+    ("fitted shift", 1e-6),
+    ("poisson mass", 1e-9),
+    ("subordination closes", 1e-8),
+    ("subordination sweep", 1e-8),
+    ("poisson images close", 1e-5),
+    ("semigroup: euclidean", 1e-8),
+    ("semigroup: hyperbolic", 1e-4),
+]
+
+
+def test_no_check_is_looser_than_the_old_strict_profile():
+    for suite in ("pde", "mass", "subordination", "semigroup"):
+        for check in analysis.run_suite(suite).checks:
+            strict = next(v for prefix, v in OLD_STRICT if check.name.startswith(prefix))
+            assert check.passed and check.value <= check.threshold, check
+            assert check.threshold <= strict, check

@@ -494,6 +494,21 @@ def test_poisson_doubling_edge_cases():
     assert res.value == pytest.approx(sphere.poisson_closed(2, 0.5, 0.0), rel=1e-9)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="doubling at tiny y and phi is 2.6-4.6 times its error bar off: ROADMAP item 25",
+)
+@pytest.mark.parametrize(
+    "n, y, phi", [(3, 1e-3, 1e-3), (11, 0.00108, 0.0012), (11, 0.00135, 0.00234)]
+)
+def test_doubling_at_tiny_height_and_angle_is_within_its_error(n, y, phi):
+    # closed is within 5e-16 of 40-digit values of the kernel at these cells
+    tol = 1e-10
+    ref = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="closed", tol=tol).value
+    res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="doubling", tol=tol)
+    assert abs(res.value - ref) <= max(res.err_estimate, tol * abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # spectral
 
