@@ -439,7 +439,6 @@ def _subordinate(
         0.0,
         v_max,
         tol,
-        abs_tol=0.0,
         breakpoints=bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
         vectorized=True,
     )
@@ -522,7 +521,6 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
         0.054,
         v_max,
         tol,
-        abs_tol=0.0,
         breakpoints=[0.3, 0.5] + bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
         vectorized=True,
     )
@@ -569,7 +567,7 @@ def heat_mass(
         top = math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 1.0
     else:
         top = 2.0 * t * (n - 1) + math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 3.0
-    res = integrate_adaptive(f, 0.0, top, tol, abs_tol=0.0)
+    res = integrate_adaptive(f, 0.0, top, tol)
     return res.scaled(factor)
 
 
@@ -589,14 +587,14 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
         def f(r: float) -> float:
             return euclid.poisson_closed(n, y, r) * coeff * r ** (n - 1)
 
-        return integrate_to_infinity(f, 0.0, tol, abs_tol=0.0, scale=max(y, 1.0))
+        return integrate_to_infinity(f, 0.0, tol, scale=max(y, 1.0))
 
     if space is Space.SPHERE:
 
         def f(phi: float) -> float:
             return sphere.poisson_closed(n, y, phi) * coeff * math.sin(phi) ** (n - 1)
 
-        return integrate_adaptive(f, 0.0, math.pi, tol, abs_tol=0.0)
+        return integrate_adaptive(f, 0.0, math.pi, tol)
 
     if n >= 3:
         raise DomainError(
@@ -626,7 +624,7 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
         expo = log_amp - half * log_base + (n - 1) * log_sinh
         return math.exp(expo) if expo > -745.0 else 0.0
 
-    return integrate_to_infinity(f, 0.0, tol, abs_tol=0.0, scale=4.0 / (3 - n))
+    return integrate_to_infinity(f, 0.0, tol, scale=4.0 / (3 - n))
 
 
 @dataclass(frozen=True)
@@ -919,24 +917,29 @@ def semigroup_check(
         def f(x: float) -> float:
             return kernel(t, abs(x)) * kernel(s, abs(x - r))
 
-        res = integrate_adaptive(f, -width, r + width, tol, abs_tol=0.0, breakpoints=[0.0, r])
+        res = integrate_adaptive(f, -width, r + width, tol, breakpoints=[0.0, r])
     else:
-
-        def chord(rho: float, u: float) -> float:
-            if flat:
-                return math.sqrt(max(r * r + rho * rho - 2.0 * r * rho * u, 0.0))
-            arg = math.cosh(r) * math.cosh(rho) - math.sinh(r) * math.sinh(rho) * u
-            return math.acosh(max(arg, 1.0))
+        # On the shell of radius rho about the origin, the distance d to the
+        # point at r has J(d) dd = J(r) J(rho) du, with J(x) = x or sinh x and
+        # u the cosine of the angle.  So the s-kernel's integral over u is one
+        # over d in [|r - rho|, r + rho], smooth where the one over u spikes
+        # in a width of about 1/(J(r) J(rho)) at u = 1.  sinh is finite up to
+        # the acosh of the largest float, past which the kernel is 0.
+        jac, far = (abs, math.inf) if flat else (math.sinh, math.acosh(sys.float_info.max))
 
         def outer(rho: float) -> float:
+            kt = kernel(t, rho)
+            near, m = abs(r - rho), min(r, rho)
+            if not m:  # r = 0: the whole shell lies at distance rho
+                return 4.0 * math.pi * jac(rho) * kt * jac(rho) * kernel(s, rho)
             inner = integrate_adaptive(
-                lambda u: kernel(s, chord(rho, u)), -1.0, 1.0, tol * 0.3, abs_tol=0.0
+                lambda x: kernel(s, near + x) * jac(near + x), 0.0, min(2.0 * m, far - near),
+                tol * 0.3,
             )
             evals[0] += inner.n_evals
-            w = rho if flat else math.sinh(rho)
-            return 2.0 * math.pi * w * w * kernel(t, rho) * relative(inner, "inner")
+            return 2.0 * math.pi * jac(rho) * kt / jac(r) * relative(inner, "inner")
 
-        res = integrate_adaptive(outer, 0.0, r + width, tol, abs_tol=0.0)
+        res = integrate_adaptive(outer, 0.0, min(r + width, far), tol)
     conv, gap = res.value, abs(res.value - direct.value)
     # a kernel value's error enters twice: under the outer and the inner integral
     err = res.err_estimate + (2.0 * worst["kernel"] + worst["inner"]) * abs(conv)
@@ -1259,7 +1262,7 @@ def _suite_subordination() -> list:
     checks = []
     for n in (1, 2, 3):
         for y, r in ((0.8, 0.5), (1.5, 2.0)):
-            got = subordinate(lambda ts, s: euclid._heat(np, n, ts, s), y, r, 1e-10, dim_hint=n)
+            got = _euclid_subordinate(n, y, r, 1e-10)
             name = f"subordination closes: euclidean n={n} ({y:g}, {r:g})"
             checks.append(_exact(name, got, euclid.poisson_closed(n, y, r), 1e-10))
     sweep = subordination_sweep(Space.SPHERE, 2, tol=1e-9)

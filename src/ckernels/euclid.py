@@ -133,9 +133,7 @@ def heat_descent(n: int, t: float, r: float, tol: float = DEFAULT_TOL) -> QuadRe
 
     s_max = math.sqrt(r * r + 4.0 * t * (math.log(1.0 / tol) + 5.0)) + 1.0
     seeds = descent_breakpoints(t, r, s_max)
-    return integrate_sqrt_endpoint(
-        f_regular, r, s_max, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
-    )
+    return integrate_sqrt_endpoint(f_regular, r, s_max, tol, breakpoints=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qu
         return w**n * np.exp(-c * w * w)
 
     seeds = bump_seeds(n, (y,), (r,), 0.0, w_max)
-    res = integrate_adaptive(f, 0.0, w_max, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True)
+    res = integrate_adaptive(f, 0.0, w_max, tol, breakpoints=seeds, vectorized=True)
     return res.scaled(2.0 * y / math.pi ** (0.5 * (n + 1)))
 
 
@@ -273,13 +271,11 @@ def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qua
 
     split = r + 4.0 * max(y, r, 1.0)
     seeds = scale_seeds(r, 0.25 * y, split - r, r, split)
-    res1 = integrate_sqrt_endpoint(
-        f_regular, r, split, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
-    )
+    res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, breakpoints=seeds)
     # the tail falls off as s^-(n+2); seeded where s doubles, the midpoint of
     # the compactified range, it mostly finishes in its first sweep
     res2 = integrate_to_infinity(
-        f_tail, split, tol, abs_tol=0.0, scale=split, breakpoints=(2.0 * split,), vectorized=True
+        f_tail, split, tol, scale=split, breakpoints=(2.0 * split,), vectorized=True
     )
     return QuadResult(
         res1.value + res2.value,

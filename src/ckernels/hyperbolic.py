@@ -128,9 +128,7 @@ def heat_descent(
         seeds = descent_breakpoints(t, rho, s_top)
     else:
         seeds = gaussian_breakpoints(0.0, t, rho, s_top)
-    res = integrate_sqrt_endpoint(
-        f_regular, rho, s_top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
-    )
+    res = integrate_sqrt_endpoint(f_regular, rho, s_top, tol, breakpoints=seeds)
     return res.scaled(factor)
 
 
@@ -202,9 +200,7 @@ def heat_classic(
     bps = [step * k for k in range(1, count + 1)]
     bps += [t * k for k in range(1, min(int(6.0 / math.sqrt(t)), 400), 2)]
     bps += scale_seeds(0.0, 0.5 * min(t, 1.0), 2.0 * math.sqrt(t), 0.0, xi_max)
-    res = integrate_adaptive(
-        f, 0.0, xi_max, tol, abs_tol=0.0, breakpoints=bps, vectorized=True
-    )
+    res = integrate_adaptive(f, 0.0, xi_max, tol, breakpoints=bps, vectorized=True)
     return res.scaled(pref * factor)
 
 
@@ -326,6 +322,4 @@ def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Q
     s_top = rho + 2.0 * (math.log(1.0 / tol) + 5.0) / (n + 1) + 5.0
     # the bump of width y at s = 0, and the decay e^(-(2n+1)s/4)
     seeds = scale_seeds(rho, min(0.25 * y, 4.0 / (2 * n + 1)), s_top - rho, rho, s_top)
-    return integrate_sqrt_endpoint(
-        f_regular, rho, s_top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
-    )
+    return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, breakpoints=seeds)

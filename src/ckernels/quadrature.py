@@ -18,7 +18,10 @@ double-precision cancellation limit carry error estimates that reflect it
 instead of the nominal tolerance, plus 15 least subnormals a panel, the
 absolute rounding of an integral of subnormal values.  A sweep's K15 sums,
 K15 - G7 differences and integrals of |f| come from one matrix product,
-and its panels' midpoints and half-widths from another.
+and its panels' midpoints and half-widths from another.  The target is
+relative, tol times the integral, unless a caller gives an absolute
+``abs_tol``; a panel is cut at most 60 bisection levels deep, and only
+:func:`integrate_adaptive` takes a panel budget, ``max_panels``.
 
 Integrands return floats.  With ``vectorized=True`` the integrand is called
 once per sweep on the array of the 15 nodes of each of its panels and
@@ -34,8 +37,8 @@ kernel formulas: an inverse-square-root endpoint factor (substitute
 x = a + u^2), a half-line tail (substitute x = a + s u/(1-u)), and vertical
 complex contours with Gaussian envelopes, where truncation at xi_max is
 chosen from the envelope and the discarded tail is added to the error
-estimate.  A contour integrand always takes the complex array of a sweep's
-nodes.
+estimate.  A square-root-endpoint integrand always takes the array of a
+sweep's nodes, and a contour integrand the complex array of them.
 
 The kernel rows seed their float integrals at the integrand's length
 scales, as QUADPACK places breakpoints, so that most finish in their first
@@ -61,6 +64,8 @@ _EPS = float(np.finfo(float).eps)
 # below the normal range the rounding of a panel's 15 weighted values is
 # absolute, up to the least subnormal each, which no relative floor covers
 _PANEL_SUBNORMAL_ERR = 15 * 5e-324
+# bisection levels a panel may reach, two per cut in four
+_MAX_DEPTH = 60
 
 # QUADPACK qk15: the non-negative Kronrod abscissae of the rule on [-1, 1] in
 # decreasing order, of which xgk[1], xgk[3], xgk[5] and xgk[7] are the 7-point
@@ -329,24 +334,23 @@ def integrate_adaptive(
     b: float,
     tol: float = DEFAULT_TOL,
     *,
-    abs_tol: float | None = None,
+    abs_tol: float = 0.0,
     breakpoints: Iterable[float] = (),
-    max_depth: int = 60,
     max_panels: int = 4096,
     vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f over [a, b] to max(abs_tol, tol * |integral|).
 
-    ``abs_tol`` defaults to ``tol``; pass 0.0 for a purely relative target.
-    Interior ``breakpoints`` seed the initial partition (place them at kinks,
-    spikes and branch switches).  Refinement goes in sweeps: each cuts the
-    worst panels in four until their errors sum to the excess of the total
-    error over the target, and evaluates all the children together; the last
-    split takes fewer parts if that fills ``max_panels``.  ``max_depth``
-    counts bisection levels, two per cut in four.  With ``vectorized``
-    f takes the array of a sweep's nodes, a multiple of 15, and returns their
-    values, or a tuple (values, errors) whose errors' integral joins the
-    reported error; ``n_evals`` still counts nodes.  Raises
+    The target is relative unless ``abs_tol`` is given.  Interior
+    ``breakpoints`` seed the initial partition (place them at kinks, spikes
+    and branch switches).  Refinement goes in sweeps: each cuts the worst
+    panels in four until their errors sum to the excess of the total error
+    over the target, and evaluates all the children together; the last split
+    takes fewer parts if that fills ``max_panels``.  A panel is cut at most
+    ``_MAX_DEPTH`` bisection levels deep, two per cut in four.  With
+    ``vectorized`` f takes the array of a sweep's nodes, a multiple of 15,
+    and returns their values, or a tuple (values, errors) whose errors'
+    integral joins the reported error; ``n_evals`` still counts nodes.  Raises
     :class:`ConvergenceError`, carrying the best estimate, if the panel or
     depth budget runs out, and reports a roundoff-floor error term
     proportional to the integral of |f|, plus 15 least subnormals a panel,
@@ -356,8 +360,6 @@ def integrate_adaptive(
         raise DomainError("integration endpoints must be finite")
     if b < a:
         raise DomainError(f"integration range is reversed: [{a}, {b}]")
-    if abs_tol is None:
-        abs_tol = tol
     if b == a:
         return QuadResult(0.0, 0.0, 0)
 
@@ -440,13 +442,13 @@ def integrate_adaptive(
             while heap and removed < excess and room > 0:
                 entry = heapq.heappop(heap)
                 _, _, lo, hi, _, err, _, _, depth = entry
-                if depth >= max_depth:
+                if depth >= _MAX_DEPTH:
                     raise ConvergenceError(
-                        f"bisection depth {max_depth} exhausted near [{lo}, {hi}]", reported()
+                        f"bisection depth {_MAX_DEPTH} exhausted near [{lo}, {hi}]", reported()
                     )
                 split.append(entry)
                 removed += err
-                parts = min(2 if depth + 2 > max_depth else 4, room + 1)
+                parts = min(2 if depth + 2 > _MAX_DEPTH else 4, room + 1)
                 room -= parts - 1
                 mid = 0.5 * (lo + hi)
                 if parts == 2:
@@ -463,40 +465,32 @@ def integrate_adaptive(
 
 
 def integrate_sqrt_endpoint(
-    f_regular: Callable[[float], Value],
+    f_regular: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
     *,
-    abs_tol: float | None = None,
+    abs_tol: float = 0.0,
     breakpoints: Iterable[float] = (),
-    max_depth: int = 60,
-    max_panels: int = 4096,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f_regular(x) (x - a)^(-1/2) over [a, b].
 
     The substitution x = a + u^2 removes the endpoint singularity exactly;
-    ``f_regular`` itself must be smooth on [a, b].  ``breakpoints`` are given
-    in x coordinates; ``vectorized`` is as for :func:`integrate_adaptive`.
+    ``f_regular`` itself must be smooth on [a, b].  Like a contour
+    integrand, it takes the array of a sweep's nodes and returns their
+    values, or (values, errors) as a ``vectorized`` integrand of
+    :func:`integrate_adaptive` does.  ``breakpoints`` are given in x
+    coordinates.
     """
     if b <= a:
         raise DomainError(f"need b > a for a square-root endpoint, got [{a}, {b}]")
 
-    def g(u: float) -> Value:
+    def g(u: np.ndarray) -> Value:
         return f_regular(a + u * u)
 
     bps = [math.sqrt(p - a) for p in breakpoints if a < p < b]
     res = integrate_adaptive(
-        g,
-        0.0,
-        math.sqrt(b - a),
-        tol,
-        abs_tol=None if abs_tol is None else 0.5 * abs_tol,
-        breakpoints=bps,
-        max_depth=max_depth,
-        max_panels=max_panels,
-        vectorized=vectorized,
+        g, 0.0, math.sqrt(b - a), tol, abs_tol=0.5 * abs_tol, breakpoints=bps, vectorized=True
     )
     return res.scaled(2.0)
 
@@ -506,14 +500,11 @@ def integrate_to_infinity(
     a: float,
     tol: float = DEFAULT_TOL,
     *,
-    abs_tol: float | None = None,
     scale: float = 1.0,
     breakpoints: Iterable[float] = (),
-    max_depth: int = 60,
-    max_panels: int = 4096,
     vectorized: bool = False,
 ) -> QuadResult:
-    """Integrate a decaying f over [a, infinity).
+    """Integrate a decaying f over [a, infinity) to a relative ``tol``.
 
     The map x = a + scale * u/(1-u) compactifies the half line; ``scale``
     should be of the order of the integrand's decay length so the transformed
@@ -534,10 +525,7 @@ def integrate_to_infinity(
         0.0,
         1.0,
         tol,
-        abs_tol=abs_tol,
         breakpoints=[(p - a) / (p - a + scale) for p in breakpoints if a < p < math.inf],
-        max_depth=max_depth,
-        max_panels=max_panels,
         vectorized=vectorized,
     )
 
@@ -552,11 +540,9 @@ def contour_power(z: np.ndarray, n: int) -> np.ndarray:
 def integrate_contour(
     f: Callable[[np.ndarray], np.ndarray],
     spec: ContourSpec,
-    breakpoints: Iterable[float] | None = None,
+    breakpoints: Iterable[float] = (),
     *,
     spikes: Iterable[float] = (),
-    max_depth: int = 60,
-    max_panels: int = 4096,
 ) -> QuadResult:
     """Integrate Re f(sigma - i xi) for xi in [0, xi_max].
 
@@ -588,15 +574,7 @@ def integrate_contour(
 
     try:
         res = integrate_adaptive(
-            g,
-            0.0,
-            xi_max,
-            spec.tol,
-            abs_tol=0.0,
-            breakpoints=[*(breakpoints or ()), *seeds],
-            max_depth=max_depth,
-            max_panels=max_panels,
-            vectorized=True,
+            g, 0.0, xi_max, spec.tol, breakpoints=[*breakpoints, *seeds], vectorized=True
         )
     except ConvergenceError as exc:
         raise ContourError(

@@ -245,7 +245,6 @@ def heat_theta2(t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadResult:
             breakpoints=[
                 x for k in seeded for x in gaussian_breakpoints(-2.0 * math.pi * k, t, phi, math.pi)
             ],
-            vectorized=True,
         )
 
     head = integral((0,), {0}, 0.0)
@@ -387,7 +386,7 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
     # integrals that converge on n = 4..14, t = 1e-3..9 take <= 11 panels
     seeds = [theta_at(psi) for psi in gaussian_breakpoints(0.0, t, phi, min(top, math.pi))]
     res = integrate_adaptive(
-        f, low, 0.5 * math.pi, tol, abs_tol=0.0, breakpoints=seeds, max_panels=256, vectorized=True
+        f, low, 0.5 * math.pi, tol, breakpoints=seeds, max_panels=256, vectorized=True
     )
     carried = sum(float(bound) * (hi - lo) for bound, lo, hi in zones if bound)
     if carried > abs(res.value):
@@ -750,9 +749,7 @@ def poisson_doubling(
         top = 0.5 * math.pi
         seeds = gaussian_breakpoints(0.0, 0.5 / n, -top, top)
         seeds += scale_seeds(top, 0.25 * y, math.pi, -top, top)
-        res = integrate_adaptive(
-            f, -top, top, tol, abs_tol=0.0, breakpoints=seeds, vectorized=True
-        )
+        res = integrate_adaptive(f, -top, top, tol, breakpoints=seeds, vectorized=True)
         return res.scaled(c_n)
 
     if variant == "half":
@@ -775,7 +772,6 @@ def poisson_doubling(
             phi,
             2.0 * math.pi - phi,
             tol,
-            abs_tol=0.0,
             breakpoints=[math.pi],
             vectorized=True,
         )

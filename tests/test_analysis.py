@@ -975,13 +975,36 @@ def test_semigroup_where_both_kernels_underflow(space, n):
     assert math.isfinite(res.err) and res.direct_err == 0.0
 
 
+def _within_semigroup_bars(res, tol):
+    bar = max(res.err, tol * abs(res.convolution)) + max(res.direct_err, tol * abs(res.direct))
+    return abs(res.convolution - res.direct) <= bar
+
+
 @pytest.mark.parametrize("space, n, tol", SEMIGROUP_POINTS)
 def test_semigroup_err_meets_the_bar_rule_at_the_suite_points(space, n, tol):
     res = analysis.semigroup_check(space, n, 0.5, 0.9, 1.1, tol=tol)
     assert math.isfinite(res.err) and res.err > 0.0
     assert math.isfinite(res.direct_err)
-    bar = max(res.err, tol * abs(res.convolution)) + max(res.direct_err, tol * abs(res.direct))
-    assert abs(res.convolution - res.direct) <= bar
+    assert _within_semigroup_bars(res, tol)
+
+
+@pytest.mark.parametrize("r", [400.0, 700.0])
+@pytest.mark.parametrize("space", [Space.HYPERBOLIC, Space.EUCLIDEAN])
+def test_semigroup_answers_where_cosh_r_cosh_rho_overflows(space, r):
+    # cosh r cosh rho overflows past r + rho = 710: no distance of inf may
+    # reach the kernel
+    res = analysis.semigroup_check(space, 3, 0.5, 0.5, r)
+    assert math.isfinite(res.convolution) and math.isfinite(res.err)
+    assert _within_semigroup_bars(res, 1e-8)
+
+
+@pytest.mark.parametrize("space", [Space.HYPERBOLIC, Space.EUCLIDEAN])
+def test_semigroup_far_from_the_origin_meets_its_bars(space):
+    # on H^3 the s-kernel over a shell is a spike of width ~e^-(r + rho) in
+    # the cosine of the angle, which a first sweep over that cosine misses
+    res = analysis.semigroup_check(space, 3, 5.0, 5.0, 30.0, tol=1e-7)
+    assert res.direct > 0.0
+    assert _within_semigroup_bars(res, 1e-7)
 
 
 # ---------------------------------------------------------------------------
