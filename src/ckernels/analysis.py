@@ -39,6 +39,7 @@ from .geometry import (
     CONVENTIONS,
     KINDS,
     Space,
+    check_convention,
     check_positive,
     check_query,
     check_tol,
@@ -94,12 +95,21 @@ def _spectral_rank(n: int, t: float, r: float):
     return None
 
 
-def _sphere_heat(route):
-    """A sphere heat row: ``route`` gives the paper-convention kernel."""
+def _paper(space: Space, route):
+    """A sphere or hyperbolic heat row whose ``route`` maps (n, t, r, tol,
+    sigma) to the paper-convention kernel.  The markovian kernel is that
+    kernel times :func:`~ckernels.geometry.convention_factor`, applied here
+    for every such row; where the factor overflows (S^n at large (n-1)^2 t)
+    this raises OverflowError and ``auto`` passes to the next row.  The
+    spectral row is not wrapped: ``sphere.heat_spectral`` folds the
+    convention into its own exponent, so its markovian value stays finite
+    where its paper value underflows and the factor overflows."""
 
     def call(n, t, r, tol, convention, sigma):
-        factor = convention_factor(Space.SPHERE, convention, n, t)
-        return route(n, t, r, tol, sigma).scaled(factor)
+        res = route(n, t, r, tol, sigma)
+        if convention == "paper":
+            return res
+        return res.scaled(convention_factor(space, convention, n, t))
 
     return call
 
@@ -130,15 +140,18 @@ _REPRESENTATIONS = {
     ),
     (Space.SPHERE, "heat"): (
         ("theta", lambda n: n <= 3,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)), _rank(1)),
+         _paper(Space.SPHERE, lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)),
+         _rank(1)),
         # pure jets for odd n (0.02-0.07 ms on n = 3..15), a float integral
         # over a batched raise for even n (0.5-3.4 ms, a refusal up to 25 ms;
         # best of 5 on n = 4..14, t = 1e-3..9); for n <= 2 it is the theta
         # row itself
-        ("raise", _any_n, _sphere_heat(lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
+        ("raise", _any_n,
+         _paper(Space.SPHERE, lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
          lambda n, t, r: None if n <= 2 else (2 if n % 2 else 4, False)),
         ("gruet", _any_n,
-         _sphere_heat(lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         _paper(Space.SPHERE,
+                lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
          _contour_rank(3)),
         # 0.01-0.05 ms wherever it is ranked; the Fourier series on the circle
         ("spectral", _any_n,
@@ -147,19 +160,24 @@ _REPRESENTATIONS = {
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_raise(n, t, r, convention=c, tol=tol),
+         _paper(Space.HYPERBOLIC,
+                lambda n, t, r, tol, s: hyperbolic.heat_raise(n, t, r, tol=tol)),
          _rank(0)),
         # a float integral over a batched raise (0.2-4 ms): tried last
         ("descent", lambda n: n % 2 == 0,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_descent(n, t, r, convention=c, tol=tol),
+         _paper(Space.HYPERBOLIC,
+                lambda n, t, r, tol, s: hyperbolic.heat_descent(n, t, r, tol=tol)),
          _rank(4)),
-        ("gruet", _any_n, lambda n, t, r, tol, c, s: hyperbolic.heat_gruet(
-            n, t, r, sigma=s, convention=c, tol=tol), _contour_rank(2)),
+        ("gruet", _any_n,
+         _paper(Space.HYPERBOLIC,
+                lambda n, t, r, tol, s: hyperbolic.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         _contour_rank(2)),
         # from t = 0.5 on it meets tol and costs less than gruet (0.3-0.5 ms
         # against 0.6-1 ms); below it cancels, and below _CLASSIC_MIN_T its
         # exp(pi^2/4t) overflows at the first node, so auto skips it there
         ("gruet-classic", _any_n,
-         lambda n, t, r, tol, c, s: hyperbolic.heat_classic(n, t, r, convention=c, tol=tol),
+         _paper(Space.HYPERBOLIC,
+                lambda n, t, r, tol, s: hyperbolic.heat_classic(n, t, r, tol=tol)),
          lambda n, t, r: None if t < _CLASSIC_MIN_T else (1 if t >= 0.5 else 3, False)),
     ),
     (Space.EUCLIDEAN, "poisson"): (
@@ -315,14 +333,16 @@ def evaluate(
     size exp(-r^2/4t), so its rounding floor lies above tol there.  If no
     row meets tol, the result with the smallest error of the rows that ran
     is returned; if every row raised, the first row's exception is raised.
-    The convention applies to hyperbolic and sphere heat kernels
-    ("markovian" rescales to the unit-mass normalization); it is validated
-    everywhere and ignored where the normalizations coincide, and so is
-    ``tol``, which must lie in (0, 1).
+    The convention applies to sphere and hyperbolic heat kernels: every
+    route gives the paper kernel, and "markovian" multiplies it by
+    exp(-spectral_shift t) to the unit-mass normalization, in the one row
+    wrapper :func:`_paper`, except ``sphere.heat_spectral``, which folds the
+    factor into its own exponent.  It is validated everywhere and ignored
+    where the normalizations coincide, and so is ``tol``, which must lie in
+    (0, 1).
     """
     call = _route(space, kind, rep)
-    if convention not in CONVENTIONS:
-        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    check_convention(convention)
     check_tol(tol)
     return call(n, param, r, tol, convention, sigma)
 
@@ -546,8 +566,8 @@ def heat_mass(
     in the markovian convention.
     """
     check_query(space, n, "heat", t, 0.0)
+    check_convention(convention)
     check_tol(tol)
-    factor = convention_factor(space, convention, n, t)
     coeff = sphere_surface_coeff(n)
     inner = max(0.05 * tol, 1e-12)
     # on S^n the image sums or raising, never ``auto``: the spectral series'
@@ -559,7 +579,7 @@ def heat_mass(
     call = _route(space, "heat", rep)
 
     def f(x: float) -> float:
-        return call(n, t, x, inner, "paper", None).value * coeff * space.weight(x) ** (n - 1)
+        return call(n, t, x, inner, convention, None).value * coeff * space.weight(x) ** (n - 1)
 
     if space is Space.SPHERE:
         top = math.pi
@@ -567,8 +587,7 @@ def heat_mass(
         top = math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 1.0
     else:
         top = 2.0 * t * (n - 1) + math.sqrt(4.0 * t * (math.log(1.0 / tol) + 6.0)) + 3.0
-    res = integrate_adaptive(f, 0.0, top, tol)
-    return res.scaled(factor)
+    return integrate_adaptive(f, 0.0, top, tol)
 
 
 def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadResult:
@@ -812,8 +831,7 @@ def compare(
         reps = [name for name, admits, _, _ in _rows(space, kind) if admits(n)]
     for rep in reps:
         _route(space, kind, rep)
-    if convention not in CONVENTIONS:
-        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    check_convention(convention)
     check_tol(tol)
     values = {}
     errs = {}

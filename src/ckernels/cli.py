@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import click
 
@@ -69,19 +69,6 @@ class OutputRecord:
                 self.convention,
             )
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "dim": self.dim,
-            "kind": self.kind,
-            "param": self.param,
-            "r": self.r,
-            "rep": self.rep,
-            "value": self.value,
-            "err": self.err,
-            "convention": self.convention,
-        }
 
 
 def _resolve_tol(tol: float | None) -> float:
@@ -140,7 +127,7 @@ def _emit(records: list[OutputRecord], fmt: str, meta: dict) -> None:
         for rec in records:
             click.echo(rec.csv_row())
     elif fmt == "json":
-        payload = {"records": [rec.to_dict() for rec in records], "meta": meta}
+        payload = {"records": [asdict(rec) for rec in records], "meta": meta}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         widths = (12, 4, 8, 13, 13, 14, 24, 10, 10)

@@ -126,6 +126,11 @@ def check_tol(tol: float) -> None:
 CONVENTIONS = ("paper", "markovian")
 
 
+def check_convention(convention: str) -> None:
+    if convention != "paper" and convention != "markovian":
+        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
 def spectral_shift(space: Space, n: int) -> float:
     """The shift lambda with d/dt u = (A_n + lambda) u for this package."""
     if space is Space.EUCLIDEAN:
@@ -139,13 +144,13 @@ def convention_exponent(space: Space, convention: str, n: int, t: float) -> floa
     requested one.  The "markovian" kernel drops the spectral shift, so it is
     -spectral_shift * t: 0 on Euclidean space, (n-1)^2 t/4 on the sphere and
     -(n-1)^2 t/4 on hyperbolic space.  On the sphere the factor overflows
-    past 709 while the kernel underflows, so a route adds this to its exponent.
+    past 709 while the kernel underflows, so ``sphere.heat_spectral`` adds
+    this to its own exponent.
     """
-    if convention == "paper":
-        return 0.0
     if convention == "markovian":
         return -spectral_shift(space, n) * t
-    raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    check_convention(convention)
+    return 0.0
 
 
 def convention_factor(space: Space, convention: str, n: int, t: float) -> float:

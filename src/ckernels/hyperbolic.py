@@ -15,9 +15,10 @@ Heat representations:
 * contour: the general vertical line sigma - i xi against
   exp(y^2/4t) sin y (cosh rho - cos y)^(-(n+1)/2), sigma in (0, pi].
 
-These all produce the convention="paper" kernel, whose generator carries the
-spectral shift +(n-1)^2/4 (total mass exp((n-1)^2 t/4));
-convention="markovian" multiplies by exp(-(n-1)^2 t/4) to restore unit mass.
+These all produce the paper-convention kernel, whose generator carries the
+spectral shift +(n-1)^2/4 (total mass exp((n-1)^2 t/4)).  The unit-mass
+"markovian" kernel is exp(-(n-1)^2 t/4) times it; ``analysis._paper``, the
+wrapper of every curved heat row of ``analysis.evaluate``, applies that factor.
 
 The Poisson kernel is the strip-type closed form
 
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Space, check_query, convention_factor
+from .geometry import Space, check_query
 from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _raised_at_nodes, gauss_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
@@ -60,31 +61,16 @@ _HYPERBOLIC = Space.HYPERBOLIC
 # heat kernels
 
 
-def heat_raise(
-    n: int,
-    t: float,
-    rho: float,
-    *,
-    convention: str = "paper",
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
+def heat_raise(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
     """Odd-dimensional heat kernel by raising the flat 1-d Gaussian, with
     :func:`raise_kernel`'s pole series and error within POLE_REACH of 0."""
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 0:
         raise DomainError("raising reaches odd dimensions only; use heat_descent")
-    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
-    return raise_kernel(_HYPERBOLIC, gauss_jet(t), (n - 1) // 2, rho, tol).scaled(factor)
+    return raise_kernel(_HYPERBOLIC, gauss_jet(t), (n - 1) // 2, rho, tol)
 
 
-def heat_descent(
-    n: int,
-    t: float,
-    rho: float,
-    *,
-    convention: str = "paper",
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
+def heat_descent(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
     """Even-dimensional heat kernel as the descent integral of the odd
     (n+1)-kernel,
 
@@ -113,7 +99,6 @@ def heat_descent(
         return QuadResult(0.0, 0.0, 0)
     if s_top > 710.0:
         raise OverflowError("sinh s overflows before the Gaussian underflows")
-    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, tol)
 
     def f_regular(s: np.ndarray) -> np.ndarray:
@@ -128,18 +113,10 @@ def heat_descent(
         seeds = descent_breakpoints(t, rho, s_top)
     else:
         seeds = gaussian_breakpoints(0.0, t, rho, s_top)
-    res = integrate_sqrt_endpoint(f_regular, rho, s_top, tol, breakpoints=seeds)
-    return res.scaled(factor)
+    return integrate_sqrt_endpoint(f_regular, rho, s_top, tol, breakpoints=seeds)
 
 
-def heat_classic(
-    n: int,
-    t: float,
-    rho: float,
-    *,
-    convention: str = "paper",
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
+def heat_classic(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
     """Heat kernel from the oscillatory real integral along the pi line.
 
     The integrand takes a sweep's nodes at once and takes a log form at
@@ -148,7 +125,6 @@ def heat_classic(
     where its Gaussian exp(pi^2/4t) overflows.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
-    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * n) * math.pi ** (0.5 * n + 1.0))
@@ -201,7 +177,7 @@ def heat_classic(
     bps += [t * k for k in range(1, min(int(6.0 / math.sqrt(t)), 400), 2)]
     bps += scale_seeds(0.0, 0.5 * min(t, 1.0), 2.0 * math.sqrt(t), 0.0, xi_max)
     res = integrate_adaptive(f, 0.0, xi_max, tol, breakpoints=bps, vectorized=True)
-    return res.scaled(pref * factor)
+    return res.scaled(pref)
 
 
 def heat_gruet(
@@ -210,7 +186,6 @@ def heat_gruet(
     rho: float,
     *,
     sigma: float | None = None,
-    convention: str = "paper",
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Heat kernel as a vertical-contour integral at abscissa sigma.
@@ -229,7 +204,6 @@ def heat_gruet(
         sigma = sigma_saddle(n, t, rho, math.pi)
     if not 0.0 < sigma <= math.pi:
         raise DomainError(f"abscissa must lie in (0, pi], got {sigma}")
-    factor = convention_factor(Space.HYPERBOLIC, convention, n, t)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))
@@ -242,7 +216,7 @@ def heat_gruet(
         return np.exp(y * y * inv4t) * np.sin(y) * contour_power(cosh_rho - np.cos(y), n)
 
     res = integrate_contour(f, contour_spec(sigma, 4.0 * t, tol), spikes=[rho])
-    return res.scaled(pref * factor)
+    return res.scaled(pref)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularPointError
-from .geometry import Space, check_positive, check_query, convention_exponent
+from .geometry import Space, check_positive, check_query, check_tol, convention_exponent
 from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _divide, _gauss_coeffs, _raised_at_nodes
 from .jets import raise_kernel
 from .quadrature import (
@@ -422,12 +422,14 @@ def heat_spectral(
     negligible, that costs a term or two more, not a missed tol.  Times
     below SPECTRAL_MIN_T are refused.  ``n_evals`` counts the terms summed.
     The "markovian" convention's factor exp(a^2 t) is folded into the final
-    scaling, which it cancels, so it never overflows.
+    scaling, which it cancels, so it never overflows: this is the one curved
+    heat route that takes ``convention``; the others give the paper kernel,
+    which ``analysis`` scales.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if t < SPECTRAL_MIN_T:
         raise DomainError(f"the spectral series needs t >= {SPECTRAL_MIN_T}, got {t}")
-    check_positive("tolerance", tol)
+    check_tol(tol)
     a = 0.5 * (n - 1)
     log_vol, log_size = _log_volume(a)
     # w_l carries exp(-(l+a)^2 t) / exp(-a^2 t); that factor, times the

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from ckernels import analysis, euclid, hyperbolic, jets, quadrature, sphere
 from ckernels.cli import main
 from ckernels.errors import ConvergenceError, DomainError, SingularPointError
-from ckernels.geometry import CONVENTIONS, KINDS, Space, spectral_shift
+from ckernels.geometry import CONVENTIONS, KINDS, Space, convention_exponent, spectral_shift
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +265,28 @@ def test_walk_to_an_absolute_target_keeps_the_cost_order():
         assert [name for name, _ in log] == names and res is log[-1][1], abs_tol
 
 
-def test_evaluate_conventions():
+@pytest.mark.parametrize(
+    "space, n, rep",
+    [
+        (Space.SPHERE, 2, "theta"),
+        (Space.SPHERE, 5, "raise"),
+        (Space.SPHERE, 4, "gruet"),
+        (Space.SPHERE, 3, "spectral"),
+        (Space.HYPERBOLIC, 3, "raise"),
+        (Space.HYPERBOLIC, 4, "descent"),
+        (Space.HYPERBOLIC, 5, "gruet"),
+        (Space.HYPERBOLIC, 2, "gruet-classic"),
+    ],
+)
+def test_evaluate_conventions(space, n, rep):
+    # every curved heat row: the markovian kernel is the paper kernel times
+    # exp(convention_exponent), from the same integral or series
     t, r = 0.8, 1.5
-    paper = analysis.evaluate(Space.SPHERE, 2, "heat", t, r).value
-    markov = analysis.evaluate(
-        Space.SPHERE, 2, "heat", t, r, convention="markovian"
-    ).value
-    assert markov == pytest.approx(paper * math.exp(t / 4.0), rel=1e-13)
-    hyp_paper = analysis.evaluate(Space.HYPERBOLIC, 3, "heat", t, r).value
-    hyp_markov = analysis.evaluate(
-        Space.HYPERBOLIC, 3, "heat", t, r, convention="markovian"
-    ).value
-    assert hyp_markov == pytest.approx(hyp_paper * math.exp(-t), rel=1e-13)
+    paper = analysis.evaluate(space, n, "heat", t, r, rep=rep)
+    markov = analysis.evaluate(space, n, "heat", t, r, rep=rep, convention="markovian")
+    factor = math.exp(convention_exponent(space, "markovian", n, t))
+    assert markov.value == pytest.approx(paper.value * factor, rel=1e-13)
+    assert markov.n_evals == paper.n_evals
 
 
 def test_evaluate_rejects_unavailable_representations():

@@ -288,6 +288,21 @@ def test_eval_overflow_exits_4(runner, args):
     assert res.stdout == ""
 
 
+def test_markovian_sphere_heat_at_a_large_time_folds_only_in_spectral(runner):
+    # the paper kernel is below 1e-300 here and the markovian factor is
+    # e^801: auto answers through the spectral series, which folds the
+    # factor into its exponent, while gruet's value is scaled and overflows
+    args = ["eval", "--space", "sphere", "--dim", "7", "--t", "95.67", "--r", "0.005656",
+            "--convention", "markovian"]
+    res = invoke(runner, args + ["--format", "json"])
+    assert res.exit_code == 0
+    (rec,) = json.loads(res.stdout)["records"]
+    assert abs(rec["value"] - 0.0307979467640530) <= rec["err"]
+    res = invoke(runner, args + ["--rep", "gruet"])
+    assert res.exit_code == 4
+    assert res.stderr.startswith("numeric overflow:")
+
+
 @pytest.mark.parametrize("n, t, rho", [(4, 200.0, 1.0), (11, 30.0, 0.5), (15, 100.0, 0.5)])
 def test_eval_classic_at_a_large_time_exits_0(runner, n, t, rho):
     # (cosh rho + cosh xi)^((n+1)/2) overflowed below the old switch to the

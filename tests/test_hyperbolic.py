@@ -86,12 +86,15 @@ def test_heat_raise_rejects_even_dimension():
 
 
 def test_markovian_convention_restores_unit_mass_scale():
+    # the routes give the paper kernel; evaluate applies the convention
     t, rho = 0.8, 1.5
-    paper = hyperbolic.heat_raise(3, t, rho).value
-    markov = hyperbolic.heat_raise(3, t, rho, convention="markovian").value
+    paper = analysis.evaluate(Space.HYPERBOLIC, 3, "heat", t, rho, rep="raise").value
+    markov = analysis.evaluate(
+        Space.HYPERBOLIC, 3, "heat", t, rho, rep="raise", convention="markovian"
+    ).value
     assert markov == pytest.approx(paper * math.exp(-t), rel=1e-14)
     with pytest.raises(DomainError):
-        hyperbolic.heat_raise(3, t, rho, convention="physical")
+        analysis.evaluate(Space.HYPERBOLIC, 3, "heat", t, rho, rep="raise", convention="physical")
 
 
 # ---------------------------------------------------------------------------

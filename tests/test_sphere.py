@@ -666,6 +666,24 @@ def test_heat_spectral_convention_is_the_factor():
         sphere.heat_spectral(3, 1.0, 1.0, convention="physics")
 
 
+# S^3 raise at large t claims tol 1e-10 of its value where it is 6.3e-9 and
+# 6.1e-5 relative off a 40-digit sum; theta and spectral are within their
+# bars there, and auto returns spectral
+S3_RAISE_MISS = pytest.mark.xfail(
+    strict=True, reason="S^3 raise at t = 20 and 30 is 6e-9 and 6e-5 off: ROADMAP item 1"
+)
+
+
+@pytest.mark.parametrize("t", [20.0, 30.0])
+@pytest.mark.parametrize(
+    "rep", [pytest.param("raise", marks=S3_RAISE_MISS), "theta", "spectral", "auto"]
+)
+def test_s3_heat_at_large_time_is_within_its_bar(rep, t):
+    res = analysis.evaluate(Space.SPHERE, 3, "heat", t, 0.5, rep=rep)
+    want = mp_spectral_oracle(3, t, 0.5)
+    assert abs(res.value - want) <= max(res.err_estimate, 1e-10 * abs(res.value))
+
+
 def test_heat_spectral_needs_few_terms_at_large_time():
     assert sphere.heat_spectral(2, 50.0, 1.0).n_evals == 1
     assert sphere.heat_spectral(2, 5.0, 1.0).n_evals <= 3
@@ -680,6 +698,8 @@ def test_heat_spectral_domain():
     assert abs(circle.value - images.value) <= circle.err_estimate + images.err_estimate
     with pytest.raises(DomainError):
         sphere.heat_spectral(3, 1.0, 3.5)
-    with pytest.raises(DomainError):
-        sphere.heat_spectral(3, 1.0, 1.0, math.nan)
+    # tol lies in (0, 1), as evaluate's does
+    for tol in (math.nan, 1.0, 2.0):
+        with pytest.raises(DomainError):
+            sphere.heat_spectral(3, 1.0, 1.0, tol)
     assert sphere.heat_spectral(2, sphere.SPECTRAL_MIN_T, 1.0).value > 0.0
