@@ -96,8 +96,8 @@ def _spectral_rank(n: int, t: float, r: float):
 
 
 def _paper(space: Space, route):
-    """A sphere or hyperbolic heat row whose ``route`` maps (n, t, r, tol,
-    sigma) to the paper-convention kernel.  The markovian kernel is that
+    """A sphere or hyperbolic heat row whose ``route`` maps (n, t, r, tol)
+    to the paper-convention kernel.  The markovian kernel is that
     kernel times :func:`~ckernels.geometry.convention_factor`, applied here
     for every such row; where the factor overflows (S^n at large (n-1)^2 t)
     this raises OverflowError and ``auto`` passes to the next row.  The
@@ -105,8 +105,8 @@ def _paper(space: Space, route):
     convention into its own exponent, so its markovian value stays finite
     where its paper value underflows and the factor overflows."""
 
-    def call(n, t, r, tol, convention, sigma):
-        res = route(n, t, r, tol, sigma)
+    def call(n, t, r, tol, convention):
+        res = route(n, t, r, tol)
         if convention == "paper":
             return res
         return res.scaled(convention_factor(space, convention, n, t))
@@ -126,89 +126,80 @@ _CLASSIC_MIN_T = math.pi**2 / (4.0 * math.log(sys.float_info.max))
 # :func:`_walk`).  A table with one ranked row, its closed form,
 # gets that row's call as ``auto`` itself; the sphere and hyperbolic heat
 # kernels get the error-guarded walk of :func:`_walk`.  A call maps
-# (n, param, r, tol, convention, sigma) to a QuadResult and looks its route up
-# as a module attribute when it runs, so rebinding that attribute (to trace
-# or to mock it) reaches every caller.
+# (n, param, r, tol, convention) to a QuadResult and looks its route up as a
+# module attribute when it runs, so rebinding that attribute (to trace or to
+# mock it) reaches every caller.  The contour rows run on the default
+# abscissa; the deformation checks call the ``heat_gruet`` routes themselves.
 _REPRESENTATIONS = {
     (Space.EUCLIDEAN, "heat"): (
         ("closed", _any_n,
-         lambda n, t, r, tol, c, s: QuadResult(euclid.heat_closed(n, t, r), 0.0, 0), _rank(0)),
-        ("raise", _any_n, lambda n, t, r, tol, c, s: euclid.heat_raise(n, t, r, tol=tol), None),
-        ("descent", _any_n, lambda n, t, r, tol, c, s: euclid.heat_descent(n, t, r, tol), None),
-        ("gruet", _any_n,
-         lambda n, t, r, tol, c, s: euclid.heat_gruet(n, t, r, sigma=s, tol=tol), None),
+         lambda n, t, r, tol, c: QuadResult(euclid.heat_closed(n, t, r), 0.0, 0), _rank(0)),
+        ("raise", _any_n, lambda n, t, r, tol, c: euclid.heat_raise(n, t, r, tol=tol), None),
+        ("descent", _any_n, lambda n, t, r, tol, c: euclid.heat_descent(n, t, r, tol), None),
+        ("gruet", _any_n, lambda n, t, r, tol, c: euclid.heat_gruet(n, t, r, tol=tol), None),
     ),
     (Space.SPHERE, "heat"): (
         ("theta", lambda n: n <= 3,
-         _paper(Space.SPHERE, lambda n, t, r, tol, s: sphere.heat_theta(n, t, r, tol)),
+         _paper(Space.SPHERE, lambda n, t, r, tol: sphere.heat_theta(n, t, r, tol)),
          _rank(1)),
         # pure jets for odd n (0.02-0.07 ms on n = 3..15), a float integral
         # over a batched raise for even n (0.5-3.4 ms, a refusal up to 25 ms;
         # best of 5 on n = 4..14, t = 1e-3..9); for n <= 2 it is the theta
         # row itself
         ("raise", _any_n,
-         _paper(Space.SPHERE, lambda n, t, r, tol, s: sphere.heat_raise(n, t, r, tol)),
+         _paper(Space.SPHERE, lambda n, t, r, tol: sphere.heat_raise(n, t, r, tol)),
          lambda n, t, r: None if n <= 2 else (2 if n % 2 else 4, False)),
         ("gruet", _any_n,
-         _paper(Space.SPHERE,
-                lambda n, t, r, tol, s: sphere.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         _paper(Space.SPHERE, lambda n, t, r, tol: sphere.heat_gruet(n, t, r, tol=tol)),
          _contour_rank(3)),
         # 0.01-0.05 ms wherever it is ranked; the Fourier series on the circle
         ("spectral", _any_n,
-         lambda n, t, r, tol, c, s: sphere.heat_spectral(n, t, r, tol, convention=c),
+         lambda n, t, r, tol, c: sphere.heat_spectral(n, t, r, tol, convention=c),
          _spectral_rank),
     ),
     (Space.HYPERBOLIC, "heat"): (
         ("raise", lambda n: n % 2 == 1,
-         _paper(Space.HYPERBOLIC,
-                lambda n, t, r, tol, s: hyperbolic.heat_raise(n, t, r, tol=tol)),
+         _paper(Space.HYPERBOLIC, lambda n, t, r, tol: hyperbolic.heat_raise(n, t, r, tol=tol)),
          _rank(0)),
         # a float integral over a batched raise (0.2-4 ms): tried last
         ("descent", lambda n: n % 2 == 0,
          _paper(Space.HYPERBOLIC,
-                lambda n, t, r, tol, s: hyperbolic.heat_descent(n, t, r, tol=tol)),
+                lambda n, t, r, tol: hyperbolic.heat_descent(n, t, r, tol=tol)),
          _rank(4)),
         ("gruet", _any_n,
-         _paper(Space.HYPERBOLIC,
-                lambda n, t, r, tol, s: hyperbolic.heat_gruet(n, t, r, sigma=s, tol=tol)),
+         _paper(Space.HYPERBOLIC, lambda n, t, r, tol: hyperbolic.heat_gruet(n, t, r, tol=tol)),
          _contour_rank(2)),
         # from t = 0.5 on it meets tol and costs less than gruet (0.3-0.5 ms
         # against 0.6-1 ms); below it cancels, and below _CLASSIC_MIN_T its
         # exp(pi^2/4t) overflows at the first node, so auto skips it there
         ("gruet-classic", _any_n,
          _paper(Space.HYPERBOLIC,
-                lambda n, t, r, tol, s: hyperbolic.heat_classic(n, t, r, tol=tol)),
+                lambda n, t, r, tol: hyperbolic.heat_classic(n, t, r, tol=tol)),
          lambda n, t, r: None if t < _CLASSIC_MIN_T else (1 if t >= 0.5 else 3, False)),
     ),
     (Space.EUCLIDEAN, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(euclid.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
-        ("integral", _any_n,
-         lambda n, y, r, tol, c, s: euclid.poisson_integral(n, y, r, tol), None),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: euclid.poisson_raise(n, y, r, tol=tol), None),
-        ("descent", _any_n,
-         lambda n, y, r, tol, c, s: euclid.poisson_descent(n, y, r, tol), None),
-        ("subordinate", _any_n, lambda n, y, r, tol, c, s: _euclid_subordinate(n, y, r, tol),
-         None),
+         lambda n, y, r, tol, c: QuadResult(euclid.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
+        ("integral", _any_n, lambda n, y, r, tol, c: euclid.poisson_integral(n, y, r, tol), None),
+        ("raise", _any_n, lambda n, y, r, tol, c: euclid.poisson_raise(n, y, r, tol=tol), None),
+        ("descent", _any_n, lambda n, y, r, tol, c: euclid.poisson_descent(n, y, r, tol), None),
+        ("subordinate", _any_n, lambda n, y, r, tol, c: _euclid_subordinate(n, y, r, tol), None),
     ),
     (Space.SPHERE, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: sphere.poisson_raise(n, y, r), None),
-        ("doubling", _any_n,
-         lambda n, y, r, tol, c, s: sphere.poisson_doubling(n, y, r, tol), None),
-        ("subordinate", _any_n, lambda n, y, r, tol, c, s: _sphere_subordinate(n, y, r, tol),
-         None),
+         lambda n, y, r, tol, c: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
+        ("raise", _any_n, lambda n, y, r, tol, c: sphere.poisson_raise(n, y, r), None),
+        ("doubling", _any_n, lambda n, y, r, tol, c: sphere.poisson_doubling(n, y, r, tol), None),
+        ("subordinate", _any_n, lambda n, y, r, tol, c: _sphere_subordinate(n, y, r, tol), None),
     ),
     (Space.HYPERBOLIC, "poisson"): (
         ("closed", _any_n,
-         lambda n, y, r, tol, c, s: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0),
+         lambda n, y, r, tol, c: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0),
          _rank(0)),
-        ("raise", _any_n, lambda n, y, r, tol, c, s: hyperbolic.poisson_raise(n, y, r), None),
+        ("raise", _any_n, lambda n, y, r, tol, c: hyperbolic.poisson_raise(n, y, r), None),
         ("descent", _any_n,
-         lambda n, y, r, tol, c, s: hyperbolic.poisson_descent(n, y, r, tol), None),
-        ("subordinate", _any_n,
-         lambda n, y, r, tol, c, s: poisson_images(n, y, r, tol), None),
+         lambda n, y, r, tol, c: hyperbolic.poisson_descent(n, y, r, tol), None),
+        ("subordinate", _any_n, lambda n, y, r, tol, c: poisson_images(n, y, r, tol), None),
     ),
 }
 
@@ -236,7 +227,7 @@ def _walk(space: Space, kind: str, rows: tuple):
     raised, the first row's exception is.
     """
 
-    def walk(n, param, r, tol, convention, sigma, abs_tol=0.0):
+    def walk(n, param, r, tol, convention, abs_tol=0.0):
         check_query(space, n, kind, param, r)
         order = []
         for _, admits, call, rank in rows:
@@ -250,7 +241,7 @@ def _walk(space: Space, kind: str, rows: tuple):
             if last and best is not None:
                 break
             try:
-                res = call(n, param, r, tol, convention, sigma)
+                res = call(n, param, r, tol, convention)
             except _FALL_THROUGH as exc:
                 if first is None:
                     first = exc
@@ -318,12 +309,14 @@ def evaluate(
     rep: str = "auto",
     tol: float = DEFAULT_TOL,
     convention: str = "paper",
-    sigma: float | None = None,
 ) -> QuadResult:
     """Evaluate one kernel by the named representation.
 
-    ``param`` is the time t (heat) or height y (poisson).  ``rep`` of "auto"
-    calls the closed form where one exists.  For the sphere and hyperbolic
+    ``param`` is the time t (heat) or height y (poisson).  A named ``rep``
+    runs that row alone and raises what it raises; the contour rows run on
+    their default abscissa, the saddle point (the deformation checks call
+    the ``heat_gruet`` routes on others).  ``rep`` of "auto" is the one
+    fallback: it calls the closed form where one exists.  For the sphere and hyperbolic
     heat kernels it tries the representations cheapest first (a cost rank
     per row that may depend on n, t and r) and returns the first result whose
     error is at most max(tol |value|, the smallest normal float).  A row that
@@ -344,7 +337,7 @@ def evaluate(
     call = _route(space, kind, rep)
     check_convention(convention)
     check_tol(tol)
-    return call(n, param, r, tol, convention, sigma)
+    return call(n, param, r, tol, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +394,7 @@ def _heat_nodes(space: Space, n: int, r: float, tol: float) -> Callable:
             if errs[i] <= target:
                 continue
             try:
-                res = walk(n, ts[i], r, inner, "paper", None, target)
+                res = walk(n, ts[i], r, inner, "paper", target)
             except _FALL_THROUGH:
                 if math.isfinite(values[i]) and math.isfinite(errs[i]):
                     continue
@@ -579,7 +572,7 @@ def heat_mass(
     call = _route(space, "heat", rep)
 
     def f(x: float) -> float:
-        return call(n, t, x, inner, convention, None).value * coeff * space.weight(x) ** (n - 1)
+        return call(n, t, x, inner, convention).value * coeff * space.weight(x) ** (n - 1)
 
     if space is Space.SPHERE:
         top = math.pi
@@ -1008,7 +1001,7 @@ def subordination_sweep(
     2 pi image sum in y, whose residual is reported separately.
     """
     closed_form = _route(space, "poisson", "closed")
-    closed = lambda y, r: closed_form(n, y, r, tol, "paper", None).value
+    closed = lambda y, r: closed_form(n, y, r, tol, "paper").value
     flat = space is Space.EUCLIDEAN
     shift = spectral_shift(space, n)
     quarter = 0.25 * (n - 1) ** 2

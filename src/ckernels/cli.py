@@ -9,24 +9,24 @@ Three commands:
 
 Exit codes: 0 success, 1 a validation check failed, 2 argument errors,
 3 mathematical domain errors, 4 quadrature convergence failures and numeric
-overflow (partial results are still printed).
-The default tolerance honors the CK_DEFAULT_TOL environment variable;
-explicit ``--tol`` flags win.
+overflow; ``table`` still prints the rows before a refusal.  The tolerance
+is ``--tol``, else :data:`~ckernels.quadrature.DEFAULT_TOL`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import NoReturn
 
 import click
 
 from . import __version__
 from .analysis import SUITES, evaluate, representation_names, run_suite
-from .errors import ConvergenceError, DomainError, SingularPointError
+from .errors import ConvergenceError, DomainError
 from .geometry import KINDS, Space, space_from_name
+from .quadrature import DEFAULT_TOL
 
 # Every representation name of the library, except the doubled-boundary
 # construction: a library-level cross-check, not a user-facing representation.
@@ -41,6 +41,14 @@ REP_CHOICES = tuple(
 ) + ("auto",)
 
 CSV_HEADER = "space,dim,kind,param,r,rep,value,err,convention"
+
+# what ``eval`` and ``table`` print for each refusal of ``evaluate``, and
+# the exit code it ends with
+_REFUSALS = {
+    DomainError: ("domain error", 3),
+    ConvergenceError: ("convergence failure", 4),
+    OverflowError: ("numeric overflow", 4),
+}
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,15 @@ class OutputRecord:
         )
 
 
+def _exit_refused(exc: Exception, where: str = "") -> NoReturn:
+    what, code = next(v for cls, v in _REFUSALS.items() if isinstance(exc, cls))
+    click.echo(f"{what}{where}: {exc}", err=True)
+    sys.exit(code)
+
+
 def _resolve_tol(tol: float | None) -> float:
     if tol is None:
-        env = os.environ.get("CK_DEFAULT_TOL")
-        if not env:
-            return 1e-10
-        try:
-            tol = float(env)
-        except ValueError:
-            raise click.UsageError(f"CK_DEFAULT_TOL is not a number: {env!r}")
+        return DEFAULT_TOL
     if not 0.0 < tol < 1.0:
         raise click.UsageError(f"tolerance must lie in (0, 1), got {tol}")
     return tol
@@ -157,34 +165,10 @@ def _evaluate_point(
     rep: str,
     tol: float,
     convention: str,
-    sigma: float | None,
 ) -> OutputRecord:
-    used_rep = rep
-    try:
-        res = evaluate(
-            space, dim, kind, param, r, rep=rep, tol=tol, convention=convention, sigma=sigma
-        )
-    except SingularPointError as exc:
-        if rep == "auto":
-            raise
-        click.echo(
-            f"warning: {rep} refused (param={param:g}, r={r:g}): {exc}; "
-            "substituting the auto representation",
-            err=True,
-        )
-        res = evaluate(
-            space, dim, kind, param, r, rep="auto", tol=tol, convention=convention
-        )
-        used_rep = "auto"
+    res = evaluate(space, dim, kind, param, r, rep=rep, tol=tol, convention=convention)
     return OutputRecord(
-        space.value,
-        dim,
-        kind,
-        param,
-        r,
-        used_rep,
-        float(res.value),
-        float(res.err_estimate),
+        space.value, dim, kind, param, r, rep, float(res.value), float(res.err_estimate),
         convention,
     )
 
@@ -217,9 +201,6 @@ def _common_options(fn):
         help="Heat normalization on the curved spaces.",
     )(fn)
     fn = click.option("--tol", type=float, default=None, help="Relative tolerance.")(fn)
-    fn = click.option(
-        "--sigma", type=float, default=None, help="Contour abscissa override."
-    )(fn)
     return fn
 
 
@@ -241,22 +222,15 @@ def main() -> None:
     default="text",
     show_default=True,
 )
-def eval_cmd(space, dim, kind, rep, convention, tol, sigma, t_value, y_value, r_value, fmt):
+def eval_cmd(space, dim, kind, rep, convention, tol, t_value, y_value, r_value, fmt):
     """Evaluate one kernel value."""
     param = _pick_param(kind, t_value, y_value)
     tol = _resolve_tol(tol)
     try:
         sp = space_from_name(space)
-        record = _evaluate_point(sp, dim, kind, param, r_value, rep, tol, convention, sigma)
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
-    except ConvergenceError as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
-        sys.exit(4)
-    except OverflowError as exc:
-        click.echo(f"numeric overflow: {exc}", err=True)
-        sys.exit(4)
+        record = _evaluate_point(sp, dim, kind, param, r_value, rep, tol, convention)
+    except tuple(_REFUSALS) as exc:
+        _exit_refused(exc)
     if fmt == "text":
         click.echo(
             f"{record.space} n={record.dim} {record.kind} kernel, "
@@ -297,10 +271,12 @@ def _meta(tol: float, convention: str) -> dict:
     default="csv",
     show_default=True,
 )
-def table_cmd(space, dim, kind, rep, convention, tol, sigma, t_spec, y_spec, r_spec, fmt):
+def table_cmd(space, dim, kind, rep, convention, tol, t_spec, y_spec, r_spec, fmt):
     """Evaluate a kernel over a (param, distance) grid.
 
-    Rows stream in deterministic order: parameter-major, then distance.
+    Rows stream in deterministic order: parameter-major, then distance.  A
+    refusal exits as in ``eval``, after printing the rows before it and
+    saying how many there were.
     """
     spec = _pick_param(kind, t_spec, y_spec)
     params = _parse_grid(spec, "t" if kind == "heat" else "y", geometric_default=True)
@@ -311,18 +287,12 @@ def table_cmd(space, dim, kind, rep, convention, tol, sigma, t_spec, y_spec, r_s
         sp = space_from_name(space)
         for param in params:
             for r in rs:
-                records.append(
-                    _evaluate_point(sp, dim, kind, param, r, rep, tol, convention, sigma)
-                )
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
-    except (ConvergenceError, OverflowError) as exc:
-        if records:
-            _emit(records, fmt, _meta(tol, convention))
-        what = "convergence failure" if isinstance(exc, ConvergenceError) else "numeric overflow"
-        click.echo(f"{what} after {len(records)} rows: {exc}", err=True)
-        sys.exit(4)
+                records.append(_evaluate_point(sp, dim, kind, param, r, rep, tol, convention))
+    except tuple(_REFUSALS) as exc:
+        if not records:
+            _exit_refused(exc)
+        _emit(records, fmt, _meta(tol, convention))
+        _exit_refused(exc, f" after {len(records)} rows")
     _emit(records, fmt, _meta(tol, convention))
 
 
@@ -345,8 +315,7 @@ def validate_cmd(suite, fmt):
     try:
         report = run_suite(suite)
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
+        _exit_refused(exc)
     if fmt == "json":
         click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

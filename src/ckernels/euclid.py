@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .geometry import Space, check_positive, check_query
+from .geometry import Space, check_query
 from .jets import Jet, RadialGenerator, gauss_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
@@ -154,15 +154,15 @@ def heat_gruet(
     2 y exp(y^2/4t) (r^2+y^2)^(-(n+1)/2) has a Gaussian envelope in xi and
     algebraic spikes where y^2 approaches -r^2 (near xi = r for small sigma);
     the spike is seeded at its widths.  The value is independent of sigma,
-    which the error estimate must cover (the basis of the deformation
-    cross-check); by default the line runs through the saddle point on the
-    real axis (:func:`~ckernels.quadrature.sigma_saddle`, capped at 3), where
-    the panels do not cancel.  The integrand takes a sweep's nodes at once.
+    which the error estimate must cover; ``sigma`` is a route-level argument
+    for the deformation checks, and ``evaluate`` leaves it at its default,
+    the saddle point on the real axis
+    (:func:`~ckernels.quadrature.sigma_saddle`, capped at 3), where the
+    panels do not cancel.  The integrand takes a sweep's nodes at once.
     """
     check_query(_EUCLIDEAN, n, "heat", t, r)
     if sigma is None:
         sigma = sigma_saddle(n, t, r, 3.0)
-    check_positive("sigma", sigma)
     pref = math.gamma(0.5 * (n + 1)) / (
         math.pi ** (0.5 * n + 1.0) * math.sqrt(4.0 * t)
     )

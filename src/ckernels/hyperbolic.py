@@ -193,8 +193,9 @@ def heat_gruet(
     The integrand sin(y) (cosh rho - cos y)^(-(n+1)/2) exp(y^2/4t) with
     y = sigma - i xi is analytic for 0 < sigma < 2 pi, so no branch tracking
     is needed; the singular points y = +-(i rho) + 2 pi k show up as a spike
-    near xi = rho for small sigma, seeded at its widths.  By default sigma
-    is the flat integrand's saddle point
+    near xi = rho for small sigma, seeded at its widths.  ``sigma`` is a
+    route-level argument for the deformation checks; by default, the one
+    ``evaluate`` uses, it is the flat integrand's saddle point
     (:func:`~ckernels.quadrature.sigma_saddle`, capped at pi).  The
     integrand takes a sweep's nodes at once.
     """

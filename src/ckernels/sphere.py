@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularPointError
-from .geometry import Space, check_positive, check_query, check_tol, convention_exponent
+from .geometry import Space, check_query, check_tol, convention_exponent
 from .jets import _INV_FACTORIAL, Jet, RadialGenerator, _divide, _gauss_coeffs, _raised_at_nodes
 from .jets import raise_kernel
 from .quadrature import (
@@ -611,15 +611,15 @@ def heat_gruet(
     y = sigma - i xi crosses the cut of the principal half-integer power at
     xi = pi, 3 pi, ...; for even n the analytic branch flips sign there.
     Spikes sit where cosh y approaches cos phi (xi near 2 pi k +/- phi); the
-    cuts are breakpoints, the spikes seeded at their widths.  By default
-    sigma is the flat integrand's saddle point
+    cuts are breakpoints, the spikes seeded at their widths.  ``sigma`` is a
+    route-level argument for the deformation checks; by default, the one
+    ``evaluate`` uses, it is the flat integrand's saddle point
     (:func:`~ckernels.quadrature.sigma_saddle`, capped at 3).  The integrand
     takes a sweep's nodes at once.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if sigma is None:
         sigma = sigma_saddle(n, t, phi, 3.0)
-    check_positive("sigma", sigma)
     pref = (
         math.gamma(0.5 * (n + 1))
         / (2.0 ** (0.5 * (n - 1)) * math.pi ** (0.5 * n + 1.0))

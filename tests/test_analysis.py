@@ -258,7 +258,7 @@ def test_walk_to_an_absolute_target_keeps_the_cost_order():
     # here it claims 7.8e-13, which meets 1e-9 but not 1e-14
     log = []
     walk = _recording_walk(Space.SPHERE, log)
-    args = (8, 0.001073, 1.137, 1e-10, "paper", None)
+    args = (8, 0.001073, 1.137, 1e-10, "paper")
     for abs_tol, names in ((1e-9, ["gruet"]), (1e-14, ["gruet", "raise"]), (0.0, ["raise"])):
         log.clear()
         res = walk(*args, abs_tol)

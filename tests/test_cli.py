@@ -1,9 +1,9 @@
 """Command-line interface tests.
 
 These exercise plumbing, not numerics: argument validation, grid parsing,
-output formats, exit codes, and the environment-variable tolerance override.
-Numerical values printed by the CLI are compared against the library calls
-they wrap, which are themselves validated elsewhere.
+output formats and exit codes.  Numerical values printed by the CLI are
+compared against the library calls they wrap, which are themselves
+validated elsewhere.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import pytest
 from click.testing import CliRunner
 
 from ckernels import Space, evaluate, hyperbolic
-from ckernels.cli import CSV_HEADER, _parse_grid, main
+from ckernels.analysis import representation_names
+from ckernels.cli import CSV_HEADER, REP_CHOICES, _parse_grid, main
+from ckernels.errors import ConvergenceError, DomainError
 from ckernels.euclid import heat_closed
+from ckernels.quadrature import DEFAULT_TOL
 from ckernels.sphere import heat_spectral
 
 
@@ -237,7 +240,7 @@ def test_eval_spectral_rep(runner):
     value = float(res.stdout.split("value=")[1].split(" ")[0])
     assert f"{value:.2e}" == "5.80e-138"
     assert "rep=spectral" in res.stdout
-    # below SPECTRAL_MIN_T (0.01) the series refuses; no substitution of auto
+    # below SPECTRAL_MIN_T (0.01) the series refuses
     res = invoke(runner, args + ["--t", "0.005"])
     assert res.exit_code == 3
     assert res.stderr.startswith("domain error:")
@@ -257,11 +260,12 @@ def test_eval_theta_at_the_pole(runner):
 
 
 def test_eval_convergence_failure_exits_4(runner):
-    # An absurd contour abscissa overflows the Gaussian envelope.
+    # even-n S^n raising integrates a float integral under a panel budget
+    # that S^8 at t = 9 exhausts
     res = invoke(
         runner,
-        ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
-         "--t", "0.5", "--r", "1.0", "--rep", "gruet", "--sigma", "60"],
+        ["eval", "--space", "sphere", "--dim", "8", "--t", "9", "--r", "0.5",
+         "--rep", "raise"],
     )
     assert res.exit_code == 4
     assert res.stderr.startswith("convergence failure:")
@@ -413,6 +417,20 @@ def test_eval_descent_stops_where_the_gaussian_underflows(runner):
         assert rec["err"] == 0.0
 
 
+def test_table_partial_rows_before_a_domain_error(runner):
+    # the H^n Poisson kernel needs y < pi: y = 1 answers, y = 4 is refused
+    res = invoke(
+        runner,
+        ["table", "--space", "hyperbolic", "--kind", "poisson", "--dim", "3",
+         "--y", "1:4:2g", "--r", "1"],
+    )
+    assert res.exit_code == 3
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2 and lines[1].startswith("hyperbolic,3,poisson,1,1,auto,")
+    assert res.stderr.startswith("domain error after 1 rows:")
+
+
 def test_table_partial_rows_before_overflow(runner):
     res = invoke(
         runner,
@@ -426,54 +444,85 @@ def test_table_partial_rows_before_overflow(runner):
 
 
 # ----------------------------------------------------------------------------
-# eval: singular-point substitution
+# a named representation is that representation
 
 
-def test_eval_singular_rep_substitutes_auto(runner):
-    # The image sum needs 1/sin(phi) and refuses phi < 1e-6; the substituted
-    # auto serves the point from the spectral series at t = 0.5.
-    res = invoke(
-        runner,
-        ["eval", "--space", "sphere", "--dim", "3", "--kind", "heat",
-         "--t", "0.5", "--r", "1e-7", "--rep", "theta", "--format", "csv"],
-    )
+@pytest.mark.parametrize("r", [1e-7, math.pi])
+def test_eval_singular_rep_exits_3(runner, r):
+    # the S^3 image sum needs 1/sin(phi): it refuses phi < 1e-6 and the
+    # antipode, and only ``--rep auto`` passes to another row
+    args = ["eval", "--space", "sphere", "--dim", "3", "--kind", "heat",
+            "--t", "0.5", "--r", str(r), "--format", "csv"]
+    res = invoke(runner, args + ["--rep", "theta"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("domain error:")
+    assert res.stdout == ""
+    res = invoke(runner, args)
     assert res.exit_code == 0
-    assert "substituting the auto representation" in res.stderr
     fields = res.stdout.strip().splitlines()[1].split(",")
-    assert fields[5] == "auto"
-    expected = heat_spectral(3, 0.5, 1e-7)
-    assert abs(float(fields[6]) - expected.value) <= expected.err_estimate
+    expected = heat_spectral(3, 0.5, r)
+    assert fields[5] == "auto" and abs(float(fields[6]) - expected.value) <= expected.err_estimate
 
 
-def test_eval_singular_rep_at_antipode_substitutes_auto(runner):
-    # The image sum refuses the antipode; the substituted auto serves it
-    # from its cheapest row that meets tol, the spectral series at t = 0.5.
-    res = invoke(
-        runner,
-        ["eval", "--space", "sphere", "--dim", "3", "--kind", "heat",
-         "--t", "0.5", "--r", str(math.pi), "--rep", "theta", "--format", "csv"],
-    )
-    assert res.exit_code == 0
-    assert "substituting the auto representation" in res.stderr
-    fields = res.stdout.strip().splitlines()[1].split(",")
-    assert fields[5] == "auto"
-    expected = heat_spectral(3, 0.5, math.pi)
-    assert abs(float(fields[6]) - expected.value) <= expected.err_estimate
+# (space, kind, n, cells): r = 0, a point near it, one inside and, on the
+# sphere, the antipode; S^8 (9, 0.5) and H^3 (1, 800) refuse with exit 4
+_CLI_CELLS = [
+    ("euclidean", "heat", 3, [(0.5, 0.0), (0.5, 1e-7), (0.9, 1.5)]),
+    ("euclidean", "heat", 31, [(0.9, 0.05)]),
+    ("sphere", "heat", 2, [(0.5, 0.0), (0.5, 1.0), (0.5, math.pi)]),
+    ("sphere", "heat", 3, [(0.5, 0.0), (0.5, 1e-7), (0.5, 1.0), (0.5, math.pi)]),
+    ("sphere", "heat", 8, [(9.0, 0.5)]),
+    ("hyperbolic", "heat", 3, [(0.5, 0.0), (0.5, 1e-7), (0.8, 1.5), (1.0, 800.0)]),
+    ("hyperbolic", "heat", 2, [(0.8, 0.0), (0.8, 1.5)]),
+    ("euclidean", "poisson", 3, [(0.5, 0.0), (0.9, 1.3)]),
+    ("sphere", "poisson", 3, [(0.5, 0.0), (0.8, 1.0), (0.8, math.pi)]),
+    ("hyperbolic", "poisson", 3, [(0.5, 0.0), (0.8, 1.5)]),
+]
+
+
+def _cli_cases():
+    for space, kind, n, cells in _CLI_CELLS:
+        reps = [rep for rep in representation_names(Space(space), kind) if rep in REP_CHOICES]
+        for rep in reps + ["auto"]:
+            for param, r in cells:
+                yield pytest.param(space, kind, n, param, r, rep,
+                                   id=f"{space}-{kind}-{n}-{param}-{r:.3g}-{rep}")
+
+
+@pytest.mark.parametrize("space, kind, n, param, r, rep", _cli_cases())
+def test_eval_is_evaluate_plus_formatting(runner, space, kind, n, param, r, rep):
+    # the value and err of ``evaluate`` to the bit, or its refusal's exit
+    # code with nothing on stdout: no representation stands in for another
+    pflag = "--t" if kind == "heat" else "--y"
+    res = invoke(runner, ["eval", "--space", space, "--kind", kind, "--dim", str(n),
+                          pflag, repr(param), "--r", repr(r), "--rep", rep, "--format", "csv"])
+    try:
+        want = evaluate(Space(space), n, kind, param, r, rep=rep)
+    except DomainError:
+        assert (res.exit_code, res.stdout) == (3, "")
+        return
+    except (ConvergenceError, OverflowError):
+        assert (res.exit_code, res.stdout) == (4, "")
+        return
+    assert res.exit_code == 0, res.output
+    fields = res.stdout.splitlines()[1].split(",")
+    assert fields[5] == rep
+    assert (float(fields[6]), float(fields[7])) == (want.value, want.err_estimate)
 
 
 # ----------------------------------------------------------------------------
 # tolerance resolution
 
 
-def test_env_tol_used(runner):
-    res = invoke(
-        runner,
-        ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
-         "--t", "0.5", "--r", "1.0", "--format", "json"],
-        env={"CK_DEFAULT_TOL": "1e-6"},
-    )
-    assert res.exit_code == 0
-    assert json.loads(res.stdout)["meta"]["tol"] == 1e-6
+def test_the_environment_sets_no_tol(runner):
+    # the tolerance is --tol or quadrature.DEFAULT_TOL; CK_DEFAULT_TOL,
+    # even an unparsable one, is ignored
+    args = ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
+            "--t", "0.5", "--r", "1.0", "--format", "json"]
+    for env in ("1e-6", "banana"):
+        res = invoke(runner, args, env={"CK_DEFAULT_TOL": env})
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["meta"]["tol"] == DEFAULT_TOL == 1e-10
 
 
 def test_explicit_tol_beats_env(runner):
@@ -487,20 +536,16 @@ def test_explicit_tol_beats_env(runner):
     assert json.loads(res.stdout)["meta"]["tol"] == 1e-8
 
 
-def test_invalid_env_tol_exits_2(runner):
-    res = invoke(
-        runner,
-        ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
-         "--t", "0.5", "--r", "1.0"],
-        env={"CK_DEFAULT_TOL": "banana"},
-    )
+def test_eval_sigma_is_not_an_option(runner):
+    res = invoke(runner, ["eval", "--space", "euclidean", "--dim", "2", "--t", "0.5",
+                          "--r", "1.0", "--rep", "gruet", "--sigma", "1"])
     assert res.exit_code == 2
-    assert "CK_DEFAULT_TOL" in res.stderr
+    assert "No such option" in res.stderr
 
 
 def test_nonpositive_tol_exits_2(runner):
-    # a tolerance outside (0, 1), from the flag or the environment, is an
-    # argument error, also for representations that integrate
+    # a tolerance outside (0, 1) is an argument error, also for
+    # representations that integrate
     args = ["eval", "--space", "euclidean", "--dim", "2", "--kind", "heat",
             "--t", "0.5", "--r", "1.0"]
     for tol in ("-1e-8", "1", "1e300"):
@@ -508,8 +553,6 @@ def test_nonpositive_tol_exits_2(runner):
             res = invoke(runner, args + ["--rep", rep, "--tol", tol])
             assert res.exit_code == 2, (tol, rep, res.output)
             assert "(0, 1)" in res.stderr
-            res = invoke(runner, args + ["--rep", rep], env={"CK_DEFAULT_TOL": tol})
-            assert res.exit_code == 2, (tol, rep, res.output)
 
 
 # ----------------------------------------------------------------------------
@@ -617,12 +660,12 @@ def test_table_bad_grid_exits_2(runner):
 
 
 def test_table_partial_rows_before_convergence_failure(runner):
-    # sigma=40 works at t=4 (envelope e^{100}) but overflows at t=0.5
-    # (e^{800}); the successful row must still be printed.
+    # S^8 raising answers at t = 0.05 but exhausts its panel budget at t = 9;
+    # the successful row must still be printed.
     res = invoke(
         runner,
-        ["table", "--space", "euclidean", "--dim", "2", "--kind", "heat",
-         "--rep", "gruet", "--sigma", "40", "--t", "4:0.5:2g", "--r", "1.0"],
+        ["table", "--space", "sphere", "--dim", "8", "--rep", "raise",
+         "--t", "0.05:9:2g", "--r", "0.5"],
     )
     assert res.exit_code == 4
     lines = res.stdout.strip().splitlines()

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from ckernels import euclid, hyperbolic, sphere
+from ckernels.errors import DomainError
 from ckernels.quadrature import sigma_default, sigma_saddle
 
 DIMS = (1, 2, 3, 4, 7, 8, 12, 15)
@@ -98,3 +99,22 @@ def test_gruet_is_within_its_error_of_an_independent_row(space, n, t, r):
     res = route(n, t, r)
     want, want_err = _reference(space, n, t, r)
     assert abs(res.value - want) <= res.err_estimate + want_err
+
+
+_BAD_ABSCISSAS = [
+    pytest.param(route, sigma, id=f"{space}-{sigma}")
+    for space, route, extra in (
+        ("euclidean", euclid.heat_gruet, ()),
+        ("sphere", sphere.heat_gruet, ()),
+        ("hyperbolic", hyperbolic.heat_gruet, (4.0,)),  # past pi
+    )
+    for sigma in (0.0, -1.0, math.nan, math.inf, *extra)
+]
+
+
+@pytest.mark.parametrize("route, sigma", _BAD_ABSCISSAS)
+def test_a_bad_abscissa_is_a_domain_error(route, sigma):
+    # the route-level abscissa of the deformation checks is checked once,
+    # by the contour's own spec on R^n and S^n and against pi on H^n
+    with pytest.raises(DomainError):
+        route(3, 0.8, 1.5, sigma=sigma)
