@@ -48,7 +48,7 @@ from .geometry import (
     spectral_shift,
     sphere_surface_coeff,
 )
-from .jets import Jet, _lower_jet, gauss_jet, raise_jet, raise_kernel
+from .jets import Jet, _lower_jet, _raised_at_nodes, gauss_jet, raise_jet, raise_kernel
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -188,7 +188,7 @@ _REPRESENTATIONS = {
     (Space.SPHERE, "poisson"): (
         ("closed", _any_n,
          lambda n, y, r, tol, c: QuadResult(sphere.poisson_closed(n, y, r), 0.0, 0), _rank(0)),
-        ("raise", _any_n, lambda n, y, r, tol, c: sphere.poisson_raise(n, y, r), None),
+        ("raise", _any_n, lambda n, y, r, tol, c: sphere.poisson_raise(n, y, r, tol=tol), None),
         ("doubling", _any_n, lambda n, y, r, tol, c: sphere.poisson_doubling(n, y, r, tol), None),
         ("subordinate", _any_n, lambda n, y, r, tol, c: _sphere_subordinate(n, y, r, tol), None),
     ),
@@ -196,7 +196,8 @@ _REPRESENTATIONS = {
         ("closed", _any_n,
          lambda n, y, r, tol, c: QuadResult(hyperbolic.poisson_closed(n, y, r), 0.0, 0),
          _rank(0)),
-        ("raise", _any_n, lambda n, y, r, tol, c: hyperbolic.poisson_raise(n, y, r), None),
+        ("raise", _any_n,
+         lambda n, y, r, tol, c: hyperbolic.poisson_raise(n, y, r, tol=tol), None),
         ("descent", _any_n,
          lambda n, y, r, tol, c: hyperbolic.poisson_descent(n, y, r, tol), None),
         ("subordinate", _any_n, lambda n, y, r, tol, c: poisson_images(n, y, r, tol), None),
@@ -420,7 +421,7 @@ def subordinate(
 
     P(y, r) = (2 y / sqrt(pi)) integral_0^inf exp(-v^2 y^2) H(1/(4 v^2), r) dv.
 
-    ``heat_fn(ts, r)`` takes the array of a sweep's times, as a vectorized
+    ``heat_fn(ts, r)`` takes the array of a sweep's times, as an
     integrand of :func:`integrate_adaptive` does, and returns the heat
     values there, or a tuple (values, errors): the integral of the weighted
     errors then joins the error.  ``dim_hint`` n widens the truncation to
@@ -447,14 +448,8 @@ def _subordinate(
         out = heat(0.25 / (v * v), w)
         return (w * out[0], w * out[1]) if isinstance(out, tuple) else w * out
 
-    res = integrate_adaptive(
-        f,
-        0.0,
-        v_max,
-        tol,
-        breakpoints=bump_seeds(dim_hint, (y,), lengths, 0.0, v_max),
-        vectorized=True,
-    )
+    seeds = bump_seeds(dim_hint, (y,), lengths, 0.0, v_max)
+    res = integrate_adaptive(f, 0.0, v_max, tol, breakpoints=seeds)
     return res.scaled(2.0 * y / math.sqrt(math.pi))
 
 
@@ -529,14 +524,8 @@ def poisson_images(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> Qu
     # seed of the partition the odd-n rows are timed on, and the bumps of the
     # weight's widest images y and y - 2 pi (0 < y < pi), whose sum leaves
     # the single image where the second one's Gaussian rises
-    res = integrate_adaptive(
-        f,
-        0.054,
-        v_max,
-        tol,
-        breakpoints=[0.3, 0.5] + bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max),
-        vectorized=True,
-    )
+    seeds = [0.3, 0.5] + bump_seeds(n, (y, 2.0 * math.pi - y), (rho,), 0.054, v_max)
+    res = integrate_adaptive(f, 0.054, v_max, tol, breakpoints=seeds)
     return QuadResult(res.value, res.err_estimate + 1e-30, res.n_evals)
 
 
@@ -556,7 +545,8 @@ def heat_mass(
 
     Expected values: 1 on Euclidean space; exp(-(n-1)^2 t/4) on the sphere
     and exp(+(n-1)^2 t/4) on hyperbolic space in the "paper" convention, both 1
-    in the markovian convention.
+    in the markovian convention.  The integrand evaluates the row at each
+    node, and the rows' errors, under the shell weight, join the err.
     """
     check_query(space, n, "heat", t, 0.0)
     check_convention(convention)
@@ -571,8 +561,11 @@ def heat_mass(
         rep = "closed" if space is Space.EUCLIDEAN else "auto"
     call = _route(space, "heat", rep)
 
-    def f(x: float) -> float:
-        return call(n, t, x, inner, convention).value * coeff * space.weight(x) ** (n - 1)
+    def f(xs: np.ndarray) -> tuple:
+        rows = [call(n, t, x, inner, convention) for x in xs.tolist()]
+        shell = coeff * np.array([space.weight(x) ** (n - 1) for x in xs.tolist()])
+        values, errs = np.array([(row.value, row.err_estimate) for row in rows]).T
+        return values * shell, errs * np.abs(shell)
 
     if space is Space.SPHERE:
         top = math.pi
@@ -596,17 +589,17 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
     coeff = sphere_surface_coeff(n)
     if space is Space.EUCLIDEAN:
 
-        def f(r: float) -> float:
-            return euclid.poisson_closed(n, y, r) * coeff * r ** (n - 1)
+        def f(r: np.ndarray) -> np.ndarray:
+            return euclid._poisson(np, n, y, r) * coeff * r ** (n - 1)
 
         return integrate_to_infinity(f, 0.0, tol, scale=max(y, 1.0))
 
     if space is Space.SPHERE:
 
-        def f(phi: float) -> float:
+        def at(phi: float) -> float:
             return sphere.poisson_closed(n, y, phi) * coeff * math.sin(phi) ** (n - 1)
 
-        return integrate_adaptive(f, 0.0, math.pi, tol)
+        return integrate_adaptive(np.vectorize(at, otypes=[float]), 0.0, math.pi, tol)
 
     if n >= 3:
         raise DomainError(
@@ -622,11 +615,9 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
         + math.log(coeff)
     )
 
-    def f(rho: float) -> float:
+    def at(rho: float) -> float:
         if rho < 350.0:
-            return (
-                hyperbolic.poisson_closed(n, y, rho) * coeff * math.sinh(rho) ** (n - 1)
-            )
+            return hyperbolic.poisson_closed(n, y, rho) * coeff * math.sinh(rho) ** (n - 1)
         # log form: cosh/sinh overflow, but the integrand still decays like
         # exp(-(3 - n) rho / 2) for n < 3
         log_base = rho - math.log(2.0) + math.log1p(
@@ -636,7 +627,7 @@ def poisson_mass(space: Space, n: int, y: float, *, tol: float = 1e-10) -> QuadR
         expo = log_amp - half * log_base + (n - 1) * log_sinh
         return math.exp(expo) if expo > -745.0 else 0.0
 
-    return integrate_to_infinity(f, 0.0, tol, scale=4.0 / (3 - n))
+    return integrate_to_infinity(np.vectorize(at, otypes=[float]), 0.0, tol, scale=4.0 / (3 - n))
 
 
 @dataclass(frozen=True)
@@ -873,12 +864,11 @@ def compare(
 class SemigroupResult:
     """A t-kernel convolved with an s-kernel, against the (t+s)-kernel.
 
-    ``err`` bounds the convolution's error: the outer quadrature's estimate
-    plus |convolution| times the largest relative error of an inner
-    integral and twice that of a kernel value (the integrand is
-    non-negative, so relative errors add).  ``direct_err`` is the direct
-    kernel's own error.  ``rel_deviation`` is |convolution - direct| /
-    |direct|, 0 where both are 0.
+    ``err`` bounds the convolution's error: the outer quadrature's estimate,
+    which takes in the kernel values' and the inner integrals' errors as
+    its integrand's error column.  ``direct_err`` is the direct kernel's own
+    error.  ``rel_deviation`` is |convolution - direct| / |direct|, 0 where
+    both are 0.
     """
 
     convolution: float
@@ -895,9 +885,12 @@ def semigroup_check(
     """Chapman-Kolmogorov check: the t- and s-kernels convolve to the
     (t+s)-kernel at distance r.  Supported for n = 1 (line) and n = 3 (flat
     and hyperbolic), where one or two nested integrals suffice.  The kernels
-    are the closed forms on flat space and ``hyperbolic.heat_raise`` on
-    hyperbolic space, in the paper convention.  Judge the two values by
-    their error bars (``err``, ``direct_err``)."""
+    take a sweep's nodes: the closed form on flat space, with err 0, and on
+    hyperbolic space the raised 1-d Gaussian of ``hyperbolic.heat_raise``
+    with its pole series' bound (``jets._raised_at_nodes``), in the paper
+    convention.  Each integrand returns a product of two (values, errors)
+    pairs and its error da b + a db + da db.  Judge the two values by their
+    error bars (``err``, ``direct_err``)."""
     check_query(space, n, "heat", t, r)
     check_query(space, n, "heat", s, r)
     check_tol(tol)
@@ -907,26 +900,30 @@ def semigroup_check(
     if not line and n != 3:
         raise DomainError("semigroup check supports n = 1 (flat) and n = 3")
     flat = space is Space.EUCLIDEAN
-    # the largest relative error of a kernel value and of an inner integral
-    worst = {"kernel": 0.0, "inner": 0.0}
-
-    def relative(res: QuadResult, key: str) -> float:
-        if res.value:
-            worst[key] = max(worst[key], res.err_estimate / res.value)
-        return res.value
-
     if flat:
         direct = QuadResult(euclid.heat_closed(n, t + s, r), 0.0, 1)
-        kernel = lambda time, d: euclid.heat_closed(n, time, d)
+
+        def kernel(time: float):
+            return lambda d: (euclid._heat(np, n, time, d), np.zeros_like(d))
+
     else:
         direct = hyperbolic.heat_raise(3, t + s, r, tol=tol)
-        kernel = lambda time, d: relative(hyperbolic.heat_raise(3, time, d, tol=tol), "kernel")
+
+        def kernel(time: float):
+            return _raised_at_nodes(Space.HYPERBOLIC, gauss_jet(time), 1, tol)
+
+    kt, ks = kernel(t), kernel(s)
+
+    def product(first: tuple, second: tuple) -> tuple:
+        (a, da), (b, db) = first, second
+        return a * b, da * np.abs(b) + np.abs(a) * db + da * db
+
     width = math.sqrt(4.0 * max(t, s) * 40.0)
     evals = [0]
     if line:
 
-        def f(x: float) -> float:
-            return kernel(t, abs(x)) * kernel(s, abs(x - r))
+        def f(x: np.ndarray) -> tuple:
+            return product(kt(np.abs(x)), ks(np.abs(x - r)))
 
         res = integrate_adaptive(f, -width, r + width, tol, breakpoints=[0.0, r])
     else:
@@ -936,27 +933,35 @@ def semigroup_check(
         # over d in [|r - rho|, r + rho], smooth where the one over u spikes
         # in a width of about 1/(J(r) J(rho)) at u = 1.  sinh is finite up to
         # the acosh of the largest float, past which the kernel is 0.
-        jac, far = (abs, math.inf) if flat else (math.sinh, math.acosh(sys.float_info.max))
+        jac, far = (np.abs, math.inf) if flat else (np.sinh, math.acosh(sys.float_info.max))
 
-        def outer(rho: float) -> float:
-            kt = kernel(t, rho)
-            near, m = abs(r - rho), min(r, rho)
-            if not m:  # r = 0: the whole shell lies at distance rho
-                return 4.0 * math.pi * jac(rho) * kt * jac(rho) * kernel(s, rho)
+        def weighted(d: np.ndarray) -> tuple:
+            (values, errs), j = ks(d), jac(d)
+            return values * j, errs * j
+
+        def shell(rho: float) -> tuple:
+            """The s-kernel's integral over d on the shell of radius rho, and its error."""
+            near = abs(r - rho)
             inner = integrate_adaptive(
-                lambda x: kernel(s, near + x) * jac(near + x), 0.0, min(2.0 * m, far - near),
-                tol * 0.3,
+                lambda x: weighted(near + x), 0.0, min(2.0 * min(r, rho), far - near), tol * 0.3
             )
             evals[0] += inner.n_evals
-            return 2.0 * math.pi * jac(rho) * kt / jac(r) * relative(inner, "inner")
+            return inner.value, inner.err_estimate
+
+        def outer(rhos: np.ndarray) -> tuple:
+            if r:
+                values, errs = np.array([shell(rho) for rho in rhos.tolist()]).T
+                w = 2.0 * math.pi * jac(rhos) / (r if flat else math.sinh(r))
+            else:  # r = 0: the whole shell lies at distance rho
+                values, errs = ks(rhos)
+                w = 4.0 * math.pi * jac(rhos) * jac(rhos)
+            return product(kt(rhos), (values * w, errs * w))
 
         res = integrate_adaptive(outer, 0.0, min(r + width, far), tol)
-    conv, gap = res.value, abs(res.value - direct.value)
-    # a kernel value's error enters twice: under the outer and the inner integral
-    err = res.err_estimate + (2.0 * worst["kernel"] + worst["inner"]) * abs(conv)
+    gap = abs(res.value - direct.value)
     return SemigroupResult(
-        conv,
-        err,
+        res.value,
+        res.err_estimate,
         direct.value,
         direct.err_estimate,
         gap / max(abs(direct.value), _TINY) if gap else 0.0,

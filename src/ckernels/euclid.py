@@ -193,7 +193,7 @@ def poisson_integral(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qu
         return w**n * np.exp(-c * w * w)
 
     seeds = bump_seeds(n, (y,), (r,), 0.0, w_max)
-    res = integrate_adaptive(f, 0.0, w_max, tol, breakpoints=seeds, vectorized=True)
+    res = integrate_adaptive(f, 0.0, w_max, tol, breakpoints=seeds)
     return res.scaled(2.0 * y / math.pi ** (0.5 * (n + 1)))
 
 
@@ -274,9 +274,7 @@ def poisson_descent(n: int, y: float, r: float, tol: float = DEFAULT_TOL) -> Qua
     res1 = integrate_sqrt_endpoint(f_regular, r, split, tol, breakpoints=seeds)
     # the tail falls off as s^-(n+2); seeded where s doubles, the midpoint of
     # the compactified range, it mostly finishes in its first sweep
-    res2 = integrate_to_infinity(
-        f_tail, split, tol, scale=split, breakpoints=(2.0 * split,), vectorized=True
-    )
+    res2 = integrate_to_infinity(f_tail, split, tol, scale=split, breakpoints=(2.0 * split,))
     return QuadResult(
         res1.value + res2.value,
         res1.err_estimate + res2.err_estimate,

@@ -85,8 +85,9 @@ def heat_descent(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> Q
     scale rho (:func:`descent_breakpoints`) seed the partition.  Where sinh s
     would overflow at the top, the integral stops where the Gaussian has
     underflowed to 0, if that comes first, and is 0 if that is below rho;
-    if the Gaussian is not yet 0 there, it raises OverflowError.  The err
-    is the quadrature's; the raise adds none of its own.
+    if the Gaussian is not yet 0 there, it raises OverflowError.  Where a
+    sweep has pole-series nodes their weighted bounds are the integrand's
+    error column, which joins the err; the direct raise claims none.
     """
     check_query(_HYPERBOLIC, n, "heat", t, rho)
     if n % 2 == 1:
@@ -101,11 +102,14 @@ def heat_descent(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> Q
         raise OverflowError("sinh s overflows before the Gaussian underflows")
     kernel = _raised_at_nodes(_HYPERBOLIC, gauss_jet(t), n // 2, tol)
 
-    def f_regular(s: np.ndarray) -> np.ndarray:
+    def f_regular(s: np.ndarray):
         d = s - rho
         # s rounds to rho at the nodes nearest the endpoint
         ratio = np.where(d == 0.0, 2.0, d / np.sinh(0.5 * d))
-        return kernel(s)[0] * np.sinh(s) * np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
+        values, errs = kernel(s)
+        sinh_s, root = np.sinh(s), np.sqrt(ratio / np.sinh(0.5 * (s + rho)))
+        values = values * sinh_s * root
+        return (values, errs * sinh_s * root) if errs.any() else values
 
     # from n = 10 on the direct raise at the nodes is rounding-limited
     # (ROADMAP item 1), and more seeds there only move which cells miss
@@ -176,7 +180,7 @@ def heat_classic(n: int, t: float, rho: float, *, tol: float = DEFAULT_TOL) -> Q
     bps = [step * k for k in range(1, count + 1)]
     bps += [t * k for k in range(1, min(int(6.0 / math.sqrt(t)), 400), 2)]
     bps += scale_seeds(0.0, 0.5 * min(t, 1.0), 2.0 * math.sqrt(t), 0.0, xi_max)
-    res = integrate_adaptive(f, 0.0, xi_max, tol, breakpoints=bps, vectorized=True)
+    res = integrate_adaptive(f, 0.0, xi_max, tol, breakpoints=bps)
     return res.scaled(pref)
 
 
@@ -260,11 +264,11 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
     return gen
 
 
-def poisson_raise(n: int, y: float, rho: float) -> QuadResult:
+def poisson_raise(n: int, y: float, rho: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
     """Poisson kernel raised from the closed 1-d or 2-d strip kernel."""
     check_query(_HYPERBOLIC, n, "poisson", y, rho)
     base_dim = 1 if n % 2 == 1 else 2
-    return raise_kernel(_HYPERBOLIC, _poisson_jet(base_dim, y), (n - base_dim) // 2, rho)
+    return raise_kernel(_HYPERBOLIC, _poisson_jet(base_dim, y), (n - base_dim) // 2, rho, tol)
 
 
 def poisson_descent(n: int, y: float, rho: float, tol: float = DEFAULT_TOL) -> QuadResult:

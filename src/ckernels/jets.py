@@ -675,11 +675,13 @@ def _raised_at_nodes(
     space: Space, gen: RadialGenerator, k: int, tol: float, rounding: RadialGenerator | None = None
 ):
     """``kernel(s)``: the k-raised kernel at the nodes s of a sweep, and the
-    series' bound there (0 at a direct node).  As in :func:`raise_kernel`, a
-    :func:`pole_series` (with ``rounding``), formed once a node comes within
-    SERIES_REACH of its pole (0, and pi on the sphere), serves the nodes
-    within POLE_REACH and those out to SERIES_REACH where its bound meets
-    tol; one :func:`raise_operator` on the node array raises at the others."""
+    series' bound there (0 at a direct node), the error column that an
+    integrand over them returns to the quadrature.  As in
+    :func:`raise_kernel`, a :func:`pole_series` (with ``rounding``), formed
+    once a node comes within SERIES_REACH of its pole (0, and pi on the
+    sphere), serves the nodes within POLE_REACH and those out to
+    SERIES_REACH where its bound meets tol; one :func:`raise_operator` on
+    the node array raises at the others."""
     poles = (0.0, math.pi) if space is Space.SPHERE else (0.0,)
     series = {}
 

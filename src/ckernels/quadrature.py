@@ -6,7 +6,7 @@ sweeps (Shampine, "Vectorized adaptive quadrature in MATLAB", J. Comput.
 Appl. Math. 211, 2008): each sweep cuts the worst panels in four, two
 bisection levels, until their errors sum to the excess of the total error
 over the target, and evaluates all the children together: a sweep's
-bookkeeping costs what a vectorized integrand does on a few hundred nodes,
+bookkeeping costs what an integrand's call does on a few hundred nodes,
 so fewer sweeps beat fewer nodes; a first sweep that meets its target,
 as most seeded ones do, builds no heap.  The 15 Kronrod nodes contain the 7
 Gauss nodes, so a panel costs 15 integrand evaluations.  A panel's error is
@@ -23,22 +23,21 @@ relative, tol times the integral, unless a caller gives an absolute
 ``abs_tol``; a panel is cut at most 60 bisection levels deep, and only
 :func:`integrate_adaptive` takes a panel budget, ``max_panels``.
 
-Integrands return floats.  With ``vectorized=True`` the integrand is called
-once per sweep on the array of the 15 nodes of each of its panels and
-returns their values, so one batched raise can carry a whole sweep.  It may
-return a tuple (values, errors) of node arrays instead, the errors bounding
-its own values' (an inner integral's, say): their K15 integral, one more
-column of the sweep's matrix product, joins the reported error and never
-drives the refinement, the nested error budget of Gander and Gautschi
-(BIT 40, 2000).
+An integrand is called once per sweep on the array of the 15 nodes of each
+of its panels and returns their values, so one batched raise can carry a
+whole sweep; numpy's warnings are off while it runs, and an overflow is
+reported as a non-finite value.  It may return a tuple (values, errors) of
+node arrays instead, the errors bounding its own values' (an inner
+integral's, say): their K15 integral, one more column of the sweep's matrix
+product, joins the reported error and never drives the refinement, the
+nested error budget of Gander and Gautschi (BIT 40, 2000).
 
 Three transforms cover the singular and unbounded shapes that arise in the
 kernel formulas: an inverse-square-root endpoint factor (substitute
 x = a + u^2), a half-line tail (substitute x = a + s u/(1-u)), and vertical
 complex contours with Gaussian envelopes, where truncation at xi_max is
 chosen from the envelope and the discarded tail is added to the error
-estimate.  A square-root-endpoint integrand always takes the array of a
-sweep's nodes, and a contour integrand the complex array of them.
+estimate.  A contour integrand takes the complex array of a sweep's nodes.
 
 The kernel rows seed their float integrals at the integrand's length
 scales, as QUADPACK places breakpoints, so that most finish in their first
@@ -51,7 +50,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -287,16 +285,15 @@ def bump_seeds(n: int, heights: tuple, lengths: tuple, a: float, b: float) -> li
     return seeds
 
 
-def _sweep(f, los: list, his: list, vectorized: bool):
+def _sweep(f, los: list, his: list):
     """Embedded G7/K15 estimates on the panels [los[i], his[i]] of one sweep.
 
-    One integrand call per Kronrod node, 15 per panel, or one call on the
-    array of all the sweep's nodes if ``vectorized``.  Returns (values, errs,
-    resabs, inner, where_bad) with one entry per panel: the K15 value, the
-    raw |K15 - G7|, the K15 integral of |f| and the K15 integral of the
-    integrand's own errors (0 if it gives none).  ``where_bad`` is the first
-    node at which f or its error is not finite, in which case the other
-    fields are None.
+    One integrand call on the array of all the sweep's nodes, 15 a panel.
+    Returns (values, errs, resabs, inner, where_bad) with one entry per
+    panel: the K15 value, the raw |K15 - G7|, the K15 integral of |f| and
+    the K15 integral of the integrand's own errors (0 if it gives none).
+    ``where_bad`` is the first node at which f or its error is not finite,
+    in which case the other fields are None.
     """
     if len(los) == 1:  # the first sweep of an integral without breakpoints
         h = 0.5 * (his[0] - los[0])
@@ -306,7 +303,7 @@ def _sweep(f, los: list, his: list, vectorized: bool):
         mid_h = np.array((los, his)).T @ _MID_HALF
         h = mid_h[:, 1:]
         nodes = (h * _XK15 + mid_h[:, :1]).ravel()
-    out = f(nodes) if vectorized else [f(x) for x in nodes]
+    out = f(nodes)
     paired = isinstance(out, tuple)  # (values, errors)
     v = np.asarray(out[0] if paired else out, float).reshape(len(los), 15)
     blocks = [v, np.abs(v)]
@@ -315,9 +312,8 @@ def _sweep(f, los: list, his: list, vectorized: bool):
     # the rule's weights times each panel's blocks of 15: the products a
     # panel alone would get, whatever the sweep.  An inf times a zero weight
     # is a nan, and is reported like the inf
-    with nullcontext() if vectorized else np.errstate(invalid="ignore"):
-        cols = np.concatenate(blocks, axis=1) @ (_W4 if paired else _W3)
-        cols *= h
+    cols = np.concatenate(blocks, axis=1) @ (_W4 if paired else _W3)
+    cols *= h
     values, errs, resabs, *inner = cols.T.tolist()
     # a non-finite node makes its panel's integral of |f| or of the errors
     # non-finite
@@ -329,7 +325,7 @@ def _sweep(f, los: list, his: list, vectorized: bool):
 
 
 def integrate_adaptive(
-    f: Callable[[float], Value],
+    f: Callable[[np.ndarray], Value],
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
@@ -337,7 +333,6 @@ def integrate_adaptive(
     abs_tol: float = 0.0,
     breakpoints: Iterable[float] = (),
     max_panels: int = 4096,
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate f over [a, b] to max(abs_tol, tol * |integral|).
 
@@ -347,10 +342,10 @@ def integrate_adaptive(
     panels in four until their errors sum to the excess of the total error
     over the target, and evaluates all the children together; the last split
     takes fewer parts if that fills ``max_panels``.  A panel is cut at most
-    ``_MAX_DEPTH`` bisection levels deep, two per cut in four.  With
-    ``vectorized`` f takes the array of a sweep's nodes, a multiple of 15,
-    and returns their values, or a tuple (values, errors) whose errors'
-    integral joins the reported error; ``n_evals`` still counts nodes.  Raises
+    ``_MAX_DEPTH`` bisection levels deep, two per cut in four.  f takes the
+    array of a sweep's nodes, a multiple of 15, and returns their values, or
+    a tuple (values, errors) whose errors' integral joins the reported
+    error; ``n_evals`` counts nodes.  Raises
     :class:`ConvergenceError`, carrying the best estimate, if the panel or
     depth budget runs out, and reports a roundoff-floor error term
     proportional to the integral of |f|, plus 15 least subnormals a panel,
@@ -386,12 +381,12 @@ def integrate_adaptive(
         err = total_err + total_inner + 30.0 * _EPS * total_resabs
         return QuadResult(total_value, err + _PANEL_SUBNORMAL_ERR * panels, n_evals)
 
-    # numpy's warnings are off for a vectorized f: an overflow is reported as
-    # a non-finite value.  The floor ends subnormal noise above a target of 0
+    # numpy's warnings are off around f: an overflow is reported as a
+    # non-finite value.  The floor ends subnormal noise above a target of 0
     floor = (b - a) * sys.float_info.min
-    with np.errstate(all="ignore") if vectorized else nullcontext():
+    with np.errstate(all="ignore"):
         while True:
-            values, errs, resabs, inner, bad_at = _sweep(f, los, his, vectorized)
+            values, errs, resabs, inner, bad_at = _sweep(f, los, his)
             n_evals += 15 * len(los)
             if bad_at is not None:
                 best = QuadResult(total_value, math.inf, n_evals) if split else None
@@ -476,11 +471,10 @@ def integrate_sqrt_endpoint(
     """Integrate f_regular(x) (x - a)^(-1/2) over [a, b].
 
     The substitution x = a + u^2 removes the endpoint singularity exactly;
-    ``f_regular`` itself must be smooth on [a, b].  Like a contour
-    integrand, it takes the array of a sweep's nodes and returns their
-    values, or (values, errors) as a ``vectorized`` integrand of
-    :func:`integrate_adaptive` does.  ``breakpoints`` are given in x
-    coordinates.
+    ``f_regular`` itself must be smooth on [a, b]; it takes the array of a
+    sweep's nodes and returns their values, or (values, errors), as an
+    integrand of :func:`integrate_adaptive` does.  ``breakpoints`` are given
+    in x coordinates.
     """
     if b <= a:
         raise DomainError(f"need b > a for a square-root endpoint, got [{a}, {b}]")
@@ -489,20 +483,17 @@ def integrate_sqrt_endpoint(
         return f_regular(a + u * u)
 
     bps = [math.sqrt(p - a) for p in breakpoints if a < p < b]
-    res = integrate_adaptive(
-        g, 0.0, math.sqrt(b - a), tol, abs_tol=0.5 * abs_tol, breakpoints=bps, vectorized=True
-    )
+    res = integrate_adaptive(g, 0.0, math.sqrt(b - a), tol, abs_tol=0.5 * abs_tol, breakpoints=bps)
     return res.scaled(2.0)
 
 
 def integrate_to_infinity(
-    f: Callable[[float], Value],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     tol: float = DEFAULT_TOL,
     *,
     scale: float = 1.0,
     breakpoints: Iterable[float] = (),
-    vectorized: bool = False,
 ) -> QuadResult:
     """Integrate a decaying f over [a, infinity) to a relative ``tol``.
 
@@ -510,24 +501,18 @@ def integrate_to_infinity(
     should be of the order of the integrand's decay length so the transformed
     integrand is well resolved.  f must decay faster than x^(-2) for the
     transformed integrand to stay bounded.  ``breakpoints`` are given in x
-    coordinates; ``vectorized`` is as for :func:`integrate_adaptive`, but f
-    returns values only.
+    coordinates.  f takes the array of a sweep's nodes, as an integrand of
+    :func:`integrate_adaptive` does, and returns their values.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be positive, got {scale}")
 
-    def g(u: Value) -> Value:
+    def g(u: np.ndarray) -> np.ndarray:
         onemu = 1.0 - u
         return f(a + scale * u / onemu) * (scale / (onemu * onemu))
 
-    return integrate_adaptive(
-        g,
-        0.0,
-        1.0,
-        tol,
-        breakpoints=[(p - a) / (p - a + scale) for p in breakpoints if a < p < math.inf],
-        vectorized=vectorized,
-    )
+    bps = [(p - a) / (p - a + scale) for p in breakpoints if a < p < math.inf]
+    return integrate_adaptive(g, 0.0, 1.0, tol, breakpoints=bps)
 
 
 def contour_power(z: np.ndarray, n: int) -> np.ndarray:
@@ -547,8 +532,8 @@ def integrate_contour(
     """Integrate Re f(sigma - i xi) for xi in [0, xi_max].
 
     ``f`` takes the complex array of a sweep's nodes sigma - i xi and returns
-    its values there; it runs once per sweep, like a ``vectorized`` integrand
-    of :func:`integrate_adaptive`.  The fall-off points xi = sqrt(G) j of the
+    its values there; it runs once per sweep, like an integrand of
+    :func:`integrate_adaptive`.  The fall-off points xi = sqrt(G) j of the
     envelope exp((sigma^2 - xi^2)/G) (:func:`gaussian_breakpoints`) join the
     caller's ``breakpoints`` (kinks and branch cuts).  Each xi of ``spikes``,
     nearest a singular point sigma off the line, is seeded at xi -+ sigma/2,
@@ -573,9 +558,7 @@ def integrate_contour(
         return val[:-1].real
 
     try:
-        res = integrate_adaptive(
-            g, 0.0, xi_max, spec.tol, breakpoints=[*breakpoints, *seeds], vectorized=True
-        )
+        res = integrate_adaptive(g, 0.0, xi_max, spec.tol, breakpoints=[*breakpoints, *seeds])
     except ConvergenceError as exc:
         raise ContourError(
             f"contour integration at sigma = {sigma} failed: {exc}; "

@@ -346,9 +346,9 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
     puts every image's Gaussian at exactly 0 (it is 0 if that is at most
     phi), seeded at the m = 0 Gaussian's fall-off points.  The quadrature
     cannot see an error that a pole series carries smoothly (next to the
-    antipode, where the images cancel at large t), so for each pole the err
-    adds its largest weighted bound, Psi's rounding included, times the
-    span of the nodes it served; where that exceeds the value, it refuses.
+    antipode, where the images cancel at large t), so where a sweep has
+    series nodes their weighted bounds, Psi's rounding included, are the
+    integrand's error column; where the err exceeds the value, it refuses.
     """
     check_query(_SPHERE, n, "heat", t, phi)
     if n == 1:
@@ -369,29 +369,19 @@ def heat_raise(n: int, t: float, phi: float, tol: float = DEFAULT_TOL) -> QuadRe
 
     low = theta_at(top) if top < math.pi else 0.0
     kernel = _raised_at_nodes(_SPHERE, _wrapped_jet(t, tol), k, tol, _wrapped_jet(t, tol, True))
-    # per pole: the largest weighted series bound, its nodes' least and greatest theta
-    zones = [[0.0, math.inf, -math.inf], [0.0, math.inf, -math.inf]]
 
-    def f(theta: np.ndarray) -> np.ndarray:
+    def f(theta: np.ndarray):
         sin_t = np.sin(theta)
         psi = 2.0 * np.arctan2(np.hypot(sin_half, cos_half * np.cos(theta)), cos_half * sin_t)
         values, errs = np.array(kernel(psi)) * sin_t ** (2 * k)
-        for z, on in zip(zones, (errs > 0.0) & [psi < 1.0, psi >= 1.0]):
-            if on.any():
-                at = theta[on]
-                z[:] = max(z[0], errs[on].max()), min(z[1], at.min()), max(z[2], at.max())
-        return values
+        return (values, errs) if errs.any() else values
 
     # a direct raise that cancels is noise no panel count resolves; the
     # integrals that converge on n = 4..14, t = 1e-3..9 take <= 11 panels
     seeds = [theta_at(psi) for psi in gaussian_breakpoints(0.0, t, phi, min(top, math.pi))]
-    res = integrate_adaptive(
-        f, low, 0.5 * math.pi, tol, breakpoints=seeds, max_panels=256, vectorized=True
-    )
-    carried = sum(float(bound) * (hi - lo) for bound, lo, hi in zones if bound)
-    if carried > abs(res.value):
-        raise ConvergenceError("the pole series leaves no digit of the raised integral")
-    res = QuadResult(res.value, res.err_estimate + carried, res.n_evals)
+    res = integrate_adaptive(f, low, 0.5 * math.pi, tol, breakpoints=seeds, max_panels=256)
+    if res.err_estimate > abs(res.value):
+        raise ConvergenceError("the raised integral's error exceeds its value")
     return res.scaled(2.0 * (4.0 * math.pi * t) ** -1.5)
 
 
@@ -692,11 +682,11 @@ def _poisson_jet(base_dim: int, y: float) -> RadialGenerator:
     return gen
 
 
-def poisson_raise(n: int, y: float, phi: float) -> QuadResult:
+def poisson_raise(n: int, y: float, phi: float, *, tol: float = DEFAULT_TOL) -> QuadResult:
     """Sphere Poisson kernel raised from the circle or 2-sphere closed form."""
     check_query(_SPHERE, n, "poisson", y, phi)
     base_dim = 1 if n % 2 == 1 else 2
-    return raise_kernel(_SPHERE, _poisson_jet(base_dim, y), (n - base_dim) // 2, phi)
+    return raise_kernel(_SPHERE, _poisson_jet(base_dim, y), (n - base_dim) // 2, phi, tol)
 
 
 def poisson_doubling(
@@ -751,7 +741,7 @@ def poisson_doubling(
         top = 0.5 * math.pi
         seeds = gaussian_breakpoints(0.0, 0.5 / n, -top, top)
         seeds += scale_seeds(top, 0.25 * y, math.pi, -top, top)
-        res = integrate_adaptive(f, -top, top, tol, breakpoints=seeds, vectorized=True)
+        res = integrate_adaptive(f, -top, top, tol, breakpoints=seeds)
         return res.scaled(c_n)
 
     if variant == "half":
@@ -769,14 +759,7 @@ def poisson_doubling(
                 / cos_half_phi
             )
 
-        res = integrate_adaptive(
-            g,
-            phi,
-            2.0 * math.pi - phi,
-            tol,
-            breakpoints=[math.pi],
-            vectorized=True,
-        )
+        res = integrate_adaptive(g, phi, 2.0 * math.pi - phi, tol, breakpoints=[math.pi])
         shift = math.pi * _EPS / (math.pi - phi)
         err = res.err_estimate + math.sqrt(n + 1.0) * shift * abs(res.value)
         return QuadResult(res.value, err, res.n_evals).scaled(0.5 * c_n)

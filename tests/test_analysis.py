@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ def test_euclidean_subordinate_row_meets_the_closed_form(n, y, r):
 @pytest.mark.parametrize("y, r", [(0.8, 0.0), (0.95, 1.2), (0.1, 3.0), (2.5, 0.5)])
 def test_vectorized_subordinate_matches_per_node(n, y, r, monkeypatch):
     # the heat function runs once per sweep on the sweep's times; the same
-    # integral taken node by node splits the same panels to the same value
+    # integrand evaluated node by node splits the same panels to the same value
     calls, runs = [], []
 
     def heat(ts, s):
@@ -381,7 +382,7 @@ def test_vectorized_subordinate_matches_per_node(n, y, r, monkeypatch):
     assert len(calls) < batched.n_evals // 15
     [(f, args, kwargs)] = runs
     per_node = quadrature.integrate_adaptive(
-        lambda v: float(f(np.array([v]))[0]), *args, **{**kwargs, "vectorized": False}
+        lambda vs: np.array([f(np.array([v]))[0] for v in vs.tolist()]), *args, **kwargs
     ).scaled(2.0 * y / math.sqrt(math.pi))
     assert per_node.n_evals == batched.n_evals
     assert abs(batched.value - per_node.value) <= 1e-15 * abs(per_node.value)
@@ -998,11 +999,12 @@ def test_semigroup_err_meets_the_bar_rule_at_the_suite_points(space, n, tol):
     assert _within_semigroup_bars(res, tol)
 
 
-@pytest.mark.parametrize("r", [400.0, 700.0])
+@pytest.mark.parametrize("r", [0.0, 400.0, 700.0])
 @pytest.mark.parametrize("space", [Space.HYPERBOLIC, Space.EUCLIDEAN])
 def test_semigroup_answers_where_cosh_r_cosh_rho_overflows(space, r):
     # cosh r cosh rho overflows past r + rho = 710: no distance of inf may
-    # reach the kernel
+    # reach the kernel.  At r = 0 the whole shell lies at distance rho, and
+    # no inner integral is taken
     res = analysis.semigroup_check(space, 3, 0.5, 0.5, r)
     assert math.isfinite(res.convolution) and math.isfinite(res.err)
     assert _within_semigroup_bars(res, 1e-8)
@@ -1015,6 +1017,79 @@ def test_semigroup_far_from_the_origin_meets_its_bars(space):
     res = analysis.semigroup_check(space, 3, 5.0, 5.0, 30.0, tol=1e-7)
     assert res.direct > 0.0
     assert _within_semigroup_bars(res, 1e-7)
+
+
+# ---------------------------------------------------------------------------
+# nested error budgets
+
+
+def _inflated(factory, c: float):
+    """``factory`` of a sweep's kernel, its errors times c."""
+
+    def make(*args):
+        kernel = factory(*args)
+
+        def scaled(s):
+            values, errs = kernel(s)
+            return values, c * errs
+
+        return scaled
+
+    return make
+
+
+def _inflated_route(route, c: float):
+    """``analysis._route`` whose rows claim c times their errors."""
+
+    def make(*args):
+        call = route(*args)
+
+        def scaled(*row_args):
+            res = call(*row_args)
+            return quadrature.QuadResult(res.value, c * res.err_estimate, res.n_evals)
+
+        return scaled
+
+    return make
+
+
+# (module, attribute, inflate, the integral's (value, err)); the raise and
+# the descent next to a pole, where some nodes take the pole series
+NESTED = {
+    "H4-descent": (
+        hyperbolic, "_raised_at_nodes", _inflated,
+        lambda: astuple(hyperbolic.heat_descent(4, 0.1, 0.005))[:2],
+    ),
+    "S4-raise": (
+        sphere, "_raised_at_nodes", _inflated,
+        lambda: astuple(sphere.heat_raise(4, 2.0, 3.0))[:2],
+    ),
+    "S2-heat-mass": (
+        analysis, "_route", _inflated_route,
+        lambda: astuple(analysis.heat_mass(Space.SPHERE, 2, 0.7))[:2],
+    ),
+    "H3-semigroup": (
+        analysis, "_raised_at_nodes", _inflated,
+        lambda: astuple(analysis.semigroup_check(Space.HYPERBOLIC, 3, 0.5, 0.9, 1.1))[:2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_a_nested_integrals_err_carries_its_integrands_errors(case, monkeypatch):
+    # the err is the quadrature's own plus the integral of the integrand's
+    # errors: it grows in proportion as they do, and the value stays
+    module, name, inflate, integral = NESTED[case]
+    original = getattr(module, name)
+    found = {}
+    for c in (1.0, 10.0, 1000.0):
+        monkeypatch.setattr(module, name, inflate(original, c))
+        found[c] = integral()
+    errs = {c: err for c, (_, err) in found.items()}
+    carried = errs[10.0] - errs[1.0]
+    assert carried > 0.0
+    assert errs[1000.0] - errs[1.0] == pytest.approx(111.0 * carried, rel=1e-3)
+    assert found[1000.0][0] == pytest.approx(found[1.0][0], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

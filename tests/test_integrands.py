@@ -1,12 +1,10 @@
-"""The vectorized float integrands against their per-node math/cmath forms.
+"""The node-array float integrands against their per-node math/cmath forms.
 
-Each route hands its integrand to the quadrature with ``vectorized=True`` (the
-contours and square-root endpoints always take arrays), so the integrand
-runs once per sweep on the array of the sweep's nodes.  The reference
-integrands below are the per-node ``math``/``cmath`` closures the routes
-used before, kept verbatim: on a few hundred nodes of each route the two
-agree to 1e-13 relative, and where the per-node form raised OverflowError
-the vectorized one raises it too.
+Every integrand the quadrature takes runs once per sweep on the array of
+the sweep's nodes.  The reference integrands below are the per-node
+``math``/``cmath`` closures the routes used before, kept verbatim: on a few
+hundred nodes of each route the two agree to 1e-13 relative, and where the
+per-node form raised OverflowError the node-array one raises it too.
 """
 
 import cmath
@@ -199,13 +197,13 @@ def _nodes(lo, hi, seed=0):
     return np.sort(np.random.default_rng(seed).uniform(lo, hi, N_NODES))
 
 
-def _vectorized(f, x):
+def _at_nodes(f, x):
     with np.errstate(all="ignore"):  # as the quadrature calls it
         return f(x)
 
 
 def _assert_matches(f_vec, f_ref, x):
-    got = _vectorized(f_vec, x)
+    got = _at_nodes(f_vec, x)
     want = np.array([f_ref(u) for u in x])
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= RTOL * np.abs(want)), np.max(
@@ -215,8 +213,6 @@ def _assert_matches(f_vec, f_ref, x):
 
 def _single(calls, name):
     (call,) = [c for c in calls if c[0] == name]
-    if name in ("integrate_adaptive", "integrate_to_infinity"):
-        assert call[3]["vectorized"] is True
     return call
 
 
@@ -301,7 +297,7 @@ def test_heat_classic_overflows_where_the_per_node_form_does(capture, n, t, lo, 
     with pytest.raises(OverflowError):
         [ref(u) for u in xi]
     with pytest.raises(OverflowError):
-        _vectorized(f, xi)
+        _at_nodes(f, xi)
 
 
 @pytest.mark.parametrize("n, t, r", [(2, 0.8, 1.5), (5, 0.05, 0.0), (14, 3.0, 0.7)])
@@ -343,7 +339,7 @@ def test_hyperbolic_poisson_descent_matches_per_node_form(capture, n, y, rho):
 @pytest.mark.parametrize("rho", [705.0, 800.0])
 def test_hyperbolic_poisson_descent_matches_closed_past_the_sinh_overflow(capture, n, rho):
     # the per-node form overflows in sinh s past s ~ 710.5 (and underflows
-    # in P_(n+1) before that); the vectorized one folds sinh s into its
+    # in P_(n+1) before that); the node-array one folds sinh s into its
     # exponential, which underflows only with the kernel
     res = hyperbolic.poisson_descent(n, 1.0, rho)
     ref = hyperbolic.poisson_closed(n, 1.0, rho)
@@ -354,7 +350,7 @@ def test_hyperbolic_poisson_descent_matches_closed_past_the_sinh_overflow(captur
     per_node = ref_hyperbolic_poisson_descent(n, 1.0, rho)
     with pytest.raises(OverflowError):
         per_node(b)
-    assert np.isfinite(_vectorized(f, _nodes(a, b))).all()
+    assert np.isfinite(_at_nodes(f, _nodes(a, b))).all()
 
 
 @pytest.mark.parametrize(
@@ -396,14 +392,14 @@ def test_one_integrand_call_per_sweep(monkeypatch, route):
     counts = []
     sweep = quadrature._sweep
 
-    def counting_sweep(f, los, his, vectorized):
+    def counting_sweep(f, los, his):
         calls = []
 
         def counted(x):
             calls.append(len(x))
             return f(x)
 
-        out = sweep(counted, los, his, vectorized)
+        out = sweep(counted, los, his)
         assert calls == [15 * len(los)]
         counts.append(len(calls))
         return out
@@ -427,9 +423,9 @@ def sweeps_per_integral(monkeypatch):
     counts: dict = {}
     sweep = quadrature._sweep
 
-    def counting_sweep(f, los, his, vectorized):
+    def counting_sweep(f, los, his):
         counts.setdefault(f, []).append(len(los))
-        return sweep(f, los, his, vectorized)
+        return sweep(f, los, his)
 
     monkeypatch.setattr(quadrature, "_sweep", counting_sweep)
     return counts
@@ -664,6 +660,6 @@ def test_even_sphere_contour_is_continuous_across_the_cut(capture, n, xi):
     sphere.heat_gruet(n, 0.9, 1.0, sigma=0.5)
     f = _single(calls, "integrate_contour")[1]
     at = np.array([xi - 1e-9, xi, xi + 1e-9])
-    vals = _vectorized(f, 0.5 - 1j * at).real
+    vals = _at_nodes(f, 0.5 - 1j * at).real
     assert abs(vals[1] - vals[0]) <= 1e-6 * abs(vals[0])
     assert abs(vals[1] - vals[2]) <= 1e-6 * abs(vals[0])

@@ -439,11 +439,13 @@ def test_poisson_raise_matches_closed(n):
 
 
 def test_poisson_raise_guard_band():
-    n, y = 3, 0.8
-    for phi in (0.003, math.pi - 0.003):
-        res = sphere.poisson_raise(n, y, phi)
+    # (n, y, phi, tol): the registry row passes tol on to the raise, so at
+    # 1e-13 the pole series claims 1e-13, not the default tol's 1.2e-12
+    cells = [(3, 0.8, 0.003, 1e-10), (3, 0.8, math.pi - 0.003, 1e-10), (15, 0.9, 0.05, 1e-13)]
+    for n, y, phi, tol in cells:
+        res = analysis.evaluate(Space.SPHERE, n, "poisson", y, phi, rep="raise", tol=tol)
         want = sphere.poisson_closed(n, y, phi)
-        assert abs(res.value - want) <= res.err_estimate <= 1e-10 * want
+        assert abs(res.value - want) <= res.err_estimate <= tol * want
 
 
 @pytest.mark.parametrize("variant", ["angle", "half"])
